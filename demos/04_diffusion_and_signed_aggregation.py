@@ -16,13 +16,11 @@ from omniair.topology import HybridGraph
 
 rng = np.random.default_rng(0)
 n, per, d = 6, 2, 4
-offsets = np.arange(n + 1) * per
-dst = np.concatenate(
+nbr = np.stack(
     [rng.choice([j for j in range(n) if j != i], per, replace=False) for i in range(n)]
 )
-graph = HybridGraph(n, offsets, dst, np.zeros(n * per, np.int8),
-                    np.ones(n * per), np.ones(n * per))
-weights = Tensor(rng.uniform(0.2, 0.5, size=(1, n * per)))
+graph = HybridGraph(nbr, np.zeros(nbr.shape, np.int8), np.ones(nbr.shape), np.ones(nbr.shape))
+weights = Tensor(rng.uniform(0.2, 0.5, size=(1, n, per)))
 h0 = Tensor(rng.normal(size=(1, 1, n, d)))
 
 print("== Diffusion stack with restart 0.2 ==")
@@ -39,7 +37,7 @@ params = {
 }
 z = signed_aggregate(one_step, params, heads=2, forced_coeffs=np.array([1.0, -1.0]))
 dense = np.zeros((n, n))
-dense[graph.owner, graph.dst] = weights.data[0]
+dense[np.arange(n)[:, None], graph.nbr] = weights.data[0]
 ref = h0.data[0, 0] - dense @ h0.data[0, 0]
 print(f"  max |engine - (I - A) h0| = {np.abs(z.data[0, 0] - ref).max():.2e}")
 

@@ -39,12 +39,13 @@ err = grad_check(program, params, samples_per_param=None)
 print(f"max relative gradient error over every coordinate: {err:.2e}")
 
 print("\n== Sparse message-passing primitives ==")
-values = Tensor(np.arange(10.0).reshape(1, 5, 2), requires_grad=True)
-gathered = ad.gather(values, np.array([0, 0, 3, 4]), axis=1)
-summed = ad.segment_sum(gathered, np.array([0, 2, 3, 4]), axis=1)
-print(f"gather then segment-sum: {summed.data[0, :, 0]}")
+values = Tensor(np.arange(10.0).reshape(1, 1, 5, 2), requires_grad=True)
+weights = Tensor(np.ones((1, 3, 2)), requires_grad=True)
+nbr = np.array([[0, 0], [3, 1], [4, 4]])  # (N, K) neighbour table, repeats allowed
+summed = ad.propagate(values, weights, nbr)
+print(f"weighted neighbour sums: {summed.data[0, 0, :, 0]}")
 summed.sum().backward()
-print(f"scatter-accumulated gradient: {values.grad[0, :, 0]}")
+print(f"scatter-accumulated gradient: {values.grad[0, 0, :, 0]}")
 
 print("\n== Adam on a least-squares toy ==")
 rng = np.random.default_rng(2)

@@ -5,8 +5,11 @@ while gradients are enabled, every primitive operation records the closure
 needed to push adjoints back to its inputs. Calling ``backward`` on a scalar
 replays those closures in reverse topological order. The operator set is
 exactly what the forecasting model needs (dense linear algebra, pointwise
-nonlinearities, and the gather / segment-sum pair used for sparse
-message passing); there is no fusion, no views, no dtype zoo.
+nonlinearities, row ``gather`` and the fused ``propagate`` op that does
+sparse message passing over a fixed-degree (N, K) neighbour table); there
+are no views and no dtype zoo. Both sparse ops scatter their input
+gradient with one ``np.bincount``, so repeated targets never go through
+``np.add.at``.
 
 All data is float64 and all reductions run in a fixed order, so repeated
 forward+backward passes over identical inputs are bit-identical.
@@ -14,6 +17,7 @@ forward+backward passes over identical inputs are bit-identical.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -75,8 +79,11 @@ class Tensor:
     # -- graph plumbing ----------------------------------------------------
     def _accumulate(self, g: Array) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # private copy: ops hand the same g, or broadcast views of it, to
+            # several parents, and later contributions add into it in place
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -447,53 +454,56 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 # -- sparse message-passing primitives ----------------------------------------
 
+def _scatter_add(g: Array, idx: Array, n: int, axis: int) -> Array:
+    """Adjoint of ``np.take(a, idx, axis)`` for an ``a`` with ``n`` rows there.
+
+    ``g`` has the ``idx.shape`` axes in place of that axis. Slices sharing a
+    target add up in index order through one ``np.bincount`` over a flat
+    (lead, target, tail) index, which is deterministic.
+    """
+    lead, tail = g.shape[:axis], g.shape[axis + idx.ndim :]
+    p, q = math.prod(lead), math.prod(tail)
+    flat = (np.arange(p)[:, None, None] * n + idx.reshape(1, -1, 1)) * q + np.arange(q)
+    out = np.bincount(flat.reshape(-1), weights=g.reshape(-1), minlength=p * n * q)
+    return out.reshape(lead + (n,) + tail)
+
+
 def gather(a: Tensor, idx: Array, axis: int) -> Tensor:
-    """Select rows along ``axis`` (node -> edge expansion); idx may repeat."""
+    """Select rows along ``axis``; ``idx`` may repeat and may be n-d, in which
+    case its axes replace ``axis`` (as ``np.take``)."""
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
+    axis = axis % a.ndim
     data = np.take(a.data, idx, axis=axis)
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            key = (slice(None),) * (axis % a.ndim) + (idx,)
-            np.add.at(full, key, g)
-            a._accumulate(full)
+            a._accumulate(_scatter_add(g, idx, a.shape[axis], axis))
 
     return _node(data, (a,), backward)
 
 
-def segment_sum(a: Tensor, offsets: Array, axis: int) -> Tensor:
-    """Sum contiguous segments along ``axis`` (edge -> node reduction).
+def propagate(x: Tensor, w: Tensor, nbr: Array) -> Tensor:
+    """Weighted neighbour sum ``out[b,t,i] = sum_k w[b,i,k] * x[b,t,nbr[i,k]]``.
 
-    ``offsets`` has length S+1; segment ``s`` covers ``offsets[s]:offsets[s+1]``
-    and may be empty. Summation order inside a segment is index order, so the
-    reduction is deterministic.
+    ``x`` is (B, T, N_src, D), ``w`` is (B, N, K) and ``nbr`` is an (N, K)
+    table of rows of ``x``; targets may repeat and N_src may differ from N.
+    The gathered (B, T, N, K, D) messages are kept for the weight gradient;
+    the input gradient is one scatter of the weighted cotangent.
     """
-    a = as_tensor(a)
-    offsets = np.asarray(offsets, dtype=np.intp)
-    n_seg = len(offsets) - 1
-    counts = np.diff(offsets)
-    axis = axis % a.ndim
-    out_shape = a.shape[:axis] + (n_seg,) + a.shape[axis + 1 :]
-    nonempty = counts > 0
-    if a.shape[axis] == 0 or not nonempty.any():
-        data = np.zeros(out_shape)
-    elif nonempty.all():
-        data = np.add.reduceat(a.data, offsets[:-1], axis=axis)
-    else:
-        # reduceat over non-empty starts only; consecutive non-empty segments
-        # are adjacent in the array, so their extents stay correct.
-        data = np.zeros(out_shape)
-        partial = np.add.reduceat(a.data, offsets[:-1][nonempty], axis=axis)
-        key = (slice(None),) * axis + (nonempty,)
-        data[key] = partial
+    x, w = as_tensor(x), as_tensor(w)
+    nbr = np.asarray(nbr, dtype=np.intp)
+    msgs = np.take(x.data, nbr, axis=2)
+    data = np.einsum("btnkd,bnk->btnd", msgs, w.data)
 
     def backward(g: Array) -> None:
-        if a.requires_grad:
-            a._accumulate(np.repeat(g, counts, axis=axis))
+        if w.requires_grad:
+            w._accumulate(np.einsum("btnd,btnkd->bnk", g, msgs))
+        if x.requires_grad:
+            weighted = g[:, :, :, None, :] * w.data[:, None, :, :, None]
+            x._accumulate(_scatter_add(weighted, nbr, x.shape[2], axis=2))
 
-    return _node(data, (a,), backward)
+    return _node(data, (x, w), backward)
 
 
 # -- gradient checking ---------------------------------------------------------

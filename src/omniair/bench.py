@@ -9,6 +9,7 @@ time is reported separately.
 from __future__ import annotations
 
 import csv
+import logging
 import resource
 import time
 from dataclasses import dataclass
@@ -25,6 +26,8 @@ try:  # optional; pins BLAS threads so slopes are comparable across N
     from threadpoolctl import threadpool_limits
 except ImportError:  # pragma: no cover
     threadpool_limits = None
+
+log = logging.getLogger("omniair")
 
 
 def _pin_allocator() -> None:
@@ -59,7 +62,8 @@ class BenchReport:
     rows: list[BenchRow]
     slope: float
     repeats: int
-    workers: int
+    workers: int  # requested BLAS threads
+    threads_pinned: bool  # False when threadpoolctl is missing: default BLAS threads ran
 
 
 def fit_loglog_slope(ns, times_ms) -> float:
@@ -73,16 +77,14 @@ def fit_loglog_slope(ns, times_ms) -> float:
 
 def _random_graph(n: int, k: int, rng: np.random.Generator) -> HybridGraph:
     """k random distinct non-self targets per node, kernel-like weights."""
-    dst = np.empty(n * k, dtype=np.intp)
+    nbr = np.empty((n, k), dtype=np.intp)
     for i in range(n):
         picks = rng.choice(n - 1, size=k, replace=False)
         picks[picks >= i] += 1
-        dst[i * k : (i + 1) * k] = np.sort(picks)
-    offsets = np.arange(n + 1, dtype=np.intp) * k
-    km = rng.uniform(1.0, 400.0, size=n * k)
+        nbr[i] = np.sort(picks)
+    km = rng.uniform(1.0, 400.0, size=(n, k))
     w_static = np.exp(-(km**2) / (2.0 * 100.0**2))
-    kind = np.zeros(n * k, dtype=np.int8)
-    return HybridGraph(n, offsets, dst, kind, km, w_static)
+    return HybridGraph(nbr, np.zeros((n, k), dtype=np.int8), km, w_static)
 
 
 def _synthetic_state(n: int, k: int, cfg: RunConfig, rng: np.random.Generator) -> ModelState:
@@ -162,10 +164,15 @@ def run_scaling(
                 samples[n].append(timed_run(state, params, x))
         return samples
 
-    if threadpool_limits is not None:
+    threads_pinned = threadpool_limits is not None
+    if threads_pinned:
         with threadpool_limits(limits=workers):
             samples = run_all()
     else:
+        log.warning(
+            "threadpoolctl is not installed; BLAS threads are not pinned to %d worker(s)",
+            workers,
+        )
         samples = run_all()
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     rows = [
@@ -173,7 +180,7 @@ def run_scaling(
         for n, state, params, x in setups
     ]
     slope = fit_loglog_slope([r.n for r in rows], [r.forward_ms for r in rows])
-    return BenchReport(rows, slope, repeats, workers)
+    return BenchReport(rows, slope, repeats, workers, threads_pinned)
 
 
 def write_bench_csv(report: BenchReport, path) -> None:

@@ -117,14 +117,14 @@ def cmd_build_graph(args) -> int:
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst", "kind", "km", "w_static"])
-        for e in range(g.n_edges):
+        for (i, k), j in np.ndenumerate(g.nbr):
             writer.writerow(
                 [
-                    stations[g.owner[e]].id,
-                    stations[g.dst[e]].id,
-                    kind_names[int(g.kind[e])],
-                    repr(float(g.km[e])),
-                    repr(float(g.w_static[e])),
+                    stations[i].id,
+                    stations[j].id,
+                    kind_names[int(g.kind[i, k])],
+                    repr(float(g.km[i, k])),
+                    repr(float(g.w_static[i, k])),
                 ]
             )
     print(f"wrote {g.n_edges} edges to {args.out}")

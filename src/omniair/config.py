@@ -37,7 +37,7 @@ class RunConfig:
     fusion_mode: str = "signed"  # signed | softmax | sum
     coeff_mode: str = "signed"  # signed | positive (smoothing-only control)
     rank_mode: str = "abs"  # abs | signed
-    norm_mode: str = "abs"  # abs | paper
+    norm_mode: str = "abs"  # abs | plain
     edge_source: str = "last"  # last | mean time step for edge features
     per_station_norm: bool = False
     refresh_semantic_every: int = 0

@@ -182,7 +182,7 @@ class ExtensionState:
 
     stations: list[StationMeta]
     contexts: list[NeighborContext]
-    attach: HybridGraph  # owner = new node, dst = base node
+    attach: HybridGraph  # row i = new node i, nbr = base nodes
     id_features: np.ndarray
     grades: np.ndarray
 

@@ -189,8 +189,9 @@ def dense_forward(
     cand = np.zeros((n, n), dtype=bool)
     w_static = np.zeros((n, n))
     g = state.graph
-    cand[g.owner, g.dst] = True
-    w_static[g.owner, g.dst] = g.w_static
+    rows = np.arange(n)[:, None]
+    cand[rows, g.nbr] = True
+    w_static[rows, g.nbr] = g.w_static
 
     pair = np.concatenate(
         [

@@ -1,8 +1,8 @@
 """Graph diffusion with restart, signed spectral aggregation over diffusion
 states, identity-gated fusion, and the forecast head.
 
-All station mixing happens through gather/segment-sum over the sparse edge
-list; no operation ever materializes an N x N matrix.
+All station mixing happens through ``propagate`` over the (N, K) neighbour
+table; no operation ever materializes an N x N matrix.
 """
 
 from __future__ import annotations
@@ -26,23 +26,17 @@ def diffuse(
 ) -> list[Tensor]:
     """Multi-step diffusion h^(l) = sum_j w~_ij h_j^(l-1) + restart * h^(0).
 
-    ``h0`` is (B, T, N, D); ``w_tilde`` is (B, E). Returns all L+1 states.
-    When ``h_src_stack`` is given, messages are gathered from those states
-    instead of the receiving stack (directed attachment of new nodes).
+    ``h0`` is (B, T, N, D); ``w_tilde`` is (B, N, K) over ``graph.nbr``.
+    Returns all L+1 states. When ``h_src_stack`` is given, messages are
+    gathered from those states instead of the receiving stack (directed
+    attachment of new nodes).
     """
     if not 0.0 <= restart < 1.0:
         raise ValueError("restart probability must be in [0, 1)")
-    b = h0.shape[0]
-    w = w_tilde.reshape((b, 1, graph.n_edges, 1))
     stack = [h0]
     for step in range(steps):
         source = h_src_stack[step] if h_src_stack is not None else stack[-1]
-        if graph.n_edges == 0:
-            agg = Tensor(np.zeros(h0.shape))
-        else:
-            messages = ad.gather(source, graph.dst, axis=2)
-            agg = ad.segment_sum(messages * w, graph.offsets, axis=2)
-        stack.append(agg + restart * h0)
+        stack.append(ad.propagate(source, w_tilde, graph.nbr) + restart * h0)
     return stack
 
 

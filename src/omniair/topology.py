@@ -2,13 +2,15 @@
 
 The edge SET is built once (geographic k-NN plus semantic k-NN over raw
 feature vectors) and never changes during training; only the edge weights
-are recomputed per batch. Edges are stored as flat arrays with per-node
-contiguous segments so every edge computation is a single vectorized pass.
+are recomputed per batch. Every node keeps exactly K = k_geo + k_sem
+candidates, so the graph is an (N, K) neighbour table and every per-edge
+tensor is (B, N, K): owner-side expansions are broadcasts over the K axis
+and per-node reductions are sums over it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,35 +24,41 @@ KIND_SEM = 1
 
 @dataclass
 class HybridGraph:
-    """Per-node ordered candidate edges in flat segment form.
+    """Fixed-degree candidate edges as an (N, K) neighbour table.
 
-    offsets has length n_nodes+1; node i owns edges offsets[i]:offsets[i+1].
-    ``dst`` holds the neighbor a message is gathered FROM; the owning node is
-    the one it is aggregated INTO.
+    Row i lists the K nodes that node i gathers messages FROM, geographic
+    candidates first; ``kind``, ``km`` and ``w_static`` are aligned with it.
+    With ``cross`` set, ``nbr`` indexes a different node set (the base
+    stations that unseen nodes attach to).
     """
 
-    n_nodes: int
-    offsets: np.ndarray  # (N+1,) intp
-    dst: np.ndarray  # (E,) intp
-    kind: np.ndarray  # (E,) int8, 0 geo / 1 sem
-    km: np.ndarray  # (E,) great-circle distance
-    w_static: np.ndarray  # (E,) Gaussian kernel weight
-    cross: bool = False  # True when dst indexes a different node set than owner
-    owner: np.ndarray = field(init=False)  # (E,) owner node per edge
+    nbr: np.ndarray  # (N, K) intp
+    kind: np.ndarray  # (N, K) int8, 0 geo / 1 sem
+    km: np.ndarray  # (N, K) great-circle distance
+    w_static: np.ndarray  # (N, K) Gaussian kernel weight
+    cross: bool = False
 
     def __post_init__(self):
-        counts = np.diff(self.offsets)
-        self.owner = np.repeat(np.arange(self.n_nodes), counts)
-        if not self.cross and np.any(self.dst == self.owner):
+        self.nbr = np.asarray(self.nbr, dtype=np.intp)
+        if not self.cross and np.any(self.nbr == np.arange(self.n_nodes)[:, None]):
             raise ValueError("graph contains self-edges")
 
     @property
-    def n_edges(self) -> int:
-        return len(self.dst)
+    def n_nodes(self) -> int:
+        return self.nbr.shape[0]
 
     @property
-    def counts(self) -> np.ndarray:
-        return np.diff(self.offsets)
+    def k(self) -> int:
+        return self.nbr.shape[1]
+
+    @property
+    def n_edges(self) -> int:
+        return self.nbr.size
+
+
+def _kind_table(n: int, k_geo: int, k_sem: int) -> np.ndarray:
+    row = np.repeat(np.array([KIND_GEO, KIND_SEM], dtype=np.int8), [k_geo, k_sem])
+    return np.tile(row, (n, 1))
 
 
 def semantic_knn(
@@ -90,24 +98,16 @@ def build_hybrid_graph(
     if n <= k_geo + k_sem:
         raise ValueError(f"need more than k_geo+k_sem={k_geo + k_sem} stations, got {n}")
     geo_idx, geo_km = knn_geo(points, k_geo, workers=workers)
-    exclude = [set(row) for row in geo_idx]
     if k_sem > 0:
-        sem_idx, _ = semantic_knn(feature_vectors, k_sem, exclude)
+        sem_idx, _ = semantic_knn(feature_vectors, k_sem, [set(row) for row in geo_idx])
+        sem_km = np.stack([haversine(points[i], points[sem_idx[i]]) for i in range(n)])
     else:
-        sem_idx = np.empty((n, 0), dtype=np.int64)
-    dst_rows, kind_rows, km_rows = [], [], []
-    for i in range(n):
-        sem_km = haversine(points[i], points[sem_idx[i]]) if k_sem > 0 else np.empty(0)
-        dst_rows.append(np.concatenate([geo_idx[i], sem_idx[i]]))
-        kind_rows.append(
-            np.concatenate([np.full(k_geo, KIND_GEO), np.full(k_sem, KIND_SEM)])
-        )
-        km_rows.append(np.concatenate([geo_km[i], np.atleast_1d(sem_km)]))
-    dst = np.concatenate(dst_rows).astype(np.intp)
-    kind = np.concatenate(kind_rows).astype(np.int8)
-    km = np.concatenate(km_rows)
-    offsets = np.arange(n + 1, dtype=np.intp) * (k_geo + k_sem)
-    return HybridGraph(n, offsets, dst, kind, km, gaussian_static_weight(km, kappa_km))
+        sem_idx, sem_km = np.empty((n, 0), dtype=np.int64), np.empty((n, 0))
+    km = np.concatenate([geo_km, sem_km], axis=1)
+    nbr = np.concatenate([geo_idx, sem_idx], axis=1)
+    return HybridGraph(
+        nbr, _kind_table(n, k_geo, k_sem), km, gaussian_static_weight(km, kappa_km)
+    )
 
 
 def attach_new_nodes(
@@ -122,30 +122,26 @@ def attach_new_nodes(
     """Directed attachment edges for unseen nodes.
 
     Every returned edge is owned by a new node and gathers from a base node,
-    so base-node computations are untouched by construction. ``dst`` indexes
+    so base-node computations are untouched by construction. ``nbr`` indexes
     the BASE station list.
     """
     n_base = len(base_points)
     if n_base < k_geo + k_sem:
         raise ValueError("not enough base stations to attach new nodes")
-    dst_rows, kind_rows, km_rows = [], [], []
-    for p, v in zip(new_points, new_vectors):
+    n_new = len(new_points)
+    nbr = np.empty((n_new, k_geo + k_sem), dtype=np.intp)
+    km = np.empty(nbr.shape)
+    for i, (p, v) in enumerate(zip(new_points, new_vectors)):
         d = haversine(p, base_points)
-        order = np.lexsort((np.arange(n_base), d))
-        geo = order[:k_geo]
+        geo = np.lexsort((np.arange(n_base), d))[:k_geo]
         d2 = ((base_vectors - v) ** 2).sum(axis=1)
         d2[geo] = np.inf
         sem = np.lexsort((np.arange(n_base), d2))[:k_sem]
-        dst_rows.append(np.concatenate([geo, sem]))
-        kind_rows.append(np.concatenate([np.full(k_geo, KIND_GEO), np.full(k_sem, KIND_SEM)]))
-        km_rows.append(np.concatenate([d[geo], d[sem]]))
-    n_new = len(new_points)
-    dst = np.concatenate(dst_rows).astype(np.intp) if n_new else np.empty(0, dtype=np.intp)
-    kind = np.concatenate(kind_rows).astype(np.int8) if n_new else np.empty(0, dtype=np.int8)
-    km = np.concatenate(km_rows) if n_new else np.empty(0)
-    offsets = np.arange(n_new + 1, dtype=np.intp) * (k_geo + k_sem)
-    w_static = gaussian_static_weight(km, kappa_km) if len(km) else np.empty(0)
-    return HybridGraph(n_new, offsets, dst, kind, km, w_static, cross=True)
+        nbr[i] = np.concatenate([geo, sem])
+        km[i] = d[nbr[i]]
+    return HybridGraph(
+        nbr, _kind_table(n_new, k_geo, k_sem), km, gaussian_static_weight(km, kappa_km), cross=True
+    )
 
 
 # -- dynamic edge weights (tape ops) -------------------------------------------
@@ -172,15 +168,16 @@ def fuse_gate(
 ) -> tuple[Tensor, Tensor]:
     """Gate between static kernel weight and dynamic attention.
 
-    Returns (g, w_dyn) with w_dyn = g * w_static + (1 - g) * alpha.
+    ``h_own`` and ``h_nbr`` are (B, ..., D) per edge and ``w_static`` has
+    the edge shape without the batch axis. Returns (g, w_dyn) with
+    w_dyn = g * w_static + (1 - g) * alpha.
     """
-    b, e, _ = h_own.shape
-    ws = ad.broadcast_to(Tensor(w_static.reshape(1, -1, 1)), (b, e, 1))
+    lead = h_own.shape[:-1]
+    ws = Tensor(np.broadcast_to(w_static[..., None], lead + (1,)))
     x = ad.concat([h_own, h_nbr, ws], axis=-1)
     score = ad.matmul(x, params["edge_gate.w"].reshape(-1, 1)) + params["edge_gate.b"]
-    g = ad.sigmoid(score.reshape((b, e)))
-    w_stat = Tensor(w_static.reshape(1, -1))
-    w_dyn = g * w_stat + (1.0 - g) * alpha
+    g = ad.sigmoid(score.reshape(lead))
+    w_dyn = g * Tensor(w_static) + (1.0 - g) * alpha
     return g, w_dyn
 
 
@@ -192,52 +189,46 @@ def predict_beta(h_nodes: Tensor, params: dict[str, Tensor], k_max: float) -> Te
 
 
 def compute_ranks(w_dyn: np.ndarray, graph: HybridGraph, mode: str = "abs") -> np.ndarray:
-    """1-based importance ranks within each node's candidate list.
+    """1-based importance ranks within each node's K candidates.
 
-    ``abs`` ranks by descending magnitude, ``signed`` by descending value;
-    ties break toward the lower target index. Detached from differentiation.
+    ``w_dyn`` is (B, N, K). ``abs`` ranks by descending magnitude, ``signed``
+    by descending value; ties break toward the lower target index.
+    Detached from differentiation.
     """
     if mode not in ("abs", "signed"):
         raise ValueError(f"unknown rank mode {mode!r}")
-    b, e = w_dyn.shape
     key = -np.abs(w_dyn) if mode == "abs" else -w_dyn
-    owner = np.broadcast_to(graph.owner, (b, e)).reshape(-1)
-    batch = np.broadcast_to(np.arange(b)[:, None], (b, e)).reshape(-1)
-    dst = np.broadcast_to(graph.dst, (b, e)).reshape(-1)
-    order = np.lexsort((dst, key.reshape(-1), owner, batch))
-    # sorted layout groups each (batch, owner) segment contiguously, with the
-    # group for (q, i) starting at q*E + offsets[i]
-    seg_start = np.repeat(graph.offsets[:-1], graph.counts)
-    flat_start = batch * e + np.broadcast_to(seg_start, (b, e)).reshape(-1)
-    ranks = np.empty(b * e, dtype=np.int64)
-    ranks[order] = np.arange(b * e) - flat_start[order] + 1
-    return ranks.reshape(b, e)
+    order = np.lexsort((np.broadcast_to(graph.nbr, key.shape), key), axis=-1)
+    ranks = np.empty(key.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(1, graph.k + 1), axis=-1)
+    return ranks
 
 
-def prune_mask(ranks: np.ndarray, beta: Tensor, graph: HybridGraph, eta: float) -> Tensor:
-    """Soft retention mask sigmoid(-eta * (rank - beta_owner)) per edge."""
-    beta_e = ad.gather(beta, graph.owner, axis=1)
-    return ad.sigmoid(-eta * (Tensor(ranks.astype(np.float64)) - beta_e))
+def prune_mask(ranks: np.ndarray, beta: Tensor, eta: float) -> Tensor:
+    """Soft retention mask sigmoid(-eta * (rank - beta_owner)) per edge.
+
+    ``ranks`` is (B, N, K) and ``beta`` (B, N), broadcast over K.
+    """
+    beta_own = beta.reshape(beta.shape + (1,))
+    return ad.sigmoid(-eta * (Tensor(ranks.astype(np.float64)) - beta_own))
 
 
 def normalize_weights(
     w_dyn: Tensor,
     mask: Tensor,
-    graph: HybridGraph,
     eps: float = 1e-8,
     mode: str = "abs",
 ) -> Tensor:
-    """Masked weights renormalized within each node's candidate list.
+    """Masked (B, N, K) weights renormalized over each node's K candidates.
 
     ``abs`` divides by the sum of |w * m| (safe for signed weights);
-    ``paper`` divides by the plain sum.
+    ``plain`` divides by the plain sum.
     """
     if mode not in ("abs", "plain"):
         raise ValueError(f"unknown normalization mode {mode!r}")
     wm = w_dyn * mask
     summand = ad.abs_(wm) if mode == "abs" else wm
-    denom = ad.segment_sum(summand, graph.offsets, axis=1) + eps
-    return wm / ad.gather(denom, graph.owner, axis=1)
+    return wm / (summand.sum(axis=-1, keepdims=True) + eps)
 
 
 def edge_weights(
@@ -256,22 +247,19 @@ def edge_weights(
 
     ``h_nodes`` is (B, N, D) for the nodes owning the edges; ``h_src``
     (defaulting to ``h_nodes``) is gathered for edge targets, which lets
-    unseen nodes attach to a separately computed base state.
+    unseen nodes attach to a separately computed base state. Every per-edge
+    output is (B, N, K).
     """
-    if graph.n_edges == 0:
-        b = h_nodes.shape[0]
-        empty = Tensor(np.zeros((b, 0)))
-        return {"alpha": empty, "gate": empty, "w_dyn": empty, "ranks": np.zeros((b, 0)),
-                "mask": empty, "w_tilde": empty, "beta": predict_beta(h_nodes, params, k_max)}
     h_src = h_nodes if h_src is None else h_src
-    h_own = ad.gather(h_nodes, graph.owner, axis=1)
-    h_nbr = ad.gather(h_src, graph.dst, axis=1)
+    b, n, d = h_nodes.shape
+    h_own = ad.broadcast_to(h_nodes.reshape((b, n, 1, d)), (b, n, graph.k, d))
+    h_nbr = ad.gather(h_src, graph.nbr, axis=1)
     alpha = dynamic_attention(h_own, h_nbr, params)
     gate, w_dyn = fuse_gate(h_own, h_nbr, graph.w_static, alpha, params)
     beta = predict_beta(h_nodes, params, k_max)
     ranks = compute_ranks(w_dyn.data, graph, mode=rank_mode)
-    mask = prune_mask(ranks, beta, graph, eta)
-    w_tilde = normalize_weights(w_dyn, mask, graph, eps=eps, mode=norm_mode)
+    mask = prune_mask(ranks, beta, eta)
+    w_tilde = normalize_weights(w_dyn, mask, eps=eps, mode=norm_mode)
     return {
         "alpha": alpha,
         "gate": gate,

@@ -122,7 +122,7 @@ def train_model(
         if cfg.refresh_semantic_every > 0 and epoch > 0 and epoch % cfg.refresh_semantic_every == 0:
             refresh_semantic_edges(state, params)
         epoch_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch]))
-        losses = []
+        losses, skipped = [], 0
         for batch in make_windows(
             train, cfg.t_in, cfg.tau, state.stats, cfg.batch, shuffle=True, rng=epoch_rng
         ):
@@ -135,14 +135,15 @@ def train_model(
                 diverged = True
                 break
             loss.backward()
-            opt.step()
+            skipped += not opt.step()
             losses.append(loss.item())
         if diverged:
             tlog.stop_reason = "divergence"
             break
         val_mae = validation_mae(params, state, val)
         tlog.epochs.append(
-            {"epoch": epoch, "train_loss": float(np.mean(losses)), "val_mae": val_mae}
+            {"epoch": epoch, "train_loss": float(np.mean(losses)), "val_mae": val_mae,
+             "skipped_steps": skipped}
         )
         if val_mae < stopper.best:
             best_snapshot = {k: p.data.copy() for k, p in params.items()}

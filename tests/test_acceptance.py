@@ -122,13 +122,12 @@ def test_criterion_04_lipschitz_bound():
 
 
 def _random_sparse_setup(rng, n=6, per=3, d=8, t=2):
-    offsets = np.arange(n + 1) * per
-    dst = np.concatenate(
+    nbr = np.stack(
         [rng.choice([j for j in range(n) if j != i], per, replace=False) for i in range(n)]
     )
-    graph = HybridGraph(n, offsets, dst, np.zeros(n * per, np.int8),
-                        np.ones(n * per), np.ones(n * per))
-    w = rng.normal(size=(1, n * per))
+    graph = HybridGraph(nbr, np.zeros(nbr.shape, np.int8), np.ones(nbr.shape),
+                        np.ones(nbr.shape))
+    w = rng.normal(size=(1, n, per))
     h0 = rng.normal(size=(1, t, n, d))
     return graph, w, h0
 
@@ -167,7 +166,7 @@ def test_criterion_05_signed_aggregation_necessity():
     z = signed_aggregate(stack, params, heads=2, forced_coeffs=np.array([1.0, -1.0]))
     structural = np.array_equal(z.data, stack[0].data - stack[1].data)
     dense = np.zeros((graph.n_nodes, graph.n_nodes))
-    dense[graph.owner, graph.dst] = w[0]
+    dense[np.arange(graph.n_nodes)[:, None], graph.nbr] = w[0]
     oracle = h0 - np.einsum("ij,btjd->btid", dense, h0)
     report(5, "(b) coefficients (1,-1) recover the Laplacian response exactly",
            structural and np.abs(z.data - oracle).max() < 1e-12)
@@ -241,19 +240,16 @@ def test_criterion_08_hard_topk_limit():
     t0 = time.perf_counter()
     rng = np.random.default_rng(8)
     n, per, k = 6, 8, 3
-    offsets = np.arange(n + 1) * per
-    graph = HybridGraph(n, offsets, np.tile(np.arange(per) + 10, n),
-                        np.zeros(n * per, np.int8), np.ones(n * per), np.ones(n * per),
-                        cross=True)
-    w = rng.normal(size=(1, n * per))
+    graph = HybridGraph(np.tile(np.arange(per) + 10, (n, 1)), np.zeros((n, per), np.int8),
+                        np.ones((n, per)), np.ones((n, per)), cross=True)
+    w = rng.normal(size=(1, n, per))
     ranks = compute_ranks(w, graph, mode="abs")
-    mask = prune_mask(ranks, Tensor(np.full((1, n), k + 0.5)), graph, eta=50.0).data[0]
+    mask = prune_mask(ranks, Tensor(np.full((1, n), k + 0.5)), eta=50.0).data[0]
     saturated = bool(np.all((mask < 1e-4) | (mask > 1 - 1e-4)))
     exact = True
     for i in range(n):
-        seg = slice(offsets[i], offsets[i + 1])
-        top = set(np.argsort(-np.abs(w[0, seg]))[:k])
-        kept = set(np.flatnonzero(mask[seg] > 0.5))
+        top = set(np.argsort(-np.abs(w[0, i]))[:k])
+        kept = set(np.flatnonzero(mask[i] > 0.5))
         exact = exact and top == kept
     elapsed = time.perf_counter() - t0
     report(

@@ -75,9 +75,22 @@ class TestOpGradients:
         idx = np.array([0, 2, 2, 1])
         check_op(lambda a: ad.gather(a, idx, axis=1), [(2, 3, 2)])
 
-    def test_segment_sum(self):
-        offsets = np.array([0, 2, 2, 5])
-        check_op(lambda a: ad.segment_sum(a, offsets, axis=1), [(2, 5, 3)])
+    def test_gather_table_index(self):
+        idx = np.array([[0, 2], [2, 2], [1, 0]])
+        cot = Tensor(np.random.default_rng(1).normal(size=(2, 3, 2, 2)))
+        check_op(lambda a: ad.gather(a, idx, axis=1) * cot, [(2, 3, 2)])
+
+    def test_propagate_repeated_targets(self):
+        # square table whose rows repeat targets; both x and w are checked
+        nbr = np.array([[1, 1, 2], [0, 3, 3], [2, 2, 2], [0, 1, 3]])
+        cot = Tensor(np.random.default_rng(2).normal(size=(2, 3, 4, 2)))
+        check_op(lambda x, w: ad.propagate(x, w, nbr) * cot, [(2, 3, 4, 2), (2, 4, 3)])
+
+    def test_propagate_cross_table(self):
+        # 3 receiving nodes drawing from 5 source rows (N_src != N)
+        nbr = np.array([[4, 4], [0, 2], [2, 4]])
+        cot = Tensor(np.random.default_rng(3).normal(size=(2, 2, 3, 3)))
+        check_op(lambda x, w: ad.propagate(x, w, nbr) * cot, [(2, 2, 5, 3), (2, 3, 2)])
 
 
 class TestOpSemantics:
@@ -95,30 +108,34 @@ class TestOpSemantics:
         y.sum().backward()
         np.testing.assert_allclose(x.grad, 0.0, atol=1e-15)
 
-    def test_segment_sum_matches_dense_onehot(self):
-        # 4-edge toy: forward equals one-hot matmul, backward the transpose
+    def test_propagate_matches_dense_onehot(self):
+        # forward equals the dense matmul with the one-hot expanded table,
+        # backward its transpose (x) and the per-edge inner product (w)
         rng = np.random.default_rng(0)
-        vals = rng.normal(size=(1, 4, 3))
-        offsets = np.array([0, 1, 3, 4])
-        seg_of_edge = np.repeat(np.arange(3), np.diff(offsets))
-        onehot = np.zeros((3, 4))
-        onehot[seg_of_edge, np.arange(4)] = 1.0
-
-        x = Tensor(vals, requires_grad=True)
-        out = ad.segment_sum(x, offsets, axis=1)
-        dense = np.einsum("se,bec->bsc", onehot, vals)
-        np.testing.assert_allclose(out.data, dense, atol=1e-14)
+        nbr = np.array([[0, 3], [3, 3], [1, 2]])
+        onehot = np.zeros((3, 2, 4))
+        onehot[np.arange(3)[:, None], np.arange(2), nbr] = 1.0
+        x = Tensor(rng.normal(size=(2, 2, 4, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True)
+        out = ad.propagate(x, w, nbr)
+        adj = np.einsum("bik,iks->bis", w.data, onehot)
+        np.testing.assert_allclose(out.data, np.einsum("bis,btsd->btid", adj, x.data),
+                                   atol=1e-14)
 
         cot = rng.normal(size=out.shape)
         (out * Tensor(cot)).sum().backward()
-        dense_grad = np.einsum("se,bsc->bec", onehot, cot)
-        np.testing.assert_allclose(x.grad, dense_grad, atol=1e-14)
+        np.testing.assert_allclose(x.grad, np.einsum("bis,btid->btsd", adj, cot), atol=1e-14)
+        dw = np.einsum("btid,iks,btsd->bik", cot, onehot, x.data)
+        np.testing.assert_allclose(w.grad, dw, atol=1e-14)
 
-    def test_segment_sum_empty_segments(self):
-        x = Tensor(np.arange(6.0).reshape(1, 3, 2), requires_grad=True)
-        out = ad.segment_sum(x, np.array([0, 0, 2, 2, 3, 3]), axis=1)
-        expected = np.array([[0, 0], [0 + 2, 1 + 3], [0, 0], [4, 5], [0, 0]])
-        np.testing.assert_array_equal(out.data[0], expected)
+    def test_first_gradient_is_private_copy(self):
+        # add hands one cotangent to both operands; a later contribution to
+        # x must not leak into y's gradient
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = Tensor(np.ones(3), requires_grad=True)
+        ((x + y).sum() + (x * 3.0).sum()).backward()
+        np.testing.assert_array_equal(x.grad, 4.0)
+        np.testing.assert_array_equal(y.grad, 1.0)
 
     def test_gather_repeats_accumulate(self):
         x = Tensor(np.ones((3, 2)), requires_grad=True)

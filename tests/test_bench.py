@@ -49,3 +49,19 @@ class TestRunScaling:
         a = run_scaling((64, 128, 256), k=5, t_in=2, repeats=5, seed=3)
         b = run_scaling((64, 128, 256), k=5, t_in=2, repeats=5, seed=3)
         assert [(r.n, r.k, r.edges) for r in a.rows] == [(r.n, r.k, r.edges) for r in b.rows]
+
+    def test_reports_whether_threads_were_pinned(self, monkeypatch, caplog):
+        import contextlib
+
+        import omniair.bench as bench
+
+        monkeypatch.setattr(bench, "threadpool_limits", None)
+        with caplog.at_level("WARNING", logger="omniair"):
+            report = run_scaling((64, 128, 256), k=4, t_in=2, repeats=5, seed=0, workers=2)
+        assert report.workers == 2 and not report.threads_pinned
+        assert "not pinned" in caplog.text
+
+        monkeypatch.setattr(
+            bench, "threadpool_limits", lambda limits=None: contextlib.nullcontext(limits)
+        )
+        assert run_scaling((64, 128, 256), k=4, t_in=2, repeats=5, seed=0).threads_pinned

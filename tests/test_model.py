@@ -132,12 +132,10 @@ class TestSingleStation:
                            k_geo=1, k_sem=0, k_max=1.0)
         rng = np.random.default_rng(0)
         graph = HybridGraph(
-            1,
-            np.array([0, 0], dtype=np.intp),
-            np.empty(0, dtype=np.intp),
-            np.empty(0, dtype=np.int8),
-            np.empty(0),
-            np.empty(0),
+            np.empty((1, 0), dtype=np.intp),
+            np.empty((1, 0), dtype=np.int8),
+            np.empty((1, 0)),
+            np.empty((1, 0)),
         )
         ctx = NeighborContext(1.0, 0.5, 2.0, 0.1, np.full(6, 1 / 6), np.array([0.0, 0.0]))
         feat_dim = cfg.fourier_dim + 10 + 6
@@ -198,9 +196,8 @@ class TestExtension:
         cfg, state, params, batch, held = self._setup()
         ext = build_extension(state, held)
         assert ext.attach.n_nodes == len(held)
-        assert ext.attach.dst.max() < state.n_stations
-        counts = np.diff(ext.attach.offsets)
-        assert np.all(counts == cfg.k_geo + cfg.k_sem)
+        assert ext.attach.nbr.max() < state.n_stations
+        assert ext.attach.nbr.shape == (len(held), cfg.k_geo + cfg.k_sem)
 
     def test_coincident_new_station_same_embedding_inputs(self):
         # a new station carrying identical observable inputs encodes to the

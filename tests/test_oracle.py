@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omniair.config import RunConfig
 from omniair.data import chrono_split, make_windows
-from omniair.model import build_state, forward, init_params
+from omniair.model import ModelState, build_state, forward, identity_input_dim, init_params
 from omniair.oracle import (
     RDScenario,
     SourceSpec,
@@ -14,6 +16,8 @@ from omniair.oracle import (
     stability_bound,
     toy_grad_check,
 )
+
+from omniair.topology import HybridGraph
 
 from conftest import small_config
 
@@ -152,6 +156,34 @@ class TestDenseEquivalence:
         sparse = forward(params, state, batch.inputs).data
         dense = dense_forward({k: t.data for k, t in params.items()}, state, batch.inputs)
         np.testing.assert_allclose(sparse, dense, atol=1e-12)
+
+
+class TestTableLayoutProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(2, 64),
+        k=st.integers(1, 8),
+        b=st.integers(1, 3),
+        t_in=st.integers(1, 5),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_forward_matches_dense(self, n, k, b, t_in, seed):
+        # random (N, K) tables of distinct non-self targets, random inputs
+        k = min(k, n - 1)
+        rng = np.random.default_rng(seed)
+        cfg = small_config(d_model=8, id_dim=8, heads=2, t_in=t_in, tau=2, batch=b,
+                           k_geo=k, k_sem=0, k_max=float(k))
+        nbr = np.stack([(i + 1 + rng.permutation(n - 1)[:k]) % n for i in range(n)])
+        km = rng.uniform(1.0, 300.0, size=nbr.shape)
+        graph = HybridGraph(nbr, np.zeros(nbr.shape, np.int8), km, np.exp(-km / 100.0))
+        id_dim = identity_input_dim(cfg) - cfg.grade_embed
+        state = ModelState(cfg, [], None, [], graph, rng.normal(size=(n, id_dim)),
+                           rng.integers(0, 6, n), np.empty((n, 0)))
+        params = init_params(cfg, rng)
+        x = rng.normal(size=(b, t_in, n, 6))
+        sparse = forward(params, state, x).data
+        dense = dense_forward({name: p.data for name, p in params.items()}, state, x)
+        assert np.abs(sparse - dense).max() < 1e-10
 
 
 class TestToyGradCheck:

@@ -12,16 +12,16 @@ from omniair.propagation import (
 from omniair.topology import HybridGraph
 
 
-def make_graph(n, offsets, dst):
-    e = len(dst)
-    return HybridGraph(
-        n,
-        np.asarray(offsets, dtype=np.intp),
-        np.asarray(dst, dtype=np.intp),
-        np.zeros(e, np.int8),
-        np.ones(e),
-        np.ones(e),
-    )
+def make_graph(nbr):
+    nbr = np.asarray(nbr, dtype=np.intp)
+    return HybridGraph(nbr, np.zeros(nbr.shape, np.int8), np.ones(nbr.shape), np.ones(nbr.shape))
+
+
+def dense_matrix(g, w):
+    """(N, N) adjacency holding the (N, K) edge weights ``w``."""
+    dense = np.zeros((g.n_nodes, g.n_nodes))
+    dense[np.arange(g.n_nodes)[:, None], g.nbr] = w
+    return dense
 
 
 def agg_params(d, heads, n_steps, rng=None, bias=None):
@@ -40,20 +40,20 @@ def agg_params(d, heads, n_steps, rng=None, bias=None):
 
 class TestDiffuse:
     def test_isolated_node_restart_only(self):
-        # node 1 has no retained edges; its state collapses to restart * h0
-        g = make_graph(2, [0, 1, 1], [1])
+        # node 1's only edge has weight 0; its state collapses to restart * h0
+        g = make_graph([[1], [0]])
         h0 = Tensor(np.zeros((1, 1, 2, 1)))
         h0.data[0, 0, 1, 0] = 2.0
-        h0.data[0, 0, 0, 0] = 0.0
-        w = Tensor(np.ones((1, 1)))
+        h0.data[0, 0, 0, 0] = 5.0
+        w = Tensor(np.array([[[1.0], [0.0]]]))
         stack = diffuse(h0, w, g, steps=2, restart=0.3)
         assert stack[1].data[0, 0, 1, 0] == pytest.approx(0.6)
         assert stack[2].data[0, 0, 1, 0] == pytest.approx(0.6)
 
     def test_two_clique_swap(self):
-        g = make_graph(2, [0, 1, 2], [1, 0])
+        g = make_graph([[1], [0]])
         h0 = Tensor(np.array([1.0, 3.0]).reshape(1, 1, 2, 1))
-        w = Tensor(np.ones((1, 2)))
+        w = Tensor(np.ones((1, 2, 1)))
         stack = diffuse(h0, w, g, steps=1, restart=0.0)
         np.testing.assert_allclose(stack[1].data[0, 0, :, 0], [3.0, 1.0])
 
@@ -61,9 +61,9 @@ class TestDiffuse:
         # row-stochastic swap with restart 0.5: the state difference obeys
         # d_{l+1} = -d_l - 1 from d_0 = -2, oscillating between 1 and -2,
         # so the two nodes never collapse at any depth
-        g = make_graph(2, [0, 1, 2], [1, 0])
+        g = make_graph([[1], [0]])
         h0 = Tensor(np.array([1.0, 3.0]).reshape(1, 1, 2, 1))
-        w = Tensor(np.ones((1, 2)))
+        w = Tensor(np.ones((1, 2, 1)))
         stack = diffuse(h0, w, g, steps=8, restart=0.5)
         for h in stack[1:]:
             assert abs(h.data[0, 0, 0, 0] - h.data[0, 0, 1, 0]) >= 1.0 - 1e-12
@@ -72,31 +72,29 @@ class TestDiffuse:
         # 6-node random sparse graph vs a dense matrix recursion oracle
         rng = np.random.default_rng(2)
         n, per = 6, 3
-        offsets = np.arange(n + 1) * per
-        dst = np.concatenate([rng.choice([j for j in range(n) if j != i], per, replace=False)
-                              for i in range(n)])
-        g = make_graph(n, offsets, dst)
-        w = rng.normal(size=(2, n * per))
+        nbr = np.stack([rng.choice([j for j in range(n) if j != i], per, replace=False)
+                        for i in range(n)])
+        g = make_graph(nbr)
+        w = rng.normal(size=(2, n, per))
         h0 = rng.normal(size=(2, 4, n, 5))
         lam = 0.25
         stack = diffuse(Tensor(h0), Tensor(w), g, steps=3, restart=lam)
         for b in range(2):
-            dense = np.zeros((n, n))
-            dense[g.owner, g.dst] = w[b]
+            dense = dense_matrix(g, w[b])
             ref = h0[b]
             for l in range(1, 4):
                 ref = np.einsum("ij,tjd->tid", dense, ref) + lam * h0[b]
                 np.testing.assert_allclose(stack[l].data[b], ref, atol=1e-12)
 
     def test_invalid_restart(self):
-        g = make_graph(2, [0, 1, 2], [1, 0])
+        g = make_graph([[1], [0]])
         with pytest.raises(ValueError):
-            diffuse(Tensor(np.zeros((1, 1, 2, 1))), Tensor(np.ones((1, 2))), g, 1, 1.0)
+            diffuse(Tensor(np.zeros((1, 1, 2, 1))), Tensor(np.ones((1, 2, 1))), g, 1, 1.0)
 
     def test_zero_steps_only_h0(self):
-        g = make_graph(2, [0, 1, 2], [1, 0])
+        g = make_graph([[1], [0]])
         h0 = Tensor(np.ones((1, 1, 2, 3)))
-        stack = diffuse(h0, Tensor(np.ones((1, 2))), g, steps=0, restart=0.2)
+        stack = diffuse(h0, Tensor(np.ones((1, 2, 1))), g, steps=0, restart=0.2)
         assert len(stack) == 1 and stack[0] is h0
 
 
@@ -113,18 +111,16 @@ class TestSignedAggregate:
         # own neighbor sum, and within 1e-12 of a dense-matrix oracle
         rng = np.random.default_rng(3)
         n, per = 5, 2
-        offsets = np.arange(n + 1) * per
-        dst = np.concatenate([rng.choice([j for j in range(n) if j != i], per, replace=False)
-                              for i in range(n)])
-        g = make_graph(n, offsets, dst)
-        w = rng.normal(size=(1, n * per))
+        nbr = np.stack([rng.choice([j for j in range(n) if j != i], per, replace=False)
+                        for i in range(n)])
+        g = make_graph(nbr)
+        w = rng.normal(size=(1, n, per))
         h0 = rng.normal(size=(1, 3, n, 4))
         stack = diffuse(Tensor(h0), Tensor(w), g, steps=1, restart=0.0)
         z = signed_aggregate(stack, agg_params(4, 2, 2), heads=2,
                              forced_coeffs=np.array([1.0, -1.0]))
         assert np.array_equal(z.data, stack[0].data - stack[1].data)
-        dense = np.zeros((n, n))
-        dense[g.owner, g.dst] = w[0]
+        dense = dense_matrix(g, w[0])
         oracle = h0 - np.einsum("ij,btjd->btid", dense, h0)
         np.testing.assert_allclose(z.data, oracle, atol=1e-12)
 
@@ -140,9 +136,9 @@ class TestSignedAggregate:
     def test_signed_mode_can_leave_hull(self):
         # the forced difference response exits the hull on non-constant input
         rng = np.random.default_rng(5)
-        g = make_graph(2, [0, 1, 2], [1, 0])
+        g = make_graph([[1], [0]])
         h0 = rng.normal(size=(1, 1, 2, 4))
-        stack = diffuse(Tensor(h0), Tensor(np.ones((1, 2))), g, 1, 0.0)
+        stack = diffuse(Tensor(h0), Tensor(np.ones((1, 2, 1))), g, 1, 0.0)
         z = signed_aggregate(stack, agg_params(4, 2, 2), heads=2,
                              forced_coeffs=np.array([1.0, -1.0])).data
         states = np.stack([h.data for h in stack])

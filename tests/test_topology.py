@@ -56,16 +56,16 @@ class TestGraphBuild:
         vectors = np.ones((3, 4))
         g = build_hybrid_graph(points, vectors, k_geo=1, k_sem=1, kappa_km=100.0)
         # node 0: geo -> 1; sem ties (all equal) -> lowest non-excluded index 2
-        assert list(g.dst[0:2]) == [1, 2]
-        assert list(g.kind[0:2]) == [KIND_GEO, KIND_SEM]
+        assert list(g.nbr[0]) == [1, 2]
+        assert list(g.kind[0]) == [KIND_GEO, KIND_SEM]
         g2 = build_hybrid_graph(points, vectors, k_geo=1, k_sem=1, kappa_km=100.0)
-        assert np.array_equal(g.dst, g2.dst)
+        assert np.array_equal(g.nbr, g2.nbr)
 
     def test_identical_coordinates_full_weight(self):
         points = np.array([[10.0, 20.0], [10.0, 20.0], [0.0, 0.0], [50.0, 50.0]])
         vectors = np.arange(4.0).reshape(-1, 1) * np.ones((1, 2))
         g = build_hybrid_graph(points, vectors, k_geo=1, k_sem=1, kappa_km=100.0)
-        assert g.dst[0] == 1 and g.km[0] == 0.0 and g.w_static[0] == 1.0
+        assert g.nbr[0, 0] == 1 and g.km[0, 0] == 0.0 and g.w_static[0, 0] == 1.0
 
     def test_semantic_edges_beat_all_non_selected(self):
         # brute-force all-pairs distance oracle over 20 random stations
@@ -76,9 +76,8 @@ class TestGraphBuild:
         g = build_hybrid_graph(points, vectors, k_geo, k_sem, kappa_km=100.0)
         d2 = ((vectors[:, None, :] - vectors[None, :, :]) ** 2).sum(axis=2)
         for i in range(20):
-            edges = slice(g.offsets[i], g.offsets[i + 1])
-            geo = g.dst[edges][g.kind[edges] == KIND_GEO]
-            sem = g.dst[edges][g.kind[edges] == KIND_SEM]
+            geo = g.nbr[i][g.kind[i] == KIND_GEO]
+            sem = g.nbr[i][g.kind[i] == KIND_SEM]
             allowed = set(range(20)) - set(geo) - {i}
             worst_selected = max(d2[i, j] for j in sem)
             best_unselected = min(d2[i, j] for j in allowed - set(sem))
@@ -90,7 +89,7 @@ class TestGraphBuild:
         vectors = rng.normal(size=(15, 4))
         g = build_hybrid_graph(points, vectors, 5, 4, 100.0)
         for i in range(15):
-            targets = g.dst[g.offsets[i] : g.offsets[i + 1]]
+            targets = g.nbr[i]
             assert len(set(targets)) == len(targets)
             assert i not in targets
 
@@ -168,113 +167,109 @@ class TestFuseGate:
         np.testing.assert_allclose(w_dyn.data, alpha.data, atol=1e-12)  # g -> 0
 
 
+def table_graph(nbr):
+    """Fixed-degree graph with unit static weights whose targets lie outside
+    its own node set (cross), so any target index is allowed."""
+    nbr = np.asarray(nbr, dtype=np.intp)
+    return HybridGraph(nbr, np.zeros(nbr.shape, np.int8), np.ones(nbr.shape),
+                       np.ones(nbr.shape), cross=True)
+
+
 class TestRanksAndMask:
     def _graph(self):
-        offsets = np.array([0, 3, 5])
-        dst = np.array([1, 2, 3, 0, 3])
-        return HybridGraph(2, offsets, dst, np.zeros(5, np.int8), np.ones(5), np.ones(5), cross=True)
+        # two nodes with three candidates each; node 1's targets are unsorted
+        return table_graph([[1, 2, 3], [0, 3, 2]])
 
     def test_ranks_are_segment_permutations(self):
         g = self._graph()
         rng = np.random.default_rng(0)
-        w = rng.normal(size=(3, 5))
+        w = rng.normal(size=(3, 2, 3))
         r = compute_ranks(w, g, mode="abs")
         for b in range(3):
-            assert sorted(r[b, 0:3]) == [1, 2, 3]
-            assert sorted(r[b, 3:5]) == [1, 2]
+            assert sorted(r[b, 0]) == [1, 2, 3]
+            assert sorted(r[b, 1]) == [1, 2, 3]
         assert np.array_equal(r, compute_ranks(w, g, mode="abs"))
 
     def test_abs_vs_signed_mode(self):
         g = self._graph()
-        w = np.array([[-5.0, 4.0, 1.0, 2.0, -3.0]])
+        w = np.array([[[-5.0, 4.0, 1.0], [2.0, -3.0, 0.5]]])
         r_abs = compute_ranks(w, g, mode="abs")
         r_signed = compute_ranks(w, g, mode="signed")
-        assert list(r_abs[0, :3]) == [1, 2, 3]
-        assert list(r_signed[0, :3]) == [3, 1, 2]
-        assert list(r_abs[0, 3:]) == [2, 1]
-        assert list(r_signed[0, 3:]) == [1, 2]
+        assert list(r_abs[0, 0]) == [1, 2, 3]
+        assert list(r_signed[0, 0]) == [3, 1, 2]
+        assert list(r_abs[0, 1]) == [2, 1, 3]
+        assert list(r_signed[0, 1]) == [1, 3, 2]
 
     def test_rank_tie_by_target_index(self):
         g = self._graph()
-        w = np.array([[0.5, 0.5, 0.5, 1.0, 1.0]])
+        w = np.array([[[0.5, 0.5, 0.5], [1.0, 1.0, 1.0]]])
         r = compute_ranks(w, g, mode="abs")
-        assert list(r[0]) == [1, 2, 3, 1, 2]  # dst order 1,2,3 then 0,3
+        assert list(r[0, 0]) == [1, 2, 3]  # targets 1, 2, 3
+        assert list(r[0, 1]) == [1, 3, 2]  # targets 0, 3, 2: lower index wins
 
     def test_mask_analytic_values(self):
-        g = self._graph()
         beta = Tensor(np.array([[2.0, 1.5]]))
-        ranks = np.array([[1, 2, 3, 1, 2]])
-        m = prune_mask(ranks, beta, g, eta=10.0)
+        ranks = np.array([[[1, 2, 3], [1, 2, 3]]])
+        m = prune_mask(ranks, beta, eta=10.0)
         sig = lambda x: 1.0 / (1.0 + math.exp(-x))
         np.testing.assert_allclose(
             m.data[0],
-            [sig(10.0), sig(0.0), sig(-10.0), sig(5.0), sig(-5.0)],
+            [[sig(10.0), sig(0.0), sig(-10.0)], [sig(5.0), sig(-5.0), sig(-15.0)]],
             rtol=1e-12,
         )
-        assert m.data[0, 1] == pytest.approx(0.5)
-        assert m.data[0, 2] == pytest.approx(4.5398e-5, rel=1e-4)
+        assert m.data[0, 0, 1] == pytest.approx(0.5)
+        assert m.data[0, 0, 2] == pytest.approx(4.5398e-5, rel=1e-4)
 
     def test_mask_strictly_decreasing_in_rank(self):
-        g = self._graph()
         beta = Tensor(np.full((1, 2), 1.7))
-        ranks = np.array([[1, 2, 3, 1, 2]])
-        m = prune_mask(ranks, beta, g, eta=4.0).data[0]
-        assert m[0] > m[1] > m[2]
+        ranks = np.array([[[1, 2, 3], [1, 2, 3]]])
+        m = prune_mask(ranks, beta, eta=4.0).data[0]
+        assert m[0, 0] > m[0, 1] > m[0, 2]
+        assert m[1, 0] > m[1, 1] > m[1, 2]
 
     def test_hard_topk_limit(self):
         # large eta with beta = k + 0.5 reproduces exact top-k retention
         rng = np.random.default_rng(8)
         n, per = 6, 8
-        offsets = np.arange(n + 1) * per
-        dst = np.tile(np.arange(per) + 10, n)
-        g = HybridGraph(n, offsets, dst, np.zeros(n * per, np.int8),
-                        np.ones(n * per), np.ones(n * per), cross=True)
-        w = Tensor(rng.normal(size=(1, n * per)))
+        g = table_graph(np.tile(np.arange(per) + 10, (n, 1)))
+        w = Tensor(rng.normal(size=(1, n, per)))
         k = 3
         ranks = compute_ranks(w.data, g, mode="abs")
         beta = Tensor(np.full((1, n), k + 0.5))
-        m = prune_mask(ranks, beta, g, eta=50.0).data[0]
+        m = prune_mask(ranks, beta, eta=50.0).data[0]
         assert np.all((m < 1e-4) | (m > 1 - 1e-4))
         kept = m > 0.5
         for i in range(n):
-            seg = slice(offsets[i], offsets[i + 1])
-            top = np.argsort(-np.abs(w.data[0, seg]))[:k]
+            top = np.argsort(-np.abs(w.data[0, i]))[:k]
             expected = np.zeros(per, dtype=bool)
             expected[top] = True
-            assert np.array_equal(kept[seg], expected)
+            assert np.array_equal(kept[i], expected)
 
 
 class TestNormalization:
-    def _graph(self):
-        offsets = np.array([0, 3, 5])
-        dst = np.array([1, 2, 3, 0, 3])
-        return HybridGraph(2, offsets, dst, np.zeros(5, np.int8), np.ones(5), np.ones(5), cross=True)
-
     def test_abs_sum_bounded_by_one(self):
-        g = self._graph()
         rng = np.random.default_rng(3)
-        w = Tensor(rng.normal(size=(4, 5)))
-        m = Tensor(rng.uniform(0, 1, size=(4, 5)))
-        wt = normalize_weights(w, m, g, mode="abs").data
+        w = Tensor(rng.normal(size=(4, 2, 3)))
+        m = Tensor(rng.uniform(0, 1, size=(4, 2, 3)))
+        wt = normalize_weights(w, m, mode="abs").data
         for b in range(4):
-            assert np.abs(wt[b, 0:3]).sum() <= 1.0 + 1e-9
-            assert np.abs(wt[b, 3:5]).sum() <= 1.0 + 1e-9
+            assert np.abs(wt[b, 0]).sum() <= 1.0 + 1e-9
+            assert np.abs(wt[b, 1]).sum() <= 1.0 + 1e-9
 
     def test_plain_mode_sum(self):
-        g = self._graph()
-        w = Tensor(np.array([[1.0, 2.0, 3.0, 1.0, 1.0]]))
-        m = Tensor(np.ones((1, 5)))
-        wt = normalize_weights(w, m, g, mode="plain", eps=0.0).data
-        np.testing.assert_allclose(wt[0, 0:3], [1 / 6, 2 / 6, 3 / 6], rtol=1e-12)
+        w = Tensor(np.array([[[1.0, 2.0, 3.0], [1.0, 1.0, 2.0]]]))
+        m = Tensor(np.ones((1, 2, 3)))
+        wt = normalize_weights(w, m, mode="plain", eps=0.0).data
+        np.testing.assert_allclose(wt[0, 0], [1 / 6, 2 / 6, 3 / 6], rtol=1e-12)
+        np.testing.assert_allclose(wt[0, 1], [1 / 4, 1 / 4, 2 / 4], rtol=1e-12)
 
     def test_signed_weights_survive_abs_mode(self):
         # candidates that cancel in a plain sum stay finite under abs
-        g = self._graph()
-        w = Tensor(np.array([[1.0, -1.0, 0.5, 1.0, -1.0]]))
-        m = Tensor(np.ones((1, 5)))
-        wt = normalize_weights(w, m, g, mode="abs").data
+        w = Tensor(np.array([[[1.0, -1.0, 0.5], [1.0, -1.0, 0.0]]]))
+        m = Tensor(np.ones((1, 2, 3)))
+        wt = normalize_weights(w, m, mode="abs").data
         assert np.isfinite(wt).all()
-        assert np.abs(wt[0, 3:5]).sum() == pytest.approx(1.0, rel=1e-6)
+        assert np.abs(wt[0, 1]).sum() == pytest.approx(1.0, rel=1e-6)
 
 
 class TestPruningGradient:
@@ -284,19 +279,16 @@ class TestPruningGradient:
         # 5-node toy graph, fixed dynamic weights, beta as the only variable
         rng = np.random.default_rng(rng_seed)
         n, per = 5, 4
-        offsets = np.arange(n + 1) * per
-        dst = np.tile(np.arange(per) + 100, n)
-        g = HybridGraph(n, offsets, dst, np.zeros(n * per, np.int8),
-                        np.ones(n * per), np.ones(n * per), cross=True)
-        w_dyn = rng.normal(size=(1, n * per))
+        g = table_graph(np.tile(np.arange(per) + 100, (n, 1)))
+        w_dyn = rng.normal(size=(1, n, per))
         ranks = compute_ranks(w_dyn, g, mode="abs")
         beta0 = rng.uniform(1.0, 3.0, size=(1, n))
         return g, w_dyn, ranks, beta0
 
     def _loss_grad(self, g, w_dyn, ranks, beta_val, coeff, eta, norm_mode):
         beta = Tensor(beta_val, requires_grad=True)
-        m = prune_mask(ranks, beta, g, eta)
-        wt = normalize_weights(Tensor(w_dyn), m, g, eps=1e-8, mode=norm_mode)
+        m = prune_mask(ranks, beta, eta)
+        wt = normalize_weights(Tensor(w_dyn), m, eps=1e-8, mode=norm_mode)
         loss = (wt * Tensor(coeff)).sum()
         loss.backward()
         return float(loss.data), beta.grad.copy()
@@ -326,24 +318,22 @@ class TestPruningGradient:
         eta = 4.0
         g, w_dyn, ranks, beta0 = self._toy("plain", rng_seed=3)
         beta = Tensor(beta0, requires_grad=True)
-        m = prune_mask(ranks, beta, g, eta)
-        wt = normalize_weights(Tensor(w_dyn), m, g, eps=1e-8, mode="plain")
+        m = prune_mask(ranks, beta, eta)
+        wt = normalize_weights(Tensor(w_dyn), m, eps=1e-8, mode="plain")
         # per node, coefficients orthogonal to w~ at the evaluation point
         rng = np.random.default_rng(9)
         coeff = rng.normal(size=w_dyn.shape)
         for i in range(g.n_nodes):
-            seg = slice(g.offsets[i], g.offsets[i + 1])
-            row = wt.data[0, seg]
-            c = coeff[0, seg]
-            coeff[0, seg] = c - row * (c @ row) / (row @ row)
+            row = wt.data[0, i]
+            c = coeff[0, i]
+            coeff[0, i] = c - row * (c @ row) / (row @ row)
         loss = (wt * Tensor(coeff)).sum()
         loss.backward()
         analytic = beta.grad.copy()
 
         formula = np.zeros_like(beta0)
         for i in range(g.n_nodes):
-            seg = slice(g.offsets[i], g.offsets[i + 1])
-            formula[0, i] = (coeff[0, seg] * wt.data[0, seg] * (1 - m.data[0, seg]) * eta).sum()
+            formula[0, i] = (coeff[0, i] * wt.data[0, i] * (1 - m.data[0, i]) * eta).sum()
         np.testing.assert_allclose(analytic, formula, rtol=1e-6, atol=1e-12)
 
         eps = 1e-6
@@ -370,10 +360,9 @@ class TestEdgeWeightsPipeline:
         np.testing.assert_allclose(out["w_dyn"].data[0], g.w_static / 2, rtol=1e-12)
         wt = out["w_tilde"].data[0]
         for i in range(n):
-            seg = slice(g.offsets[i], g.offsets[i + 1])
-            expected = g.w_static[seg] * out["mask"].data[0, seg]
+            expected = g.w_static[i] * out["mask"].data[0, i]
             expected = expected / np.abs(expected).sum() if expected.any() else expected
-            got = wt[seg] / np.abs(wt[seg]).sum()
+            got = wt[i] / np.abs(wt[i]).sum()
             np.testing.assert_allclose(got, expected / np.abs(expected).sum(), rtol=1e-9)
 
     def test_structure_fixed_after_updates(self, tiny_cfg, tiny_dataset):
@@ -388,17 +377,14 @@ class TestEdgeWeightsPipeline:
         from omniair.model import build_state
 
         fresh = build_state(cfg, stations, train)
-        assert np.array_equal(result.state.graph.dst, fresh.graph.dst)
-        assert np.array_equal(result.state.graph.offsets, fresh.graph.offsets)
+        assert np.array_equal(result.state.graph.nbr, fresh.graph.nbr)
         assert np.array_equal(result.state.graph.kind, fresh.graph.kind)
 
     def test_edge_weight_gradcheck(self):
         d = 4
         params = edge_params(d, 3, rng=np.random.default_rng(11))
-        offsets = np.array([0, 2, 4, 6])
-        dst = np.array([1, 2, 0, 2, 0, 1])
-        g = HybridGraph(3, offsets, dst, np.zeros(6, np.int8),
-                        np.ones(6), np.full(6, 0.7))
+        nbr = np.array([[1, 2], [0, 2], [0, 1]])
+        g = HybridGraph(nbr, np.zeros((3, 2), np.int8), np.ones((3, 2)), np.full((3, 2), 0.7))
         h_data = np.random.default_rng(12).normal(size=(2, 3, d))
 
         def f():

@@ -137,7 +137,7 @@ class TestPrediction:
         stations, frame, result, out = trained
         params, buffers, cfg, _ = load_checkpoint(out / "checkpoint")
         state = rebuild_state(cfg, stations, buffers)
-        assert np.array_equal(state.graph.dst, result.state.graph.dst)
+        assert np.array_equal(state.graph.nbr, result.state.graph.nbr)
         np.testing.assert_array_equal(state.id_features, result.state.id_features)
         pred_a = predict_window(result.params, result.state, frame)
         pred_b = predict_window(params, state, frame)
@@ -210,7 +210,7 @@ class TestSemanticRefresh:
         g = result.state.graph
         # still structurally valid after rebuilds
         assert g.n_edges == g.n_nodes * (cfg.k_geo + cfg.k_sem)
-        assert not np.any(g.dst == g.owner)
+        assert not np.any(g.nbr == np.arange(g.n_nodes)[:, None])
 
     def test_default_keeps_initial_edges(self):
         stations, frame = quick_dataset(seed=37)
@@ -220,7 +220,7 @@ class TestSemanticRefresh:
 
         train, _, _ = chrono_split(frame)
         fresh = build_state(cfg, stations, train)
-        assert np.array_equal(result.state.graph.dst, fresh.graph.dst)
+        assert np.array_equal(result.state.graph.nbr, fresh.graph.nbr)
 
 
 class TestDivergenceHandling:
@@ -234,3 +234,24 @@ class TestDivergenceHandling:
         assert np.isfinite(
             np.concatenate([p.data.ravel() for p in result.params.values()])
         ).all()
+
+    def test_skipped_adam_steps_are_counted(self, monkeypatch):
+        # the first update sees a non-finite gradient, so Adam skips it
+        import omniair.training as training
+        from omniair.optim import Adam
+
+        class PoisonFirstStep(Adam):
+            calls = 0
+
+            def step(self):
+                PoisonFirstStep.calls += 1
+                if PoisonFirstStep.calls == 1:
+                    p = next(iter(self.params.values()))
+                    p.grad = np.full_like(p.data, np.nan)
+                return super().step()
+
+        monkeypatch.setattr(training, "Adam", PoisonFirstStep)
+        stations, frame = quick_dataset(seed=31)
+        result = train_model(small_config(max_epochs=2), stations, frame)
+        assert [e["skipped_steps"] for e in result.log.epochs] == [1, 0]
+        assert result.log.stop_reason == "max_epochs"
