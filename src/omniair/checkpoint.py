@@ -62,14 +62,16 @@ def save_checkpoint(
         fh.write(blob_b)
 
 
+def _count(entry: dict) -> int:
+    return int(np.prod(entry["shape"]))
+
+
 def _read(listing: list[dict], blob: bytes) -> dict[str, np.ndarray]:
     out = {}
     for entry in listing:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(
-            blob, dtype="<f8", count=count, offset=entry["offset"]
-        ).reshape(shape)
+            blob, dtype="<f8", count=_count(entry), offset=entry["offset"]
+        ).reshape(entry["shape"])
         out[entry["name"]] = arr.astype(np.float64)
     return out
 
@@ -81,6 +83,13 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], dict[str, np.ndarray],
     if manifest.get("format") != FORMAT:
         raise ValueError(f"{ckpt_dir}: not a recognized checkpoint")
     blob = (ckpt / "params.bin").read_bytes()
+    listing = manifest["params"] + manifest["buffers"]
+    expected = max((e["offset"] + 8 * _count(e) for e in listing), default=0)
+    if len(blob) != expected:
+        raise ValueError(
+            f"{ckpt / 'params.bin'}: the manifest needs {expected} bytes, "
+            f"the file has {len(blob)}"
+        )
     params = {
         name: Tensor(arr, requires_grad=True)
         for name, arr in _read(manifest["params"], blob).items()

@@ -90,7 +90,7 @@ def cmd_features(args) -> int:
     from .geo import knn_geo
 
     points = np.stack([s.point for s in stations])
-    nbr_idx, _ = knn_geo(points, cfg.k_geo, workers=cfg.workers)
+    nbr_idx, _ = knn_geo(points, cfg.k_geo)
     contexts = build_contexts(stations, train, nbr_idx)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -308,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=None,
-                   help="worker count (default: OMNIAIR_WORKERS or 1)")
+                   help="BLAS threads for the timed forwards "
+                        "(default: OMNIAIR_WORKERS or 1)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_bench)
 

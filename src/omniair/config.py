@@ -5,7 +5,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 
 
@@ -42,7 +41,6 @@ class RunConfig:
     per_station_norm: bool = False
     refresh_semantic_every: int = 0
     eps_norm: float = 1e-8
-    workers: int = 1
 
     def __post_init__(self):
         if self.d_model % self.heads != 0:
@@ -70,9 +68,6 @@ class RunConfig:
             raise ValueError(f"unknown norm_mode {self.norm_mode!r}")
         if self.edge_source not in ("last", "mean"):
             raise ValueError(f"unknown edge_source {self.edge_source!r}")
-        env_workers = os.environ.get("OMNIAIR_WORKERS")
-        if env_workers:
-            self.workers = int(env_workers)
 
     @property
     def fourier_levels(self) -> int:
@@ -87,6 +82,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        # earlier versions stored the runtime setting ``workers`` here; drop
+        # it so that their config files and checkpoints still load
+        d = {k: v for k, v in d.items() if k != "workers"}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:

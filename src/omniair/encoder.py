@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import N_GRADES, NormStats, SeriesFrame, StationMeta
-from .geo import haversine
+from .geo import haversine, knn_geo
 
 log = logging.getLogger("omniair")
 
@@ -169,9 +169,8 @@ def anchor_context(
     if len(anchor_contexts) == 0:
         raise ValueError("anchor_context: need at least one anchor")
     p_new = np.asarray(p_new, dtype=np.float64)
-    d = np.atleast_1d(haversine(p_new, anchor_points))
-    best = int(np.lexsort((np.arange(len(d)), d))[0])
-    a = anchor_contexts[best]
+    idx, _ = knn_geo(anchor_points, 1, queries=p_new[None])
+    a = anchor_contexts[int(idx[0, 0])]
     return NeighborContext(
         a.mu_nbr,
         a.sigma_nbr,

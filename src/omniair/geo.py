@@ -1,17 +1,19 @@
 """Geographic primitives: great-circle distance, exact k-NN, kernel weights,
-and terrain descriptors computed from elevation windows."""
+and terrain descriptors computed from elevation windows.
+
+Every neighbour search of the engine, geographic here and semantic in
+``topology``, selects with ``smallest_k`` from blocks of a full distance
+matrix, so results are exact and ties break the same way everywhere.
+"""
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
 
-# brute-force all-pairs search below this station count, latitude-band
-# pre-filter above it
-_BRUTE_FORCE_LIMIT = 2000
+# entries per distance block in ``smallest_k`` (8 MiB of float64)
+_BLOCK_ENTRIES = 1 << 20
 
 
 def _check_latlon(p: np.ndarray, name: str) -> None:
@@ -73,96 +75,60 @@ def roughness(center: float, neighbors) -> float:
     return float(window.std())
 
 
-def _knn_brute_rows(points: np.ndarray, rows: np.ndarray, k: int):
-    n = len(points)
-    idx = np.empty((len(rows), k), dtype=np.int64)
-    dist = np.empty((len(rows), k))
-    for out_i, i in enumerate(rows):
-        d = haversine(points[i], points)
-        d[i] = np.inf
-        # ties broken by ascending station index (stable secondary key)
-        order = np.lexsort((np.arange(n), d))[:k]
-        idx[out_i] = order
-        dist[out_i] = d[order]
+def smallest_k(block, n_rows: int, n_cols: int, k: int):
+    """Each row's k smallest entries of an (n_rows, n_cols) distance matrix.
+
+    ``block(lo, hi)`` returns rows ``lo:hi`` of the matrix; an entry set to
+    inf is taken only when nothing smaller is left. The matrix is built in
+    blocks of about ``_BLOCK_ENTRIES`` entries, so memory stays bounded for
+    any N. Returns (idx, dist), each (n_rows, k), rows sorted by ascending
+    distance with equal distances broken toward the lower column.
+    """
+    idx = np.empty((n_rows, k), dtype=np.int64)
+    dist = np.empty((n_rows, k))
+    if k == 0:
+        return idx, dist
+    step = max(1, _BLOCK_ENTRIES // n_cols)
+    for lo in range(0, n_rows, step):
+        hi = min(lo + step, n_rows)
+        d = block(lo, hi)
+        kth = np.partition(d, k - 1, axis=1)[:, k - 1 : k]
+        # keep every entry tied with the k-th value, so that the lexsort
+        # below decides ties by column over all of them
+        m = int(np.count_nonzero(d <= kth, axis=1).max())
+        cand = np.argpartition(d, m - 1, axis=1)[:, :m]
+        cand_d = np.take_along_axis(d, cand, axis=1)
+        order = np.lexsort((cand, cand_d), axis=1)[:, :k]
+        idx[lo:hi] = np.take_along_axis(cand, order, axis=1)
+        dist[lo:hi] = np.take_along_axis(cand_d, order, axis=1)
     return idx, dist
 
 
-def _knn_banded_row(points, lat_order, lat_sorted, i, k):
-    """Exact k-NN for one query using an expanding latitude band.
+def knn_geo(points, k: int, queries=None):
+    """k nearest stations by great-circle distance, exact for any N.
 
-    Any point whose latitude differs by dphi is at least R*dphi away, so the
-    band may stop growing once the k-th best distance is below that bound for
-    every unexplored point.
-    """
-    n = len(points)
-    pos = np.searchsorted(lat_sorted, points[i, 0])
-    lo, hi = pos, pos
-    cand: list[int] = []
-    best_idx = best_dist = None
-    while True:
-        grow = max(4 * k, 64)
-        new_lo = max(0, lo - grow)
-        new_hi = min(n, hi + grow)
-        fresh = np.concatenate([lat_order[new_lo:lo], lat_order[hi:new_hi]])
-        lo, hi = new_lo, new_hi
-        cand.extend(int(j) for j in fresh if j != i)
-        if len(cand) >= k:
-            carr = np.asarray(cand)
-            d = haversine(points[i], points[carr])
-            order = np.lexsort((carr, d))[:k]
-            best_idx, best_dist = carr[order], d[order]
-            frontier = np.inf
-            if lo > 0:
-                frontier = min(frontier, abs(points[i, 0] - lat_sorted[lo - 1]))
-            if hi < n:
-                frontier = min(frontier, abs(lat_sorted[hi] - points[i, 0]))
-            outside_min_km = EARTH_RADIUS_KM * np.radians(frontier)
-            if best_dist[-1] <= outside_min_km:
-                return best_idx, best_dist
-        if lo == 0 and hi == n:
-            carr = np.asarray(cand)
-            d = haversine(points[i], points[carr])
-            order = np.lexsort((carr, d))[:k]
-            return carr[order], d[order]
-
-
-def knn_geo(points, k: int, workers: int = 1):
-    """k nearest stations per station by great-circle distance, self excluded.
-
-    Returns (idx, dist) with rows sorted by ascending distance; equal
-    distances break toward the lower station index. Exact for any N.
+    Without ``queries`` every station queries the others and never picks
+    itself. With ``queries`` ((M, 2) lat/lon), each query picks among all of
+    ``points``. Returns (idx, dist), each (M, k), rows sorted by ascending
+    distance; equal distances break toward the lower station index.
     """
     points = np.asarray(points, dtype=np.float64)
     _check_latlon(points, "points")
     n = len(points)
-    if not (0 < k < n):
-        raise ValueError(f"knn_geo: need 0 < k < N, got k={k}, N={n}")
+    cross = queries is not None
+    if cross:
+        q = np.asarray(queries, dtype=np.float64)
+        _check_latlon(q, "queries")
+    else:
+        q = points
+    limit = n if cross else n - 1
+    if not 0 < k <= limit:
+        raise ValueError(f"knn_geo: need 0 < k <= {limit}, got k={k}, N={n}")
 
-    if n <= _BRUTE_FORCE_LIMIT:
-        rows = np.arange(n)
-        if workers > 1:
-            chunks = np.array_split(rows, workers)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(lambda r: _knn_brute_rows(points, r, k), chunks))
-            idx = np.concatenate([p[0] for p in parts])
-            dist = np.concatenate([p[1] for p in parts])
-            return idx, dist
-        return _knn_brute_rows(points, rows, k)
+    def block(lo, hi):
+        d = haversine(q[lo:hi, None], points[None])
+        if not cross:
+            d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        return d
 
-    lat_order = np.argsort(points[:, 0], kind="stable")
-    lat_sorted = points[lat_order, 0]
-
-    def solve(rows):
-        idx = np.empty((len(rows), k), dtype=np.int64)
-        dist = np.empty((len(rows), k))
-        for out_i, i in enumerate(rows):
-            idx[out_i], dist[out_i] = _knn_banded_row(points, lat_order, lat_sorted, i, k)
-        return idx, dist
-
-    rows = np.arange(n)
-    if workers > 1:
-        chunks = np.array_split(rows, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(solve, chunks))
-        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-    return solve(rows)
+    return smallest_k(block, len(q), n, k)

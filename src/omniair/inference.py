@@ -64,9 +64,7 @@ def rebuild_state(
     id_features = identity_feature_matrix(stations, contexts, fcfg, stats)
     sem_vectors = semantic_feature_matrix(stations, contexts, fcfg, stats)
     points = np.stack([s.point for s in stations])
-    graph = build_hybrid_graph(
-        points, sem_vectors, cfg.k_geo, cfg.k_sem, cfg.kappa_km, workers=cfg.workers
-    )
+    graph = build_hybrid_graph(points, sem_vectors, cfg.k_geo, cfg.k_sem, cfg.kappa_km)
     grades = buffers["grades"].astype(np.int64)
     return ModelState(cfg, stations, stats, contexts, graph, id_features, grades, sem_vectors)
 

@@ -108,14 +108,12 @@ def build_state(
     if stats is None:
         stats = compute_norm_stats(train, stations, per_station=cfg.per_station_norm)
     points = np.stack([s.point for s in stations])
-    nbr_idx, _ = knn_geo(points, cfg.k_geo, workers=cfg.workers)
-    contexts = build_contexts(stations, train, nbr_idx)
+    geo = knn_geo(points, cfg.k_geo)
+    contexts = build_contexts(stations, train, geo[0])
     fcfg = FourierConfig(levels=cfg.fourier_levels)
     id_features = identity_feature_matrix(stations, contexts, fcfg, stats)
     sem_vectors = semantic_feature_matrix(stations, contexts, fcfg, stats)
-    graph = build_hybrid_graph(
-        points, sem_vectors, cfg.k_geo, cfg.k_sem, cfg.kappa_km, workers=cfg.workers
-    )
+    graph = build_hybrid_graph(points, sem_vectors, cfg.k_geo, cfg.k_sem, cfg.kappa_km, geo=geo)
     grades = np.array([resolve_grade(s.grade, c) for s, c in zip(stations, contexts)])
     return ModelState(cfg, stations, stats, contexts, graph, id_features, grades, sem_vectors)
 

@@ -19,7 +19,7 @@ import numpy as np
 from .config import RunConfig
 from .data import CHANNELS, SeriesFrame, StationMeta
 from .encoder import FourierConfig, fourier_features
-from .geo import gaussian_static_weight, haversine, knn_geo
+from .geo import gaussian_static_weight, knn_geo
 from .model import ModelState
 
 _EXTRA_CHANNEL_SCALES = (0.85, 0.7, 0.55, 0.4, 0.25)
@@ -68,11 +68,9 @@ def _random_stations(scn: RDScenario, rng: np.random.Generator) -> np.ndarray:
 def build_sim_laplacian(points: np.ndarray, k: int, kappa_km: float) -> np.ndarray:
     """Combinatorial Laplacian of the union-symmetrized geographic k-NN graph."""
     n = len(points)
-    idx, _ = knn_geo(points, k)
+    idx, dist = knn_geo(points, k)
     adj = np.zeros((n, n))
-    for i in range(n):
-        d = haversine(points[i], points[idx[i]])
-        adj[i, idx[i]] = gaussian_static_weight(d, kappa_km)
+    np.put_along_axis(adj, idx, gaussian_static_weight(dist, kappa_km), axis=1)
     adj = np.maximum(adj, adj.T)
     return np.diag(adj.sum(axis=1)) - adj
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .geo import gaussian_static_weight, haversine, knn_geo
+from .geo import gaussian_static_weight, haversine, knn_geo, smallest_k
 
 KIND_GEO = 0
 KIND_SEM = 1
@@ -62,27 +62,56 @@ def _kind_table(n: int, k_geo: int, k_sem: int) -> np.ndarray:
 
 
 def semantic_knn(
-    vectors: np.ndarray, k: int, exclude: list[set[int]]
+    vectors: np.ndarray, k: int, exclude: np.ndarray, queries: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k nearest rows by Euclidean distance, skipping excluded targets.
+    """Top-k nearest rows of ``vectors`` by Euclidean distance.
 
-    Ties break toward the lower index. ``exclude[i]`` holds targets already
-    used by node i (self is always excluded).
+    ``exclude`` is an (M, E) index array of targets each query may not pick.
+    Without ``queries`` every row of ``vectors`` is a query and never picks
+    itself. Ties break toward the lower index. Returns (idx, dist), each
+    (M, k).
     """
-    n = len(vectors)
+    vectors = np.asarray(vectors, dtype=np.float64)
     sq = (vectors**2).sum(axis=1)
-    idx = np.empty((n, k), dtype=np.int64)
-    dist = np.empty((n, k))
-    for i in range(n):
-        d2 = sq + sq[i] - 2.0 * (vectors @ vectors[i])
-        d2 = np.maximum(d2, 0.0)
-        d2[i] = np.inf
-        if exclude[i]:
-            d2[list(exclude[i])] = np.inf
-        order = np.lexsort((np.arange(n), d2))[:k]
-        idx[i] = order
-        dist[i] = np.sqrt(d2[order])
-    return idx, dist
+    cross = queries is not None
+    if cross:
+        q = np.asarray(queries, dtype=np.float64)
+        sq_q = (q**2).sum(axis=1)
+    else:
+        q, sq_q = vectors, sq
+
+    def block(lo, hi):
+        d2 = np.maximum(sq + sq_q[lo:hi, None] - 2.0 * (q[lo:hi] @ vectors.T), 0.0)
+        np.put_along_axis(d2, exclude[lo:hi], np.inf, axis=1)
+        if not cross:
+            d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        return d2
+
+    idx, d2 = smallest_k(block, len(q), len(vectors), k)
+    return idx, np.sqrt(d2)
+
+
+def _hybrid_table(points, vectors, k_geo, k_sem, kappa_km, queries=None, geo=None):
+    """Geographic k-NN edges, then semantic k-NN edges to the other nodes.
+
+    ``queries`` holds the (points, vectors) of nodes outside the base set;
+    without it the base nodes query themselves and skip their own row.
+    ``geo`` is a precomputed geographic (idx, km) table.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    q_points, q_vectors = (None, None) if queries is None else queries
+    geo_idx, geo_km = knn_geo(points, k_geo, queries=q_points) if geo is None else geo
+    sem_idx, _ = semantic_knn(vectors, k_sem, geo_idx, queries=q_vectors)
+    q = points if q_points is None else np.asarray(q_points, dtype=np.float64)
+    km = np.concatenate([geo_km, haversine(q[:, None], points[sem_idx])], axis=1)
+    nbr = np.concatenate([geo_idx, sem_idx], axis=1)
+    return HybridGraph(
+        nbr,
+        _kind_table(len(q), k_geo, k_sem),
+        km,
+        gaussian_static_weight(km, kappa_km),
+        cross=queries is not None,
+    )
 
 
 def build_hybrid_graph(
@@ -91,23 +120,18 @@ def build_hybrid_graph(
     k_geo: int,
     k_sem: int,
     kappa_km: float,
-    workers: int = 1,
+    *,
+    geo: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> HybridGraph:
-    """Geographic k-NN edges followed by semantic k-NN edges per node."""
+    """Geographic k-NN edges followed by semantic k-NN edges per node.
+
+    ``geo`` reuses a ``knn_geo(points, k_geo)`` result the caller already
+    holds instead of searching again.
+    """
     n = len(points)
     if n <= k_geo + k_sem:
         raise ValueError(f"need more than k_geo+k_sem={k_geo + k_sem} stations, got {n}")
-    geo_idx, geo_km = knn_geo(points, k_geo, workers=workers)
-    if k_sem > 0:
-        sem_idx, _ = semantic_knn(feature_vectors, k_sem, [set(row) for row in geo_idx])
-        sem_km = np.stack([haversine(points[i], points[sem_idx[i]]) for i in range(n)])
-    else:
-        sem_idx, sem_km = np.empty((n, 0), dtype=np.int64), np.empty((n, 0))
-    km = np.concatenate([geo_km, sem_km], axis=1)
-    nbr = np.concatenate([geo_idx, sem_idx], axis=1)
-    return HybridGraph(
-        nbr, _kind_table(n, k_geo, k_sem), km, gaussian_static_weight(km, kappa_km)
-    )
+    return _hybrid_table(points, feature_vectors, k_geo, k_sem, kappa_km, geo=geo)
 
 
 def attach_new_nodes(
@@ -125,22 +149,10 @@ def attach_new_nodes(
     so base-node computations are untouched by construction. ``nbr`` indexes
     the BASE station list.
     """
-    n_base = len(base_points)
-    if n_base < k_geo + k_sem:
+    if len(base_points) < k_geo + k_sem:
         raise ValueError("not enough base stations to attach new nodes")
-    n_new = len(new_points)
-    nbr = np.empty((n_new, k_geo + k_sem), dtype=np.intp)
-    km = np.empty(nbr.shape)
-    for i, (p, v) in enumerate(zip(new_points, new_vectors)):
-        d = haversine(p, base_points)
-        geo = np.lexsort((np.arange(n_base), d))[:k_geo]
-        d2 = ((base_vectors - v) ** 2).sum(axis=1)
-        d2[geo] = np.inf
-        sem = np.lexsort((np.arange(n_base), d2))[:k_sem]
-        nbr[i] = np.concatenate([geo, sem])
-        km[i] = d[nbr[i]]
-    return HybridGraph(
-        nbr, _kind_table(n_new, k_geo, k_sem), km, gaussian_static_weight(km, kappa_km), cross=True
+    return _hybrid_table(
+        base_points, base_vectors, k_geo, k_sem, kappa_km, queries=(new_points, new_vectors)
     )
 
 

@@ -80,16 +80,16 @@ def validation_mae(params: dict[str, Tensor], state: ModelState, frame: SeriesFr
 
 
 def refresh_semantic_edges(state: ModelState, params: dict[str, Tensor]) -> None:
-    """Rebuild semantic edges from the current identity embeddings."""
+    """Rebuild semantic edges from the current identity embeddings; the
+    geographic half of the table never changes and is reused."""
     from .encoder import encode_identity
 
     with no_grad():
         e_id = encode_identity(state.id_features, state.grades, params).data
+    cfg, graph = state.cfg, state.graph
     points = np.stack([s.point for s in state.stations])
-    state.graph = build_hybrid_graph(
-        points, e_id, state.cfg.k_geo, state.cfg.k_sem, state.cfg.kappa_km,
-        workers=state.cfg.workers,
-    )
+    geo = (graph.nbr[:, : cfg.k_geo], graph.km[:, : cfg.k_geo])
+    state.graph = build_hybrid_graph(points, e_id, cfg.k_geo, cfg.k_sem, cfg.kappa_km, geo=geo)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -138,6 +139,22 @@ class TestErrors:
                     "--series", ws / "data" / "series.csv",
                     "--out", tmp_path / "x.csv"])
         assert code == 2
+
+    def test_truncated_checkpoint_exits_2(self, workspace, tmp_path, capsys):
+        ws, _ = workspace
+        ck = tmp_path / "checkpoint"
+        shutil.copytree(ws / "run" / "checkpoint", ck)
+        size = (ck / "params.bin").stat().st_size
+        with open(ck / "params.bin", "r+b") as fh:
+            fh.truncate(size - 8)
+        code = run(["predict", "--checkpoint", ck,
+                    "--stations", ws / "data" / "stations.csv",
+                    "--series", ws / "data" / "series.csv",
+                    "--out", tmp_path / "fc.csv"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "params.bin" in err and f"needs {size} bytes" in err
+        assert f"has {size - 8}" in err
 
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

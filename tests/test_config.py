@@ -51,9 +51,10 @@ class TestRunConfig:
         assert other.seed == 8
         assert other.config_hash() != cfg.config_hash()
 
-    def test_env_var_overrides_workers(self, monkeypatch):
-        monkeypatch.setenv("OMNIAIR_WORKERS", "3")
-        assert RunConfig().workers == 3
+    def test_from_dict_drops_stored_workers(self):
+        # configs and checkpoints of earlier versions carry ``workers``
+        cfg = RunConfig.from_dict({"t_in": 12, "workers": 3})
+        assert cfg.t_in == 12 and "workers" not in cfg.to_dict()
 
     def test_partial_json(self, tmp_path):
         p = tmp_path / "cfg.json"

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import omniair.geo as geo_mod
 from omniair.geo import (
     EARTH_RADIUS_KM,
     gaussian_static_weight,
@@ -20,6 +22,35 @@ def reference_haversine(lat1, lon1, lat2, lon2):
     p1, l1, p2, l2 = map(math.radians, (lat1, lon1, lat2, lon2))
     h = math.sin((p2 - p1) / 2) ** 2 + math.cos(p1) * math.cos(p2) * math.sin((l2 - l1) / 2) ** 2
     return 2 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
+
+
+def reference_knn_geo(points, k, queries=None):
+    """Per-row search: full lexsort of each query's distances, (distance, index)."""
+    q = points if queries is None else queries
+    idx = np.empty((len(q), k), dtype=np.int64)
+    dist = np.empty((len(q), k))
+    for i, p in enumerate(q):
+        d = np.atleast_1d(haversine(p, points))
+        if queries is None:
+            d[i] = np.inf
+        order = np.lexsort((np.arange(len(points)), d))[:k]
+        idx[i], dist[i] = order, d[order]
+    return idx, dist
+
+
+@st.composite
+def station_sets(draw):
+    """Global stations drawn from a small pool, so that duplicates force ties,
+    a k from 1 to N - 1, queries from the same pool, and a block size."""
+    coord = st.tuples(st.floats(-90, 90), st.floats(-180, 180))
+    pool = np.array(draw(st.lists(coord, min_size=1, max_size=8)))
+    n = draw(st.integers(2, 30))
+    points = pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))]
+    k = draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n - 1)))
+    m = draw(st.integers(1, 6))
+    queries = pool[draw(st.lists(st.integers(0, len(pool) - 1), min_size=m, max_size=m))]
+    block_entries = draw(st.sampled_from([1, 37, 1 << 20]))
+    return points, k, queries, block_entries
 
 
 class TestHaversine:
@@ -112,24 +143,36 @@ class TestKnn:
         assert np.array_equal(idx1, idx2)
         assert np.array_equal(dist1, dist2)
 
-    def test_workers_match_serial(self):
-        rng = np.random.default_rng(3)
-        pts = np.stack([rng.uniform(-60, 60, 50), rng.uniform(-150, 150, 50)], axis=1)
-        idx1, _ = knn_geo(pts, 4, workers=1)
-        idx2, _ = knn_geo(pts, 4, workers=3)
-        assert np.array_equal(idx1, idx2)
-
     def test_banded_path_matches_brute_force(self):
-        # push past the brute-force limit so the latitude-band filter runs
+        # a global network large enough to span several row blocks
         rng = np.random.default_rng(4)
         n = 2300
         pts = np.stack([rng.uniform(-80, 80, n), rng.uniform(-179, 179, n)], axis=1)
-        idx_band, dist_band = knn_geo(pts, 3)
-        import omniair.geo as geo_mod
+        idx, dist = knn_geo(pts, 3)
+        idx_ref, dist_ref = reference_knn_geo(pts, 3)
+        assert np.array_equal(idx, idx_ref)
+        np.testing.assert_array_equal(dist, dist_ref)
 
-        idx_brute, dist_brute = geo_mod._knn_brute_rows(pts, np.arange(n), 3)
-        assert np.array_equal(idx_band, idx_brute)
-        np.testing.assert_array_equal(dist_band, dist_brute)
+    @given(station_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_row_reference(self, case):
+        points, k, queries, block_entries = case
+        with mock.patch.object(geo_mod, "_BLOCK_ENTRIES", block_entries):
+            idx, dist = knn_geo(points, k)
+            q_idx, q_dist = knn_geo(points, k, queries=queries)
+        idx_ref, dist_ref = reference_knn_geo(points, k)
+        assert np.array_equal(idx, idx_ref)
+        np.testing.assert_array_equal(dist, dist_ref)
+        q_idx_ref, q_dist_ref = reference_knn_geo(points, k, queries)
+        assert np.array_equal(q_idx, q_idx_ref)
+        np.testing.assert_array_equal(q_dist, q_dist_ref)
+
+    def test_queries_may_pick_every_point(self):
+        pts = [(0.0, 0.0), (0.0, 1.0)]
+        idx, dist = knn_geo(pts, 2, queries=[(0.0, 0.0)])
+        assert list(idx[0]) == [0, 1] and dist[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            knn_geo(pts, 3, queries=[(0.0, 0.0)])
 
 
 class TestGaussianWeight:

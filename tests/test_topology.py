@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omniair.autodiff import Tensor, grad_check
 from omniair.topology import (
@@ -95,10 +97,45 @@ class TestGraphBuild:
 
     def test_semantic_knn_excludes(self):
         vectors = np.array([[0.0], [0.1], [0.2], [5.0]])
-        idx, dist = semantic_knn(vectors, 1, [set(), {0}, set(), set()])
+        # node 1 excludes 0; the other rows exclude only themselves again
+        idx, dist = semantic_knn(vectors, 1, np.array([[0], [0], [2], [3]]))
         assert idx[0, 0] == 1
         assert idx[1, 0] == 2  # 0 excluded
         assert dist[3, 0] == pytest.approx(4.8)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_semantic_knn_matches_per_row_reference(self, data):
+        # small integer vectors from a pool: exact distances and forced ties
+        n = data.draw(st.integers(2, 25))
+        pool = data.draw(st.integers(1, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        vectors = rng.integers(-3, 4, size=(pool, 3)).astype(float)[rng.integers(0, pool, n)]
+        queries = vectors[rng.integers(0, n, data.draw(st.integers(1, 5)))] + rng.integers(0, 2, 3)
+        k = data.draw(st.one_of(st.just(1), st.just(n - 1), st.integers(1, n - 1)))
+        e = data.draw(st.integers(0, 3))
+        exclude = rng.integers(0, n, size=(n, e))
+        q_exclude = rng.integers(0, n, size=(len(queries), e))
+
+        def reference(q, excl, own):
+            idx = np.empty((len(q), k), dtype=np.int64)
+            dist = np.empty((len(q), k))
+            for i, v in enumerate(q):
+                d2 = ((vectors - v) ** 2).sum(axis=1)
+                d2[excl[i]] = np.inf
+                if own:
+                    d2[i] = np.inf
+                order = np.lexsort((np.arange(n), d2))[:k]
+                idx[i], dist[i] = order, np.sqrt(d2[order])
+            return idx, dist
+
+        for got, want in (
+            (semantic_knn(vectors, k, exclude), reference(vectors, exclude, True)),
+            (semantic_knn(vectors, k, q_exclude, queries=queries),
+             reference(queries, q_exclude, False)),
+        ):
+            assert np.array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestDynamicAttention:
