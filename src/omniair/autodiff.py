@@ -78,12 +78,11 @@ class Tensor:
 
     # -- graph plumbing ----------------------------------------------------
     def _accumulate(self, g: Array) -> None:
-        if self.grad is None:
-            # private copy: ops hand the same g, or broadcast views of it, to
-            # several parents, and later contributions add into it in place
-            self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad += g
+        # Ops hand the same g, or read-only broadcast views of it, to several
+        # parents, so the first g is stored as it is and later contributions
+        # are added out of place. Sharing is safe because no backward closure
+        # and no optimizer writes into a gradient it receives.
+        self.grad = g if self.grad is None else self.grad + g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -393,11 +392,10 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    y = np.empty_like(a.data)
-    pos = a.data >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ex = np.exp(a.data[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    # exp(-|x|) never overflows; bit-identical to 1/(1+e^-x) for x >= 0 and
+    # e^x/(1+e^x) for x < 0
+    ex = np.exp(-np.abs(a.data))
+    y = np.where(a.data >= 0, 1.0, ex) / (1.0 + ex)
 
     def backward(g: Array) -> None:
         if a.requires_grad:

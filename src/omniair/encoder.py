@@ -156,30 +156,38 @@ def build_contexts(
 
 
 def anchor_context(
-    p_new,
+    points_new,
     anchor_points: np.ndarray,
     anchor_contexts: list[NeighborContext],
-) -> NeighborContext:
-    """Context for an unseen location: copy the nearest anchor's statistics.
+) -> list[NeighborContext]:
+    """Contexts for unseen locations: copy the nearest anchor's statistics.
 
-    The centroid offset is recomputed from the new coordinates and the local
-    anomaly is zeroed (the new station has no history of its own). Equidistant
-    anchors resolve to the lower index.
+    ``points_new`` is (M, 2); one nearest-anchor search serves all M. The
+    centroid offset is recomputed from the new coordinates and the local
+    anomaly is zeroed (a new station has no history of its own).
+    Equidistant anchors resolve to the lower index.
     """
     if len(anchor_contexts) == 0:
         raise ValueError("anchor_context: need at least one anchor")
-    p_new = np.asarray(p_new, dtype=np.float64)
-    idx, _ = knn_geo(anchor_points, 1, queries=p_new[None])
-    a = anchor_contexts[int(idx[0, 0])]
-    return NeighborContext(
-        a.mu_nbr,
-        a.sigma_nbr,
-        float(haversine(p_new, a.centroid)),
-        0.0,
-        a.level_dist.copy(),
-        a.centroid.copy(),
-        a.fallback,
-    )
+    points_new = np.asarray(points_new, dtype=np.float64)
+    if points_new.ndim != 2 or points_new.shape[1] != 2:
+        raise ValueError(f"anchor_context: points must be (M, 2), got {points_new.shape}")
+    idx, _ = knn_geo(anchor_points, 1, queries=points_new)
+    contexts = []
+    for p, i in zip(points_new, idx[:, 0]):
+        a = anchor_contexts[int(i)]
+        contexts.append(
+            NeighborContext(
+                a.mu_nbr,
+                a.sigma_nbr,
+                float(haversine(p, a.centroid)),
+                0.0,
+                a.level_dist.copy(),
+                a.centroid.copy(),
+                a.fallback,
+            )
+        )
+    return contexts
 
 
 def resolve_grade(grade: int, ctx: NeighborContext) -> int:

@@ -184,6 +184,10 @@ def evaluate_split(
 
 
 def write_forecast_csv(forecast: Forecast, path) -> None:
+    """One row per (timestamp, station, channel); a forecast holding NaN or
+    inf is refused before the file is opened."""
+    if not np.isfinite(forecast.values).all():
+        raise ValueError(f"{path}: refusing to write a forecast with non-finite values")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "station_id", "channel", "value"])

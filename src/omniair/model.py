@@ -192,16 +192,15 @@ def build_extension(state: ModelState, new_stations: list[StationMeta]) -> Exten
         if s.id in existing:
             raise ValueError(f"new station id {s.id!r} collides with an existing station")
     base_points = np.stack([s.point for s in state.stations])
-    contexts = [
-        anchor_context(s.point, base_points, state.contexts) for s in new_stations
-    ]
+    new_points = np.stack([s.point for s in new_stations])
+    contexts = anchor_context(new_points, base_points, state.contexts)
     fcfg = FourierConfig(levels=state.cfg.fourier_levels)
     id_features = identity_feature_matrix(new_stations, contexts, fcfg, state.stats)
     sem_vectors = semantic_feature_matrix(new_stations, contexts, fcfg, state.stats)
     attach = attach_new_nodes(
         base_points,
         state.sem_vectors,
-        np.stack([s.point for s in new_stations]),
+        new_points,
         sem_vectors,
         state.cfg.k_geo,
         state.cfg.k_sem,

@@ -159,37 +159,54 @@ def attach_new_nodes(
 # -- dynamic edge weights (tape ops) -------------------------------------------
 
 
-def dynamic_attention(h_own: Tensor, h_nbr: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """Signed attention per edge: tanh(a . leaky_relu(W_e [h_i || h_j]))."""
+def dynamic_attention(
+    h_own: Tensor, h_src: Tensor, nbr: np.ndarray, params: dict[str, Tensor]
+) -> Tensor:
+    """Signed attention per edge: tanh(a . leaky_relu(W_e [h_i || h_j])).
+
+    ``h_own`` is (B, N, D) for the nodes owning the edges, ``h_src``
+    (B, N_src, D) for the targets and ``nbr`` the (N, K) table into it.
+    The map is linear before the LeakyReLU, so W_e [h_i || h_j] =
+    h_i W_e[:D] + h_j W_e[D:]: each node is projected once and only the
+    (B, N, K, A) projections are formed per edge. Returns (B, N, K).
+    """
     w = params["attn.we"]
     a = params["attn.a"]
-    pair = ad.concat([h_own, h_nbr], axis=-1)
-    if pair.shape[-1] != w.shape[0]:
-        raise ValueError(f"attention input dim {pair.shape[-1]} != {w.shape[0]}")
-    hidden = ad.leaky_relu(ad.matmul(pair, w), slope=0.1)
-    score = ad.matmul(hidden, a.reshape(-1, 1))
+    d = h_own.shape[-1]
+    if 2 * d != w.shape[0] or h_src.shape[-1] != d:
+        raise ValueError(f"attention input dims {d}+{h_src.shape[-1]} != {w.shape[0]}")
+    own = ad.matmul(h_own, ad.slice_axis(w, 0, 0, d))
+    src = ad.matmul(h_src, ad.slice_axis(w, 0, d, 2 * d))
+    pre = ad.gather(src, nbr, axis=1) + own.reshape(own.shape[:-1] + (1, own.shape[-1]))
+    score = ad.matmul(ad.leaky_relu(pre, slope=0.1), a.reshape(-1, 1))
     return ad.tanh(score.reshape(score.shape[:-1]))
 
 
 def fuse_gate(
     h_own: Tensor,
-    h_nbr: Tensor,
+    h_src: Tensor,
+    nbr: np.ndarray,
     w_static: np.ndarray,
     alpha: Tensor,
     params: dict[str, Tensor],
 ) -> tuple[Tensor, Tensor]:
     """Gate between static kernel weight and dynamic attention.
 
-    ``h_own`` and ``h_nbr`` are (B, ..., D) per edge and ``w_static`` has
-    the edge shape without the batch axis. Returns (g, w_dyn) with
-    w_dyn = g * w_static + (1 - g) * alpha.
+    g = sigmoid(w_g . [h_i || h_j || w_static] + b). Like
+    ``dynamic_attention`` it projects each node once, to the scalars
+    h_i w_g[:D] and h_j w_g[D:2D], and gathers only the target's scalar per
+    edge. ``w_static`` is the (N, K) kernel weight of the ``nbr`` table.
+    Returns (g, w_dyn) with w_dyn = g * w_static + (1 - g) * alpha, each
+    (B, N, K).
     """
-    lead = h_own.shape[:-1]
-    ws = Tensor(np.broadcast_to(w_static[..., None], lead + (1,)))
-    x = ad.concat([h_own, h_nbr, ws], axis=-1)
-    score = ad.matmul(x, params["edge_gate.w"].reshape(-1, 1)) + params["edge_gate.b"]
-    g = ad.sigmoid(score.reshape(lead))
-    w_dyn = g * Tensor(w_static) + (1.0 - g) * alpha
+    w = params["edge_gate.w"]
+    d = h_own.shape[-1]
+    own = ad.matmul(h_own, ad.slice_axis(w, 0, 0, d).reshape(-1, 1))
+    src = ad.matmul(h_src, ad.slice_axis(w, 0, d, 2 * d).reshape(-1, 1))
+    static = Tensor(w_static)
+    edge = static * ad.slice_axis(w, 0, 2 * d, 2 * d + 1) + params["edge_gate.b"]
+    g = ad.sigmoid(ad.gather(src.reshape(src.shape[:-1]), nbr, axis=1) + own + edge)
+    w_dyn = g * static + (1.0 - g) * alpha
     return g, w_dyn
 
 
@@ -263,11 +280,8 @@ def edge_weights(
     output is (B, N, K).
     """
     h_src = h_nodes if h_src is None else h_src
-    b, n, d = h_nodes.shape
-    h_own = ad.broadcast_to(h_nodes.reshape((b, n, 1, d)), (b, n, graph.k, d))
-    h_nbr = ad.gather(h_src, graph.nbr, axis=1)
-    alpha = dynamic_attention(h_own, h_nbr, params)
-    gate, w_dyn = fuse_gate(h_own, h_nbr, graph.w_static, alpha, params)
+    alpha = dynamic_attention(h_nodes, h_src, graph.nbr, params)
+    gate, w_dyn = fuse_gate(h_nodes, h_src, graph.nbr, graph.w_static, alpha, params)
     beta = predict_beta(h_nodes, params, k_max)
     ranks = compute_ranks(w_dyn.data, graph, mode=rank_mode)
     mask = prune_mask(ranks, beta, eta)

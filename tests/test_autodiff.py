@@ -128,7 +128,7 @@ class TestOpSemantics:
         dw = np.einsum("btid,iks,btsd->bik", cot, onehot, x.data)
         np.testing.assert_allclose(w.grad, dw, atol=1e-14)
 
-    def test_first_gradient_is_private_copy(self):
+    def test_shared_first_gradient_does_not_leak(self):
         # add hands one cotangent to both operands; a later contribution to
         # x must not leak into y's gradient
         x = Tensor(np.ones(3), requires_grad=True)
@@ -136,6 +136,29 @@ class TestOpSemantics:
         ((x + y).sum() + (x * 3.0).sum()).backward()
         np.testing.assert_array_equal(x.grad, 4.0)
         np.testing.assert_array_equal(y.grad, 1.0)
+
+    @pytest.mark.parametrize("view_first", [True, False])
+    def test_broadcast_view_gradient_with_second_contribution(self, view_first):
+        # sum's backward hands x a read-only broadcast view; x * x adds two
+        # more contributions, before or after the view depending on the order
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        s, m = x.sum(), (x * x).sum()
+        (s + m if view_first else m + s).backward()
+        np.testing.assert_array_equal(x.grad, 1.0 + 2.0 * np.arange(3.0))
+
+    def test_sigmoid_bits_match_two_branch_formula(self):
+        x = np.concatenate([
+            [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, 744.5, -744.5, 5e-324, -5e-324],
+            np.random.default_rng(4).normal(scale=40.0, size=200),
+        ])
+        # exp underflows to 0 beyond |x| ~ 745 in both forms; that is exact
+        with np.errstate(all="raise", under="ignore"):
+            got = ad.sigmoid(Tensor(x)).data
+            pos = x >= 0
+            want = np.empty_like(x)
+            want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            want[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+        assert got.tobytes() == want.tobytes()
 
     def test_gather_repeats_accumulate(self):
         x = Tensor(np.ones((3, 2)), requires_grad=True)

@@ -1,9 +1,12 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from omniair.cli import main
+from omniair.data import CHANNELS
+from omniair.inference import Forecast, write_forecast_csv
 
 
 def run(argv):
@@ -155,6 +158,31 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "params.bin" in err and f"needs {size} bytes" in err
         assert f"has {size - 8}" in err
+
+    def test_nan_parameter_exits_2(self, workspace, tmp_path, capsys):
+        ws, _ = workspace
+        ck = tmp_path / "checkpoint"
+        shutil.copytree(ws / "run" / "checkpoint", ck)
+        manifest = json.loads((ck / "manifest.json").read_text())
+        entry = next(e for e in manifest["params"] if e["name"] == "attn.we")
+        with open(ck / "params.bin", "r+b") as fh:
+            fh.seek(entry["offset"] + 8 * 3)
+            fh.write(np.array([np.nan], dtype="<f8").tobytes())
+        code = run(["predict", "--checkpoint", ck,
+                    "--stations", ws / "data" / "stations.csv",
+                    "--series", ws / "data" / "series.csv",
+                    "--out", tmp_path / "fc.csv"])
+        assert code == 2
+        assert "'attn.we'" in capsys.readouterr().err
+        assert not (tmp_path / "fc.csv").exists()
+
+    def test_nonfinite_forecast_not_written(self, tmp_path):
+        values = np.ones((2, 3, len(CHANNELS)))
+        values[1, 2, 0] = np.nan
+        forecast = Forecast(np.arange(2), ("a", "b", "c"), values)
+        with pytest.raises(ValueError, match="non-finite"):
+            write_forecast_csv(forecast, tmp_path / "fc.csv")
+        assert not (tmp_path / "fc.csv").exists()
 
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

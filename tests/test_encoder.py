@@ -164,7 +164,7 @@ class TestAnchorContext:
 
     def test_coincident_anchor(self):
         points, ctx = self._anchors()
-        got = anchor_context((0.0, 0.0), points, ctx)
+        got = anchor_context([(0.0, 0.0)], points, ctx)[0]
         assert got.mu_nbr == ctx[0].mu_nbr
         assert got.sigma_nbr == ctx[0].sigma_nbr
         assert got.delta_self == 0.0
@@ -174,23 +174,37 @@ class TestAnchorContext:
 
     def test_tie_breaks_low_index(self):
         points, ctx = self._anchors()
-        got = anchor_context((0.0, 5.0), points, ctx)  # equidistant
+        got = anchor_context([(0.0, 5.0)], points, ctx)[0]  # equidistant
         assert got.mu_nbr == ctx[0].mu_nbr
 
     def test_nearest_wins(self):
         points, ctx = self._anchors()
-        got = anchor_context((0.0, 2.0), points, ctx)
+        got = anchor_context([(0.0, 2.0)], points, ctx)[0]
         assert got.mu_nbr == ctx[0].mu_nbr
-        got = anchor_context((0.0, 9.0), points, ctx)
+        got = anchor_context([(0.0, 9.0)], points, ctx)[0]
         assert got.mu_nbr == ctx[1].mu_nbr
 
     def test_empty_anchor_set(self):
         with pytest.raises(ValueError):
-            anchor_context((0.0, 0.0), np.zeros((0, 2)), [])
+            anchor_context([(0.0, 0.0)], np.zeros((0, 2)), [])
+
+    def test_batch_equals_per_station_calls(self):
+        # (0, 5) is equidistant from both anchors, (0, 0) coincides with one
+        points, ctx = self._anchors()
+        queries = np.array([[0.0, 5.0], [0.0, 9.0], [0.0, 0.0], [1.0, 5.0], [0.0, 2.0]])
+        batch = anchor_context(queries, points, ctx)
+        assert len(batch) == len(queries)
+        for q, got in zip(queries, batch):
+            want = anchor_context(q[None], points, ctx)[0]
+            assert got.mu_nbr == want.mu_nbr and got.sigma_nbr == want.sigma_nbr
+            assert got.delta_c_km == want.delta_c_km and got.delta_self == 0.0
+            np.testing.assert_array_equal(got.level_dist, want.level_dist)
+            np.testing.assert_array_equal(got.centroid, want.centroid)
+        assert batch[0].mu_nbr == ctx[0].mu_nbr and batch[1].mu_nbr == ctx[1].mu_nbr
 
     def test_resolve_grade_argmax(self):
         points, ctx = self._anchors()
-        got = anchor_context((0.0, 0.1), points, ctx)
+        got = anchor_context([(0.0, 0.1)], points, ctx)[0]
         assert resolve_grade(-1, got) == int(np.argmax(got.level_dist))
         assert resolve_grade(4, got) == 4
 

@@ -138,12 +138,16 @@ class TestGraphBuild:
             np.testing.assert_array_equal(got[1], want[1])
 
 
+RING = np.array([[1, 2], [2, 3], [3, 4], [4, 5], [5, 0], [0, 1]])
+
+
 class TestDynamicAttention:
     def test_zero_score_vector_gives_zero(self):
         params = edge_params(3, 4, zero=True)
         rng = np.random.default_rng(1)
-        h = Tensor(rng.normal(size=(2, 5, 3)))
-        alpha = dynamic_attention(h, h, params)
+        h = Tensor(rng.normal(size=(2, 6, 3)))
+        alpha = dynamic_attention(h, h, RING, params)
+        assert alpha.shape == (2, 6, 2)
         np.testing.assert_array_equal(alpha.data, 0.0)
 
     def test_saturates_to_unit_range(self):
@@ -151,9 +155,9 @@ class TestDynamicAttention:
         params["attn.we"] = Tensor(np.full((2, 1), 100.0), requires_grad=True)
         params["attn.a"] = Tensor(np.array([100.0]), requires_grad=True)
         h = Tensor(np.ones((1, 2, 1)))
-        alpha = dynamic_attention(h, h, params)
+        alpha = dynamic_attention(h, h, np.array([[1], [0]]), params)
         assert np.all(np.abs(alpha.data) <= 1.0)
-        assert alpha.data[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert alpha.data[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_hand_rolled_scalar(self):
         # D=2, D'=2 case recomputed with explicit scalar arithmetic
@@ -166,18 +170,19 @@ class TestDynamicAttention:
         params["attn.we"] = Tensor(we, requires_grad=True)
         params["attn.a"] = Tensor(a, requires_grad=True)
         alpha = dynamic_attention(
-            Tensor(hi.reshape(1, 1, 2)), Tensor(hj.reshape(1, 1, 2)), params
+            Tensor(hi.reshape(1, 1, 2)), Tensor(hj.reshape(1, 1, 2)), np.array([[0]]), params
         )
         cat = np.concatenate([hi, hj])
         pre = np.array([sum(cat[r] * we[r, c] for r in range(4)) for c in range(2)])
         act = np.array([v if v > 0 else 0.1 * v for v in pre])
         expected = math.tanh(a[0] * act[0] + a[1] * act[1])
-        assert alpha.data[0, 0] == pytest.approx(expected, abs=1e-12)
+        assert alpha.data[0, 0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch(self):
         params = edge_params(3, 4)
+        h = Tensor(np.zeros((1, 2, 2)))
         with pytest.raises(ValueError):
-            dynamic_attention(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 2, 2))), params)
+            dynamic_attention(h, h, np.array([[1], [0]]), params)
 
 
 class TestFuseGate:
@@ -185,23 +190,76 @@ class TestFuseGate:
         params = edge_params(3, 4, zero=True)
         rng = np.random.default_rng(2)
         h = Tensor(rng.normal(size=(2, 6, 3)))
-        w_static = rng.uniform(0.1, 1.0, size=6)
-        alpha = Tensor(rng.uniform(-1, 1, size=(2, 6)))
-        g, w_dyn = fuse_gate(h, h, w_static, alpha, params)
+        w_static = rng.uniform(0.1, 1.0, size=(6, 2))
+        alpha = Tensor(rng.uniform(-1, 1, size=(2, 6, 2)))
+        g, w_dyn = fuse_gate(h, h, RING, w_static, alpha, params)
         np.testing.assert_allclose(g.data, 0.5, rtol=1e-15)
         np.testing.assert_allclose(w_dyn.data, (w_static + alpha.data) / 2, rtol=1e-12)
 
     def test_gate_limits(self):
         params = edge_params(2, 2, zero=True)
         h = Tensor(np.zeros((1, 3, 2)))
-        w_static = np.array([0.9, 0.5, 0.1])
-        alpha = Tensor(np.array([[-0.7, 0.2, 0.3]]))
+        nbr = np.array([[1], [2], [0]])
+        w_static = np.array([[0.9], [0.5], [0.1]])
+        alpha = Tensor(np.array([[[-0.7], [0.2], [0.3]]]))
         params["edge_gate.b"] = Tensor(np.array([60.0]), requires_grad=True)
-        _, w_dyn = fuse_gate(h, h, w_static, alpha, params)
+        _, w_dyn = fuse_gate(h, h, nbr, w_static, alpha, params)
         np.testing.assert_allclose(w_dyn.data[0], w_static, atol=1e-12)  # g -> 1
         params["edge_gate.b"] = Tensor(np.array([-60.0]), requires_grad=True)
-        _, w_dyn = fuse_gate(h, h, w_static, alpha, params)
+        _, w_dyn = fuse_gate(h, h, nbr, w_static, alpha, params)
         np.testing.assert_allclose(w_dyn.data, alpha.data, atol=1e-12)  # g -> 0
+
+
+class TestPerNodeProjection:
+    """Attention and gate against the per-edge concatenation they replace,
+    on a cross table with repeated targets and N_src != N."""
+
+    NBR = np.array([[0, 0, 2], [1, 2, 1], [2, 2, 2], [0, 1, 0]])
+
+    def _inputs(self, d=3):
+        rng = np.random.default_rng(21)
+        params = edge_params(d, 5, rng=rng)
+        h_own = rng.normal(size=(2, 4, d))
+        h_src = rng.normal(size=(2, 3, d))
+        w_static = rng.uniform(0.05, 1.0, size=self.NBR.shape)
+        return params, h_own, h_src, w_static
+
+    def test_matches_concatenated_edge_rows(self):
+        params, h_own, h_src, w_static = self._inputs()
+        own = np.broadcast_to(h_own[:, :, None, :], h_src[:, self.NBR].shape)
+        ws = np.broadcast_to(w_static[None, :, :, None], own.shape[:-1] + (1,))
+        x = np.concatenate([own, h_src[:, self.NBR], ws], axis=-1)
+        pre = x[..., :-1] @ params["attn.we"].data
+        act = np.where(pre > 0, pre, 0.1 * pre)
+        alpha_ref = np.tanh(act @ params["attn.a"].data)
+        score = x @ params["edge_gate.w"].data + params["edge_gate.b"].data
+        gate_ref = 1.0 / (1.0 + np.exp(-score))
+
+        alpha = dynamic_attention(Tensor(h_own), Tensor(h_src), self.NBR, params)
+        gate, w_dyn = fuse_gate(
+            Tensor(h_own), Tensor(h_src), self.NBR, w_static, alpha, params
+        )
+        np.testing.assert_allclose(alpha.data, alpha_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gate.data, gate_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            w_dyn.data, gate_ref * w_static + (1 - gate_ref) * alpha_ref, rtol=0, atol=1e-12
+        )
+
+    def test_edge_weights_gradcheck_with_source_features(self):
+        params, h_own, h_src, w_static = self._inputs()
+        graph = HybridGraph(self.NBR, np.zeros(self.NBR.shape, np.int8),
+                            np.ones(self.NBR.shape), w_static, cross=True)
+        checked = {name: params[name]
+                   for name in ("attn.we", "attn.a", "edge_gate.w", "edge_gate.b")}
+        checked["h_own"] = Tensor(h_own, requires_grad=True)
+        checked["h_src"] = Tensor(h_src, requires_grad=True)
+
+        def f():
+            out = edge_weights(checked["h_own"], graph, params, k_max=2.0, eta=5.0,
+                               h_src=checked["h_src"])
+            return (out["w_tilde"] * out["w_tilde"]).sum() + (out["gate"] * out["alpha"]).sum()
+
+        assert grad_check(f, checked, samples_per_param=None) < 1e-6
 
 
 def table_graph(nbr):
