@@ -340,18 +340,6 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
-    a = as_tensor(a)
-    shape = tuple(shape)
-    data = np.broadcast_to(a.data, shape).copy()
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-
-    return _node(data, (a,), backward)
-
-
 # -- reductions ---------------------------------------------------------------
 
 def _expand_reduced(g: Array, src_shape: tuple[int, ...], axis, keepdims: bool) -> Array:

@@ -90,11 +90,11 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], dict[str, np.ndarray],
             f"{ckpt / 'params.bin'}: the manifest needs {expected} bytes, "
             f"the file has {len(blob)}"
         )
-    params = {}
-    for name, arr in _read(manifest["params"], blob).items():
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{ckpt / 'params.bin'}: parameter {name!r} holds NaN or inf")
-        params[name] = Tensor(arr, requires_grad=True)
-    buffers = _read(manifest["buffers"], blob)
+    params, buffers = _read(manifest["params"], blob), _read(manifest["buffers"], blob)
+    for kind, arrays in (("parameter", params), ("buffer", buffers)):
+        for name, arr in arrays.items():
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{ckpt / 'params.bin'}: {kind} {name!r} holds NaN or inf")
+    params = {name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
     config = RunConfig.from_dict(manifest["config"])
     return params, buffers, config, manifest

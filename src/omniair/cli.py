@@ -25,6 +25,7 @@ from .inference import (
     predict_unseen,
     predict_window,
     rebuild_state,
+    require_finite,
     write_forecast_csv,
 )
 from .oracle import RDScenario, SourceSpec, simulate_rd, toy_grad_check
@@ -161,9 +162,11 @@ def cmd_predict_unseen(args) -> int:
     frame = load_series(args.series, state.stations)
     new_stations = load_stations(args.new_stations)
     base, new = predict_unseen(params, state, frame, new_stations, window_end=args.window_end)
-    write_forecast_csv(new, args.out)
-    if args.base_out:
-        write_forecast_csv(base, args.base_out)
+    outputs = [(new, args.out)] + ([(base, args.base_out)] if args.base_out else [])
+    for forecast, path in outputs:
+        require_finite(forecast, path)
+    for forecast, path in outputs:
+        write_forecast_csv(forecast, path)
     print(f"wrote zero-shot forecast for {len(new_stations)} stations to {args.out}")
     return 0
 

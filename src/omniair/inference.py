@@ -183,11 +183,16 @@ def evaluate_split(
     return masked_metrics(targets, preds, masks)
 
 
+def require_finite(forecast: Forecast, path) -> None:
+    """Raise a ``ValueError`` naming ``path`` if the forecast holds NaN or inf."""
+    if not np.isfinite(forecast.values).all():
+        raise ValueError(f"{path}: refusing to write a forecast with non-finite values")
+
+
 def write_forecast_csv(forecast: Forecast, path) -> None:
     """One row per (timestamp, station, channel); a forecast holding NaN or
     inf is refused before the file is opened."""
-    if not np.isfinite(forecast.values).all():
-        raise ValueError(f"{path}: refusing to write a forecast with non-finite values")
+    require_finite(forecast, path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "station_id", "channel", "value"])

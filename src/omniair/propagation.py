@@ -2,7 +2,9 @@
 states, identity-gated fusion, and the forecast head.
 
 All station mixing happens through ``propagate`` over the (N, K) neighbour
-table; no operation ever materializes an N x N matrix.
+table; no operation ever materializes an N x N matrix. Aggregation runs all
+heads and diffusion states as one (L, B, T, N, D) tensor with block-diagonal
+per-head maps, and the identity gate projects ``e_id`` once per node.
 """
 
 from __future__ import annotations
@@ -34,17 +36,18 @@ def diffuse(
     if not 0.0 <= restart < 1.0:
         raise ValueError("restart probability must be in [0, 1)")
     stack = [h0]
+    restart_h0 = restart * h0
     for step in range(steps):
         source = h_src_stack[step] if h_src_stack is not None else stack[-1]
-        stack.append(ad.propagate(source, w_tilde, graph.nbr) + restart * h0)
+        stack.append(ad.propagate(source, w_tilde, graph.nbr) + restart_h0)
     return stack
 
 
-def _head_slices(d: int, heads: int) -> list[tuple[int, int]]:
-    if d % heads != 0:
-        raise ValueError(f"head count {heads} must divide feature dim {d}")
-    dh = d // heads
-    return [(g * dh, (g + 1) * dh) for g in range(heads)]
+def _block_diagonal(w: Tensor) -> Tensor:
+    """Per-head (H, dh, dh) maps as one (H*dh, H*dh) block-diagonal matrix."""
+    heads, dh, _ = w.shape
+    mask = np.eye(heads).reshape(heads, 1, heads, 1)
+    return (w.reshape((heads, dh, 1, dh)) * mask).reshape((heads * dh, heads * dh))
 
 
 def signed_aggregate(
@@ -62,6 +65,10 @@ def signed_aggregate(
     ``positive`` mode replaces that with a softmax over steps (a convex
     combination, used as the smoothing-only control). ``forced_coeffs``
     bypasses attention entirely and applies the given per-step constants.
+
+    All heads and states run in one pass: the states are stacked to
+    (L, B, T, N, D), the per-head maps act as block-diagonal (D, D) matrices,
+    and scores and coefficients are (L, B, T, N, H).
     """
     n_steps = len(stack)
     if forced_coeffs is not None:
@@ -73,39 +80,25 @@ def signed_aggregate(
         return out
     if mode not in ("signed", "positive"):
         raise ValueError(f"unknown aggregation mode {mode!r}")
-    d = stack[0].shape[-1]
+    lead, d = stack[0].shape[:-1], stack[0].shape[-1]
+    if d % heads != 0:
+        raise ValueError(f"head count {heads} must divide feature dim {d}")
+    dh = d // heads
     wq, wk = params["agg.wq"], params["agg.wk"]
-    bias = params["agg.step_bias"]
-    parts = []
-    for g, (lo, hi) in enumerate(_head_slices(d, heads)):
-        dh = hi - lo
-        wq_g = ad.slice_axis(wq, 0, g, g + 1).reshape((dh, dh))
-        wk_g = ad.slice_axis(wk, 0, g, g + 1).reshape((dh, dh))
-        states = [ad.slice_axis(h, 3, lo, hi) for h in stack]
-        query = ad.matmul(states[0], wq_g)
-        for h in states[1:]:
-            query = query + ad.matmul(h, wq_g)
-        query = (1.0 / n_steps) * query
-        scores = []
-        for h in states:
-            key = ad.matmul(h, wk_g)
-            scores.append((query * key).sum(axis=-1) * (1.0 / math.sqrt(dh)))
-        if mode == "signed":
-            coeffs = [
-                ad.tanh(s) * ad.slice_axis(bias, 0, l, l + 1) for l, s in enumerate(scores)
-            ]
-        else:
-            stacked = ad.concat([s.reshape(s.shape + (1,)) for s in scores], axis=-1)
-            soft = ad.softmax(stacked, axis=-1)
-            coeffs = [
-                ad.slice_axis(soft, 3, l, l + 1).reshape(scores[l].shape)
-                for l in range(n_steps)
-            ]
-        out = coeffs[0].reshape(coeffs[0].shape + (1,)) * states[0]
-        for l in range(1, n_steps):
-            out = out + coeffs[l].reshape(coeffs[l].shape + (1,)) * states[l]
-        parts.append(out)
-    return parts[0] if heads == 1 else ad.concat(parts, axis=-1)
+    if wq.shape != (heads, dh, dh) or wk.shape != (heads, dh, dh):
+        raise ValueError(f"agg.wq/agg.wk must be ({heads}, {dh}, {dh}) for {heads} heads")
+    states = ad.concat([h.reshape((1,) + h.shape) for h in stack], axis=0)
+    query = ad.matmul(states.mean(axis=0), _block_diagonal(wq))
+    key = ad.matmul(states, _block_diagonal(wk))
+    per_head = (n_steps,) + lead + (heads, dh)
+    scores = (key * query).reshape(per_head).sum(axis=-1) * (1.0 / math.sqrt(dh))
+    if mode == "signed":
+        bias = params["agg.step_bias"].reshape((n_steps,) + (1,) * (len(lead) + 1))
+        coeffs = ad.tanh(scores) * bias
+    else:
+        coeffs = ad.softmax(scores, axis=0)
+    out = coeffs.reshape(coeffs.shape + (1,)) * states.reshape(per_head)
+    return out.sum(axis=0).reshape(lead + (d,))
 
 
 def softmax_fusion(stack: list[Tensor], params: dict[str, Tensor]) -> Tensor:
@@ -121,15 +114,17 @@ def fuse_and_gate(z: Tensor, e_id: Tensor, params: dict[str, Tensor]) -> tuple[T
     """Blend the dynamic state with the static identity via a learned gate.
 
     ``e_id`` is (N, D) and broadcasts over batch and time. Returns (gate,
-    fused) where fused = g * z + (1 - g) * e_id.
+    fused) where fused = g * z + (1 - g) * e_id. The gate's map over
+    [z || e_id] is split as z W[:D] + e_id W[D:], so the identity half is
+    projected once per node.
     """
-    b, t, n, d = z.shape
+    n, d = z.shape[2:]
     if e_id.shape != (n, d):
         raise ValueError(f"identity shape {e_id.shape} incompatible with state {z.shape}")
-    e_b = ad.broadcast_to(e_id.reshape((1, 1, n, d)), (b, t, n, d))
-    x = ad.concat([z, e_b], axis=-1)
-    g = ad.sigmoid(ad.matmul(x, params["out_gate.w"]) + params["out_gate.b"])
-    return g, g * z + (1.0 - g) * e_b
+    w = params["out_gate.w"]
+    ident = ad.matmul(e_id, ad.slice_axis(w, 0, d, 2 * d)) + params["out_gate.b"]
+    g = ad.sigmoid(ad.matmul(z, ad.slice_axis(w, 0, 0, d)) + ident)
+    return g, g * z + (1.0 - g) * e_id
 
 
 def forecast_head(

@@ -49,9 +49,6 @@ class TestOpGradients:
     def test_reshape_transpose(self):
         check_op(lambda a: a.transpose((1, 0, 2)).reshape((4, 6)), [(2, 2, 6)])
 
-    def test_broadcast_to(self):
-        check_op(lambda a: ad.broadcast_to(a, (3, 2, 4)), [(2, 4)])
-
     def test_sum_axes(self):
         check_op(lambda a: a.sum(axis=1).sum(), [(3, 4, 2)])
         check_op(lambda a: a.sum(axis=(0, 2), keepdims=True), [(3, 4, 2)])

@@ -4,9 +4,10 @@ import shutil
 import numpy as np
 import pytest
 
+from omniair import cli
 from omniair.cli import main
 from omniair.data import CHANNELS
-from omniair.inference import Forecast, write_forecast_csv
+from omniair.inference import Forecast, predict_unseen, write_forecast_csv
 
 
 def run(argv):
@@ -175,6 +176,50 @@ class TestErrors:
         assert code == 2
         assert "'attn.we'" in capsys.readouterr().err
         assert not (tmp_path / "fc.csv").exists()
+
+    def test_nan_buffer_exits_2(self, workspace, tmp_path, capsys):
+        ws, _ = workspace
+        ck = tmp_path / "checkpoint"
+        shutil.copytree(ws / "run" / "checkpoint", ck)
+        manifest = json.loads((ck / "manifest.json").read_text())
+        entry = next(e for e in manifest["buffers"] if e["name"] == "geo_std")
+        with open(ck / "params.bin", "r+b") as fh:
+            fh.seek(entry["offset"] + 8 * 2)
+            fh.write(np.array([np.inf], dtype="<f8").tobytes())
+        code = run(["predict", "--checkpoint", ck,
+                    "--stations", ws / "data" / "stations.csv",
+                    "--series", ws / "data" / "series.csv",
+                    "--out", tmp_path / "fc.csv"])
+        assert code == 2
+        assert "buffer 'geo_std'" in capsys.readouterr().err
+        assert not (tmp_path / "fc.csv").exists()
+
+    def test_nonfinite_base_forecast_writes_no_csv(self, workspace, tmp_path, monkeypatch):
+        # only the base forecast is broken; the new-station CSV must not appear
+        ws, _ = workspace
+
+        def broken_base(*args, **kwargs):
+            base, new = predict_unseen(*args, **kwargs)
+            values = base.values.copy()
+            values[0, 0, 0] = np.nan
+            return Forecast(base.timestamps, base.station_ids, values), new
+
+        monkeypatch.setattr(cli, "predict_unseen", broken_base)
+        new = tmp_path / "new.csv"
+        new.write_text(
+            "station_id,lat,lon,elevation,climate_avg_wind,climate_avg_wind_dir,"
+            "terrain_tpi,terrain_roughness,distance_to_coast_km,grade\n"
+            "zz3,35.0,104.0,300,4,45,0,2,80,\n"
+        )
+        code = run(["predict-unseen", "--checkpoint", ws / "run" / "checkpoint",
+                    "--stations", ws / "data" / "stations.csv",
+                    "--series", ws / "data" / "series.csv",
+                    "--new-stations", new,
+                    "--out", tmp_path / "zfc.csv",
+                    "--base-out", tmp_path / "bfc.csv"])
+        assert code == 2
+        assert not (tmp_path / "zfc.csv").exists()
+        assert not (tmp_path / "bfc.csv").exists()
 
     def test_nonfinite_forecast_not_written(self, tmp_path):
         values = np.ones((2, 3, len(CHANNELS)))

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omniair.autodiff import Tensor, grad_check
 from omniair.propagation import (
@@ -97,8 +101,66 @@ class TestDiffuse:
         stack = diffuse(h0, Tensor(np.ones((1, 2, 1))), g, steps=0, restart=0.2)
         assert len(stack) == 1 and stack[0] is h0
 
+    def test_stack_equals_per_step_loop(self):
+        # restart * h0 is formed once; every state keeps the bits of a loop
+        # that multiplies it again at each step
+        rng = np.random.default_rng(11)
+        n, per = 7, 3
+        nbr = (np.arange(n)[:, None] + rng.integers(1, n, size=(n, per))) % n
+        g = make_graph(nbr)
+        w = rng.normal(size=(2, n, per))
+        h0 = rng.normal(size=(2, 3, n, 4))
+        stack = diffuse(Tensor(h0), Tensor(w), g, steps=3, restart=0.3)
+        ref = [h0]
+        for _ in range(3):
+            msgs = np.einsum("btnkd,bnk->btnd", np.take(ref[-1], nbr, axis=2), w)
+            ref.append(msgs + 0.3 * h0)
+        assert len(stack) == len(ref)
+        for got, want in zip(stack, ref):
+            assert np.array_equal(got.data, want)
+
+
+def per_head_aggregate(states, wq, wk, bias, mode):
+    """Numpy reference: every head and every state handled on its own."""
+    heads, dh = wq.shape[0], wq.shape[1]
+    out = np.zeros_like(states[0])
+    for g in range(heads):
+        cols = slice(g * dh, (g + 1) * dh)
+        part = [h[..., cols] for h in states]
+        query = sum(h @ wq[g] for h in part) / len(part)
+        scores = np.stack([(query * (h @ wk[g])).sum(axis=-1) / math.sqrt(dh) for h in part])
+        if mode == "signed":
+            coeffs = np.tanh(scores) * np.asarray(bias).reshape(-1, *[1] * (scores.ndim - 1))
+        else:
+            ex = np.exp(scores - scores.max(axis=0))
+            coeffs = ex / ex.sum(axis=0)
+        for l, h in enumerate(part):
+            out[..., cols] += coeffs[l][..., None] * h
+    return out
+
 
 class TestSignedAggregate:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mode=st.sampled_from(["signed", "positive"]),
+        heads=st.sampled_from([1, 2, 4]),
+        n_states=st.integers(1, 3),
+        dh=st.integers(1, 3),
+        b=st.integers(1, 2),
+        t=st.integers(1, 3),
+        n=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_head_loop(self, mode, heads, n_states, dh, b, t, n, seed):
+        rng = np.random.default_rng(seed)
+        d = heads * dh
+        states = [rng.normal(size=(b, t, n, d)) for _ in range(n_states)]
+        params = agg_params(d, heads, n_states, rng=rng, bias=rng.normal(size=n_states))
+        z = signed_aggregate([Tensor(h) for h in states], params, heads=heads, mode=mode)
+        want = per_head_aggregate(states, params["agg.wq"].data, params["agg.wk"].data,
+                                  params["agg.step_bias"].data, mode)
+        np.testing.assert_allclose(z.data, want, rtol=0, atol=1e-12)
+
     def test_zero_bias_zero_output(self):
         rng = np.random.default_rng(1)
         stack = [Tensor(rng.normal(size=(1, 2, 3, 4))) for _ in range(3)]
@@ -172,6 +234,25 @@ class TestSignedAggregate:
 
         assert grad_check(f, params, samples_per_param=None) < 1e-6
 
+    def test_gradcheck_positive_mode(self):
+        rng = np.random.default_rng(12)
+        h = rng.normal(size=(1, 2, 3, 4))
+        params = agg_params(4, 2, 3, rng=rng)
+        params["h"] = Tensor(h, requires_grad=True)
+
+        def f():
+            hh = params["h"]
+            stack = [hh, hh * 0.5 + 0.1, hh * hh]
+            out = signed_aggregate(stack, params, heads=2, mode="positive")
+            return (out * Tensor(np.linspace(-1.0, 1.0, 4))).sum()
+
+        assert grad_check(f, params, samples_per_param=None) < 1e-6
+
+    def test_weight_shape_must_match_heads(self):
+        stack = [Tensor(np.zeros((1, 1, 2, 4)))]
+        with pytest.raises(ValueError):
+            signed_aggregate(stack, agg_params(4, 2, 1), heads=1)
+
 
 class TestFusionAndGate:
     def test_softmax_fusion_uniform_at_zero(self):
@@ -205,6 +286,33 @@ class TestFusionAndGate:
         }
         _, fused = fuse_and_gate(z, Tensor(e), params)
         np.testing.assert_allclose(fused.data, z.data, atol=1e-12)
+
+    def test_matches_concatenated_gate(self):
+        rng = np.random.default_rng(13)
+        z, e = rng.normal(size=(2, 3, 4, 6)), rng.normal(size=(4, 6))
+        w, bias = rng.normal(size=(12, 6)), rng.normal(size=6)
+        params = {"out_gate.w": Tensor(w), "out_gate.b": Tensor(bias)}
+        gate, fused = fuse_and_gate(Tensor(z), Tensor(e), params)
+        e_b = np.broadcast_to(e, z.shape)
+        want = 1.0 / (1.0 + np.exp(-(np.concatenate([z, e_b], axis=-1) @ w + bias)))
+        np.testing.assert_allclose(gate.data, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fused.data, want * z + (1.0 - want) * e_b, rtol=0, atol=1e-12)
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(14)
+        params = {
+            "out_gate.w": Tensor(rng.normal(size=(8, 4)), requires_grad=True),
+            "out_gate.b": Tensor(rng.normal(size=4), requires_grad=True),
+            "z": Tensor(rng.normal(size=(2, 2, 3, 4)), requires_grad=True),
+            "e_id": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+        }
+        cot = Tensor(rng.normal(size=(2, 2, 3, 4)))
+
+        def f():
+            gate, fused = fuse_and_gate(params["z"], params["e_id"], params)
+            return (fused * cot).sum() + gate.sum()
+
+        assert grad_check(f, params, samples_per_param=None) < 1e-6
 
     def test_dimension_mismatch(self):
         params = {
