@@ -30,7 +30,7 @@ per = 6
 toy = HybridGraph(np.tile(np.arange(per) + 50, (3, 1)), np.zeros((3, per), np.int8),
                   np.ones((3, per)), np.ones((3, per)), cross=True)
 w_dyn = rng.normal(size=(1, 3, per))
-ranks = compute_ranks(w_dyn, toy, mode="abs")
+ranks = compute_ranks(w_dyn, toy)
 for beta_val in (1.5, 3.5, 5.5):
     beta = Tensor(np.full((1, 3), beta_val))
     m = prune_mask(ranks, beta, eta=10.0)
@@ -39,7 +39,7 @@ for beta_val in (1.5, 3.5, 5.5):
 
 print("\n== Signed weights renormalized per node ==")
 mask = prune_mask(ranks, Tensor(np.full((1, 3), 3.5)), eta=10.0)
-wt = normalize_weights(Tensor(w_dyn), mask, mode="abs")
+wt = normalize_weights(Tensor(w_dyn), mask)
 row = wt.data[0, 0]
 print(f"  node 0 normalized weights: {np.round(row, 4)}")
 print(f"  sum of |weights| = {np.abs(row).sum():.6f} (bounded by 1)")

@@ -14,9 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .config import RunConfig
+from .config import RunConfig, dict_hash
+from .model import init_params
 
 FORMAT = "omniair-checkpoint-v1"
+# stored by earlier versions, never read: ``fusion.w`` fed a removed fusion mode
+LEGACY_PARAMS = ("fusion.w",)
 
 
 def _entries(arrays: dict[str, np.ndarray], offset: int) -> tuple[list[dict], bytes, int]:
@@ -76,12 +79,32 @@ def _read(listing: list[dict], blob: bytes) -> dict[str, np.ndarray]:
     return out
 
 
+def _check_inventory(params: dict[str, np.ndarray], config: RunConfig, where) -> None:
+    """Every parameter ``init_params`` builds for ``config``, at its shape,
+    and nothing else."""
+    expected = {k: v.shape for k, v in init_params(config, np.random.default_rng(0)).items()}
+    for name in sorted(set(expected) | set(params)):
+        if name not in params:
+            raise ValueError(f"{where}: parameter {name!r} is missing")
+        if name not in expected:
+            raise ValueError(f"{where}: unknown parameter {name!r}")
+        if params[name].shape != expected[name]:
+            raise ValueError(
+                f"{where}: parameter {name!r} has shape {params[name].shape}, "
+                f"the config needs {expected[name]}"
+            )
+
+
 def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], dict[str, np.ndarray], RunConfig, dict]:
     ckpt = Path(ckpt_dir)
     with open(ckpt / "manifest.json") as fh:
         manifest = json.load(fh)
     if manifest.get("format") != FORMAT:
         raise ValueError(f"{ckpt_dir}: not a recognized checkpoint")
+    # hash the stored dict: loading drops the fields of earlier versions
+    if dict_hash(manifest["config"]) != manifest.get("config_hash"):
+        raise ValueError(f"{ckpt / 'manifest.json'}: config does not match its config_hash")
+    config = RunConfig.from_dict(manifest["config"])
     blob = (ckpt / "params.bin").read_bytes()
     listing = manifest["params"] + manifest["buffers"]
     expected = max((e["offset"] + 8 * _count(e) for e in listing), default=0)
@@ -91,10 +114,12 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], dict[str, np.ndarray],
             f"the file has {len(blob)}"
         )
     params, buffers = _read(manifest["params"], blob), _read(manifest["buffers"], blob)
+    for name in LEGACY_PARAMS:
+        params.pop(name, None)
+    _check_inventory(params, config, ckpt / "manifest.json")
     for kind, arrays in (("parameter", params), ("buffer", buffers)):
         for name, arr in arrays.items():
             if not np.isfinite(arr).all():
                 raise ValueError(f"{ckpt / 'params.bin'}: {kind} {name!r} holds NaN or inf")
     params = {name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
-    config = RunConfig.from_dict(manifest["config"])
     return params, buffers, config, manifest

@@ -231,11 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, checkpoint=False):
+    def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override config seed")
-        if checkpoint:
-            p.add_argument("--checkpoint", required=True, help="checkpoint directory")
 
     p = sub.add_parser("synth", help="generate a synthetic reaction-diffusion dataset")
     p.add_argument("--n", type=int, default=20)
@@ -273,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="forecast from a checkpoint")
-    common(p, checkpoint=True)
+    p.add_argument("--checkpoint", required=True, help="checkpoint directory (holds the config)")
     p.add_argument("--stations", required=True)
     p.add_argument("--series", required=True)
     p.add_argument("--window-end", help="ISO date or step index (default: last)")
@@ -281,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("predict-unseen", help="zero-shot forecast for new stations")
-    common(p, checkpoint=True)
+    p.add_argument("--checkpoint", required=True, help="checkpoint directory (holds the config)")
     p.add_argument("--stations", required=True, help="stations the model was trained on")
     p.add_argument("--series", required=True)
     p.add_argument("--new-stations", required=True)
@@ -291,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict_unseen)
 
     p = sub.add_parser("evaluate", help="masked metrics on a chronological split")
-    common(p, checkpoint=True)
+    p.add_argument("--checkpoint", required=True, help="checkpoint directory (holds the config)")
     p.add_argument("--stations", required=True)
     p.add_argument("--series", required=True)
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
@@ -299,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("export-embeddings", help="dump identity embeddings as CSV")
-    common(p, checkpoint=True)
+    p.add_argument("--checkpoint", required=True, help="checkpoint directory (holds the config)")
     p.add_argument("--stations", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_embeddings)

@@ -8,6 +8,22 @@ import json
 from dataclasses import dataclass
 
 
+def dict_hash(d: dict) -> str:
+    """sha256 of the key-sorted JSON text of a config dict."""
+    return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
+
+
+# field -> the only value still implemented (None: any value, a runtime setting)
+REMOVED_FIELDS = {
+    "workers": None,
+    "fusion_mode": "signed",
+    "rank_mode": "abs",
+    "norm_mode": "abs",
+    "edge_source": "last",
+    "eps_norm": 1e-8,
+}
+
+
 @dataclass
 class RunConfig:
     fourier_dim: int = 32  # deterministic mapping dim, must be 4 * levels
@@ -33,14 +49,9 @@ class RunConfig:
     max_epochs: int = 300
     patience: int = 20
     seed: int = 42
-    fusion_mode: str = "signed"  # signed | softmax | sum
     coeff_mode: str = "signed"  # signed | positive (smoothing-only control)
-    rank_mode: str = "abs"  # abs | signed
-    norm_mode: str = "abs"  # abs | plain
-    edge_source: str = "last"  # last | mean time step for edge features
     per_station_norm: bool = False
     refresh_semantic_every: int = 0
-    eps_norm: float = 1e-8
 
     def __post_init__(self):
         if self.d_model % self.heads != 0:
@@ -58,16 +69,8 @@ class RunConfig:
             raise ValueError("k_sem and diffusion_steps must be non-negative")
         if not 0.0 <= self.restart < 1.0:
             raise ValueError("restart must be in [0, 1)")
-        if self.fusion_mode not in ("signed", "softmax", "sum"):
-            raise ValueError(f"unknown fusion_mode {self.fusion_mode!r}")
         if self.coeff_mode not in ("signed", "positive"):
             raise ValueError(f"unknown coeff_mode {self.coeff_mode!r}")
-        if self.rank_mode not in ("abs", "signed"):
-            raise ValueError(f"unknown rank_mode {self.rank_mode!r}")
-        if self.norm_mode not in ("abs", "plain"):
-            raise ValueError(f"unknown norm_mode {self.norm_mode!r}")
-        if self.edge_source not in ("last", "mean"):
-            raise ValueError(f"unknown edge_source {self.edge_source!r}")
 
     @property
     def fourier_levels(self) -> int:
@@ -77,14 +80,17 @@ class RunConfig:
         return dataclasses.asdict(self)
 
     def config_hash(self) -> str:
-        text = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(text.encode()).hexdigest()
+        return dict_hash(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        # earlier versions stored the runtime setting ``workers`` here; drop
-        # it so that their config files and checkpoints still load
-        d = {k: v for k, v in d.items() if k != "workers"}
+        # fields stored by earlier versions are dropped so that their config
+        # files and checkpoints still load, but only at the one value that is
+        # still implemented: any other value asked for a different model
+        for name, kept in REMOVED_FIELDS.items():
+            if name in d and kept is not None and d[name] != kept:
+                raise ValueError(f"config field {name}={d[name]!r} is no longer supported")
+        d = {k: v for k, v in d.items() if k not in REMOVED_FIELDS}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:

@@ -1,5 +1,5 @@
-"""Model assembly: parameter construction, the end-to-end sparse forward
-pass, the directed-attachment forward for unseen stations, and the loss."""
+"""Model assembly: parameter construction, one sparse forward pass (for the
+base stations, or for unseen stations attached to a base run) and the loss."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .encoder import (
     semantic_feature_matrix,
 )
 from .geo import knn_geo
-from .propagation import diffuse, forecast_head, fuse_and_gate, signed_aggregate, softmax_fusion
+from .propagation import diffuse, forecast_head, fuse_and_gate, signed_aggregate
 from .topology import HybridGraph, attach_new_nodes, build_hybrid_graph, edge_weights
 
 N_GEO_FEATURES = 6
@@ -68,7 +68,6 @@ def init_params(
     params["agg.wq"] = glorot(cfg.heads, dh, dh)
     params["agg.wk"] = glorot(cfg.heads, dh, dh)
     params["agg.step_bias"] = Tensor(np.ones(l1), requires_grad=True)
-    params["fusion.w"] = zeros(l1)
     params["out_gate.w"] = glorot(2 * d, d)
     params["out_gate.b"] = zeros(d)
     params["head.w1"] = glorot(cfg.t_in * d, cfg.head_hidden)
@@ -118,12 +117,32 @@ def build_state(
     return ModelState(cfg, stations, stats, contexts, graph, id_features, grades, sem_vectors)
 
 
-def _edge_features(h: Tensor, cfg: RunConfig) -> Tensor:
-    """Node features driving edge weights: last input step or window mean."""
+def _pass(
+    params: dict[str, Tensor],
+    cfg: RunConfig,
+    graph: HybridGraph,
+    id_features: np.ndarray,
+    grades: np.ndarray,
+    x: np.ndarray,
+    base: dict | None = None,
+) -> tuple[Tensor, dict]:
+    """Forward pipeline for the nodes owning ``graph``'s rows -> (forecast,
+    collect dict). With ``base`` (a base run's collect dict), edge targets and
+    diffusion messages come from its features and states, read-only."""
+    if x.ndim != 4 or x.shape[2] != graph.n_nodes or x.shape[3] != len(CHANNELS):
+        raise ValueError(f"bad input shape {x.shape}")
+    e_id = encode_identity(id_features, grades, params)
+    h = ad.matmul(Tensor(x), params["input_proj.w"]) + params["input_proj.b"]
     b, t, n, d = h.shape
-    if cfg.edge_source == "mean":
-        return h.mean(axis=1)
-    return ad.slice_axis(h, 1, t - 1, t).reshape((b, n, d))
+    h_edge = ad.slice_axis(h, 1, t - 1, t).reshape((b, n, d))  # last input step
+    h_src, src_stack = (None, None) if base is None else (base["h_edge"], base["stack"])
+    edges = edge_weights(h_edge, graph, params, k_max=cfg.k_max, eta=cfg.eta, h_src=h_src)
+    stack = diffuse(h, edges["w_tilde"], graph, cfg.diffusion_steps, cfg.restart, src_stack)
+    z = signed_aggregate(stack, params, cfg.heads, cfg.coeff_mode)
+    gate, zhat = fuse_and_gate(z, e_id, params)
+    forecast = forecast_head(zhat, params, cfg.tau, len(CHANNELS))
+    return forecast, {"e_id": e_id, "h": h, "h_edge": h_edge, "edges": edges,
+                      "stack": stack, "z": z, "gate": gate, "zhat": zhat}
 
 
 def forward(
@@ -131,47 +150,10 @@ def forward(
     state: ModelState,
     x: np.ndarray,
     collect: bool = False,
-    forced_coeffs: np.ndarray | None = None,
 ) -> Tensor | tuple[Tensor, dict]:
     """Full forward pass on one batch of normalized inputs (B, T, N, C)."""
-    cfg = state.cfg
-    if x.ndim != 4 or x.shape[2] != state.n_stations or x.shape[3] != len(CHANNELS):
-        raise ValueError(f"bad input shape {x.shape}")
-    e_id = encode_identity(state.id_features, state.grades, params)
-    h = ad.matmul(Tensor(x), params["input_proj.w"]) + params["input_proj.b"]
-    h_edge = _edge_features(h, cfg)
-    edges = edge_weights(
-        h_edge,
-        state.graph,
-        params,
-        k_max=cfg.k_max,
-        eta=cfg.eta,
-        eps=cfg.eps_norm,
-        rank_mode=cfg.rank_mode,
-        norm_mode=cfg.norm_mode,
-    )
-    stack = diffuse(h, edges["w_tilde"], state.graph, cfg.diffusion_steps, cfg.restart)
-    if cfg.fusion_mode == "signed":
-        z = signed_aggregate(stack, params, cfg.heads, cfg.coeff_mode, forced_coeffs)
-    elif cfg.fusion_mode == "softmax":
-        z = softmax_fusion(stack, params)
-    else:
-        z = signed_aggregate(stack, params, cfg.heads, cfg.coeff_mode, forced_coeffs)
-        z = z + softmax_fusion(stack, params)
-    gate, zhat = fuse_and_gate(z, e_id, params)
-    forecast = forecast_head(zhat, params, cfg.tau, len(CHANNELS))
-    if not collect:
-        return forecast
-    return forecast, {
-        "e_id": e_id,
-        "h": h,
-        "h_edge": h_edge,
-        "edges": edges,
-        "stack": stack,
-        "z": z,
-        "gate": gate,
-        "zhat": zhat,
-    }
+    out = _pass(params, state.cfg, state.graph, state.id_features, state.grades, x)
+    return out if collect else out[0]
 
 
 @dataclass
@@ -225,39 +207,7 @@ def forward_extension(
     consumed read-only; nothing existing is recomputed, which is what makes
     the existing stations' forecasts identical with or without new nodes.
     """
-    cfg = state.cfg
-    h_new = ad.matmul(Tensor(x_new), params["input_proj.w"]) + params["input_proj.b"]
-    h_edge_new = _edge_features(h_new, cfg)
-    edges = edge_weights(
-        h_edge_new,
-        ext.attach,
-        params,
-        k_max=cfg.k_max,
-        eta=cfg.eta,
-        eps=cfg.eps_norm,
-        rank_mode=cfg.rank_mode,
-        norm_mode=cfg.norm_mode,
-        h_src=base["h_edge"],
-    )
-    stack = diffuse(
-        h_new,
-        edges["w_tilde"],
-        ext.attach,
-        cfg.diffusion_steps,
-        cfg.restart,
-        h_src_stack=base["stack"][: cfg.diffusion_steps],
-    )
-    e_id = encode_identity(ext.id_features, ext.grades, params)
-    if cfg.fusion_mode == "signed":
-        z = signed_aggregate(stack, params, cfg.heads, cfg.coeff_mode)
-    elif cfg.fusion_mode == "softmax":
-        z = softmax_fusion(stack, params)
-    else:
-        z = signed_aggregate(stack, params, cfg.heads, cfg.coeff_mode) + softmax_fusion(
-            stack, params
-        )
-    _, zhat = fuse_and_gate(z, e_id, params)
-    return forecast_head(zhat, params, cfg.tau, len(CHANNELS))
+    return _pass(params, state.cfg, ext.attach, ext.id_features, ext.grades, x_new, base)[0]
 
 
 def masked_mae_loss(pred: Tensor, target_norm: np.ndarray, mask: np.ndarray) -> Tensor:

@@ -21,6 +21,7 @@ from .data import CHANNELS, SeriesFrame, StationMeta
 from .encoder import FourierConfig, fourier_features
 from .geo import gaussian_static_weight, knn_geo
 from .model import ModelState
+from .topology import NORM_EPS
 
 _EXTRA_CHANNEL_SCALES = (0.85, 0.7, 0.55, 0.4, 0.25)
 
@@ -182,7 +183,7 @@ def dense_forward(
     e_id = hid @ params["id_mlp.w2"] + params["id_mlp.b2"]
 
     h = x @ params["input_proj.w"] + params["input_proj.b"]
-    h_edge = h.mean(axis=1) if cfg.edge_source == "mean" else h[:, -1]
+    h_edge = h[:, -1]
 
     cand = np.zeros((n, n), dtype=bool)
     w_static = np.zeros((n, n))
@@ -216,13 +217,11 @@ def dense_forward(
     for q in range(b):
         for i in range(n):
             cols = np.flatnonzero(cand[i])
-            key = np.abs(w_dyn[q, i, cols]) if cfg.rank_mode == "abs" else w_dyn[q, i, cols]
-            order = np.lexsort((cols, -key))
+            order = np.lexsort((cols, -np.abs(w_dyn[q, i, cols])))
             ranks[q, i, cols[order]] = np.arange(1, len(cols) + 1)
     mask = np.where(cand, _sigmoid(-cfg.eta * (ranks - beta[:, :, None])), 0.0)
     wm = w_dyn * mask
-    summand = np.abs(wm) if cfg.norm_mode == "abs" else wm
-    denom = summand.sum(axis=2, keepdims=True) + cfg.eps_norm
+    denom = np.abs(wm).sum(axis=2, keepdims=True) + NORM_EPS
     w_tilde = np.where(cand, wm / denom, 0.0)
 
     stack = [h]
@@ -249,16 +248,7 @@ def dense_forward(
             soft = ex / ex.sum(axis=-1, keepdims=True)
             coeffs = [soft[..., l] for l in range(n_steps)]
         parts.append(sum(c[..., None] * s for c, s in zip(coeffs, states)))
-    z_signed = parts[0] if cfg.heads == 1 else np.concatenate(parts, axis=-1)
-
-    if cfg.fusion_mode in ("softmax", "sum"):
-        w = params["fusion.w"]
-        sw = np.exp(w - w.max())
-        sw = sw / sw.sum()
-        z_soft = sum(sw[l] * stack[l] for l in range(n_steps))
-        z = z_soft if cfg.fusion_mode == "softmax" else z_signed + z_soft
-    else:
-        z = z_signed
+    z = parts[0] if cfg.heads == 1 else np.concatenate(parts, axis=-1)
 
     e_b = np.broadcast_to(e_id[None, None], z.shape)
     gate_id = _sigmoid(

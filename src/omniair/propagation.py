@@ -5,6 +5,8 @@ All station mixing happens through ``propagate`` over the (N, K) neighbour
 table; no operation ever materializes an N x N matrix. Aggregation runs all
 heads and diffusion states as one (L, B, T, N, D) tensor with block-diagonal
 per-head maps, and the identity gate projects ``e_id`` once per node.
+Signed aggregation is the only way diffusion states are combined; its
+``positive`` mode (a softmax over steps) is the smoothing-only control.
 """
 
 from __future__ import annotations
@@ -99,15 +101,6 @@ def signed_aggregate(
         coeffs = ad.softmax(scores, axis=0)
     out = coeffs.reshape(coeffs.shape + (1,)) * states.reshape(per_head)
     return out.sum(axis=0).reshape(lead + (d,))
-
-
-def softmax_fusion(stack: list[Tensor], params: dict[str, Tensor]) -> Tensor:
-    """Convex multi-scale fusion z = sum_l softmax(w)_l h^(l)."""
-    weights = ad.softmax(params["fusion.w"], axis=0)
-    out = ad.slice_axis(weights, 0, 0, 1) * stack[0]
-    for l in range(1, len(stack)):
-        out = out + ad.slice_axis(weights, 0, l, l + 1) * stack[l]
-    return out
 
 
 def fuse_and_gate(z: Tensor, e_id: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:

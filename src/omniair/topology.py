@@ -20,6 +20,7 @@ from .geo import gaussian_static_weight, haversine, knn_geo, smallest_k
 
 KIND_GEO = 0
 KIND_SEM = 1
+NORM_EPS = 1e-8  # keeps the weight normalization finite for an all-pruned node
 
 
 @dataclass
@@ -217,16 +218,13 @@ def predict_beta(h_nodes: Tensor, params: dict[str, Tensor], k_max: float) -> Te
     return k_max * ad.sigmoid(s.reshape(s.shape[:-1]))
 
 
-def compute_ranks(w_dyn: np.ndarray, graph: HybridGraph, mode: str = "abs") -> np.ndarray:
+def compute_ranks(w_dyn: np.ndarray, graph: HybridGraph) -> np.ndarray:
     """1-based importance ranks within each node's K candidates.
 
-    ``w_dyn`` is (B, N, K). ``abs`` ranks by descending magnitude, ``signed``
-    by descending value; ties break toward the lower target index.
-    Detached from differentiation.
+    ``w_dyn`` is (B, N, K), ranked by descending magnitude; ties break
+    toward the lower target index. Detached from differentiation.
     """
-    if mode not in ("abs", "signed"):
-        raise ValueError(f"unknown rank mode {mode!r}")
-    key = -np.abs(w_dyn) if mode == "abs" else -w_dyn
+    key = -np.abs(w_dyn)
     order = np.lexsort((np.broadcast_to(graph.nbr, key.shape), key), axis=-1)
     ranks = np.empty(key.shape, dtype=np.int64)
     np.put_along_axis(ranks, order, np.arange(1, graph.k + 1), axis=-1)
@@ -242,22 +240,11 @@ def prune_mask(ranks: np.ndarray, beta: Tensor, eta: float) -> Tensor:
     return ad.sigmoid(-eta * (Tensor(ranks.astype(np.float64)) - beta_own))
 
 
-def normalize_weights(
-    w_dyn: Tensor,
-    mask: Tensor,
-    eps: float = 1e-8,
-    mode: str = "abs",
-) -> Tensor:
-    """Masked (B, N, K) weights renormalized over each node's K candidates.
-
-    ``abs`` divides by the sum of |w * m| (safe for signed weights);
-    ``plain`` divides by the plain sum.
-    """
-    if mode not in ("abs", "plain"):
-        raise ValueError(f"unknown normalization mode {mode!r}")
+def normalize_weights(w_dyn: Tensor, mask: Tensor) -> Tensor:
+    """Masked (B, N, K) weights divided by the sum of |w * m| over each
+    node's K candidates (safe for signed weights)."""
     wm = w_dyn * mask
-    summand = ad.abs_(wm) if mode == "abs" else wm
-    return wm / (summand.sum(axis=-1, keepdims=True) + eps)
+    return wm / (ad.abs_(wm).sum(axis=-1, keepdims=True) + NORM_EPS)
 
 
 def edge_weights(
@@ -267,9 +254,6 @@ def edge_weights(
     *,
     k_max: float,
     eta: float,
-    eps: float = 1e-8,
-    rank_mode: str = "abs",
-    norm_mode: str = "abs",
     h_src: Tensor | None = None,
 ) -> dict[str, Tensor | np.ndarray]:
     """Full dynamic-weight pipeline for one batch of node features.
@@ -283,9 +267,9 @@ def edge_weights(
     alpha = dynamic_attention(h_nodes, h_src, graph.nbr, params)
     gate, w_dyn = fuse_gate(h_nodes, h_src, graph.nbr, graph.w_static, alpha, params)
     beta = predict_beta(h_nodes, params, k_max)
-    ranks = compute_ranks(w_dyn.data, graph, mode=rank_mode)
+    ranks = compute_ranks(w_dyn.data, graph)
     mask = prune_mask(ranks, beta, eta)
-    w_tilde = normalize_weights(w_dyn, mask, eps=eps, mode=norm_mode)
+    w_tilde = normalize_weights(w_dyn, mask)
     return {
         "alpha": alpha,
         "gate": gate,

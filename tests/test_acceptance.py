@@ -243,7 +243,7 @@ def test_criterion_08_hard_topk_limit():
     graph = HybridGraph(np.tile(np.arange(per) + 10, (n, 1)), np.zeros((n, per), np.int8),
                         np.ones((n, per)), np.ones((n, per)), cross=True)
     w = rng.normal(size=(1, n, per))
-    ranks = compute_ranks(w, graph, mode="abs")
+    ranks = compute_ranks(w, graph)
     mask = prune_mask(ranks, Tensor(np.full((1, n), k + 0.5)), eta=50.0).data[0]
     saturated = bool(np.all((mask < 1e-4) | (mask > 1 - 1e-4)))
     exact = True

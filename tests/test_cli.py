@@ -6,6 +6,7 @@ import pytest
 
 from omniair import cli
 from omniair.cli import main
+from omniair.config import dict_hash
 from omniair.data import CHANNELS
 from omniair.inference import Forecast, predict_unseen, write_forecast_csv
 
@@ -193,6 +194,99 @@ class TestErrors:
         assert code == 2
         assert "buffer 'geo_std'" in capsys.readouterr().err
         assert not (tmp_path / "fc.csv").exists()
+
+    def _edited_checkpoint(self, ws, tmp_path, edit, rehash=True):
+        ck = tmp_path / "checkpoint"
+        shutil.copytree(ws / "run" / "checkpoint", ck)
+        manifest = json.loads((ck / "manifest.json").read_text())
+        edit(manifest, ck)
+        if rehash:
+            manifest["config_hash"] = dict_hash(manifest["config"])
+        (ck / "manifest.json").write_text(json.dumps(manifest))
+        return ck
+
+    def _predict(self, ws, ck, out):
+        return run(["predict", "--checkpoint", ck,
+                    "--stations", ws / "data" / "stations.csv",
+                    "--series", ws / "data" / "series.csv", "--out", out])
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--series", "x.csv"],
+        ["predict-unseen", "--series", "x.csv", "--new-stations", "n.csv"],
+        ["evaluate", "--series", "x.csv"],
+        ["export-embeddings"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("flag, value", [("--config", "x.json"), ("--seed", "3")])
+    def test_checkpoint_commands_reject_config_flags(self, argv, flag, value, capsys):
+        # the config comes from the checkpoint; a given one would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--checkpoint", "ck", "--stations", "s.csv", "--out", "o.csv",
+                         flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_config_hash_mismatch_exits_2(self, workspace, tmp_path, capsys):
+        ws, _ = workspace
+
+        def edit(manifest, ck):
+            manifest["config"]["restart"] = 0.3
+
+        ck = self._edited_checkpoint(ws, tmp_path, edit, rehash=False)
+        assert self._predict(ws, ck, tmp_path / "fc.csv") == 2
+        assert "manifest.json" in capsys.readouterr().err
+        assert not (tmp_path / "fc.csv").exists()
+
+    def test_legacy_checkpoint_predicts_same_bytes(self, workspace, tmp_path):
+        # earlier versions stored five more config fields at their kept
+        # values and a never-read fusion.w tensor
+        ws, _ = workspace
+
+        def edit(manifest, ck):
+            manifest["config"].update(fusion_mode="signed", rank_mode="abs", norm_mode="abs",
+                                      edge_source="last", eps_norm=1e-8)
+            l1 = manifest["config"]["diffusion_steps"] + 1
+            blob = ck / "params.bin"
+            manifest["params"].append({"name": "fusion.w", "shape": [l1], "dtype": "f64",
+                                       "offset": blob.stat().st_size})
+            with open(blob, "ab") as fh:
+                fh.write(np.zeros(l1, dtype="<f8").tobytes())
+
+        ck = self._edited_checkpoint(ws, tmp_path, edit)
+        assert self._predict(ws, ck, tmp_path / "legacy.csv") == 0
+        assert self._predict(ws, ws / "run" / "checkpoint", tmp_path / "fc.csv") == 0
+        assert (tmp_path / "legacy.csv").read_bytes() == (tmp_path / "fc.csv").read_bytes()
+
+    def test_missing_parameter_exits_2(self, workspace, tmp_path, capsys):
+        ws, _ = workspace
+
+        def edit(manifest, ck):
+            manifest["params"] = [e for e in manifest["params"] if e["name"] != "head.b2"]
+
+        ck = self._edited_checkpoint(ws, tmp_path, edit)
+        assert self._predict(ws, ck, tmp_path / "fc.csv") == 2
+        assert "parameter 'head.b2' is missing" in capsys.readouterr().err
+
+    def test_misshaped_parameter_exits_2(self, workspace, tmp_path, capsys):
+        ws, _ = workspace
+
+        def edit(manifest, ck):
+            entry = next(e for e in manifest["params"] if e["name"] == "out_gate.b")
+            entry["shape"] = [2, entry["shape"][0] // 2]
+
+        ck = self._edited_checkpoint(ws, tmp_path, edit)
+        assert self._predict(ws, ck, tmp_path / "fc.csv") == 2
+        assert "parameter 'out_gate.b' has shape" in capsys.readouterr().err
+
+    def test_removed_config_value_exits_2(self, workspace, tmp_path, capsys):
+        ws, _ = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fusion_mode": "sum"}))
+        code = run(["train", "--config", cfg,
+                    "--stations", ws / "data" / "stations.csv",
+                    "--series", ws / "data" / "series.csv", "--out", tmp_path / "run"])
+        assert code == 2
+        assert "fusion_mode='sum' is no longer supported" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_nonfinite_base_forecast_writes_no_csv(self, workspace, tmp_path, monkeypatch):
         # only the base forecast is broken; the new-station CSV must not appear

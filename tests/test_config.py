@@ -30,15 +30,8 @@ class TestRunConfig:
             RunConfig.from_dict({"bogus": 1})
 
     def test_bad_modes(self):
-        for key, value in (
-            ("fusion_mode", "x"),
-            ("coeff_mode", "x"),
-            ("rank_mode", "x"),
-            ("norm_mode", "x"),
-            ("edge_source", "x"),
-        ):
-            with pytest.raises(ValueError):
-                RunConfig(**{key: value})
+        with pytest.raises(ValueError):
+            RunConfig(coeff_mode="x")
 
     def test_json_roundtrip_and_hash(self, tmp_path):
         cfg = RunConfig(d_model=32, id_dim=32, seed=7)
@@ -55,6 +48,22 @@ class TestRunConfig:
         # configs and checkpoints of earlier versions carry ``workers``
         cfg = RunConfig.from_dict({"t_in": 12, "workers": 3})
         assert cfg.t_in == 12 and "workers" not in cfg.to_dict()
+
+    def test_removed_fields_load_at_their_kept_value(self):
+        # configs and checkpoints of earlier versions store these switches
+        legacy = {"fusion_mode": "signed", "rank_mode": "abs", "norm_mode": "abs",
+                  "edge_source": "last", "eps_norm": 1e-8}
+        cfg = RunConfig.from_dict({"t_in": 12, **legacy})
+        assert cfg.to_dict() == RunConfig(t_in=12).to_dict()
+        assert len(cfg.to_dict()) == 26
+
+    @pytest.mark.parametrize("name, value", [
+        ("fusion_mode", "softmax"), ("fusion_mode", "sum"), ("rank_mode", "signed"),
+        ("norm_mode", "plain"), ("edge_source", "mean"), ("eps_norm", 1e-6),
+    ])
+    def test_removed_field_at_other_value_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name}={value!r} is no longer supported"):
+            RunConfig.from_dict({name: value})
 
     def test_partial_json(self, tmp_path):
         p = tmp_path / "cfg.json"

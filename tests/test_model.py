@@ -30,18 +30,6 @@ class TestForwardBasics:
         with pytest.raises(ValueError):
             forward(tiny_params, tiny_state, np.zeros((1, 8, 99, 6)))
 
-    def test_fusion_modes_differ(self, tiny_state, tiny_params, tiny_batch):
-        import dataclasses
-
-        outs = {}
-        for mode in ("signed", "softmax", "sum"):
-            cfg = small_config(**{**tiny_state.cfg.to_dict(), "fusion_mode": mode})
-            state = dataclasses.replace(tiny_state, cfg=cfg)
-            outs[mode] = forward(tiny_params, state, tiny_batch.inputs).data
-        assert not np.allclose(outs["signed"], outs["softmax"])
-        assert not np.allclose(outs["sum"], outs["signed"])
-        assert not np.allclose(outs["sum"], outs["softmax"])
-
     def test_masked_loss_ignores_invalid(self):
         pred = Tensor(np.ones((1, 2, 2, 6)))
         target = np.zeros((1, 2, 2, 6))
@@ -66,7 +54,6 @@ class TestParameterInventory:
             "edge_gate.w", "edge_gate.b",
             "beta_mlp.w1", "beta_mlp.b1", "beta_mlp.w2", "beta_mlp.b2",
             "agg.wq", "agg.wk", "agg.step_bias",
-            "fusion.w",
             "out_gate.w", "out_gate.b",
             "head.w1", "head.b1", "head.w2", "head.b2",
         }
@@ -74,7 +61,6 @@ class TestParameterInventory:
         l1 = tiny_cfg.diffusion_steps + 1
         assert tiny_params["agg.step_bias"].shape == (l1,)
         np.testing.assert_array_equal(tiny_params["agg.step_bias"].data, 1.0)
-        assert tiny_params["fusion.w"].shape == (l1,)
 
     def test_every_parameter_receives_gradient(self, tiny_state, tiny_params, tiny_batch):
         from omniair.model import masked_mae_loss
@@ -82,11 +68,7 @@ class TestParameterInventory:
         target_norm = tiny_state.stats.normalize(tiny_batch.targets)
         pred = forward(tiny_params, tiny_state, tiny_batch.inputs)
         masked_mae_loss(pred, target_norm, tiny_batch.target_valid).backward()
-        # fusion.w only enters in softmax/sum modes; all else must train
-        quiet = {"fusion.w"}
         for name, p in tiny_params.items():
-            if name in quiet:
-                continue
             assert p.grad is not None and np.any(p.grad != 0), name
 
 

@@ -5,7 +5,16 @@ from hypothesis import strategies as st
 
 from omniair.config import RunConfig
 from omniair.data import chrono_split, make_windows
-from omniair.model import ModelState, build_state, forward, identity_input_dim, init_params
+from omniair.autodiff import no_grad
+from omniair.model import (
+    ExtensionState,
+    ModelState,
+    build_state,
+    forward,
+    forward_extension,
+    identity_input_dim,
+    init_params,
+)
 from omniair.oracle import (
     RDScenario,
     SourceSpec,
@@ -158,6 +167,21 @@ class TestDenseEquivalence:
         np.testing.assert_allclose(sparse, dense, atol=1e-12)
 
 
+def random_table(rng, n, k):
+    """(n, k) table of distinct non-self targets."""
+    return np.stack([(i + 1 + rng.permutation(n - 1)[:k]) % n for i in range(n)])
+
+
+def table_state(cfg, rng, nbr, cross=False):
+    km = rng.uniform(1.0, 300.0, size=nbr.shape)
+    graph = HybridGraph(nbr, np.zeros(nbr.shape, np.int8), km, np.exp(-km / 100.0),
+                        cross=cross)
+    n = len(nbr)
+    id_dim = identity_input_dim(cfg) - cfg.grade_embed
+    return ModelState(cfg, [], None, [], graph, rng.normal(size=(n, id_dim)),
+                      rng.integers(0, 6, n), np.empty((n, 0)))
+
+
 class TestTableLayoutProperty:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -165,25 +189,75 @@ class TestTableLayoutProperty:
         k=st.integers(1, 8),
         b=st.integers(1, 3),
         t_in=st.integers(1, 5),
+        coeff_mode=st.sampled_from(["signed", "positive"]),
         seed=st.integers(0, 2**31 - 1),
     )
-    def test_forward_matches_dense(self, n, k, b, t_in, seed):
+    def test_forward_matches_dense(self, n, k, b, t_in, coeff_mode, seed):
         # random (N, K) tables of distinct non-self targets, random inputs
         k = min(k, n - 1)
         rng = np.random.default_rng(seed)
         cfg = small_config(d_model=8, id_dim=8, heads=2, t_in=t_in, tau=2, batch=b,
-                           k_geo=k, k_sem=0, k_max=float(k))
-        nbr = np.stack([(i + 1 + rng.permutation(n - 1)[:k]) % n for i in range(n)])
-        km = rng.uniform(1.0, 300.0, size=nbr.shape)
-        graph = HybridGraph(nbr, np.zeros(nbr.shape, np.int8), km, np.exp(-km / 100.0))
-        id_dim = identity_input_dim(cfg) - cfg.grade_embed
-        state = ModelState(cfg, [], None, [], graph, rng.normal(size=(n, id_dim)),
-                           rng.integers(0, 6, n), np.empty((n, 0)))
+                           k_geo=k, k_sem=0, k_max=float(k), coeff_mode=coeff_mode)
+        state = table_state(cfg, rng, random_table(rng, n, k))
         params = init_params(cfg, rng)
         x = rng.normal(size=(b, t_in, n, 6))
         sparse = forward(params, state, x).data
         dense = dense_forward({name: p.data for name, p in params.items()}, state, x)
         assert np.abs(sparse - dense).max() < 1e-10
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        m=st.integers(1, 12),
+        k=st.integers(1, 6),
+        b=st.integers(1, 2),
+        t_in=st.integers(1, 4),
+        coeff_mode=st.sampled_from(["signed", "positive"]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_extension_matches_dense_union(self, n, m, k, b, t_in, coeff_mode, seed):
+        # new stations attached to a base graph forecast exactly as their rows
+        # of the union graph (base rows plus attachment rows) in the dense
+        # reference: base rows never gather from new nodes
+        k = min(k, n - 1)
+        rng = np.random.default_rng(seed)
+        cfg = small_config(d_model=8, id_dim=8, heads=2, t_in=t_in, tau=2, batch=b,
+                           k_geo=k, k_sem=0, k_max=float(k), coeff_mode=coeff_mode)
+        base = table_state(cfg, rng, random_table(rng, n, k))
+        new = table_state(cfg, rng, np.stack([rng.permutation(n)[:k] for _ in range(m)]),
+                          cross=True)
+        ext = ExtensionState([], [], new.graph, new.id_features, new.grades)
+        params = init_params(cfg, rng)
+        x, x_new = rng.normal(size=(b, t_in, n, 6)), rng.normal(size=(b, t_in, m, 6))
+        with no_grad():
+            base_out, extras = forward(params, base, x, collect=True)
+            new_out = forward_extension(params, base, ext, x_new, extras)
+
+        g, a = base.graph, new.graph
+        union = ModelState(
+            cfg, [], None, [],
+            HybridGraph(np.concatenate([g.nbr, a.nbr]), np.concatenate([g.kind, a.kind]),
+                        np.concatenate([g.km, a.km]), np.concatenate([g.w_static, a.w_static])),
+            np.concatenate([base.id_features, new.id_features]),
+            np.concatenate([base.grades, new.grades]), np.empty((n + m, 0)),
+        )
+        dense = dense_forward({name: p.data for name, p in params.items()}, union,
+                              np.concatenate([x, x_new], axis=2))
+        assert np.abs(base_out.data - dense[:, :, :n]).max() < 1e-10
+        assert np.abs(new_out.data - dense[:, :, n:]).max() < 1e-10
+
+    def test_extension_rejects_wrong_input_shape(self):
+        rng = np.random.default_rng(0)
+        cfg = small_config(d_model=8, id_dim=8, heads=2, t_in=3, tau=2, batch=1,
+                           k_geo=2, k_sem=0, k_max=2.0)
+        base = table_state(cfg, rng, random_table(rng, 5, 2))
+        new = table_state(cfg, rng, np.array([[0, 1], [2, 3]]), cross=True)
+        ext = ExtensionState([], [], new.graph, new.id_features, new.grades)
+        params = init_params(cfg, rng)
+        with no_grad():
+            _, extras = forward(params, base, rng.normal(size=(1, 3, 5, 6)), collect=True)
+            with pytest.raises(ValueError, match="bad input shape"):
+                forward_extension(params, base, ext, np.zeros((1, 3, 3, 6)), extras)
 
 
 class TestToyGradCheck:

@@ -11,7 +11,6 @@ from omniair.propagation import (
     forecast_head,
     fuse_and_gate,
     signed_aggregate,
-    softmax_fusion,
 )
 from omniair.topology import HybridGraph
 
@@ -38,7 +37,6 @@ def agg_params(d, heads, n_steps, rng=None, bias=None):
             np.ones(n_steps) if bias is None else np.asarray(bias, dtype=np.float64),
             requires_grad=True,
         ),
-        "fusion.w": Tensor(np.zeros(n_steps), requires_grad=True),
     }
 
 
@@ -255,13 +253,6 @@ class TestSignedAggregate:
 
 
 class TestFusionAndGate:
-    def test_softmax_fusion_uniform_at_zero(self):
-        rng = np.random.default_rng(8)
-        stack = [Tensor(rng.normal(size=(1, 2, 3, 4))) for _ in range(2)]
-        params = agg_params(4, 2, 2)
-        z = softmax_fusion(stack, params)
-        np.testing.assert_allclose(z.data, (stack[0].data + stack[1].data) / 2, rtol=1e-12)
-
     def test_gate_limits(self):
         rng = np.random.default_rng(9)
         z = Tensor(rng.normal(size=(2, 3, 4, 6)))

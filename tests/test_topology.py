@@ -279,26 +279,27 @@ class TestRanksAndMask:
         g = self._graph()
         rng = np.random.default_rng(0)
         w = rng.normal(size=(3, 2, 3))
-        r = compute_ranks(w, g, mode="abs")
+        r = compute_ranks(w, g)
         for b in range(3):
             assert sorted(r[b, 0]) == [1, 2, 3]
             assert sorted(r[b, 1]) == [1, 2, 3]
-        assert np.array_equal(r, compute_ranks(w, g, mode="abs"))
+        assert np.array_equal(r, compute_ranks(w, g))
 
     def test_abs_vs_signed_mode(self):
         g = self._graph()
         w = np.array([[[-5.0, 4.0, 1.0], [2.0, -3.0, 0.5]]])
-        r_abs = compute_ranks(w, g, mode="abs")
-        r_signed = compute_ranks(w, g, mode="signed")
+        # ranks follow magnitude, not signed value: the large negative
+        # candidates rank first
+        r_abs = compute_ranks(w, g)
         assert list(r_abs[0, 0]) == [1, 2, 3]
-        assert list(r_signed[0, 0]) == [3, 1, 2]
         assert list(r_abs[0, 1]) == [2, 1, 3]
-        assert list(r_signed[0, 1]) == [1, 3, 2]
+        by_value = np.argsort(np.argsort(-w, axis=-1), axis=-1) + 1
+        assert not np.array_equal(r_abs, by_value)
 
     def test_rank_tie_by_target_index(self):
         g = self._graph()
         w = np.array([[[0.5, 0.5, 0.5], [1.0, 1.0, 1.0]]])
-        r = compute_ranks(w, g, mode="abs")
+        r = compute_ranks(w, g)
         assert list(r[0, 0]) == [1, 2, 3]  # targets 1, 2, 3
         assert list(r[0, 1]) == [1, 3, 2]  # targets 0, 3, 2: lower index wins
 
@@ -329,7 +330,7 @@ class TestRanksAndMask:
         g = table_graph(np.tile(np.arange(per) + 10, (n, 1)))
         w = Tensor(rng.normal(size=(1, n, per)))
         k = 3
-        ranks = compute_ranks(w.data, g, mode="abs")
+        ranks = compute_ranks(w.data, g)
         beta = Tensor(np.full((1, n), k + 0.5))
         m = prune_mask(ranks, beta, eta=50.0).data[0]
         assert np.all((m < 1e-4) | (m > 1 - 1e-4))
@@ -346,23 +347,16 @@ class TestNormalization:
         rng = np.random.default_rng(3)
         w = Tensor(rng.normal(size=(4, 2, 3)))
         m = Tensor(rng.uniform(0, 1, size=(4, 2, 3)))
-        wt = normalize_weights(w, m, mode="abs").data
+        wt = normalize_weights(w, m).data
         for b in range(4):
             assert np.abs(wt[b, 0]).sum() <= 1.0 + 1e-9
             assert np.abs(wt[b, 1]).sum() <= 1.0 + 1e-9
-
-    def test_plain_mode_sum(self):
-        w = Tensor(np.array([[[1.0, 2.0, 3.0], [1.0, 1.0, 2.0]]]))
-        m = Tensor(np.ones((1, 2, 3)))
-        wt = normalize_weights(w, m, mode="plain", eps=0.0).data
-        np.testing.assert_allclose(wt[0, 0], [1 / 6, 2 / 6, 3 / 6], rtol=1e-12)
-        np.testing.assert_allclose(wt[0, 1], [1 / 4, 1 / 4, 2 / 4], rtol=1e-12)
 
     def test_signed_weights_survive_abs_mode(self):
         # candidates that cancel in a plain sum stay finite under abs
         w = Tensor(np.array([[[1.0, -1.0, 0.5], [1.0, -1.0, 0.0]]]))
         m = Tensor(np.ones((1, 2, 3)))
-        wt = normalize_weights(w, m, mode="abs").data
+        wt = normalize_weights(w, m).data
         assert np.isfinite(wt).all()
         assert np.abs(wt[0, 1]).sum() == pytest.approx(1.0, rel=1e-6)
 
@@ -370,51 +364,51 @@ class TestNormalization:
 class TestPruningGradient:
     """Gradient flow through the soft mask, against finite differences."""
 
-    def _toy(self, norm_mode, rng_seed=0):
+    def _toy(self, rng_seed=0):
         # 5-node toy graph, fixed dynamic weights, beta as the only variable
         rng = np.random.default_rng(rng_seed)
         n, per = 5, 4
         g = table_graph(np.tile(np.arange(per) + 100, (n, 1)))
         w_dyn = rng.normal(size=(1, n, per))
-        ranks = compute_ranks(w_dyn, g, mode="abs")
+        ranks = compute_ranks(w_dyn, g)
         beta0 = rng.uniform(1.0, 3.0, size=(1, n))
         return g, w_dyn, ranks, beta0
 
-    def _loss_grad(self, g, w_dyn, ranks, beta_val, coeff, eta, norm_mode):
+    def _loss_grad(self, g, w_dyn, ranks, beta_val, coeff, eta):
         beta = Tensor(beta_val, requires_grad=True)
         m = prune_mask(ranks, beta, eta)
-        wt = normalize_weights(Tensor(w_dyn), m, eps=1e-8, mode=norm_mode)
+        wt = normalize_weights(Tensor(w_dyn), m)
         loss = (wt * Tensor(coeff)).sum()
         loss.backward()
         return float(loss.data), beta.grad.copy()
 
     def test_reverse_mode_matches_finite_differences(self):
         eta = 4.0
-        for norm_mode in ("abs", "plain"):
-            g, w_dyn, ranks, beta0 = self._toy(norm_mode)
-            coeff = np.random.default_rng(1).normal(size=w_dyn.shape)
-            _, analytic = self._loss_grad(g, w_dyn, ranks, beta0, coeff, eta, norm_mode)
-            eps = 1e-6
-            for i in range(beta0.shape[1]):
-                hi = beta0.copy()
-                hi[0, i] += eps
-                lo = beta0.copy()
-                lo[0, i] -= eps
-                fhi, _ = self._loss_grad(g, w_dyn, ranks, hi, coeff, eta, norm_mode)
-                flo, _ = self._loss_grad(g, w_dyn, ranks, lo, coeff, eta, norm_mode)
-                numeric = (fhi - flo) / (2 * eps)
-                assert abs(analytic[0, i] - numeric) / max(1.0, abs(numeric)) < 1e-6
+        g, w_dyn, ranks, beta0 = self._toy()
+        coeff = np.random.default_rng(1).normal(size=w_dyn.shape)
+        _, analytic = self._loss_grad(g, w_dyn, ranks, beta0, coeff, eta)
+        eps = 1e-6
+        for i in range(beta0.shape[1]):
+            hi = beta0.copy()
+            hi[0, i] += eps
+            lo = beta0.copy()
+            lo[0, i] -= eps
+            fhi, _ = self._loss_grad(g, w_dyn, ranks, hi, coeff, eta)
+            flo, _ = self._loss_grad(g, w_dyn, ranks, lo, coeff, eta)
+            numeric = (fhi - flo) / (2 * eps)
+            assert abs(analytic[0, i] - numeric) / max(1.0, abs(numeric)) < 1e-6
 
     def test_threshold_gradient_formula_for_scale_free_loss(self):
         # The closed-form threshold gradient sum_j dL/dw~ * w~ * (1-m) * eta
         # drops the normalization-denominator path; it is exact when the loss
-        # is locally orthogonal to the weight vector within each node. Build
+        # is locally orthogonal to the weight vector within each node, since
+        # the |w m| denominator then only rescales w~ along itself. Build
         # such a loss and require all three quantities to agree.
         eta = 4.0
-        g, w_dyn, ranks, beta0 = self._toy("plain", rng_seed=3)
+        g, w_dyn, ranks, beta0 = self._toy(rng_seed=3)
         beta = Tensor(beta0, requires_grad=True)
         m = prune_mask(ranks, beta, eta)
-        wt = normalize_weights(Tensor(w_dyn), m, eps=1e-8, mode="plain")
+        wt = normalize_weights(Tensor(w_dyn), m)
         # per node, coefficients orthogonal to w~ at the evaluation point
         rng = np.random.default_rng(9)
         coeff = rng.normal(size=w_dyn.shape)
@@ -437,8 +431,8 @@ class TestPruningGradient:
             hi[0, i] += eps
             lo = beta0.copy()
             lo[0, i] -= eps
-            fhi, _ = self._loss_grad(g, w_dyn, ranks, hi, coeff, eta, "plain")
-            flo, _ = self._loss_grad(g, w_dyn, ranks, lo, coeff, eta, "plain")
+            fhi, _ = self._loss_grad(g, w_dyn, ranks, hi, coeff, eta)
+            flo, _ = self._loss_grad(g, w_dyn, ranks, lo, coeff, eta)
             numeric = (fhi - flo) / (2 * eps)
             assert abs(analytic[0, i] - numeric) / max(1.0, abs(numeric)) < 1e-6
 
