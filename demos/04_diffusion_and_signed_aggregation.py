@@ -25,8 +25,8 @@ h0 = Tensor(rng.normal(size=(1, 1, n, d)))
 
 print("== Diffusion stack with restart 0.2 ==")
 stack = diffuse(h0, weights, graph, steps=2, restart=0.2)
-for l, h in enumerate(stack):
-    print(f"  step {l}: node-0 state {np.round(h.data[0, 0, 0], 3)}")
+for l, h in enumerate(stack.data):
+    print(f"  step {l}: node-0 state {np.round(h[0, 0, 0], 3)}")
 
 print("\n== Forced coefficients (1, -1): graph-difference response ==")
 one_step = diffuse(h0, weights, graph, steps=1, restart=0.0)
@@ -45,10 +45,10 @@ print("\n== Convex-hull limitation of smoothing-only aggregation ==")
 params = {
     "agg.wq": Tensor(rng.normal(size=(2, 2, 2))),
     "agg.wk": Tensor(rng.normal(size=(2, 2, 2))),
-    "agg.step_bias": Tensor(np.ones(len(stack))),
+    "agg.step_bias": Tensor(np.ones(stack.shape[0])),
 }
 z_pos = signed_aggregate(stack, params, heads=2, mode="positive").data
-states = np.stack([h.data for h in stack])
+states = stack.data
 inside = np.all(z_pos >= states.min(axis=0) - 1e-12) and np.all(
     z_pos <= states.max(axis=0) + 1e-12
 )

@@ -38,14 +38,15 @@ def program():
 err = grad_check(program, params, samples_per_param=None)
 print(f"max relative gradient error over every coordinate: {err:.2e}")
 
-print("\n== Sparse message-passing primitives ==")
-values = Tensor(np.arange(10.0).reshape(1, 1, 5, 2), requires_grad=True)
+print("\n== Diffusion over a neighbour table as one tape op ==")
+h0 = Tensor(np.zeros((1, 1, 3, 2)))
+values = Tensor(np.arange(10.0).reshape(1, 1, 1, 5, 2), requires_grad=True)  # 5 source rows
 weights = Tensor(np.ones((1, 3, 2)), requires_grad=True)
 nbr = np.array([[0, 0], [3, 1], [4, 4]])  # (N, K) neighbour table, repeats allowed
-summed = ad.propagate(values, weights, nbr)
-print(f"weighted neighbour sums: {summed.data[0, 0, :, 0]}")
-summed.sum().backward()
-print(f"scatter-accumulated gradient: {values.grad[0, 0, :, 0]}")
+states = ad.diffuse(h0, weights, nbr, steps=1, restart=0.0, sources=values)
+print(f"weighted neighbour sums: {states.data[1, 0, 0, :, 0]}")
+states.sum().backward()
+print(f"gradient at the source rows (A^T 1): {values.grad[0, 0, 0, :, 0]}")
 
 print("\n== Adam on a least-squares toy ==")
 rng = np.random.default_rng(2)

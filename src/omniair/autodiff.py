@@ -5,11 +5,10 @@ while gradients are enabled, every primitive operation records the closure
 needed to push adjoints back to its inputs. Calling ``backward`` on a scalar
 replays those closures in reverse topological order. The operator set is
 exactly what the forecasting model needs (dense linear algebra, pointwise
-nonlinearities, row ``gather`` and the fused ``propagate`` op that does
-sparse message passing over a fixed-degree (N, K) neighbour table); there
-are no views and no dtype zoo. Both sparse ops scatter their input
-gradient with one ``np.bincount``, so repeated targets never go through
-``np.add.at``.
+nonlinearities, row ``gather`` and ``diffuse``, the whole multi-step restart
+diffusion over a fixed-degree (N, K) neighbour table as one node); there
+are no views and no dtype zoo. Repeated targets add up through
+``np.bincount``, never through ``np.add.at``.
 
 All data is float64 and all reductions run in a fixed order, so repeated
 forward+backward passes over identical inputs are bit-identical.
@@ -440,17 +439,25 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 # -- sparse message-passing primitives ----------------------------------------
 
-def _scatter_add(g: Array, idx: Array, n: int, axis: int) -> Array:
+def _scatter_bins(p: int, idx: Array, n: int, q: int) -> Array:
+    """Flat bincount index sending (p, idx.size, q) slices to (p, n, q)."""
+    flat = (np.arange(p)[:, None, None] * n + idx.reshape(1, -1, 1)) * q + np.arange(q)
+    return flat.reshape(-1)
+
+
+def _scatter_add(g: Array, idx: Array, n: int, axis: int, bins: Array | None = None) -> Array:
     """Adjoint of ``np.take(a, idx, axis)`` for an ``a`` with ``n`` rows there.
 
     ``g`` has the ``idx.shape`` axes in place of that axis. Slices sharing a
     target add up in index order through one ``np.bincount`` over a flat
-    (lead, target, tail) index, which is deterministic.
+    (lead, target, tail) index, which is deterministic. ``bins`` is that
+    index when the caller already holds it for a ``g`` of this shape.
     """
     lead, tail = g.shape[:axis], g.shape[axis + idx.ndim :]
     p, q = math.prod(lead), math.prod(tail)
-    flat = (np.arange(p)[:, None, None] * n + idx.reshape(1, -1, 1)) * q + np.arange(q)
-    out = np.bincount(flat.reshape(-1), weights=g.reshape(-1), minlength=p * n * q)
+    if bins is None:
+        bins = _scatter_bins(p, idx, n, q)
+    out = np.bincount(bins, weights=g.reshape(-1), minlength=p * n * q)
     return out.reshape(lead + (n,) + tail)
 
 
@@ -469,27 +476,124 @@ def gather(a: Tensor, idx: Array, axis: int) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def propagate(x: Tensor, w: Tensor, nbr: Array) -> Tensor:
-    """Weighted neighbour sum ``out[b,t,i] = sum_k w[b,i,k] * x[b,t,nbr[i,k]]``.
+# Diffusion runs on the dense per-batch operator A_b (N, N_src) when
+# N_src <= _DENSE_RATIO * K and on the (N, K) table otherwise. Measured on one
+# thread, the dense forward+backward is faster up to about 50 K source rows
+# and the dense forward up to 35-48 K when B * T >= 16; 32 K is below both.
+_DENSE_RATIO = 32
 
-    ``x`` is (B, T, N_src, D), ``w`` is (B, N, K) and ``nbr`` is an (N, K)
-    table of rows of ``x``; targets may repeat and N_src may differ from N.
-    The gathered (B, T, N, K, D) messages are kept for the weight gradient;
-    the input gradient is one scatter of the weighted cotangent.
+
+class _DenseOperator:
+    """``A_b[i, j] = sum_{k: nbr[i,k] = j} w[b,i,k]``: the weights scattered
+    to their flat (i, j) cells by one bincount."""
+
+    def __init__(self, w: Array, nbr: Array, n_src: int):
+        b, n, _ = w.shape
+        cells = np.arange(n)[:, None] * n_src + nbr
+        self.a = _scatter_add(w, cells, n * n_src, 1).reshape(b, n, n_src)
+        self.nbr = nbr
+
+    def apply(self, x: Array) -> Array:
+        return np.matmul(self.a[:, None], x)
+
+    def transposed(self, shape: tuple[int, ...]) -> Callable[[Array], Array]:
+        a_t = self.a.transpose(0, 2, 1)[:, None]
+        return lambda g: np.matmul(a_t, g)
+
+    def edge_grad(self, adj: Array, xs: Array) -> Array:
+        # sum over steps and time of adj x^T, sampled at the table
+        outer = np.einsum("lbtid,lbtjd->bij", adj, xs, optimize=True)
+        return outer[:, np.arange(len(self.nbr))[:, None], self.nbr]
+
+
+class _TableOperator:
+    """``(A x)[b,t,i] = sum_k w[b,i,k] * x[b,t,nbr[i,k]]`` on gathered
+    (B, T, N, K, D) messages, which ``apply`` keeps when the weight gradient
+    will need them."""
+
+    def __init__(self, w: Array, nbr: Array, n_src: int, keep_msgs: bool):
+        self.w, self.nbr, self.n_src, self.keep_msgs = w, nbr, n_src, keep_msgs
+        self.msgs: list[Array] = []
+
+    def apply(self, x: Array) -> Array:
+        msgs = np.take(x, self.nbr, axis=2)
+        if self.keep_msgs:
+            self.msgs.append(msgs)
+        return np.einsum("btnkd,bnk->btnd", msgs, self.w)
+
+    def transposed(self, shape: tuple[int, ...]) -> Callable[[Array], Array]:
+        # one flat scatter index for every step of one backward, freed with it
+        b, t, _, d = shape
+        bins = _scatter_bins(b * t, self.nbr, self.n_src, d)
+
+        def apply_t(g: Array) -> Array:
+            weighted = g[:, :, :, None, :] * self.w[:, None, :, :, None]
+            return _scatter_add(weighted, self.nbr, self.n_src, 2, bins)
+
+        return apply_t
+
+    def edge_grad(self, adj: Array, xs: Array) -> Array:
+        # the messages gathered from xs in the forward
+        return sum(np.einsum("btnd,btnkd->bnk", a, m) for a, m in zip(adj, self.msgs))
+
+
+def diffuse(
+    h0: Tensor,
+    w: Tensor,
+    nbr: Array,
+    steps: int,
+    restart: float,
+    sources: Tensor | None = None,
+) -> Tensor:
+    """All L+1 restart-diffusion states as one (L+1, B, T, N, D) tensor.
+
+    ``s_0 = h0`` and ``s_l = A x_l + restart * h0`` with
+    ``(A x)[b,t,i] = sum_k w[b,i,k] * x[b,t,nbr[i,k]]``. ``h0`` is
+    (B, T, N, D), ``w`` is (B, N, K) and ``nbr`` an (N, K) table whose
+    targets may repeat. ``x_l`` is ``s_{l-1}``, or ``sources[l-1]`` when a
+    stack of another graph's states is given (N_src rows, read, never
+    written). The backward runs the L adjoint steps: the input gradient is
+    ``A^T a`` and the weight gradient ``a x^T`` sampled at the table.
     """
-    x, w = as_tensor(x), as_tensor(w)
+    h0, w = as_tensor(h0), as_tensor(w)
+    if not steps:
+        return reshape(h0, (1,) + h0.shape)
+    src = None if sources is None else as_tensor(sources)
     nbr = np.asarray(nbr, dtype=np.intp)
-    msgs = np.take(x.data, nbr, axis=2)
-    data = np.einsum("btnkd,bnk->btnd", msgs, w.data)
+    n_src = h0.shape[2] if src is None else src.shape[3]
+    if n_src <= _DENSE_RATIO * nbr.shape[1]:
+        op = _DenseOperator(w.data, nbr, n_src)
+    else:
+        op = _TableOperator(w.data, nbr, n_src, keep_msgs=grad_enabled() and w.requires_grad)
+    restart_h0 = restart * h0.data
+    states = [h0.data]
+    for l in range(steps):
+        x = states[-1] if src is None else src.data[l]
+        states.append(op.apply(x) + restart_h0)
+    out = np.stack(states)
 
     def backward(g: Array) -> None:
+        if src is None:  # a_l = g_l + A^T a_{l+1}
+            apply_t = op.transposed(h0.shape)
+            adj = np.empty_like(g)
+            adj[steps] = g[steps]
+            for l in range(steps - 1, -1, -1):
+                np.add(g[l], apply_t(adj[l + 1]), out=adj[l])
+            xs = out[:-1]
+        else:
+            adj, xs = g, src.data[:steps]
+            if src.requires_grad:
+                apply_t = op.transposed(h0.shape)
+                dsrc = np.zeros_like(src.data)
+                for l in range(1, steps + 1):
+                    dsrc[l - 1] = apply_t(g[l])
+                src._accumulate(dsrc)
+        if h0.requires_grad:
+            h0._accumulate(adj[0] + restart * adj[1:].sum(axis=0))
         if w.requires_grad:
-            w._accumulate(np.einsum("btnd,btnkd->bnk", g, msgs))
-        if x.requires_grad:
-            weighted = g[:, :, :, None, :] * w.data[:, None, :, :, None]
-            x._accumulate(_scatter_add(weighted, nbr, x.shape[2], axis=2))
+            w._accumulate(op.edge_grad(adj[1:], xs))
 
-    return _node(data, (x, w), backward)
+    return _node(out, (h0, w) if src is None else (h0, w, src), backward)
 
 
 # -- gradient checking ---------------------------------------------------------

@@ -15,7 +15,9 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import RunConfig, dict_hash
-from .model import init_params
+from .data import CHANNELS
+from .encoder import CONTEXT_DIM
+from .model import N_GEO_FEATURES, init_params
 
 FORMAT = "omniair-checkpoint-v1"
 # stored by earlier versions, never read: ``fusion.w`` fed a removed fusion mode
@@ -95,12 +97,51 @@ def _check_inventory(params: dict[str, np.ndarray], config: RunConfig, where) ->
             )
 
 
+def _buffer_shapes(n: int, per_station: bool) -> dict[str, tuple[int, ...]]:
+    """Shape of each ``training.model_buffers`` entry for ``n`` stations."""
+    channels = (n, len(CHANNELS)) if per_station else (len(CHANNELS),)
+    return {
+        "per_station_norm": (1,),
+        "channel_mean": channels,
+        "channel_std": channels,
+        "geo_mean": (N_GEO_FEATURES,),
+        "geo_std": (N_GEO_FEATURES,),
+        "context_vectors": (n, CONTEXT_DIM),
+        "context_centroids": (n, 2),
+        "context_fallback": (n,),
+        "grades": (n,),
+    }
+
+
+def _check_buffers(buffers: dict[str, np.ndarray], manifest: dict, where) -> None:
+    """Every model buffer, at the shape its station count and normalization
+    mode need, and nothing else."""
+    names = set(_buffer_shapes(0, False))
+    for name in sorted(names | set(buffers)):
+        if name not in buffers:
+            raise ValueError(f"{where}: buffer {name!r} is missing")
+        if name not in names:
+            raise ValueError(f"{where}: unknown buffer {name!r}")
+    flag = buffers["per_station_norm"]
+    per_station = flag.shape == (1,) and bool(flag[0])
+    n = len(manifest.get("station_ids", buffers["context_vectors"]))
+    for name, shape in _buffer_shapes(n, per_station).items():
+        if buffers[name].shape != shape:
+            raise ValueError(
+                f"{where}: buffer {name!r} has shape {buffers[name].shape}, {n} stations "
+                f"with per_station_norm={per_station} need {shape}"
+            )
+
+
 def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], dict[str, np.ndarray], RunConfig, dict]:
     ckpt = Path(ckpt_dir)
     with open(ckpt / "manifest.json") as fh:
         manifest = json.load(fh)
     if manifest.get("format") != FORMAT:
         raise ValueError(f"{ckpt_dir}: not a recognized checkpoint")
+    for key in ("config", "params", "buffers"):
+        if key not in manifest:
+            raise ValueError(f"{ckpt / 'manifest.json'}: the manifest has no {key!r} entry")
     # hash the stored dict: loading drops the fields of earlier versions
     if dict_hash(manifest["config"]) != manifest.get("config_hash"):
         raise ValueError(f"{ckpt / 'manifest.json'}: config does not match its config_hash")
@@ -117,6 +158,7 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], dict[str, np.ndarray],
     for name in LEGACY_PARAMS:
         params.pop(name, None)
     _check_inventory(params, config, ckpt / "manifest.json")
+    _check_buffers(buffers, manifest, ckpt / "manifest.json")
     for kind, arrays in (("parameter", params), ("buffer", buffers)):
         for name, arr in arrays.items():
             if not np.isfinite(arr).all():

@@ -1,10 +1,13 @@
 """Graph diffusion with restart, signed spectral aggregation over diffusion
 states, identity-gated fusion, and the forecast head.
 
-All station mixing happens through ``propagate`` over the (N, K) neighbour
-table; no operation ever materializes an N x N matrix. Aggregation runs all
-heads and diffusion states as one (L, B, T, N, D) tensor with block-diagonal
-per-head maps, and the identity gate projects ``e_id`` once per node.
+All station mixing happens in ``ad.diffuse``, one tape op for every step.
+On graphs with at most ``ad._DENSE_RATIO`` * K source stations it runs on the
+per-batch (N, N_src) operator built from the (N, K) neighbour table; on
+larger graphs it gathers from the table, and nothing N x N is formed.
+Aggregation runs all heads over the (L, B, T, N, D) state stack with
+block-diagonal per-head maps, and the identity gate projects ``e_id`` once
+per node.
 Signed aggregation is the only way diffusion states are combined; its
 ``positive`` mode (a softmax over steps) is the smoothing-only control.
 """
@@ -26,23 +29,19 @@ def diffuse(
     graph: HybridGraph,
     steps: int,
     restart: float,
-    h_src_stack: list[Tensor] | None = None,
-) -> list[Tensor]:
+    h_src_stack: Tensor | None = None,
+) -> Tensor:
     """Multi-step diffusion h^(l) = sum_j w~_ij h_j^(l-1) + restart * h^(0).
 
     ``h0`` is (B, T, N, D); ``w_tilde`` is (B, N, K) over ``graph.nbr``.
-    Returns all L+1 states. When ``h_src_stack`` is given, messages are
-    gathered from those states instead of the receiving stack (directed
-    attachment of new nodes).
+    Returns all L+1 states as one (L+1, B, T, N, D) tensor. When
+    ``h_src_stack`` (another run's stack) is given, messages are gathered
+    from its states instead of the receiving stack (directed attachment of
+    new nodes).
     """
     if not 0.0 <= restart < 1.0:
         raise ValueError("restart probability must be in [0, 1)")
-    stack = [h0]
-    restart_h0 = restart * h0
-    for step in range(steps):
-        source = h_src_stack[step] if h_src_stack is not None else stack[-1]
-        stack.append(ad.propagate(source, w_tilde, graph.nbr) + restart_h0)
-    return stack
+    return ad.diffuse(h0, w_tilde, graph.nbr, steps, restart, h_src_stack)
 
 
 def _block_diagonal(w: Tensor) -> Tensor:
@@ -53,13 +52,14 @@ def _block_diagonal(w: Tensor) -> Tensor:
 
 
 def signed_aggregate(
-    stack: list[Tensor],
+    stack: Tensor,
     params: dict[str, Tensor],
     heads: int,
     mode: str = "signed",
     forced_coeffs: np.ndarray | None = None,
 ) -> Tensor:
-    """Combine diffusion states with per-node step coefficients.
+    """Combine the (L, B, T, N, D) diffusion states with per-node step
+    coefficients.
 
     Per head, a pooled query attends over the per-step keys; ``signed`` mode
     squashes scores through tanh and multiplies the learnable step bias, so
@@ -68,30 +68,26 @@ def signed_aggregate(
     combination, used as the smoothing-only control). ``forced_coeffs``
     bypasses attention entirely and applies the given per-step constants.
 
-    All heads and states run in one pass: the states are stacked to
-    (L, B, T, N, D), the per-head maps act as block-diagonal (D, D) matrices,
-    and scores and coefficients are (L, B, T, N, H).
+    All heads and states run in one pass: the per-head maps act as
+    block-diagonal (D, D) matrices, and scores and coefficients are
+    (L, B, T, N, H).
     """
-    n_steps = len(stack)
+    n_steps, lead, d = stack.shape[0], stack.shape[1:-1], stack.shape[-1]
     if forced_coeffs is not None:
         if len(forced_coeffs) != n_steps:
             raise ValueError("forced_coeffs must provide one value per state")
-        out = float(forced_coeffs[0]) * stack[0]
-        for l in range(1, n_steps):
-            out = out + float(forced_coeffs[l]) * stack[l]
-        return out
+        coeffs = np.asarray(forced_coeffs, dtype=np.float64)
+        return (stack * coeffs.reshape((n_steps,) + (1,) * (stack.ndim - 1))).sum(axis=0)
     if mode not in ("signed", "positive"):
         raise ValueError(f"unknown aggregation mode {mode!r}")
-    lead, d = stack[0].shape[:-1], stack[0].shape[-1]
     if d % heads != 0:
         raise ValueError(f"head count {heads} must divide feature dim {d}")
     dh = d // heads
     wq, wk = params["agg.wq"], params["agg.wk"]
     if wq.shape != (heads, dh, dh) or wk.shape != (heads, dh, dh):
         raise ValueError(f"agg.wq/agg.wk must be ({heads}, {dh}, {dh}) for {heads} heads")
-    states = ad.concat([h.reshape((1,) + h.shape) for h in stack], axis=0)
-    query = ad.matmul(states.mean(axis=0), _block_diagonal(wq))
-    key = ad.matmul(states, _block_diagonal(wk))
+    query = ad.matmul(stack.mean(axis=0), _block_diagonal(wq))
+    key = ad.matmul(stack, _block_diagonal(wk))
     per_head = (n_steps,) + lead + (heads, dh)
     scores = (key * query).reshape(per_head).sum(axis=-1) * (1.0 / math.sqrt(dh))
     if mode == "signed":
@@ -99,7 +95,7 @@ def signed_aggregate(
         coeffs = ad.tanh(scores) * bias
     else:
         coeffs = ad.softmax(scores, axis=0)
-    out = coeffs.reshape(coeffs.shape + (1,)) * states.reshape(per_head)
+    out = coeffs.reshape(coeffs.shape + (1,)) * stack.reshape(per_head)
     return out.sum(axis=0).reshape(lead + (d,))
 
 

@@ -1,6 +1,10 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from omniair import autodiff as ad
 from omniair.config import RunConfig
 from omniair.data import chrono_split, make_windows
 from omniair.model import build_state, init_params
@@ -27,6 +31,16 @@ def small_config(**overrides) -> RunConfig:
     )
     base.update(overrides)
     return RunConfig(**base)
+
+
+REGIMES = ("dense", "table")
+
+
+@contextlib.contextmanager
+def diffusion_regime(regime: str):
+    """Force ``ad.diffuse`` onto its dense per-batch operator or its table."""
+    with mock.patch.object(ad, "_DENSE_RATIO", {"dense": 10**9, "table": 0}[regime]):
+        yield
 
 
 @pytest.fixture(scope="session")

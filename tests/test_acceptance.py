@@ -138,7 +138,7 @@ def test_criterion_05_signed_aggregation_necessity():
     hull_ok = True
     for _ in range(100):
         d, heads, steps = 8, 4, 3
-        stack = [Tensor(rng.normal(size=(1, 2, 5, d))) for _ in range(steps)]
+        stack = Tensor(rng.normal(size=(steps, 1, 2, 5, d)))
         dh = d // heads
         params = {
             "agg.wq": Tensor(rng.normal(size=(heads, dh, dh))),
@@ -146,7 +146,7 @@ def test_criterion_05_signed_aggregation_necessity():
             "agg.step_bias": Tensor(np.ones(steps)),
         }
         z = signed_aggregate(stack, params, heads=heads, mode="positive").data
-        states = np.stack([h.data for h in stack])
+        states = stack.data
         if not (np.all(z >= states.min(axis=0) - 1e-12)
                 and np.all(z <= states.max(axis=0) + 1e-12)):
             hull_ok = False
@@ -164,7 +164,7 @@ def test_criterion_05_signed_aggregation_necessity():
         "agg.step_bias": Tensor(np.ones(2)),
     }
     z = signed_aggregate(stack, params, heads=2, forced_coeffs=np.array([1.0, -1.0]))
-    structural = np.array_equal(z.data, stack[0].data - stack[1].data)
+    structural = np.array_equal(z.data, stack.data[0] - stack.data[1])
     dense = np.zeros((graph.n_nodes, graph.n_nodes))
     dense[np.arange(graph.n_nodes)[:, None], graph.nbr] = w[0]
     oracle = h0 - np.einsum("ij,btjd->btid", dense, h0)

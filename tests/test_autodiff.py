@@ -5,6 +5,8 @@ from omniair import autodiff as ad
 from omniair.autodiff import Tensor, grad_check, no_grad
 from omniair.optim import Adam
 
+from conftest import REGIMES, diffusion_regime
+
 
 def check_op(build, shapes, seed=0, tol=1e-6):
     """grad_check an op in isolation on random small tensors."""
@@ -77,17 +79,48 @@ class TestOpGradients:
         cot = Tensor(np.random.default_rng(1).normal(size=(2, 3, 2, 2)))
         check_op(lambda a: ad.gather(a, idx, axis=1) * cot, [(2, 3, 2)])
 
-    def test_propagate_repeated_targets(self):
+    def test_diffuse_repeated_targets(self):
         # square table whose rows repeat targets; both x and w are checked
         nbr = np.array([[1, 1, 2], [0, 3, 3], [2, 2, 2], [0, 1, 3]])
-        cot = Tensor(np.random.default_rng(2).normal(size=(2, 3, 4, 2)))
-        check_op(lambda x, w: ad.propagate(x, w, nbr) * cot, [(2, 3, 4, 2), (2, 4, 3)])
+        cot = Tensor(np.random.default_rng(2).normal(size=(2, 2, 3, 4, 2)))
+        for regime in REGIMES:
+            with diffusion_regime(regime):
+                check_op(lambda x, w: ad.diffuse(x, w, nbr, 1, 0.0) * cot,
+                         [(2, 3, 4, 2), (2, 4, 3)])
 
-    def test_propagate_cross_table(self):
+    def test_diffuse_cross_table(self):
         # 3 receiving nodes drawing from 5 source rows (N_src != N)
         nbr = np.array([[4, 4], [0, 2], [2, 4]])
-        cot = Tensor(np.random.default_rng(3).normal(size=(2, 2, 3, 3)))
-        check_op(lambda x, w: ad.propagate(x, w, nbr) * cot, [(2, 2, 5, 3), (2, 3, 2)])
+        cot = Tensor(np.random.default_rng(3).normal(size=(2, 2, 2, 3, 3)))
+        for regime in REGIMES:
+            with diffusion_regime(regime):
+                check_op(lambda h, w, x: ad.diffuse(h, w, nbr, 1, 0.0, sources=x) * cot,
+                         [(2, 2, 3, 3), (2, 3, 2), (1, 2, 2, 5, 3)])
+
+
+class TestDiffuseGradients:
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    @pytest.mark.parametrize("cross", [False, True], ids=["own", "cross"])
+    def test_grad_check(self, regime, steps, cross):
+        # rows repeat targets; with sources, 4 nodes draw from 6 source rows
+        nbr = np.array([[1, 1, 3], [0, 2, 2], [3, 3, 3], [0, 1, 5 if cross else 2]])
+        rng = np.random.default_rng(steps)
+        params = {
+            "h0": Tensor(rng.normal(size=(2, 3, 4, 2)), requires_grad=True),
+            "w": Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True),
+        }
+        if cross:
+            params["src"] = Tensor(rng.normal(size=(max(steps, 1), 2, 3, 6, 2)),
+                                   requires_grad=True)
+        cot = Tensor(rng.normal(size=(steps + 1, 2, 3, 4, 2)))
+
+        def f():
+            out = ad.diffuse(params["h0"], params["w"], nbr, steps, 0.3, params.get("src"))
+            return (out * cot).sum()
+
+        with diffusion_regime(regime):
+            assert grad_check(f, params, samples_per_param=None) < 1e-6
 
 
 class TestOpSemantics:
@@ -105,25 +138,29 @@ class TestOpSemantics:
         y.sum().backward()
         np.testing.assert_allclose(x.grad, 0.0, atol=1e-15)
 
-    def test_propagate_matches_dense_onehot(self):
-        # forward equals the dense matmul with the one-hot expanded table,
-        # backward its transpose (x) and the per-edge inner product (w)
+    def test_diffuse_matches_dense_onehot(self):
+        # one step from a source stack equals the dense matmul with the
+        # one-hot expanded table; backward is its transpose (x) and the
+        # per-edge inner product (w)
         rng = np.random.default_rng(0)
         nbr = np.array([[0, 3], [3, 3], [1, 2]])
         onehot = np.zeros((3, 2, 4))
         onehot[np.arange(3)[:, None], np.arange(2), nbr] = 1.0
-        x = Tensor(rng.normal(size=(2, 2, 4, 3)), requires_grad=True)
-        w = Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True)
-        out = ad.propagate(x, w, nbr)
-        adj = np.einsum("bik,iks->bis", w.data, onehot)
-        np.testing.assert_allclose(out.data, np.einsum("bis,btsd->btid", adj, x.data),
-                                   atol=1e-14)
-
-        cot = rng.normal(size=out.shape)
-        (out * Tensor(cot)).sum().backward()
-        np.testing.assert_allclose(x.grad, np.einsum("bis,btid->btsd", adj, cot), atol=1e-14)
-        dw = np.einsum("btid,iks,btsd->bik", cot, onehot, x.data)
-        np.testing.assert_allclose(w.grad, dw, atol=1e-14)
+        h0 = Tensor(np.zeros((2, 2, 3, 3)))
+        x_data, w_data = rng.normal(size=(1, 2, 2, 4, 3)), rng.normal(size=(2, 3, 2))
+        adj = np.einsum("bik,iks->bis", w_data, onehot)
+        cot = rng.normal(size=(2, 2, 2, 3, 3))
+        for regime in REGIMES:
+            x, w = Tensor(x_data, requires_grad=True), Tensor(w_data, requires_grad=True)
+            with diffusion_regime(regime):
+                out = ad.diffuse(h0, w, nbr, 1, 0.0, sources=x)
+            np.testing.assert_allclose(out.data[1], np.einsum("bis,btsd->btid", adj, x_data[0]),
+                                       atol=1e-14)
+            (out * Tensor(cot)).sum().backward()
+            np.testing.assert_allclose(x.grad[0], np.einsum("bis,btid->btsd", adj, cot[1]),
+                                       atol=1e-14)
+            dw = np.einsum("btid,iks,btsd->bik", cot[1], onehot, x_data[0])
+            np.testing.assert_allclose(w.grad, dw, atol=1e-14)
 
     def test_shared_first_gradient_does_not_leak(self):
         # add hands one cotangent to both operands; a later contribution to

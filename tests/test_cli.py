@@ -277,6 +277,33 @@ class TestErrors:
         assert self._predict(ws, ck, tmp_path / "fc.csv") == 2
         assert "parameter 'out_gate.b' has shape" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["params", "buffers", "config"])
+    def test_manifest_without_section_exits_2(self, workspace, tmp_path, capsys, key):
+        ws, _ = workspace
+
+        def edit(manifest, ck):
+            del manifest[key]
+
+        ck = self._edited_checkpoint(ws, tmp_path, edit, rehash=False)
+        assert self._predict(ws, ck, tmp_path / "fc.csv") == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and f"no {key!r} entry" in err
+        assert not (tmp_path / "fc.csv").exists()
+
+    def test_misshaped_buffer_exits_2(self, workspace, tmp_path, capsys):
+        # same byte count, so only the shape check can catch it
+        ws, _ = workspace
+
+        def edit(manifest, ck):
+            entry = next(e for e in manifest["buffers"] if e["name"] == "channel_mean")
+            entry["shape"] = [2, entry["shape"][0] // 2]
+
+        ck = self._edited_checkpoint(ws, tmp_path, edit)
+        assert self._predict(ws, ck, tmp_path / "fc.csv") == 2
+        err = capsys.readouterr().err
+        assert "buffer 'channel_mean' has shape (2, 3)" in err and "15 stations" in err
+        assert not (tmp_path / "fc.csv").exists()
+
     def test_removed_config_value_exits_2(self, workspace, tmp_path, capsys):
         ws, _ = workspace
         cfg = tmp_path / "cfg.json"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omniair import autodiff as ad
 from omniair.config import RunConfig
 from omniair.data import chrono_split, make_windows
 from omniair.autodiff import no_grad
@@ -28,7 +29,7 @@ from omniair.oracle import (
 
 from omniair.topology import HybridGraph
 
-from conftest import small_config
+from conftest import REGIMES, diffusion_regime, small_config
 
 
 class TestSimulator:
@@ -182,30 +183,69 @@ def table_state(cfg, rng, nbr, cross=False):
                       rng.integers(0, 6, n), np.empty((n, 0)))
 
 
+def masked_inputs(rng, shape, missing):
+    """Normalized inputs, zero-imputed where a random validity mask is off
+    (as ``make_windows`` feeds the model)."""
+    return np.where(rng.random(shape) < missing, 0.0, rng.normal(size=shape))
+
+
+def extension_vs_dense(cfg, rng, n, m, k, missing):
+    """Max deviation of the base and extension forecasts from the rows of the
+    dense reference on the union graph (base rows plus attachment rows)."""
+    base = table_state(cfg, rng, random_table(rng, n, k))
+    new = table_state(cfg, rng, np.stack([rng.permutation(n)[:k] for _ in range(m)]),
+                      cross=True)
+    ext = ExtensionState([], [], new.graph, new.id_features, new.grades)
+    params = init_params(cfg, rng)
+    b, t_in = cfg.batch, cfg.t_in
+    x = masked_inputs(rng, (b, t_in, n, 6), missing)
+    x_new = masked_inputs(rng, (b, t_in, m, 6), missing)
+    with no_grad():
+        base_out, extras = forward(params, base, x, collect=True)
+        new_out = forward_extension(params, base, ext, x_new, extras)
+
+    g, a = base.graph, new.graph
+    union = ModelState(
+        cfg, [], None, [],
+        HybridGraph(np.concatenate([g.nbr, a.nbr]), np.concatenate([g.kind, a.kind]),
+                    np.concatenate([g.km, a.km]), np.concatenate([g.w_static, a.w_static])),
+        np.concatenate([base.id_features, new.id_features]),
+        np.concatenate([base.grades, new.grades]), np.empty((n + m, 0)),
+    )
+    dense = dense_forward({name: p.data for name, p in params.items()}, union,
+                          np.concatenate([x, x_new], axis=2))
+    return max(np.abs(base_out.data - dense[:, :, :n]).max(),
+               np.abs(new_out.data - dense[:, :, n:]).max())
+
+
 class TestTableLayoutProperty:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(
         n=st.integers(2, 64),
         k=st.integers(1, 8),
         b=st.integers(1, 3),
         t_in=st.integers(1, 5),
         coeff_mode=st.sampled_from(["signed", "positive"]),
+        regime=st.sampled_from(REGIMES),
+        missing=st.sampled_from([0.0, 0.5, 1.0]),
         seed=st.integers(0, 2**31 - 1),
     )
-    def test_forward_matches_dense(self, n, k, b, t_in, coeff_mode, seed):
+    def test_forward_matches_dense(self, n, k, b, t_in, coeff_mode, regime, missing, seed):
         # random (N, K) tables of distinct non-self targets, random inputs
+        # with a random share of them missing
         k = min(k, n - 1)
         rng = np.random.default_rng(seed)
         cfg = small_config(d_model=8, id_dim=8, heads=2, t_in=t_in, tau=2, batch=b,
                            k_geo=k, k_sem=0, k_max=float(k), coeff_mode=coeff_mode)
         state = table_state(cfg, rng, random_table(rng, n, k))
         params = init_params(cfg, rng)
-        x = rng.normal(size=(b, t_in, n, 6))
-        sparse = forward(params, state, x).data
+        x = masked_inputs(rng, (b, t_in, n, 6), missing)
+        with diffusion_regime(regime):
+            sparse = forward(params, state, x).data
         dense = dense_forward({name: p.data for name, p in params.items()}, state, x)
         assert np.abs(sparse - dense).max() < 1e-10
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=25, deadline=None)
     @given(
         n=st.integers(2, 40),
         m=st.integers(1, 12),
@@ -213,38 +253,36 @@ class TestTableLayoutProperty:
         b=st.integers(1, 2),
         t_in=st.integers(1, 4),
         coeff_mode=st.sampled_from(["signed", "positive"]),
+        regime=st.sampled_from(REGIMES),
+        missing=st.sampled_from([0.0, 0.5, 1.0]),
         seed=st.integers(0, 2**31 - 1),
     )
-    def test_extension_matches_dense_union(self, n, m, k, b, t_in, coeff_mode, seed):
+    def test_extension_matches_dense_union(self, n, m, k, b, t_in, coeff_mode, regime,
+                                           missing, seed):
         # new stations attached to a base graph forecast exactly as their rows
-        # of the union graph (base rows plus attachment rows) in the dense
-        # reference: base rows never gather from new nodes
+        # of the union graph in the dense reference: base rows never gather
+        # from new nodes
         k = min(k, n - 1)
-        rng = np.random.default_rng(seed)
         cfg = small_config(d_model=8, id_dim=8, heads=2, t_in=t_in, tau=2, batch=b,
                            k_geo=k, k_sem=0, k_max=float(k), coeff_mode=coeff_mode)
-        base = table_state(cfg, rng, random_table(rng, n, k))
-        new = table_state(cfg, rng, np.stack([rng.permutation(n)[:k] for _ in range(m)]),
-                          cross=True)
-        ext = ExtensionState([], [], new.graph, new.id_features, new.grades)
-        params = init_params(cfg, rng)
-        x, x_new = rng.normal(size=(b, t_in, n, 6)), rng.normal(size=(b, t_in, m, 6))
-        with no_grad():
-            base_out, extras = forward(params, base, x, collect=True)
-            new_out = forward_extension(params, base, ext, x_new, extras)
+        with diffusion_regime(regime):
+            dev = extension_vs_dense(cfg, np.random.default_rng(seed), n, m, k, missing)
+        assert dev < 1e-10
 
-        g, a = base.graph, new.graph
-        union = ModelState(
-            cfg, [], None, [],
-            HybridGraph(np.concatenate([g.nbr, a.nbr]), np.concatenate([g.kind, a.kind]),
-                        np.concatenate([g.km, a.km]), np.concatenate([g.w_static, a.w_static])),
-            np.concatenate([base.id_features, new.id_features]),
-            np.concatenate([base.grades, new.grades]), np.empty((n + m, 0)),
-        )
-        dense = dense_forward({name: p.data for name, p in params.items()}, union,
-                              np.concatenate([x, x_new], axis=2))
-        assert np.abs(base_out.data - dense[:, :, :n]).max() < 1e-10
-        assert np.abs(new_out.data - dense[:, :, n:]).max() < 1e-10
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at_ratio", "above_ratio"])
+    def test_regime_boundary_matches_dense(self, extra, monkeypatch):
+        # N_src = ratio * K still runs on the dense operator, one source row
+        # more on the table; both match the reference (K=1 keeps the union
+        # graph within the reference's 64 stations)
+        k = 1
+        n = ad._DENSE_RATIO * k + extra
+        dense_ops = []
+        real = ad._DenseOperator
+        monkeypatch.setattr(ad, "_DenseOperator", lambda *a: dense_ops.append(a) or real(*a))
+        cfg = small_config(d_model=8, id_dim=8, heads=2, t_in=2, tau=2, batch=1,
+                           k_geo=k, k_sem=0, k_max=float(k))
+        assert extension_vs_dense(cfg, np.random.default_rng(n), n, 3, k, 0.5) < 1e-10
+        assert len(dense_ops) == (2 if extra == 0 else 0)  # base pass and extension
 
     def test_extension_rejects_wrong_input_shape(self):
         rng = np.random.default_rng(0)

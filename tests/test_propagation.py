@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from omniair import autodiff as ad
 from omniair.autodiff import Tensor, grad_check
 from omniair.propagation import (
     diffuse,
@@ -13,6 +14,8 @@ from omniair.propagation import (
     signed_aggregate,
 )
 from omniair.topology import HybridGraph
+
+from conftest import REGIMES, diffusion_regime
 
 
 def make_graph(nbr):
@@ -49,15 +52,15 @@ class TestDiffuse:
         h0.data[0, 0, 0, 0] = 5.0
         w = Tensor(np.array([[[1.0], [0.0]]]))
         stack = diffuse(h0, w, g, steps=2, restart=0.3)
-        assert stack[1].data[0, 0, 1, 0] == pytest.approx(0.6)
-        assert stack[2].data[0, 0, 1, 0] == pytest.approx(0.6)
+        assert stack.data[1, 0, 0, 1, 0] == pytest.approx(0.6)
+        assert stack.data[2, 0, 0, 1, 0] == pytest.approx(0.6)
 
     def test_two_clique_swap(self):
         g = make_graph([[1], [0]])
         h0 = Tensor(np.array([1.0, 3.0]).reshape(1, 1, 2, 1))
         w = Tensor(np.ones((1, 2, 1)))
         stack = diffuse(h0, w, g, steps=1, restart=0.0)
-        np.testing.assert_allclose(stack[1].data[0, 0, :, 0], [3.0, 1.0])
+        np.testing.assert_allclose(stack.data[1, 0, 0, :, 0], [3.0, 1.0])
 
     def test_restart_prevents_collapse(self):
         # row-stochastic swap with restart 0.5: the state difference obeys
@@ -67,8 +70,8 @@ class TestDiffuse:
         h0 = Tensor(np.array([1.0, 3.0]).reshape(1, 1, 2, 1))
         w = Tensor(np.ones((1, 2, 1)))
         stack = diffuse(h0, w, g, steps=8, restart=0.5)
-        for h in stack[1:]:
-            assert abs(h.data[0, 0, 0, 0] - h.data[0, 0, 1, 0]) >= 1.0 - 1e-12
+        for h in stack.data[1:]:
+            assert abs(h[0, 0, 0, 0] - h[0, 0, 1, 0]) >= 1.0 - 1e-12
 
     def test_matches_dense_recursion(self):
         # 6-node random sparse graph vs a dense matrix recursion oracle
@@ -80,13 +83,15 @@ class TestDiffuse:
         w = rng.normal(size=(2, n, per))
         h0 = rng.normal(size=(2, 4, n, 5))
         lam = 0.25
-        stack = diffuse(Tensor(h0), Tensor(w), g, steps=3, restart=lam)
-        for b in range(2):
-            dense = dense_matrix(g, w[b])
-            ref = h0[b]
-            for l in range(1, 4):
-                ref = np.einsum("ij,tjd->tid", dense, ref) + lam * h0[b]
-                np.testing.assert_allclose(stack[l].data[b], ref, atol=1e-12)
+        for regime in REGIMES:
+            with diffusion_regime(regime):
+                stack = diffuse(Tensor(h0), Tensor(w), g, steps=3, restart=lam)
+            for b in range(2):
+                dense = dense_matrix(g, w[b])
+                ref = h0[b]
+                for l in range(1, 4):
+                    ref = np.einsum("ij,tjd->tid", dense, ref) + lam * h0[b]
+                    np.testing.assert_allclose(stack.data[l, b], ref, atol=1e-12)
 
     def test_invalid_restart(self):
         g = make_graph([[1], [0]])
@@ -97,25 +102,31 @@ class TestDiffuse:
         g = make_graph([[1], [0]])
         h0 = Tensor(np.ones((1, 1, 2, 3)))
         stack = diffuse(h0, Tensor(np.ones((1, 2, 1))), g, steps=0, restart=0.2)
-        assert len(stack) == 1 and stack[0] is h0
+        assert stack.shape == (1,) + h0.shape
+        assert np.array_equal(stack.data[0], h0.data)
 
     def test_stack_equals_per_step_loop(self):
-        # restart * h0 is formed once; every state keeps the bits of a loop
-        # that multiplies it again at each step
+        # restart * h0 is formed once; on the table every state keeps the
+        # bits of a loop that multiplies it again at each step, and the dense
+        # operator only reorders each neighbour sum
         rng = np.random.default_rng(11)
         n, per = 7, 3
         nbr = (np.arange(n)[:, None] + rng.integers(1, n, size=(n, per))) % n
         g = make_graph(nbr)
         w = rng.normal(size=(2, n, per))
         h0 = rng.normal(size=(2, 3, n, 4))
-        stack = diffuse(Tensor(h0), Tensor(w), g, steps=3, restart=0.3)
         ref = [h0]
         for _ in range(3):
             msgs = np.einsum("btnkd,bnk->btnd", np.take(ref[-1], nbr, axis=2), w)
             ref.append(msgs + 0.3 * h0)
-        assert len(stack) == len(ref)
-        for got, want in zip(stack, ref):
-            assert np.array_equal(got.data, want)
+        for regime in REGIMES:
+            with diffusion_regime(regime):
+                stack = diffuse(Tensor(h0), Tensor(w), g, steps=3, restart=0.3)
+            assert stack.shape == (len(ref),) + h0.shape
+            if regime == "table":
+                assert np.array_equal(stack.data, np.stack(ref))
+            else:
+                np.testing.assert_allclose(stack.data, np.stack(ref), rtol=0, atol=1e-13)
 
 
 def per_head_aggregate(states, wq, wk, bias, mode):
@@ -154,14 +165,14 @@ class TestSignedAggregate:
         d = heads * dh
         states = [rng.normal(size=(b, t, n, d)) for _ in range(n_states)]
         params = agg_params(d, heads, n_states, rng=rng, bias=rng.normal(size=n_states))
-        z = signed_aggregate([Tensor(h) for h in states], params, heads=heads, mode=mode)
+        z = signed_aggregate(Tensor(np.stack(states)), params, heads=heads, mode=mode)
         want = per_head_aggregate(states, params["agg.wq"].data, params["agg.wk"].data,
                                   params["agg.step_bias"].data, mode)
         np.testing.assert_allclose(z.data, want, rtol=0, atol=1e-12)
 
     def test_zero_bias_zero_output(self):
         rng = np.random.default_rng(1)
-        stack = [Tensor(rng.normal(size=(1, 2, 3, 4))) for _ in range(3)]
+        stack = Tensor(rng.normal(size=(3, 1, 2, 3, 4)))
         params = agg_params(4, 2, 3, bias=[0.0, 0.0, 0.0])
         z = signed_aggregate(stack, params, heads=2)
         np.testing.assert_array_equal(z.data, 0.0)
@@ -179,17 +190,17 @@ class TestSignedAggregate:
         stack = diffuse(Tensor(h0), Tensor(w), g, steps=1, restart=0.0)
         z = signed_aggregate(stack, agg_params(4, 2, 2), heads=2,
                              forced_coeffs=np.array([1.0, -1.0]))
-        assert np.array_equal(z.data, stack[0].data - stack[1].data)
+        assert np.array_equal(z.data, stack.data[0] - stack.data[1])
         dense = dense_matrix(g, w[0])
         oracle = h0 - np.einsum("ij,btjd->btid", dense, h0)
         np.testing.assert_allclose(z.data, oracle, atol=1e-12)
 
     def test_positive_mode_stays_in_hull(self):
         rng = np.random.default_rng(4)
-        stack = [Tensor(rng.normal(size=(2, 3, 6, 8))) for _ in range(3)]
+        stack = Tensor(rng.normal(size=(3, 2, 3, 6, 8)))
         params = agg_params(8, 4, 3, rng=rng)
         z = signed_aggregate(stack, params, heads=4, mode="positive").data
-        states = np.stack([h.data for h in stack])
+        states = stack.data
         lo, hi = states.min(axis=0), states.max(axis=0)
         assert np.all(z >= lo - 1e-12) and np.all(z <= hi + 1e-12)
 
@@ -201,23 +212,23 @@ class TestSignedAggregate:
         stack = diffuse(Tensor(h0), Tensor(np.ones((1, 2, 1))), g, 1, 0.0)
         z = signed_aggregate(stack, agg_params(4, 2, 2), heads=2,
                              forced_coeffs=np.array([1.0, -1.0])).data
-        states = np.stack([h.data for h in stack])
+        states = stack.data
         lo, hi = states.min(axis=0), states.max(axis=0)
         assert np.any(z < lo - 1e-9) or np.any(z > hi + 1e-9)
 
     def test_coefficient_bounded_by_bias(self):
         rng = np.random.default_rng(6)
-        stack = [Tensor(rng.normal(size=(1, 2, 4, 4)) * 3) for _ in range(2)]
+        stack = Tensor(rng.normal(size=(2, 1, 2, 4, 4)) * 3)
         bias = [0.7, 0.3]
         params = agg_params(4, 2, 2, rng=rng, bias=bias)
         z_full = signed_aggregate(stack, params, heads=2)
         # |c_l| <= |b_l| because tanh is bounded by 1: check via the extreme
         # reconstruction |z| <= sum_l |b_l| max|h_l|
-        bound = sum(abs(b) * np.abs(h.data).max() for b, h in zip(bias, stack))
+        bound = sum(abs(b) * np.abs(h).max() for b, h in zip(bias, stack.data))
         assert np.abs(z_full.data).max() <= bound + 1e-12
 
     def test_head_count_must_divide(self):
-        stack = [Tensor(np.zeros((1, 1, 2, 6)))]
+        stack = Tensor(np.zeros((1, 1, 1, 2, 6)))
         with pytest.raises(ValueError):
             signed_aggregate(stack, agg_params(6, 2, 1), heads=4)
 
@@ -227,7 +238,7 @@ class TestSignedAggregate:
         params = agg_params(4, 2, 2, rng=rng)
 
         def f():
-            stack = [Tensor(h), Tensor(h * 0.5 + 0.1)]
+            stack = Tensor(np.stack([h, h * 0.5 + 0.1]))
             return signed_aggregate(stack, params, heads=2).sum()
 
         assert grad_check(f, params, samples_per_param=None) < 1e-6
@@ -240,14 +251,15 @@ class TestSignedAggregate:
 
         def f():
             hh = params["h"]
-            stack = [hh, hh * 0.5 + 0.1, hh * hh]
+            states = [hh, hh * 0.5 + 0.1, hh * hh]
+            stack = ad.concat([s.reshape((1,) + s.shape) for s in states], axis=0)
             out = signed_aggregate(stack, params, heads=2, mode="positive")
             return (out * Tensor(np.linspace(-1.0, 1.0, 4))).sum()
 
         assert grad_check(f, params, samples_per_param=None) < 1e-6
 
     def test_weight_shape_must_match_heads(self):
-        stack = [Tensor(np.zeros((1, 1, 2, 4)))]
+        stack = Tensor(np.zeros((1, 1, 1, 2, 4)))
         with pytest.raises(ValueError):
             signed_aggregate(stack, agg_params(4, 2, 1), heads=1)
 
