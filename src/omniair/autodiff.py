@@ -553,7 +553,9 @@ def diffuse(
     targets may repeat. ``x_l`` is ``s_{l-1}``, or ``sources[l-1]`` when a
     stack of another graph's states is given (N_src rows, read, never
     written). The backward runs the L adjoint steps: the input gradient is
-    ``A^T a`` and the weight gradient ``a x^T`` sampled at the table.
+    ``A^T a`` and the weight gradient ``a x^T`` sampled at the table. Graphs
+    with N_src <= ``_DENSE_RATIO`` * K run on the dense per-batch operator,
+    larger ones on the table; the two differ only in summation order.
     """
     h0, w = as_tensor(h0), as_tensor(w)
     if not steps:
