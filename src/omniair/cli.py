@@ -189,20 +189,15 @@ def cmd_export_embeddings(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    import os
-
     from .bench import run_scaling, write_bench_csv, write_loglog
 
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("OMNIAIR_WORKERS", "1"))
     report = run_scaling(
         tuple(args.n),
         k=args.k,
         t_in=args.t_in,
         repeats=args.repeats,
         seed=args.seed or 0,
-        workers=workers,
+        workers=args.workers,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -308,9 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-in", type=int, default=4)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None,
-                   help="BLAS threads for the timed forwards "
-                        "(default: OMNIAIR_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="BLAS threads for the timed forwards")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_bench)
 

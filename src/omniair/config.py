@@ -21,6 +21,7 @@ REMOVED_FIELDS = {
     "norm_mode": "abs",
     "edge_source": "last",
     "eps_norm": 1e-8,
+    "refresh_semantic_every": 0,
 }
 
 
@@ -51,7 +52,6 @@ class RunConfig:
     seed: int = 42
     coeff_mode: str = "signed"  # signed | positive (smoothing-only control)
     per_station_norm: bool = False
-    refresh_semantic_every: int = 0
 
     def __post_init__(self):
         if self.d_model % self.heads != 0:

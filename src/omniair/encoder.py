@@ -209,21 +209,14 @@ def identity_feature_matrix(
     return np.concatenate([fourier, ctx, geo], axis=1)
 
 
-def semantic_feature_matrix(
-    stations: list[StationMeta],
-    contexts: list[NeighborContext],
-    cfg: FourierConfig,
-    stats: NormStats,
-) -> np.ndarray:
-    """Raw feature vectors used for semantic nearest-neighbor search.
+def semantic_feature_matrix(id_features: np.ndarray, grades: np.ndarray) -> np.ndarray:
+    """Raw feature vectors used for semantic nearest-neighbor search: the
+    identity features of ``identity_feature_matrix`` and the resolved grades.
 
     Uses a one-hot grade instead of the learnable grade embedding so the
     semantic graph can be fixed once before any training happens.
     """
-    base = identity_feature_matrix(stations, contexts, cfg, stats)
-    grades = [resolve_grade(s.grade, c) for s, c in zip(stations, contexts)]
-    onehot = np.eye(N_GRADES)[grades]
-    return np.concatenate([base, onehot], axis=1)
+    return np.concatenate([id_features, np.eye(N_GRADES)[grades]], axis=1)
 
 
 def encode_identity(

@@ -12,15 +12,9 @@ import numpy as np
 from .autodiff import Tensor, no_grad
 from .config import RunConfig
 from .data import CHANNELS, NormStats, SeriesFrame, StationMeta
-from .encoder import FourierConfig, NeighborContext, identity_feature_matrix, semantic_feature_matrix
+from .encoder import NeighborContext
 from .evaluation import MetricReport, masked_metrics
-from .model import (
-    ModelState,
-    build_extension,
-    forward,
-    forward_extension,
-)
-from .topology import build_hybrid_graph
+from .model import ModelState, _derive_state, build_extension, forward, forward_extension
 
 
 def rebuild_state(
@@ -31,7 +25,9 @@ def rebuild_state(
     """Reconstruct the frozen model state from checkpoint buffers.
 
     Contexts and normalization come from the buffers (training-time values);
-    the graph is rebuilt deterministically from them.
+    the graph is then derived exactly as training derived it. A station
+    whose grade resolves differently from the one it was trained with is
+    refused, since its identity and its semantic edges would disagree.
     """
     n = len(stations)
     if buffers["context_vectors"].shape[0] != n:
@@ -46,27 +42,21 @@ def rebuild_state(
         buffers["geo_std"],
         per_station=bool(buffers["per_station_norm"][0]),
     )
-    contexts = []
-    for i in range(n):
-        v = buffers["context_vectors"][i]
-        contexts.append(
-            NeighborContext(
-                mu_nbr=float(v[0]),
-                sigma_nbr=float(v[1]),
-                delta_c_km=float(v[2]),
-                delta_self=float(v[3]),
-                level_dist=v[4:].copy(),
-                centroid=buffers["context_centroids"][i].copy(),
-                fallback=bool(buffers["context_fallback"][i]),
-            )
+    contexts = [
+        NeighborContext(float(v[0]), float(v[1]), float(v[2]), float(v[3]), v[4:].copy(),
+                        centroid.copy(), bool(fallback))
+        for v, centroid, fallback in zip(
+            buffers["context_vectors"], buffers["context_centroids"], buffers["context_fallback"]
         )
-    fcfg = FourierConfig(levels=cfg.fourier_levels)
-    id_features = identity_feature_matrix(stations, contexts, fcfg, stats)
-    sem_vectors = semantic_feature_matrix(stations, contexts, fcfg, stats)
-    points = np.stack([s.point for s in stations])
-    graph = build_hybrid_graph(points, sem_vectors, cfg.k_geo, cfg.k_sem, cfg.kappa_km)
-    grades = buffers["grades"].astype(np.int64)
-    return ModelState(cfg, stations, stats, contexts, graph, id_features, grades, sem_vectors)
+    ]
+    state = _derive_state(cfg, stations, stats, contexts)
+    for station, got, trained in zip(stations, state.grades, buffers["grades"]):
+        if got != trained:
+            raise ValueError(
+                f"station {station.id!r}: the station file gives grade {got}, "
+                f"the checkpoint was trained with grade {int(trained)}"
+            )
+    return state
 
 
 def window_end_index(frame: SeriesFrame, window_end: str | int | None, t_in: int) -> int:
@@ -91,12 +81,20 @@ def window_end_index(frame: SeriesFrame, window_end: str | int | None, t_in: int
     return idx
 
 
-def _window_inputs(state: ModelState, frame: SeriesFrame, end_idx: int) -> np.ndarray:
-    lo = end_idx - state.cfg.t_in + 1
+def _window_inputs(stats: NormStats, frame: SeriesFrame, end_idx: int, t_in: int) -> np.ndarray:
+    """Normalized (1, t_in, N, C) inputs of the window ending at ``end_idx``;
+    missing values are zero."""
+    lo = end_idx - t_in + 1
     values = frame.values[lo : end_idx + 1]
     valid = frame.valid[lo : end_idx + 1]
-    normalized = np.where(valid, state.stats.normalize(values), 0.0)
-    return normalized[None]
+    return np.where(valid, stats.normalize(values), 0.0)[None]
+
+
+def _future_timestamps(frame: SeriesFrame, end_idx: int, tau: int) -> np.ndarray:
+    """The ``tau`` timestamps after ``end_idx``, at the frame's step (one day
+    for a single-step frame)."""
+    step = frame.timestamps[1] - frame.timestamps[0] if frame.n_steps > 1 else np.timedelta64(1, "D")
+    return frame.timestamps[end_idx] + step * np.arange(1, tau + 1)
 
 
 @dataclass
@@ -113,14 +111,12 @@ def predict_window(
     window_end: str | int | None = None,
 ) -> Forecast:
     """Raw-unit forecast for the window ending at ``window_end``."""
-    end_idx = window_end_index(frame, window_end, state.cfg.t_in)
-    x = _window_inputs(state, frame, end_idx)
+    cfg = state.cfg
+    end_idx = window_end_index(frame, window_end, cfg.t_in)
     with no_grad():
-        out = forward(params, state, x)
+        out = forward(params, state, _window_inputs(state.stats, frame, end_idx, cfg.t_in))
     values = state.stats.denormalize(out.data)[0]
-    step = frame.timestamps[1] - frame.timestamps[0] if frame.n_steps > 1 else np.timedelta64(1, "D")
-    future = frame.timestamps[end_idx] + step * np.arange(1, state.cfg.tau + 1)
-    return Forecast(future, frame.station_ids, values)
+    return Forecast(_future_timestamps(frame, end_idx, cfg.tau), frame.station_ids, values)
 
 
 def params_digest(params: dict[str, Tensor]) -> str:
@@ -148,25 +144,21 @@ def predict_unseen(
     without it their inputs are fully missing.
     """
     before = params_digest(params)
-    end_idx = window_end_index(frame, window_end, state.cfg.t_in)
-    x = _window_inputs(state, frame, end_idx)
+    cfg = state.cfg
+    end_idx = window_end_index(frame, window_end, cfg.t_in)
+    x = _window_inputs(state.stats, frame, end_idx, cfg.t_in)
     ext = build_extension(state, new_stations)
-    lo = end_idx - state.cfg.t_in + 1
-    n_new = len(new_stations)
     new_stats = state.stats.station_free()
     if new_frame is None:
-        x_new = np.zeros((1, state.cfg.t_in, n_new, len(CHANNELS)))
+        x_new = np.zeros((1, cfg.t_in, len(new_stations), len(CHANNELS)))
     else:
-        values = new_frame.values[lo : end_idx + 1]
-        valid = new_frame.valid[lo : end_idx + 1]
-        x_new = np.where(valid, new_stats.normalize(values), 0.0)[None]
+        x_new = _window_inputs(new_stats, new_frame, end_idx, cfg.t_in)
     with no_grad():
         base_out, extras = forward(params, state, x, collect=True)
         new_out = forward_extension(params, state, ext, x_new, extras)
     if params_digest(params) != before:
         raise RuntimeError("zero-shot prediction mutated model parameters")
-    step = frame.timestamps[1] - frame.timestamps[0] if frame.n_steps > 1 else np.timedelta64(1, "D")
-    future = frame.timestamps[end_idx] + step * np.arange(1, state.cfg.tau + 1)
+    future = _future_timestamps(frame, end_idx, cfg.tau)
     base = Forecast(future, frame.station_ids, state.stats.denormalize(base_out.data)[0])
     new_ids = tuple(s.id for s in new_stations)
     new = Forecast(future, new_ids, new_stats.denormalize(new_out.data)[0])

@@ -101,19 +101,31 @@ def build_state(
     train: SeriesFrame,
     stats: NormStats | None = None,
 ) -> ModelState:
-    """Compute contexts and the hybrid graph from the training split."""
+    """Compute stats, contexts and the hybrid graph from the training split."""
     from .data import compute_norm_stats
 
     if stats is None:
         stats = compute_norm_stats(train, stations, per_station=cfg.per_station_norm)
-    points = np.stack([s.point for s in stations])
-    geo = knn_geo(points, cfg.k_geo)
-    contexts = build_contexts(stations, train, geo[0])
+    geo = knn_geo(np.stack([s.point for s in stations]), cfg.k_geo)
+    return _derive_state(cfg, stations, stats, build_contexts(stations, train, geo[0]), geo)
+
+
+def _derive_state(
+    cfg: RunConfig,
+    stations: list[StationMeta],
+    stats: NormStats,
+    contexts: list[NeighborContext],
+    geo: tuple[np.ndarray, np.ndarray] | None = None,
+) -> ModelState:
+    """The model state as a pure function of the stations, the training-split
+    statistics and contexts: training and reload both build it here, so a
+    reloaded model runs on exactly the graph it was trained on."""
     fcfg = FourierConfig(levels=cfg.fourier_levels)
     id_features = identity_feature_matrix(stations, contexts, fcfg, stats)
-    sem_vectors = semantic_feature_matrix(stations, contexts, fcfg, stats)
-    graph = build_hybrid_graph(points, sem_vectors, cfg.k_geo, cfg.k_sem, cfg.kappa_km, geo=geo)
     grades = np.array([resolve_grade(s.grade, c) for s, c in zip(stations, contexts)])
+    sem_vectors = semantic_feature_matrix(id_features, grades)
+    points = np.stack([s.point for s in stations])
+    graph = build_hybrid_graph(points, sem_vectors, cfg.k_geo, cfg.k_sem, cfg.kappa_km, geo=geo)
     return ModelState(cfg, stations, stats, contexts, graph, id_features, grades, sem_vectors)
 
 
@@ -178,18 +190,15 @@ def build_extension(state: ModelState, new_stations: list[StationMeta]) -> Exten
     contexts = anchor_context(new_points, base_points, state.contexts)
     fcfg = FourierConfig(levels=state.cfg.fourier_levels)
     id_features = identity_feature_matrix(new_stations, contexts, fcfg, state.stats)
-    sem_vectors = semantic_feature_matrix(new_stations, contexts, fcfg, state.stats)
+    grades = np.array([resolve_grade(s.grade, c) for s, c in zip(new_stations, contexts)])
     attach = attach_new_nodes(
         base_points,
         state.sem_vectors,
         new_points,
-        sem_vectors,
+        semantic_feature_matrix(id_features, grades),
         state.cfg.k_geo,
         state.cfg.k_sem,
         state.cfg.kappa_km,
-    )
-    grades = np.array(
-        [resolve_grade(s.grade, c) for s, c in zip(new_stations, contexts)]
     )
     return ExtensionState(new_stations, contexts, attach, id_features, grades)
 

@@ -17,7 +17,6 @@ from .data import SeriesFrame, StationMeta, chrono_split, make_windows
 from .evaluation import masked_metrics
 from .model import ModelState, build_state, forward, init_params, masked_mae_loss
 from .optim import Adam
-from .topology import build_hybrid_graph
 
 log = logging.getLogger("omniair")
 
@@ -79,19 +78,6 @@ def validation_mae(params: dict[str, Tensor], state: ModelState, frame: SeriesFr
     return report.aggregate.mae
 
 
-def refresh_semantic_edges(state: ModelState, params: dict[str, Tensor]) -> None:
-    """Rebuild semantic edges from the current identity embeddings; the
-    geographic half of the table never changes and is reused."""
-    from .encoder import encode_identity
-
-    with no_grad():
-        e_id = encode_identity(state.id_features, state.grades, params).data
-    cfg, graph = state.cfg, state.graph
-    points = np.stack([s.point for s in state.stations])
-    geo = (graph.nbr[:, : cfg.k_geo], graph.km[:, : cfg.k_geo])
-    state.graph = build_hybrid_graph(points, e_id, cfg.k_geo, cfg.k_sem, cfg.kappa_km, geo=geo)
-
-
 @dataclass
 class TrainResult:
     params: dict[str, Tensor]
@@ -107,7 +93,10 @@ def train_model(
     out_dir=None,
 ) -> TrainResult:
     """Train on the chronological train split, early-stop on validation MAE,
-    restore the best parameters, and optionally write checkpoint + logs."""
+    restore the best parameters, and optionally write checkpoint + logs.
+
+    The graph is built once from the training split and never changes, so
+    restoring the best parameters restores the whole best-epoch model."""
     train, val, test = chrono_split(frame, min_len=cfg.t_in + cfg.tau)
     state = build_state(cfg, stations, train)
     rng = np.random.default_rng(cfg.seed)
@@ -119,8 +108,6 @@ def train_model(
     diverged = False
 
     for epoch in range(cfg.max_epochs):
-        if cfg.refresh_semantic_every > 0 and epoch > 0 and epoch % cfg.refresh_semantic_every == 0:
-            refresh_semantic_edges(state, params)
         epoch_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch]))
         losses, skipped = [], 0
         for batch in make_windows(

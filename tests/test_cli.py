@@ -7,8 +7,11 @@ import pytest
 from omniair import cli
 from omniair.cli import main
 from omniair.config import dict_hash
-from omniair.data import CHANNELS
-from omniair.inference import Forecast, predict_unseen, write_forecast_csv
+from omniair.data import CHANNELS, load_series, load_stations
+from omniair.inference import Forecast, predict_unseen, predict_window, write_forecast_csv
+from omniair.training import train_model
+
+from conftest import small_config
 
 
 def run(argv):
@@ -132,6 +135,38 @@ class TestPipeline:
         assert len(rows) == 16
 
 
+class TestReloadRoundTrip:
+    @pytest.mark.parametrize("per_station_norm", [False, True])
+    @pytest.mark.parametrize("coeff_mode", ["signed", "positive"])
+    def test_cli_forecasts_equal_trained_model(self, tmp_path, coeff_mode, per_station_norm):
+        # every remaining switch: the saved model is the trained model
+        assert run(["synth", "--n", 12, "--steps", 100, "--seed", 3,
+                    "--noise-std", "0.2", "--out", tmp_path / "data"]) == 0
+        stations = load_stations(tmp_path / "data" / "stations.csv")
+        frame = load_series(tmp_path / "data" / "series.csv", stations)
+        cfg = small_config(max_epochs=2, coeff_mode=coeff_mode, per_station_norm=per_station_norm)
+        result = train_model(cfg, stations, frame, out_dir=tmp_path / "run")
+        new = tmp_path / "new.csv"
+        new.write_text(
+            "station_id,lat,lon,elevation,climate_avg_wind,climate_avg_wind_dir,"
+            "terrain_tpi,terrain_roughness,distance_to_coast_km,grade\n"
+            "zz1,35.5,105.5,400,8,90,0,5,100,\n"
+            "zz2,34.0,102.0,100,2,10,0,1,50,3\n"
+        )
+        ref_base, ref_new = predict_unseen(result.params, result.state, frame, load_stations(new))
+        write_forecast_csv(predict_window(result.params, result.state, frame), tmp_path / "ref.csv")
+        write_forecast_csv(ref_base, tmp_path / "ref_base.csv")
+        write_forecast_csv(ref_new, tmp_path / "ref_new.csv")
+        common = ["--checkpoint", tmp_path / "run" / "checkpoint",
+                  "--stations", tmp_path / "data" / "stations.csv",
+                  "--series", tmp_path / "data" / "series.csv"]
+        assert run(["predict", *common, "--out", tmp_path / "fc.csv"]) == 0
+        assert run(["predict-unseen", *common, "--new-stations", new,
+                    "--out", tmp_path / "new_fc.csv", "--base-out", tmp_path / "base_fc.csv"]) == 0
+        for got, want in (("fc", "ref"), ("base_fc", "ref_base"), ("new_fc", "ref_new")):
+            assert (tmp_path / f"{got}.csv").read_bytes() == (tmp_path / f"{want}.csv").read_bytes()
+
+
 class TestErrors:
     def test_reordered_station_file_rejected(self, workspace, tmp_path):
         ws, cfg_path = workspace
@@ -237,13 +272,14 @@ class TestErrors:
         assert not (tmp_path / "fc.csv").exists()
 
     def test_legacy_checkpoint_predicts_same_bytes(self, workspace, tmp_path):
-        # earlier versions stored five more config fields at their kept
+        # earlier versions stored six more config fields at their kept
         # values and a never-read fusion.w tensor
         ws, _ = workspace
 
         def edit(manifest, ck):
             manifest["config"].update(fusion_mode="signed", rank_mode="abs", norm_mode="abs",
-                                      edge_source="last", eps_norm=1e-8)
+                                      edge_source="last", eps_norm=1e-8,
+                                      refresh_semantic_every=0)
             l1 = manifest["config"]["diffusion_steps"] + 1
             blob = ck / "params.bin"
             manifest["params"].append({"name": "fusion.w", "shape": [l1], "dtype": "f64",
@@ -314,6 +350,33 @@ class TestErrors:
         assert code == 2
         assert "fusion_mode='sum' is no longer supported" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_nonzero_refresh_config_exits_2(self, workspace, tmp_path, capsys):
+        # the graph is fixed; a run that asked for rebuilt edges is refused
+        ws, _ = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"refresh_semantic_every": 1}))
+        code = run(["train", "--config", cfg,
+                    "--stations", ws / "data" / "stations.csv",
+                    "--series", ws / "data" / "series.csv", "--out", tmp_path / "run"])
+        assert code == 2
+        assert "refresh_semantic_every=1 is no longer supported" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_edited_grade_exits_2(self, workspace, tmp_path, capsys):
+        # the identity and the semantic edges would see different grades
+        ws, _ = workspace
+        header, first, *rest = (ws / "data" / "stations.csv").read_text().splitlines()
+        cells = first.split(",")
+        cells[-1] = str((int(cells[-1]) + 1) % 6)
+        edited = tmp_path / "stations.csv"
+        edited.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        code = run(["predict", "--checkpoint", ws / "run" / "checkpoint", "--stations", edited,
+                    "--series", ws / "data" / "series.csv", "--out", tmp_path / "fc.csv"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"station {cells[0]!r}" in err and f"grade {cells[-1]}" in err
+        assert not (tmp_path / "fc.csv").exists()
 
     def test_nonfinite_base_forecast_writes_no_csv(self, workspace, tmp_path, monkeypatch):
         # only the base forecast is broken; the new-station CSV must not appear

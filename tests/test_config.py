@@ -55,11 +55,18 @@ class TestRunConfig:
                   "edge_source": "last", "eps_norm": 1e-8}
         cfg = RunConfig.from_dict({"t_in": 12, **legacy})
         assert cfg.to_dict() == RunConfig(t_in=12).to_dict()
-        assert len(cfg.to_dict()) == 26
+        assert len(cfg.to_dict()) == 25
+
+    def test_stored_refresh_switch_at_zero_loads(self):
+        # 0 (never rebuild the semantic edges) is the fixed graph, the only one built
+        cfg = RunConfig.from_dict({"t_in": 12, "refresh_semantic_every": 0})
+        assert "refresh_semantic_every" not in cfg.to_dict()
+        assert cfg.to_dict() == RunConfig(t_in=12).to_dict()
 
     @pytest.mark.parametrize("name, value", [
         ("fusion_mode", "softmax"), ("fusion_mode", "sum"), ("rank_mode", "signed"),
         ("norm_mode", "plain"), ("edge_source", "mean"), ("eps_norm", 1e-6),
+        ("refresh_semantic_every", 1),
     ])
     def test_removed_field_at_other_value_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name}={value!r} is no longer supported"):
