@@ -28,6 +28,7 @@ from .inference import (
     require_finite,
     write_forecast_csv,
 )
+from .model import build_state
 from .oracle import RDScenario, SourceSpec, simulate_rd, toy_grad_check
 from .training import train_model
 
@@ -87,19 +88,14 @@ def cmd_features(args) -> int:
     stations = load_stations(args.stations)
     frame = load_series(args.series, stations)
     train, _, _ = chrono_split(frame, min_len=cfg.t_in + cfg.tau)
-    from .encoder import build_contexts
-    from .geo import knn_geo
-
-    points = np.stack([s.point for s in stations])
-    nbr_idx, _ = knn_geo(points, cfg.k_geo)
-    contexts = build_contexts(stations, train, nbr_idx)
+    state = build_state(cfg, stations, train)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["station_id", "mu_nbr", "sigma_nbr", "delta_c_km", "delta_self"]
             + [f"level_{i}" for i in range(6)]
         )
-        for s, c in zip(stations, contexts):
+        for s, c in zip(stations, state.contexts):
             writer.writerow([s.id] + [repr(float(v)) for v in c.vector()])
     print(f"wrote neighborhood features for {len(stations)} stations to {args.out}")
     return 0
@@ -110,8 +106,6 @@ def cmd_build_graph(args) -> int:
     stations = load_stations(args.stations)
     frame = load_series(args.series, stations)
     train, _, _ = chrono_split(frame, min_len=cfg.t_in + cfg.tau)
-    from .model import build_state
-
     state = build_state(cfg, stations, train)
     g = state.graph
     kind_names = {0: "geo", 1: "sem"}

@@ -10,9 +10,12 @@ validity mask, so downstream code never has to guess what a zero means.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
+from itertools import compress, islice
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -84,45 +87,119 @@ class SeriesFrame:
         )
 
 
-def _parse_float(text: str, what: str, row_no: int) -> float:
+# data rows parsed at a time: bounds the reader's memory on long files
+_BLOCK_ROWS = 4096
+
+
+class _Faults:
+    """The faults found in one block of rows. ``raise_first`` raises the one
+    a row-by-row reader meets first: the lowest row and, within a row, the
+    check that was flagged first."""
+
+    def __init__(self, first_row: int):
+        self.first_row = first_row  # index of the block's first data row
+        self.found: list[tuple[int, str]] = []
+
+    def flag(self, bad, message, rows=None) -> None:
+        """Record ``message(i)`` for the first position ``i`` where ``bad``
+        holds; ``rows`` maps positions to rows when they differ."""
+        hits = np.flatnonzero(bad)
+        if len(hits):
+            i = int(hits[0])
+            row = self.first_row + (i if rows is None else int(rows[i]))
+            self.found.append((row, f"row {row + 2}: {message(i)}"))
+
+    def raise_first(self) -> None:
+        if self.found:
+            raise ValueError(min(self.found, key=itemgetter(0))[1])
+
+
+def _read_blocks(path, columns: tuple[str, ...], what: str):
+    """Yield (faults, rows, positions) for blocks of up to ``_BLOCK_ROWS``
+    data rows: the rows as field lists, and the header's column positions.
+
+    Blank lines are skipped and rows count from 2 after the header, as
+    ``csv.DictReader`` counts them. A row shorter than the header is a
+    fault, and the block ends before it: a row-by-row reader stops there.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ValueError(f"{path}: missing {what} columns {missing}")
+        pos = {name: i for i, name in enumerate(header)}  # a repeated name: the last one
+        first_row = 0
+        while block := list(islice(reader, _BLOCK_ROWS)):
+            rows = [r for r in block if r]
+            faults = _Faults(first_row)
+            short = [len(r) < len(header) for r in rows]
+            faults.flag(short, lambda i: f"{len(rows[i])} fields, the header has {len(header)}")
+            if faults.found:
+                rows = rows[: short.index(True)]
+            yield faults, rows, pos
+            first_row += len(rows)
+
+
+def _column(rows: list[list[str]], pos: dict[str, int], name: str) -> list[str]:
+    return list(map(itemgetter(pos[name]), rows))
+
+
+def _floats(texts: list[str], what: str, faults: _Faults, rows=None) -> np.ndarray:
+    """Parse cells with ``float()``; flag the first unparsable and the first
+    non-finite one. ``rows`` maps positions to rows when ``texts`` holds
+    only some of them."""
     try:
-        v = float(text)
+        values = np.fromiter(map(float, texts), np.float64, len(texts))
     except ValueError:
-        raise ValueError(f"row {row_no}: cannot parse {what} from {text!r}") from None
-    if not np.isfinite(v):
-        raise ValueError(f"row {row_no}: {what} must be finite")
-    return v
+        unparsable = [not _parses(t) for t in texts]
+        faults.flag(unparsable, lambda i: f"cannot parse {what} from {texts[i]!r}", rows)
+        bad = unparsable.index(True)  # only the cells before it are read
+        values = np.fromiter(map(float, texts[:bad]), np.float64, bad)
+    faults.flag(~np.isfinite(values), lambda i: f"{what} must be finite", rows)
+    return values
+
+
+def _parses(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _grade(text: str) -> int | None:
+    """A stripped grade cell: -1 (unknown) when blank, None when not an integer."""
+    if text in ("", "-1"):
+        return -1
+    try:
+        return int(text)
+    except ValueError:
+        return None
 
 
 def load_stations(path) -> list[StationMeta]:
     """Parse and validate the station CSV; duplicate ids and bad rows fail."""
     stations: list[StationMeta] = []
-    seen: set[str] = set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = tuple(reader.fieldnames or ())
-        missing = [c for c in STATION_COLUMNS if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing station columns {missing}")
-        for row_no, row in enumerate(reader, start=2):
-            sid = row["station_id"].strip()
-            if not sid:
-                raise ValueError(f"row {row_no}: empty station_id")
-            if sid in seen:
-                raise ValueError(f"row {row_no}: duplicate station_id {sid!r}")
-            seen.add(sid)
-            lat = _parse_float(row["lat"], "lat", row_no)
-            lon = _parse_float(row["lon"], "lon", row_no)
-            if abs(lat) > 90:
-                raise ValueError(f"row {row_no}: lat {lat} outside [-90, 90]")
-            if abs(lon) > 180:
-                raise ValueError(f"row {row_no}: lon {lon} outside [-180, 180]")
-            feats = np.array([_parse_float(row[c], c, row_no) for c in GEO_FEATURES])
-            grade_text = row["grade"].strip()
-            grade = -1 if grade_text in ("", "-1") else int(grade_text)
-            if grade != -1 and not 0 <= grade < N_GRADES:
-                raise ValueError(f"row {row_no}: grade {grade} outside [0, {N_GRADES - 1}]")
-            stations.append(StationMeta(sid, lat, lon, feats, grade))
+    first_of: dict[str, int] = {}  # row of each id's first appearance
+    for faults, rows, pos in _read_blocks(path, STATION_COLUMNS, "station"):
+        ids = list(map(str.strip, _column(rows, pos, "station_id")))
+        faults.flag([not sid for sid in ids], lambda i: "empty station_id")
+        at = range(faults.first_row, faults.first_row + len(ids))
+        repeat = [first_of.setdefault(sid, row) != row for sid, row in zip(ids, at)]
+        faults.flag(repeat, lambda i: f"duplicate station_id {ids[i]!r}")
+        lat = _floats(_column(rows, pos, "lat"), "lat", faults)
+        lon = _floats(_column(rows, pos, "lon"), "lon", faults)
+        faults.flag(np.abs(lat) > 90, lambda i: f"lat {float(lat[i])} outside [-90, 90]")
+        faults.flag(np.abs(lon) > 180, lambda i: f"lon {float(lon[i])} outside [-180, 180]")
+        feats = [_floats(_column(rows, pos, c), c, faults) for c in GEO_FEATURES]
+        texts = list(map(str.strip, _column(rows, pos, "grade")))
+        grades = list(map(_grade, texts))
+        faults.flag([g is None for g in grades], lambda i: f"cannot parse grade from {texts[i]!r}")
+        faults.flag([g is not None and not -1 <= g < N_GRADES for g in grades],
+                    lambda i: f"grade {grades[i]} outside [0, {N_GRADES - 1}]")
+        faults.raise_first()
+        stations += map(StationMeta, ids, lat.tolist(), lon.tolist(), np.stack(feats, 1), grades)
     return stations
 
 
@@ -138,76 +215,110 @@ def write_stations(stations: list[StationMeta], path) -> None:
             )
 
 
-def _date_of(text: str, row_no: int) -> date:
+def _date_of(text: str) -> date | None:
+    """The ISO date of a timestamp cell, or None when it is not one."""
     try:
         return date.fromisoformat(text.strip())
     except ValueError:
-        raise ValueError(f"row {row_no}: bad ISO date {text!r}") from None
+        return None
 
 
 def load_series(path, stations: list[StationMeta]) -> SeriesFrame:
     """Read the long observation CSV into a dense frame over the full range."""
     id_to_col = {s.id: j for j, s in enumerate(stations)}
-    rows: list[tuple[date, int, list[float | None]]] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = tuple(reader.fieldnames or ())
-        expected = ("timestamp", "station_id") + CHANNELS
-        missing = [c for c in expected if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing series columns {missing}")
-        for row_no, row in enumerate(reader, start=2):
-            sid = row["station_id"].strip()
-            if sid not in id_to_col:
-                raise ValueError(f"row {row_no}: unknown station_id {sid!r}")
-            ts = _date_of(row["timestamp"], row_no)
-            vals: list[float | None] = []
-            for c in CHANNELS:
-                cell = row[c].strip()
-                vals.append(None if cell == "" else _parse_float(cell, c, row_no))
-            rows.append((ts, id_to_col[sid], vals))
-    if not rows:
+    col_of: dict[str, int] = {}  # each distinct id cell's station, -1 if unknown
+    ordinal_of: dict[str, int] = {}  # each distinct timestamp cell's day, -1 if bad
+    blocks = []
+    for faults, rows, pos in _read_blocks(path, ("timestamp", "station_id") + CHANNELS, "series"):
+        ids = _column(rows, pos, "station_id")
+        for sid in set(ids).difference(col_of):
+            col_of[sid] = id_to_col.get(sid.strip(), -1)
+        cols = np.fromiter(map(col_of.__getitem__, ids), np.int64, len(rows))
+        faults.flag(cols < 0, lambda i: f"unknown station_id {ids[i].strip()!r}")
+        stamps = _column(rows, pos, "timestamp")
+        for text in set(stamps).difference(ordinal_of):
+            day = _date_of(text)
+            ordinal_of[text] = -1 if day is None else day.toordinal()
+        ordinals = np.fromiter(map(ordinal_of.__getitem__, stamps), np.int64, len(rows))
+        faults.flag(ordinals < 0, lambda i: f"bad ISO date {stamps[i]!r}")
+        cells = np.zeros((len(rows), len(CHANNELS)))
+        observed = np.zeros((len(rows), len(CHANNELS)), dtype=bool)
+        for k, c in enumerate(CHANNELS):
+            texts = list(map(str.strip, _column(rows, pos, c)))
+            present = list(map(bool, texts))  # a blank cell is a missing value
+            observed[:, k] = present
+            at = np.flatnonzero(observed[:, k])
+            parsed = _floats(list(compress(texts, present)), c, faults, at)
+            cells[at[: len(parsed)], k] = parsed
+        faults.raise_first()
+        blocks.append((cols, ordinals, cells, observed))
+    if not sum(len(block[0]) for block in blocks):
         raise ValueError(f"{path}: no observation rows")
-    days = [r[0] for r in rows]
-    start, end = min(days), max(days)
-    n_steps = (end - start).days + 1
+    cols, ordinals, cells, observed = map(np.concatenate, zip(*blocks))
+    start = int(ordinals.min())
+    n_steps = int(ordinals.max()) - start + 1
     n = len(stations)
-    c = len(CHANNELS)
-    values = np.full((n_steps, n, c), np.nan)
-    valid = np.zeros((n_steps, n, c), dtype=bool)
-    filled = np.zeros((n_steps, n), dtype=bool)
-    for ts, col, vals in rows:
-        t = (ts - start).days
-        if filled[t, col]:
-            raise ValueError(f"duplicate observation for {stations[col].id!r} on {ts}")
-        filled[t, col] = True
-        for k, v in enumerate(vals):
-            if v is not None:
-                values[t, col, k] = v
-                valid[t, col, k] = True
-    values[~valid] = 0.0
-    timestamps = np.array(
-        [np.datetime64(start + timedelta(days=i)) for i in range(n_steps)],
-        dtype="datetime64[D]",
-    )
+    t_idx = ordinals - start
+    _, first = np.unique(t_idx * n + cols, return_index=True)
+    if len(first) < len(cols):
+        repeat = np.ones(len(cols), dtype=bool)
+        repeat[first] = False
+        i = int(np.argmax(repeat))
+        day = date.fromordinal(int(ordinals[i]))
+        raise ValueError(f"duplicate observation for {stations[cols[i]].id!r} on {day}")
+    values = np.zeros((n_steps, n, len(CHANNELS)))
+    valid = np.zeros((n_steps, n, len(CHANNELS)), dtype=bool)
+    values[t_idx, cols] = cells
+    valid[t_idx, cols] = observed
+    timestamps = np.datetime64(date.fromordinal(start), "D") + np.arange(n_steps)
     return SeriesFrame(timestamps, values, valid, tuple(s.id for s in stations))
+
+
+def csv_fields(texts) -> list[str]:
+    """Each text as ``csv.writer`` writes it as one field of a row
+    (QUOTE_MINIMAL: quoted, with quotes doubled, when it holds a comma, a
+    quote or a line break)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    out = []
+    for text in texts:
+        writer.writerow((text, ""))  # a lone empty field would be written as ""
+        out.append(buf.getvalue()[: -len(",\r\n")])
+        buf.seek(0)
+        buf.truncate()
+    return out
+
+
+def float_reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of every value in C order, from one repr of the list."""
+    flat = values.ravel().tolist()
+    return repr(flat)[1:-1].split(", ") if flat else []
+
+
+def write_dated_csv(path, header, timestamps, lines_per_step) -> None:
+    """Write a header row, then each time step's lines, each led by that
+    step's timestamp field: ``csv.writer``'s bytes, one write per step."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(csv_fields(header)) + "\r\n")
+        for ts, lines in zip(csv_fields(str(t) for t in timestamps), lines_per_step):
+            if lines:
+                fh.write(ts + "," + f"\r\n{ts},".join(lines) + "\r\n")
 
 
 def write_series(frame: SeriesFrame, path) -> None:
     """Long CSV; rows with no valid channel are omitted, missing cells blank."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("timestamp", "station_id") + CHANNELS)
-        for t in range(frame.n_steps):
-            ts = str(frame.timestamps[t])
-            for j, sid in enumerate(frame.station_ids):
-                if not frame.valid[t, j].any():
-                    continue
-                cells = [
-                    repr(float(frame.values[t, j, k])) if frame.valid[t, j, k] else ""
-                    for k in range(len(CHANNELS))
-                ]
-                writer.writerow([ts, sid] + cells)
+    ids = [sid + "," for sid in csv_fields(frame.station_ids)]
+
+    def lines(t: int) -> list[str]:
+        stations = np.flatnonzero(frame.valid[t].any(axis=1))
+        cells = float_reprs(frame.values[t, stations])
+        for i in np.flatnonzero(~frame.valid[t, stations].ravel()).tolist():
+            cells[i] = ""
+        rows = map(",".join, zip(*[iter(cells)] * len(CHANNELS)))
+        return list(map(add, [ids[j] for j in stations.tolist()], rows))
+
+    write_dated_csv(path, ("timestamp", "station_id") + CHANNELS, frame.timestamps,
+                    map(lines, range(frame.n_steps)))
 
 
 def chrono_split(

@@ -6,12 +6,21 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
 from .autodiff import Tensor, no_grad
 from .config import RunConfig
-from .data import CHANNELS, NormStats, SeriesFrame, StationMeta
+from .data import (
+    CHANNELS,
+    NormStats,
+    SeriesFrame,
+    StationMeta,
+    csv_fields,
+    float_reprs,
+    write_dated_csv,
+)
 from .encoder import NeighborContext
 from .evaluation import MetricReport, masked_metrics
 from .model import ModelState, _derive_state, build_extension, forward, forward_extension
@@ -127,6 +136,12 @@ def params_digest(params: dict[str, Tensor]) -> str:
     return h.hexdigest()
 
 
+def _date_range(frame: SeriesFrame) -> str:
+    if frame.n_steps == 0:
+        return "no dates"
+    return f"{frame.n_steps} steps from {frame.timestamps[0]} to {frame.timestamps[-1]}"
+
+
 def predict_unseen(
     params: dict[str, Tensor],
     state: ModelState,
@@ -140,11 +155,16 @@ def predict_unseen(
     New stations attach through directed edges and consume the base run's
     states, so the returned base forecast is the same object the plain
     predictor computes, byte for byte, and no parameter is ever written.
-    ``new_frame`` optionally carries observations for the new stations;
-    without it their inputs are fully missing.
+    ``new_frame`` optionally carries observations for the new stations over
+    the same dates as ``frame``; without it their inputs are fully missing.
     """
     before = params_digest(params)
     cfg = state.cfg
+    if new_frame is not None and not np.array_equal(new_frame.timestamps, frame.timestamps):
+        raise ValueError(
+            f"the new stations' series covers {_date_range(new_frame)}, the base series "
+            f"{_date_range(frame)}; both must hold the same dates"
+        )
     end_idx = window_end_index(frame, window_end, cfg.t_in)
     x = _window_inputs(state.stats, frame, end_idx, cfg.t_in)
     ext = build_extension(state, new_stations)
@@ -185,17 +205,21 @@ def write_forecast_csv(forecast: Forecast, path) -> None:
     """One row per (timestamp, station, channel); a forecast holding NaN or
     inf is refused before the file is opened."""
     require_finite(forecast, path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "station_id", "channel", "value"])
-        tau, n, c = forecast.values.shape
-        for t in range(tau):
-            ts = str(forecast.timestamps[t])
-            for j in range(n):
-                for k in range(c):
-                    writer.writerow(
-                        [ts, forecast.station_ids[j], CHANNELS[k], repr(float(forecast.values[t, j, k]))]
-                    )
+    labels = (len(forecast.timestamps), len(forecast.station_ids), len(CHANNELS))
+    if forecast.values.shape != labels:
+        raise ValueError(
+            f"{path}: forecast of shape {forecast.values.shape} has {labels[0]} timestamps, "
+            f"{labels[1]} station ids and {labels[2]} channels"
+        )
+    ids = csv_fields(forecast.station_ids)
+    channels = csv_fields(CHANNELS)
+    prefixes = [f"{sid},{channel}," for sid in ids for channel in channels]
+    write_dated_csv(
+        path,
+        ("timestamp", "station_id", "channel", "value"),
+        forecast.timestamps,
+        (list(map(add, prefixes, float_reprs(step))) for step in forecast.values),
+    )
 
 
 def export_embeddings(params: dict[str, Tensor], state: ModelState, path) -> None:

@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 
@@ -165,6 +166,42 @@ class TestReloadRoundTrip:
                     "--out", tmp_path / "new_fc.csv", "--base-out", tmp_path / "base_fc.csv"]) == 0
         for got, want in (("fc", "ref"), ("base_fc", "ref_base"), ("new_fc", "ref_new")):
             assert (tmp_path / f"{got}.csv").read_bytes() == (tmp_path / f"{want}.csv").read_bytes()
+
+
+def reference_forecast_csv(forecast, path):
+    """The csv.writer version of ``write_forecast_csv``: one row per cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "station_id", "channel", "value"])
+        tau, n, c = forecast.values.shape
+        for t in range(tau):
+            for j in range(n):
+                for k in range(c):
+                    writer.writerow([str(forecast.timestamps[t]), forecast.station_ids[j],
+                                     CHANNELS[k], repr(float(forecast.values[t, j, k]))])
+
+
+class TestForecastCsv:
+    @pytest.mark.parametrize("ids", [
+        ("a", "b", "c"),
+        ('comma,id', 'quote"id', " spaced id "),
+        ("line\nbreak", "cr\rid", '"'),
+    ])
+    def test_same_bytes_as_csv_writer(self, tmp_path, ids):
+        rng = np.random.default_rng(len(ids[0]))
+        values = rng.normal(0.0, 1e3, (4, 3, len(CHANNELS)))
+        values[0, 0, :3] = [-0.0, 5e-324, 1.7976931348623157e308]
+        forecast = Forecast(np.datetime64("2021-12-30") + np.arange(4), ids, values)
+        write_forecast_csv(forecast, tmp_path / "fc.csv")
+        reference_forecast_csv(forecast, tmp_path / "ref.csv")
+        assert (tmp_path / "fc.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_empty_forecast_is_header_only(self, tmp_path):
+        forecast = Forecast(np.arange(0).astype("datetime64[D]"), ("a",),
+                            np.ones((0, 1, len(CHANNELS))))
+        write_forecast_csv(forecast, tmp_path / "fc.csv")
+        reference_forecast_csv(forecast, tmp_path / "ref.csv")
+        assert (tmp_path / "fc.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestErrors:
@@ -405,6 +442,12 @@ class TestErrors:
         assert not (tmp_path / "zfc.csv").exists()
         assert not (tmp_path / "bfc.csv").exists()
 
+    def test_forecast_shape_mismatch_refused(self, tmp_path):
+        forecast = Forecast(np.arange(2), ("a", "b"), np.ones((2, 3, len(CHANNELS))))
+        with pytest.raises(ValueError, match="2 station ids"):
+            write_forecast_csv(forecast, tmp_path / "fc.csv")
+        assert not (tmp_path / "fc.csv").exists()
+
     def test_nonfinite_forecast_not_written(self, tmp_path):
         values = np.ones((2, 3, len(CHANNELS)))
         values[1, 2, 0] = np.nan
@@ -423,6 +466,30 @@ class TestErrors:
         bad.write_text("station_id,lat\n")
         code = run(["features", "--stations", bad, "--series", bad, "--out", tmp_path / "o"])
         assert code == 2
+
+    def test_short_series_row_exits_2(self, workspace, tmp_path, capsys):
+        ws, _ = workspace
+        series = tmp_path / "series.csv"
+        lines = (ws / "data" / "series.csv").read_text().splitlines()
+        lines[5] = ",".join(lines[5].split(",")[:3])
+        series.write_text("\n".join(lines) + "\n")
+        code = run(["predict", "--checkpoint", ws / "run" / "checkpoint",
+                    "--stations", ws / "data" / "stations.csv", "--series", series,
+                    "--out", tmp_path / "fc.csv"])
+        assert code == 2
+        assert "row 6: 3 fields, the header has 8" in capsys.readouterr().err
+
+    def test_short_station_row_exits_2(self, workspace, tmp_path, capsys):
+        ws, _ = workspace
+        new = tmp_path / "new.csv"
+        header = (ws / "data" / "stations.csv").read_text().splitlines()[0]
+        new.write_text(header + "\nzz1,34.0,102.0,100\n")
+        code = run(["predict-unseen", "--checkpoint", ws / "run" / "checkpoint",
+                    "--stations", ws / "data" / "stations.csv",
+                    "--series", ws / "data" / "series.csv",
+                    "--new-stations", new, "--out", tmp_path / "z.csv"])
+        assert code == 2
+        assert "row 2: 4 fields, the header has 10" in capsys.readouterr().err
 
     def test_grad_check_command(self, capsys):
         assert run(["grad-check", "--seed", 0]) == 0

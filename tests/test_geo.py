@@ -175,6 +175,65 @@ class TestKnn:
             knn_geo(pts, 3, queries=[(0.0, 0.0)])
 
 
+class TestChordCertificate:
+    """Point sets where the chord candidates cannot prove every row, so some
+    rows go back to the full haversine search; results must still equal the
+    per-row reference."""
+
+    def _check(self, points, k, queries=None, fallback=True):
+        with mock.patch.object(geo_mod, "smallest_k", wraps=geo_mod.smallest_k) as spy:
+            idx, dist = knn_geo(points, k, queries=queries)
+        idx_ref, dist_ref = reference_knn_geo(np.asarray(points, dtype=float), k,
+                                              None if queries is None else np.asarray(queries))
+        assert np.array_equal(idx, idx_ref)
+        np.testing.assert_array_equal(dist, dist_ref)
+        assert spy.call_count == (2 if fallback else 1)
+
+    def test_duplicated_points(self):
+        # 20 copies of one place: every candidate and the points past them
+        # are at distance 0
+        pts = np.array([(12.5, 40.25)] * 20 + [(13.0, 41.0)] * 20)
+        self._check(pts, 3)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_grid_ties(self, k):
+        # on a 1-degree grid the east and west neighbours tie exactly (and on
+        # the equator the north and south ones too); with one extra
+        # candidate such a tie runs past the candidates
+        lat, lon = np.meshgrid(np.arange(-4.0, 5.0), np.arange(-4.0, 5.0), indexing="ij")
+        pts = np.stack([lat.ravel(), lon.ravel()], axis=1)
+        with mock.patch.object(geo_mod, "_CHORD_EXTRA", 1):
+            self._check(pts, k)
+
+    def test_antipodes(self):
+        # each query's antipode is on the ring, and its nearest stations are
+        # ten copies of one point
+        ring = [(0.0, lon) for lon in np.arange(-180.0, 180.0, 15.0)]
+        pts = np.array(ring + [(0.0, 0.0)] * 10)
+        self._check(pts, 2, queries=[(0.0, 180.0), (0.0, -180.0), (0.0, 0.0)])
+
+    def test_poles(self):
+        # every longitude names the same pole point
+        pts = np.array([(90.0, lon) for lon in np.linspace(-180, 180, 15)]
+                       + [(-90.0, lon) for lon in np.linspace(-180, 180, 15)])
+        self._check(pts, 5)
+
+    def test_date_line(self):
+        # longitudes -180 and 180 name one place: 20 points at distance 0
+        pts = np.array([(5.0, 180.0), (5.0, -180.0)] * 10
+                       + [(lat, 179.5) for lat in np.linspace(-10, 10, 12)])
+        self._check(pts, 3, queries=[(5.0, -180.0), (-3.0, 180.0)])
+
+    def test_spread_points_need_no_fallback(self):
+        rng = np.random.default_rng(7)
+        pts = np.stack([rng.uniform(30, 40, 500), rng.uniform(100, 110, 500)], axis=1)
+        self._check(pts, 10, fallback=False)
+
+    def test_every_point_a_candidate(self):
+        pts = np.array([(0.0, 0.0)] * 6)
+        self._check(pts, 2, fallback=False)
+
+
 class TestGaussianWeight:
     def test_zero_distance(self):
         assert gaussian_static_weight(0.0, 10.0) == 1.0

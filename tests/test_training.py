@@ -194,6 +194,18 @@ class TestPrediction:
         assert newfc.values.shape == (result.state.cfg.tau, 2, 6)
         assert np.isfinite(newfc.values).all()
 
+    def test_zero_shot_new_frame_on_other_dates_refused(self, trained):
+        stations, frame, result, out = trained
+        new = [type(stations[0])("new1", 35.2, 104.1, np.arange(6, dtype=float), -1)]
+        shape = (frame.n_steps, 1, 6)
+        same = type(frame)(frame.timestamps, np.ones(shape), np.ones(shape, dtype=bool), ("new1",))
+        base, newfc = predict_unseen(result.params, result.state, frame, new, new_frame=same)
+        assert np.isfinite(newfc.values).all()
+        shifted = type(frame)(frame.timestamps + np.timedelta64(365, "D"), same.values,
+                              same.valid, ("new1",))
+        with pytest.raises(ValueError, match="same dates"):
+            predict_unseen(result.params, result.state, frame, new, new_frame=shifted)
+
     def test_evaluate_split_report(self, trained):
         stations, frame, result, out = trained
         _, _, test = result.splits
