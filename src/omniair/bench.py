@@ -18,8 +18,8 @@ import numpy as np
 
 from .autodiff import no_grad
 from .config import RunConfig
-from .data import CHANNELS
-from .model import ModelState, forward, init_params
+from .data import CHANNELS, N_GRADES
+from .model import ModelState, forward, identity_input_dim, init_params
 from .topology import HybridGraph
 
 try:  # optional; pins BLAS threads so slopes are comparable across N
@@ -89,7 +89,7 @@ def _random_graph(n: int, k: int, rng: np.random.Generator) -> HybridGraph:
 
 def _synthetic_state(n: int, k: int, cfg: RunConfig, rng: np.random.Generator) -> ModelState:
     graph = _random_graph(n, k, rng)
-    feat_dim = cfg.fourier_dim + 10 + 6
+    feat_dim = identity_input_dim(cfg) - cfg.grade_embed
     return ModelState(
         cfg=cfg,
         stations=[],
@@ -97,7 +97,7 @@ def _synthetic_state(n: int, k: int, cfg: RunConfig, rng: np.random.Generator) -
         contexts=[],
         graph=graph,
         id_features=rng.normal(size=(n, feat_dim)),
-        grades=rng.integers(0, 6, size=n),
+        grades=rng.integers(0, N_GRADES, size=n),
         sem_vectors=np.empty((n, 0)),
     )
 

@@ -9,6 +9,7 @@ bin so prediction never has to re-derive training-time statistics.
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,9 @@ from .encoder import CONTEXT_DIM
 from .model import N_GEO_FEATURES, init_params
 
 FORMAT = "omniair-checkpoint-v1"
-# stored by earlier versions, never read: ``fusion.w`` fed a removed fusion mode
-LEGACY_PARAMS = ("fusion.w",)
+# stored by earlier versions, never read
+LEGACY_PARAMS = ("fusion.w",)  # fed a removed fusion mode
+LEGACY_BUFFERS = ("per_station_norm",)  # flagged a removed normalization mode
 
 
 def _entries(arrays: dict[str, np.ndarray], offset: int) -> tuple[list[dict], bytes, int]:
@@ -45,8 +47,12 @@ def save_checkpoint(
     rng_seed: int,
     station_ids: tuple[str, ...] | None = None,
 ) -> None:
+    """Write the checkpoint directory ``out_dir``, replacing any earlier one.
+
+    Both files are written into a fresh directory that is then renamed into
+    place, so a failed save never leaves one save's manifest beside another
+    save's tensors."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     param_list, blob_p, offset = _entries({k: v.data for k, v in params.items()}, 0)
     buffer_list, blob_b, _ = _entries(buffers, offset)
     manifest = {
@@ -59,12 +65,20 @@ def save_checkpoint(
     }
     if station_ids is not None:
         manifest["station_ids"] = list(station_ids)
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "params.bin", "wb") as fh:
-        fh.write(blob_p)
-        fh.write(blob_b)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    # the scratch directory takes the failed save or the replaced checkpoint with it
+    with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as scratch:
+        staged = Path(scratch) / "new"
+        staged.mkdir()
+        with open(staged / "manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        with open(staged / "params.bin", "wb") as fh:
+            fh.write(blob_p)
+            fh.write(blob_b)
+        if out.exists():
+            out.rename(Path(scratch) / "old")
+        staged.rename(out)
 
 
 def _count(entry: dict) -> int:
@@ -81,29 +95,28 @@ def _read(listing: list[dict], blob: bytes) -> dict[str, np.ndarray]:
     return out
 
 
-def _check_inventory(params: dict[str, np.ndarray], config: RunConfig, where) -> None:
-    """Every parameter ``init_params`` builds for ``config``, at its shape,
-    and nothing else."""
-    expected = {k: v.shape for k, v in init_params(config, np.random.default_rng(0)).items()}
-    for name in sorted(set(expected) | set(params)):
-        if name not in params:
-            raise ValueError(f"{where}: parameter {name!r} is missing")
+def _check_inventory(
+    kind: str, arrays: dict[str, np.ndarray], expected: dict[str, tuple], need: str, where
+) -> None:
+    """Every tensor of ``expected``, at its shape, and nothing else; ``need``
+    says what sets the shape."""
+    for name in sorted(set(expected) | set(arrays)):
+        if name not in arrays:
+            raise ValueError(f"{where}: {kind} {name!r} is missing")
         if name not in expected:
-            raise ValueError(f"{where}: unknown parameter {name!r}")
-        if params[name].shape != expected[name]:
+            raise ValueError(f"{where}: unknown {kind} {name!r}")
+        if arrays[name].shape != expected[name]:
             raise ValueError(
-                f"{where}: parameter {name!r} has shape {params[name].shape}, "
-                f"the config needs {expected[name]}"
+                f"{where}: {kind} {name!r} has shape {arrays[name].shape}, "
+                f"{need} {expected[name]}"
             )
 
 
-def _buffer_shapes(n: int, per_station: bool) -> dict[str, tuple[int, ...]]:
+def _buffer_shapes(n: int) -> dict[str, tuple[int, ...]]:
     """Shape of each ``training.model_buffers`` entry for ``n`` stations."""
-    channels = (n, len(CHANNELS)) if per_station else (len(CHANNELS),)
     return {
-        "per_station_norm": (1,),
-        "channel_mean": channels,
-        "channel_std": channels,
+        "channel_mean": (len(CHANNELS),),
+        "channel_std": (len(CHANNELS),),
         "geo_mean": (N_GEO_FEATURES,),
         "geo_std": (N_GEO_FEATURES,),
         "context_vectors": (n, CONTEXT_DIM),
@@ -111,26 +124,6 @@ def _buffer_shapes(n: int, per_station: bool) -> dict[str, tuple[int, ...]]:
         "context_fallback": (n,),
         "grades": (n,),
     }
-
-
-def _check_buffers(buffers: dict[str, np.ndarray], manifest: dict, where) -> None:
-    """Every model buffer, at the shape its station count and normalization
-    mode need, and nothing else."""
-    names = set(_buffer_shapes(0, False))
-    for name in sorted(names | set(buffers)):
-        if name not in buffers:
-            raise ValueError(f"{where}: buffer {name!r} is missing")
-        if name not in names:
-            raise ValueError(f"{where}: unknown buffer {name!r}")
-    flag = buffers["per_station_norm"]
-    per_station = flag.shape == (1,) and bool(flag[0])
-    n = len(manifest.get("station_ids", buffers["context_vectors"]))
-    for name, shape in _buffer_shapes(n, per_station).items():
-        if buffers[name].shape != shape:
-            raise ValueError(
-                f"{where}: buffer {name!r} has shape {buffers[name].shape}, {n} stations "
-                f"with per_station_norm={per_station} need {shape}"
-            )
 
 
 def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], dict[str, np.ndarray], RunConfig, dict]:
@@ -157,8 +150,13 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], dict[str, np.ndarray],
     params, buffers = _read(manifest["params"], blob), _read(manifest["buffers"], blob)
     for name in LEGACY_PARAMS:
         params.pop(name, None)
-    _check_inventory(params, config, ckpt / "manifest.json")
-    _check_buffers(buffers, manifest, ckpt / "manifest.json")
+    for name in LEGACY_BUFFERS:
+        buffers.pop(name, None)
+    where = ckpt / "manifest.json"
+    shapes = {k: v.shape for k, v in init_params(config, np.random.default_rng(0)).items()}
+    _check_inventory("parameter", params, shapes, "the config needs", where)
+    n = len(manifest.get("station_ids", buffers.get("context_vectors", ())))
+    _check_inventory("buffer", buffers, _buffer_shapes(n), f"{n} stations need", where)
     for kind, arrays in (("parameter", params), ("buffer", buffers)):
         for name, arr in arrays.items():
             if not np.isfinite(arr).all():

@@ -17,7 +17,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .config import RunConfig
-from .data import load_series, load_stations, chrono_split
+from .data import N_GRADES, load_series, load_stations, chrono_split
 from .evaluation import format_report, write_report_csv
 from .inference import (
     evaluate_split,
@@ -93,7 +93,7 @@ def cmd_features(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(
             ["station_id", "mu_nbr", "sigma_nbr", "delta_c_km", "delta_self"]
-            + [f"level_{i}" for i in range(6)]
+            + [f"level_{i}" for i in range(N_GRADES)]
         )
         for s, c in zip(stations, state.contexts):
             writer.writerow([s.id] + [repr(float(v)) for v in c.vector()])
@@ -155,6 +155,8 @@ def cmd_predict_unseen(args) -> int:
     params, state, _ = _state_from_checkpoint(args)
     frame = load_series(args.series, state.stations)
     new_stations = load_stations(args.new_stations)
+    if not new_stations:
+        raise ValueError(f"{args.new_stations}: the file has no stations")
     base, new = predict_unseen(params, state, frame, new_stations, window_end=args.window_end)
     outputs = [(new, args.out)] + ([(base, args.base_out)] if args.base_out else [])
     for forecast, path in outputs:

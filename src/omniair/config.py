@@ -22,6 +22,7 @@ REMOVED_FIELDS = {
     "edge_source": "last",
     "eps_norm": 1e-8,
     "refresh_semantic_every": 0,
+    "per_station_norm": False,
 }
 
 
@@ -51,7 +52,6 @@ class RunConfig:
     patience: int = 20
     seed: int = 42
     coeff_mode: str = "signed"  # signed | positive (smoothing-only control)
-    per_station_norm: bool = False
 
     def __post_init__(self):
         if self.d_model % self.heads != 0:

@@ -346,13 +346,15 @@ def chrono_split(
 
 @dataclass
 class NormStats:
-    """Normalization statistics computed from the training split only."""
+    """Normalization statistics computed from the training split only.
 
-    channel_mean: np.ndarray  # (C,) global mode, (N, C) per-station mode
+    Channel statistics are pooled over every time step and station of the
+    split, so seen and unseen stations are normalized alike."""
+
+    channel_mean: np.ndarray  # (C,)
     channel_std: np.ndarray
     geo_mean: np.ndarray  # (6,)
     geo_std: np.ndarray
-    per_station: bool = False
 
     def normalize(self, values: np.ndarray) -> np.ndarray:
         return (values - self.channel_mean) / self.channel_std
@@ -363,37 +365,18 @@ class NormStats:
     def normalize_geo(self, feats: np.ndarray) -> np.ndarray:
         return (feats - self.geo_mean) / self.geo_std
 
-    def station_free(self) -> "NormStats":
-        """Per-channel stats usable for stations outside the training set.
 
-        In global mode this is the same object; in per-station mode the
-        station axis is averaged out.
-        """
-        if not self.per_station:
-            return self
-        return NormStats(
-            self.channel_mean.mean(axis=0),
-            self.channel_std.mean(axis=0),
-            self.geo_mean,
-            self.geo_std,
-            per_station=False,
-        )
-
-
-def compute_norm_stats(
-    train: SeriesFrame, stations: list[StationMeta], per_station: bool = False
-) -> NormStats:
-    axes = 0 if per_station else (0, 1)
-    count = train.valid.sum(axis=axes)
-    total = np.where(train.valid, train.values, 0.0).sum(axis=axes)
+def compute_norm_stats(train: SeriesFrame, stations: list[StationMeta]) -> NormStats:
+    count = train.valid.sum(axis=(0, 1))
+    total = np.where(train.valid, train.values, 0.0).sum(axis=(0, 1))
     mean = np.where(count > 0, total / np.maximum(count, 1), 0.0)
-    sq = np.where(train.valid, (train.values - mean) ** 2, 0.0).sum(axis=axes)
+    sq = np.where(train.valid, (train.values - mean) ** 2, 0.0).sum(axis=(0, 1))
     std = np.sqrt(np.where(count > 0, sq / np.maximum(count, 1), 0.0))
     std = np.maximum(std, 1e-6)
     feats = np.stack([s.geo_feats for s in stations])
     geo_mean = feats.mean(axis=0)
     geo_std = np.maximum(feats.std(axis=0), 1e-6)
-    return NormStats(mean, std, geo_mean, geo_std, per_station)
+    return NormStats(mean, std, geo_mean, geo_std)
 
 
 @dataclass

@@ -26,7 +26,7 @@ log = logging.getLogger("omniair")
 class FourierConfig:
     """Coordinate feature mapping configuration.
 
-    ``deterministic`` mode uses a geometric frequency ladder f0 * 2^j and
+    ``deterministic`` mode uses a geometric frequency ladder 2^j and
     emits sin/cos per coordinate per level (dimension 4*levels).
     ``gaussian`` mode draws random 2-d frequencies from N(0, bandwidth^2)
     and emits one sin/cos pair per draw (dimension 2*levels).
@@ -36,7 +36,6 @@ class FourierConfig:
     levels: int = 8
     mode: str = "deterministic"
     bandwidth: float = 1.0
-    base_freq: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -46,8 +45,6 @@ class FourierConfig:
             raise ValueError(f"unknown fourier mode {self.mode!r}")
         if self.mode == "gaussian" and self.bandwidth <= 0:
             raise ValueError("bandwidth must be positive")
-        if self.mode == "deterministic" and self.base_freq <= 0:
-            raise ValueError("base frequency must be positive")
 
     @property
     def dim(self) -> int:
@@ -66,7 +63,7 @@ def fourier_features(points_deg, cfg: FourierConfig) -> np.ndarray:
     if p.shape[-1] != 2:
         raise ValueError("points must have a trailing (lat, lon) axis")
     if cfg.mode == "deterministic":
-        freqs = cfg.base_freq * (2.0 ** np.arange(cfg.levels))  # (M,)
+        freqs = 2.0 ** np.arange(cfg.levels)  # (M,)
         args = 2.0 * np.pi * freqs[:, None] * p[..., None, :]  # (..., M, 2)
         feats = np.concatenate([np.sin(args), np.cos(args)], axis=-1)  # (..., M, 4)
         scale = 1.0 / np.sqrt(2.0 * cfg.levels)
@@ -97,6 +94,15 @@ class NeighborContext:
         return np.concatenate(
             [[self.mu_nbr, self.sigma_nbr, self.delta_c_km, self.delta_self], self.level_dist]
         )
+
+    @classmethod
+    def from_vector(
+        cls, vector: np.ndarray, centroid: np.ndarray, fallback: bool
+    ) -> "NeighborContext":
+        """The inverse of ``vector``; the centroid and fallback flag are stored apart."""
+        mu, sigma, delta_c, delta_self = map(float, vector[:4])
+        return cls(mu, sigma, delta_c, delta_self, np.array(vector[4:]), np.array(centroid),
+                   bool(fallback))
 
 
 def station_historical_means(train: SeriesFrame) -> tuple[np.ndarray, np.ndarray]:

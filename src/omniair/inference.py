@@ -45,16 +45,11 @@ def rebuild_state(
             f"got {n}"
         )
     stats = NormStats(
-        buffers["channel_mean"],
-        buffers["channel_std"],
-        buffers["geo_mean"],
-        buffers["geo_std"],
-        per_station=bool(buffers["per_station_norm"][0]),
+        buffers["channel_mean"], buffers["channel_std"], buffers["geo_mean"], buffers["geo_std"]
     )
     contexts = [
-        NeighborContext(float(v[0]), float(v[1]), float(v[2]), float(v[3]), v[4:].copy(),
-                        centroid.copy(), bool(fallback))
-        for v, centroid, fallback in zip(
+        NeighborContext.from_vector(*stored)
+        for stored in zip(
             buffers["context_vectors"], buffers["context_centroids"], buffers["context_fallback"]
         )
     ]
@@ -157,6 +152,7 @@ def predict_unseen(
     predictor computes, byte for byte, and no parameter is ever written.
     ``new_frame`` optionally carries observations for the new stations over
     the same dates as ``frame``; without it their inputs are fully missing.
+    Base and new inputs share the training-split normalization.
     """
     before = params_digest(params)
     cfg = state.cfg
@@ -168,11 +164,10 @@ def predict_unseen(
     end_idx = window_end_index(frame, window_end, cfg.t_in)
     x = _window_inputs(state.stats, frame, end_idx, cfg.t_in)
     ext = build_extension(state, new_stations)
-    new_stats = state.stats.station_free()
     if new_frame is None:
         x_new = np.zeros((1, cfg.t_in, len(new_stations), len(CHANNELS)))
     else:
-        x_new = _window_inputs(new_stats, new_frame, end_idx, cfg.t_in)
+        x_new = _window_inputs(state.stats, new_frame, end_idx, cfg.t_in)
     with no_grad():
         base_out, extras = forward(params, state, x, collect=True)
         new_out = forward_extension(params, state, ext, x_new, extras)
@@ -181,7 +176,7 @@ def predict_unseen(
     future = _future_timestamps(frame, end_idx, cfg.tau)
     base = Forecast(future, frame.station_ids, state.stats.denormalize(base_out.data)[0])
     new_ids = tuple(s.id for s in new_stations)
-    new = Forecast(future, new_ids, new_stats.denormalize(new_out.data)[0])
+    new = Forecast(future, new_ids, state.stats.denormalize(new_out.data)[0])
     return base, new
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import RunConfig
-from .data import CHANNELS, NormStats, SeriesFrame, StationMeta
+from .data import CHANNELS, N_GRADES, NormStats, SeriesFrame, StationMeta
 from .encoder import (
     CONTEXT_DIM,
     FourierConfig,
@@ -52,7 +52,7 @@ def init_params(
     params: dict[str, Tensor] = {}
     params["input_proj.w"] = glorot(n_channels, d)
     params["input_proj.b"] = zeros(d)
-    params["grade_embed.table"] = glorot(6, cfg.grade_embed)
+    params["grade_embed.table"] = glorot(N_GRADES, cfg.grade_embed)
     params["id_mlp.w1"] = glorot(identity_input_dim(cfg), cfg.id_hidden)
     params["id_mlp.b1"] = zeros(cfg.id_hidden)
     params["id_mlp.w2"] = glorot(cfg.id_hidden, cfg.id_dim)
@@ -105,7 +105,7 @@ def build_state(
     from .data import compute_norm_stats
 
     if stats is None:
-        stats = compute_norm_stats(train, stations, per_station=cfg.per_station_norm)
+        stats = compute_norm_stats(train, stations)
     geo = knn_geo(np.stack([s.point for s in stations]), cfg.k_geo)
     return _derive_state(cfg, stations, stats, build_contexts(stations, train, geo[0]), geo)
 
@@ -120,13 +120,25 @@ def _derive_state(
     """The model state as a pure function of the stations, the training-split
     statistics and contexts: training and reload both build it here, so a
     reloaded model runs on exactly the graph it was trained on."""
-    fcfg = FourierConfig(levels=cfg.fourier_levels)
-    id_features = identity_feature_matrix(stations, contexts, fcfg, stats)
-    grades = np.array([resolve_grade(s.grade, c) for s, c in zip(stations, contexts)])
-    sem_vectors = semantic_feature_matrix(id_features, grades)
+    id_features, grades, sem_vectors = _identity_inputs(cfg, stations, contexts, stats)
     points = np.stack([s.point for s in stations])
     graph = build_hybrid_graph(points, sem_vectors, cfg.k_geo, cfg.k_sem, cfg.kappa_km, geo=geo)
     return ModelState(cfg, stations, stats, contexts, graph, id_features, grades, sem_vectors)
+
+
+def _identity_inputs(
+    cfg: RunConfig,
+    stations: list[StationMeta],
+    contexts: list[NeighborContext],
+    stats: NormStats,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Identity features, resolved grades and semantic vectors of ``stations``,
+    one row each: base and unseen stations get them from the same attributes
+    and the same training-split statistics."""
+    fcfg = FourierConfig(levels=cfg.fourier_levels)
+    id_features = identity_feature_matrix(stations, contexts, fcfg, stats)
+    grades = np.array([resolve_grade(s.grade, c) for s, c in zip(stations, contexts)])
+    return id_features, grades, semantic_feature_matrix(id_features, grades)
 
 
 def _pass(
@@ -188,17 +200,16 @@ def build_extension(state: ModelState, new_stations: list[StationMeta]) -> Exten
     base_points = np.stack([s.point for s in state.stations])
     new_points = np.stack([s.point for s in new_stations])
     contexts = anchor_context(new_points, base_points, state.contexts)
-    fcfg = FourierConfig(levels=state.cfg.fourier_levels)
-    id_features = identity_feature_matrix(new_stations, contexts, fcfg, state.stats)
-    grades = np.array([resolve_grade(s.grade, c) for s, c in zip(new_stations, contexts)])
+    cfg = state.cfg
+    id_features, grades, sem_vectors = _identity_inputs(cfg, new_stations, contexts, state.stats)
     attach = attach_new_nodes(
         base_points,
         state.sem_vectors,
         new_points,
-        semantic_feature_matrix(id_features, grades),
-        state.cfg.k_geo,
-        state.cfg.k_sem,
-        state.cfg.kappa_km,
+        sem_vectors,
+        cfg.k_geo,
+        cfg.k_sem,
+        cfg.kappa_km,
     )
     return ExtensionState(new_stations, contexts, attach, id_features, grades)
 

@@ -166,7 +166,6 @@ def model_buffers(state: ModelState) -> dict[str, np.ndarray]:
         "channel_std": np.asarray(state.stats.channel_std, dtype=np.float64),
         "geo_mean": state.stats.geo_mean,
         "geo_std": state.stats.geo_std,
-        "per_station_norm": np.array([float(state.stats.per_station)]),
         "context_vectors": np.stack([c.vector() for c in state.contexts]),
         "context_centroids": np.stack([c.centroid for c in state.contexts]),
         "context_fallback": np.array([float(c.fallback) for c in state.contexts]),

@@ -137,15 +137,14 @@ class TestPipeline:
 
 
 class TestReloadRoundTrip:
-    @pytest.mark.parametrize("per_station_norm", [False, True])
     @pytest.mark.parametrize("coeff_mode", ["signed", "positive"])
-    def test_cli_forecasts_equal_trained_model(self, tmp_path, coeff_mode, per_station_norm):
+    def test_cli_forecasts_equal_trained_model(self, tmp_path, coeff_mode):
         # every remaining switch: the saved model is the trained model
         assert run(["synth", "--n", 12, "--steps", 100, "--seed", 3,
                     "--noise-std", "0.2", "--out", tmp_path / "data"]) == 0
         stations = load_stations(tmp_path / "data" / "stations.csv")
         frame = load_series(tmp_path / "data" / "series.csv", stations)
-        cfg = small_config(max_epochs=2, coeff_mode=coeff_mode, per_station_norm=per_station_norm)
+        cfg = small_config(max_epochs=2, coeff_mode=coeff_mode)
         result = train_model(cfg, stations, frame, out_dir=tmp_path / "run")
         new = tmp_path / "new.csv"
         new.write_text(
@@ -309,20 +308,23 @@ class TestErrors:
         assert not (tmp_path / "fc.csv").exists()
 
     def test_legacy_checkpoint_predicts_same_bytes(self, workspace, tmp_path):
-        # earlier versions stored six more config fields at their kept
-        # values and a never-read fusion.w tensor
+        # earlier versions stored seven more config fields at their kept
+        # values, a never-read fusion.w tensor and a per_station_norm buffer
         ws, _ = workspace
 
         def edit(manifest, ck):
             manifest["config"].update(fusion_mode="signed", rank_mode="abs", norm_mode="abs",
                                       edge_source="last", eps_norm=1e-8,
-                                      refresh_semantic_every=0)
+                                      refresh_semantic_every=0, per_station_norm=False)
             l1 = manifest["config"]["diffusion_steps"] + 1
             blob = ck / "params.bin"
+            offset = blob.stat().st_size
             manifest["params"].append({"name": "fusion.w", "shape": [l1], "dtype": "f64",
-                                       "offset": blob.stat().st_size})
+                                       "offset": offset})
+            manifest["buffers"].append({"name": "per_station_norm", "shape": [1], "dtype": "f64",
+                                        "offset": offset + 8 * l1})
             with open(blob, "ab") as fh:
-                fh.write(np.zeros(l1, dtype="<f8").tobytes())
+                fh.write(np.zeros(l1 + 1, dtype="<f8").tobytes())
 
         ck = self._edited_checkpoint(ws, tmp_path, edit)
         assert self._predict(ws, ck, tmp_path / "legacy.csv") == 0
@@ -399,6 +401,33 @@ class TestErrors:
         assert code == 2
         assert "refresh_semantic_every=1 is no longer supported" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_stored_per_station_norm_exits_2(self, workspace, tmp_path, capsys):
+        # a model trained with per-station statistics cannot be rebuilt
+        ws, _ = workspace
+
+        def edit(manifest, ck):
+            manifest["config"]["per_station_norm"] = True
+
+        ck = self._edited_checkpoint(ws, tmp_path, edit)
+        assert self._predict(ws, ck, tmp_path / "fc.csv") == 2
+        assert "per_station_norm=True is no longer supported" in capsys.readouterr().err
+        assert not (tmp_path / "fc.csv").exists()
+
+    def test_empty_new_stations_exits_2(self, workspace, tmp_path, capsys):
+        ws, _ = workspace
+        new = tmp_path / "new.csv"
+        new.write_text(
+            "station_id,lat,lon,elevation,climate_avg_wind,climate_avg_wind_dir,"
+            "terrain_tpi,terrain_roughness,distance_to_coast_km,grade\n"
+        )
+        code = run(["predict-unseen", "--checkpoint", ws / "run" / "checkpoint",
+                    "--stations", ws / "data" / "stations.csv",
+                    "--series", ws / "data" / "series.csv",
+                    "--new-stations", new, "--out", tmp_path / "z.csv"])
+        assert code == 2
+        assert f"{new}: the file has no stations" in capsys.readouterr().err
+        assert not (tmp_path / "z.csv").exists()
 
     def test_edited_grade_exits_2(self, workspace, tmp_path, capsys):
         # the identity and the semantic edges would see different grades

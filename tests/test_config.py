@@ -55,7 +55,7 @@ class TestRunConfig:
                   "edge_source": "last", "eps_norm": 1e-8}
         cfg = RunConfig.from_dict({"t_in": 12, **legacy})
         assert cfg.to_dict() == RunConfig(t_in=12).to_dict()
-        assert len(cfg.to_dict()) == 25
+        assert len(cfg.to_dict()) == 24
 
     def test_stored_refresh_switch_at_zero_loads(self):
         # 0 (never rebuild the semantic edges) is the fixed graph, the only one built
@@ -66,7 +66,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("name, value", [
         ("fusion_mode", "softmax"), ("fusion_mode", "sum"), ("rank_mode", "signed"),
         ("norm_mode", "plain"), ("edge_source", "mean"), ("eps_norm", 1e-6),
-        ("refresh_semantic_every", 1),
+        ("refresh_semantic_every", 1), ("per_station_norm", True),
     ])
     def test_removed_field_at_other_value_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name}={value!r} is no longer supported"):

@@ -558,11 +558,12 @@ class TestNormStats:
         stats = compute_norm_stats(frame, stations)
         assert np.all(stats.channel_std >= 1e-6)
 
-    def test_per_station_shapes(self):
+    def test_global_shapes(self):
+        # one mean and std per channel, pooled over steps and stations
         frame = toy_frame(10)
         stations = [StationMeta(f"s{i}", 0, i, np.zeros(6), 0) for i in range(2)]
-        stats = compute_norm_stats(frame, stations, per_station=True)
-        assert stats.channel_mean.shape == (2, 6)
+        stats = compute_norm_stats(frame, stations)
+        assert stats.channel_mean.shape == stats.channel_std.shape == (6,)
         roundtrip = stats.denormalize(stats.normalize(frame.values))
         np.testing.assert_allclose(roundtrip, frame.values, atol=1e-9)
 

@@ -10,6 +10,7 @@ from omniair.data import SeriesFrame, StationMeta
 from omniair.encoder import (
     CONTEXT_DIM,
     FourierConfig,
+    NeighborContext,
     anchor_context,
     build_contexts,
     encode_identity,
@@ -132,6 +133,22 @@ class TestNeighborContext:
         assert ctx[0].fallback
         assert ctx[0].delta_c_km == 0.0
         assert any("falling back" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_vector_round_trip(self, fallback):
+        level = np.array([0.5, 0.0, 0.25, 0.0, 0.25, 0.0])
+        ctx = NeighborContext(12.5, 3.25, 41.0, -1.75, level, np.array([35.5, 104.25]), fallback)
+        vector = ctx.vector()
+        assert vector.shape == (CONTEXT_DIM,)
+        back = NeighborContext.from_vector(vector, ctx.centroid, float(fallback))
+        assert (back.mu_nbr, back.sigma_nbr, back.delta_c_km, back.delta_self) == (
+            12.5, 3.25, 41.0, -1.75)
+        assert np.array_equal(back.level_dist, level)
+        assert np.array_equal(back.centroid, ctx.centroid)
+        assert back.fallback is fallback
+        assert np.array_equal(back.vector(), vector)
+        vector[:] = 0.0  # the rebuilt context owns its arrays
+        assert np.array_equal(back.level_dist, level)
 
     def test_grade_change_only_touches_level_dist(self):
         def grades_to_ctx(grade_of_1):

@@ -1,10 +1,14 @@
+import dataclasses
+import errno
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from omniair import checkpoint
 from omniair.checkpoint import load_checkpoint, save_checkpoint
-from omniair.data import StationMeta, chrono_split
+from omniair.data import chrono_split
 from omniair.inference import (
     evaluate_split,
     params_digest,
@@ -13,6 +17,7 @@ from omniair.inference import (
     rebuild_state,
     window_end_index,
 )
+from omniair.model import init_params
 from omniair.oracle import RDScenario, simulate_rd
 from omniair.training import EarlyStopper, model_buffers, train_model
 
@@ -116,6 +121,41 @@ class TestCheckpointRoundtrip:
             assert set(entry) == {"name", "shape", "dtype", "offset"}
             assert entry["dtype"] == "f64"
 
+    def test_failed_overwrite_keeps_earlier_checkpoint(
+        self, tmp_path, monkeypatch, tiny_cfg, tiny_state, tiny_params
+    ):
+        # a save whose tensor write fails must not leave its manifest beside
+        # the tensors of the earlier save
+        buffers = model_buffers(tiny_state)
+        ck = tmp_path / "ck"
+        save_checkpoint(ck, tiny_params, buffers, tiny_cfg, 42)
+        before = {f.name: f.read_bytes() for f in ck.iterdir()}
+        other = dataclasses.replace(tiny_cfg, seed=7)
+        other_params = init_params(other, np.random.default_rng(7))
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            if Path(file).name == "params.bin" and "w" in mode:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return open(file, mode, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(checkpoint, "open", failing_open, raising=False)
+            with pytest.raises(OSError):
+                save_checkpoint(ck, other_params, buffers, other, 7)
+        assert {f.name: f.read_bytes() for f in ck.iterdir()} == before
+        params, _, cfg, manifest = load_checkpoint(ck)
+        assert manifest["rng_seed"] == 42 and cfg.to_dict() == tiny_cfg.to_dict()
+        for name, t in tiny_params.items():
+            assert np.array_equal(params[name].data, t.data)
+        assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+        # a save that completes replaces the whole directory
+        save_checkpoint(ck, other_params, buffers, other, 7)
+        params, _, cfg, manifest = load_checkpoint(ck)
+        assert manifest["rng_seed"] == 7 and cfg.seed == 7
+        for name, t in other_params.items():
+            assert np.array_equal(params[name].data, t.data)
+        assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+
     def test_rejects_foreign_directory(self, tmp_path):
         (tmp_path / "manifest.json").write_text('{"format": "other"}')
         (tmp_path / "params.bin").write_bytes(b"")
@@ -170,15 +210,6 @@ class TestPrediction:
         broken.values[:, 0, :] = 0.0
         fc = predict_window(result.params, result.state, broken)
         assert np.isfinite(fc.values[:, 0, :]).all()
-
-    def test_zero_shot_with_per_station_normalization(self):
-        stations, frame = quick_dataset(seed=41)
-        cfg = small_config(max_epochs=2, per_station_norm=True)
-        result = train_model(cfg, stations, frame)
-        new = [StationMeta("fresh", 35.0, 105.0, np.arange(6, dtype=float), -1)]
-        base, newfc = predict_unseen(result.params, result.state, frame, new)
-        assert np.isfinite(newfc.values).all()
-        assert result.state.stats.channel_mean.shape == (len(stations), 6)
 
     def test_zero_shot_purity_and_identity(self, trained):
         stations, frame, result, out = trained
