@@ -8,13 +8,12 @@ bound of the identity MLP.
 
 import numpy as np
 
-from omniair.encoder import FourierConfig, fourier_features
+from omniair.encoder import fourier_features
 from omniair.oracle import check_kernel, check_lipschitz
 
 print("== Deterministic multi-scale mapping ==")
-cfg = FourierConfig(levels=8)
 for point in ((0.0, 0.0), (40.0, 116.0), (-33.9, 151.2)):
-    f = fourier_features(point, cfg)
+    f = fourier_features(point, 8)
     print(f"gamma{point}: dim={f.shape[0]}, norm={np.linalg.norm(f):.12f}")
 
 print("\n== Random-feature kernel vs Gaussian limit ==")

@@ -95,8 +95,8 @@ def cmd_features(args) -> int:
             ["station_id", "mu_nbr", "sigma_nbr", "delta_c_km", "delta_self"]
             + [f"level_{i}" for i in range(N_GRADES)]
         )
-        for s, c in zip(stations, state.contexts):
-            writer.writerow([s.id] + [repr(float(v)) for v in c.vector()])
+        for s, row in zip(stations, state.contexts.vectors):
+            writer.writerow([s.id] + [repr(float(v)) for v in row])
     print(f"wrote neighborhood features for {len(stations)} stations to {args.out}")
     return 0
 

@@ -344,6 +344,12 @@ def chrono_split(
     )
 
 
+def date_range(frame: SeriesFrame) -> str:
+    if frame.n_steps == 0:
+        return "no dates"
+    return f"{frame.n_steps} steps from {frame.timestamps[0]} to {frame.timestamps[-1]}"
+
+
 @dataclass
 class NormStats:
     """Normalization statistics computed from the training split only.
@@ -367,12 +373,16 @@ class NormStats:
 
 
 def compute_norm_stats(train: SeriesFrame, stations: list[StationMeta]) -> NormStats:
+    """Per-channel statistics of the training split; a channel without any
+    observation in it is refused, since it has no scale to normalize by."""
     count = train.valid.sum(axis=(0, 1))
+    if not count.all():
+        empty = ", ".join(CHANNELS[c] for c in np.flatnonzero(count == 0))
+        raise ValueError(f"no {empty} observation in the training split ({date_range(train)})")
     total = np.where(train.valid, train.values, 0.0).sum(axis=(0, 1))
-    mean = np.where(count > 0, total / np.maximum(count, 1), 0.0)
+    mean = total / count
     sq = np.where(train.valid, (train.values - mean) ** 2, 0.0).sum(axis=(0, 1))
-    std = np.sqrt(np.where(count > 0, sq / np.maximum(count, 1), 0.0))
-    std = np.maximum(std, 1e-6)
+    std = np.maximum(np.sqrt(sq / count), 1e-6)
     feats = np.stack([s.geo_feats for s in stations])
     geo_mean = feats.mean(axis=0)
     geo_std = np.maximum(feats.std(axis=0), 1e-6)

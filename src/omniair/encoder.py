@@ -16,93 +16,54 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import N_GRADES, NormStats, SeriesFrame, StationMeta
+from .data import CHANNELS, N_GRADES, NormStats, SeriesFrame, StationMeta
 from .geo import haversine, knn_geo
 
 log = logging.getLogger("omniair")
 
 
-@dataclass(frozen=True)
-class FourierConfig:
-    """Coordinate feature mapping configuration.
-
-    ``deterministic`` mode uses a geometric frequency ladder 2^j and
-    emits sin/cos per coordinate per level (dimension 4*levels).
-    ``gaussian`` mode draws random 2-d frequencies from N(0, bandwidth^2)
-    and emits one sin/cos pair per draw (dimension 2*levels).
-    Both are scaled so the feature vector has unit Euclidean norm.
-    """
-
-    levels: int = 8
-    mode: str = "deterministic"
-    bandwidth: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.levels <= 0:
-            raise ValueError("fourier levels must be positive")
-        if self.mode not in ("deterministic", "gaussian"):
-            raise ValueError(f"unknown fourier mode {self.mode!r}")
-        if self.mode == "gaussian" and self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-
-    @property
-    def dim(self) -> int:
-        return 4 * self.levels if self.mode == "deterministic" else 2 * self.levels
-
-
 def normalize_coords(points_deg: np.ndarray) -> np.ndarray:
     """Map (lat, lon) degrees onto [-1, 1]^2."""
     p = np.asarray(points_deg, dtype=np.float64)
+    if p.shape[-1] != 2:
+        raise ValueError("points must have a trailing (lat, lon) axis")
     return p / np.array([90.0, 180.0])
 
 
-def fourier_features(points_deg, cfg: FourierConfig) -> np.ndarray:
-    """Unit-norm Fourier features of coordinates; shape (..., cfg.dim)."""
+def fourier_features(points_deg, levels: int) -> np.ndarray:
+    """Unit-norm multi-scale features of coordinates: sin and cos of
+    2 pi 2^j x per coordinate and level j < ``levels``; shape (..., 4 * levels)."""
+    if levels <= 0:
+        raise ValueError("fourier levels must be positive")
     p = normalize_coords(points_deg)
-    if p.shape[-1] != 2:
-        raise ValueError("points must have a trailing (lat, lon) axis")
-    if cfg.mode == "deterministic":
-        freqs = 2.0 ** np.arange(cfg.levels)  # (M,)
-        args = 2.0 * np.pi * freqs[:, None] * p[..., None, :]  # (..., M, 2)
-        feats = np.concatenate([np.sin(args), np.cos(args)], axis=-1)  # (..., M, 4)
-        scale = 1.0 / np.sqrt(2.0 * cfg.levels)
-        return (feats * scale).reshape(p.shape[:-1] + (4 * cfg.levels,))
-    rng = np.random.default_rng(cfg.seed)
-    b = rng.normal(0.0, cfg.bandwidth, size=(cfg.levels, 2))  # (M, 2)
-    args = 2.0 * np.pi * (p @ b.T)  # (..., M)
-    scale = 1.0 / np.sqrt(cfg.levels)
-    return np.concatenate([np.cos(args), np.sin(args)], axis=-1) * scale
+    freqs = 2.0 ** np.arange(levels)  # (M,)
+    args = 2.0 * np.pi * freqs[:, None] * p[..., None, :]  # (..., M, 2)
+    feats = np.concatenate([np.sin(args), np.cos(args)], axis=-1)  # (..., M, 4)
+    scale = 1.0 / np.sqrt(2.0 * levels)
+    return (feats * scale).reshape(p.shape[:-1] + (4 * levels,))
 
 
 CONTEXT_DIM = 4 + N_GRADES
 
 
-@dataclass
-class NeighborContext:
-    """Training-split statistics of a station's geographic neighborhood."""
+@dataclass(frozen=True)
+class Contexts:
+    """Training-split statistics of each station's geographic neighborhood,
+    one row per station; the three arrays are the checkpoint's buffers.
 
-    mu_nbr: float
-    sigma_nbr: float
-    delta_c_km: float
-    delta_self: float
-    level_dist: np.ndarray  # (6,), sums to 1
-    centroid: np.ndarray  # (lat, lon) of the pollution-weighted centroid
-    fallback: bool = False
+    ``vectors`` columns: the neighbors' mean mu and standard deviation sigma
+    of their historical means, the km from the station to the neighbors'
+    pollution-weighted centroid, the station's own mean minus mu, and the
+    neighbors' grade distribution (``N_GRADES`` columns summing to 1).
+    """
 
-    def vector(self) -> np.ndarray:
-        return np.concatenate(
-            [[self.mu_nbr, self.sigma_nbr, self.delta_c_km, self.delta_self], self.level_dist]
-        )
+    vectors: np.ndarray  # (N, CONTEXT_DIM)
+    centroids: np.ndarray  # (N, 2) (lat, lon)
+    fallback: np.ndarray  # (N,) bool: no neighbor has history, mu is the global mean
 
-    @classmethod
-    def from_vector(
-        cls, vector: np.ndarray, centroid: np.ndarray, fallback: bool
-    ) -> "NeighborContext":
-        """The inverse of ``vector``; the centroid and fallback flag are stored apart."""
-        mu, sigma, delta_c, delta_self = map(float, vector[:4])
-        return cls(mu, sigma, delta_c, delta_self, np.array(vector[4:]), np.array(centroid),
-                   bool(fallback))
+    @property
+    def level_dist(self) -> np.ndarray:
+        return self.vectors[:, 4:]
 
 
 def station_historical_means(train: SeriesFrame) -> tuple[np.ndarray, np.ndarray]:
@@ -124,48 +85,54 @@ def build_contexts(
     stations: list[StationMeta],
     train: SeriesFrame,
     nbr_idx: np.ndarray,
-) -> list[NeighborContext]:
-    """Neighborhood context per station from the geographic k-NN lists."""
+    points: np.ndarray,
+) -> Contexts:
+    """Neighborhood contexts from the (N, k) geographic neighbor table and
+    the stations' (N, 2) coordinates.
+
+    A station without history of its own uses the global mean as its own
+    mean; one whose neighbors all lack history falls back to the global mean
+    with zero spread and its own location as centroid. Both are logged.
+    Rows are reduced in groups of equal usable-neighbor count m, so every
+    statistic sums the same m values in the same order as a per-station
+    reduction would.
+    """
     c_means, defined = station_historical_means(train)
     global_mean = float(c_means[defined].mean()) if defined.any() else 0.0
-    points = np.stack([s.point for s in stations])
-    grades = np.array([s.grade for s in stations])
-    contexts = []
-    for i, nbrs in enumerate(nbr_idx):
-        nbrs = np.asarray(nbrs)
-        usable = nbrs[defined[nbrs]]
-        level = np.bincount(np.clip(grades[nbrs], 0, None), minlength=N_GRADES)[:N_GRADES]
-        level = level / max(level.sum(), 1)
-        c_i = c_means[i] if defined[i] else global_mean
-        if usable.size == 0:
-            log.warning(
-                "station %s: no neighbor history, falling back to global mean",
-                stations[i].id,
-            )
-            contexts.append(
-                NeighborContext(
-                    global_mean, 0.0, 0.0, c_i - global_mean, level, points[i].copy(), True
-                )
-            )
-            continue
-        c = c_means[usable]
-        mu = float(c.mean())
-        sigma = float(c.std())
-        weight = c.sum()
-        if abs(weight) < 1e-12:
-            centroid = points[usable].mean(axis=0)
-        else:
-            centroid = (c[:, None] * points[usable]).sum(axis=0) / weight
-        delta_c = float(haversine(points[i], centroid))
-        contexts.append(NeighborContext(mu, sigma, delta_c, c_i - mu, level, centroid))
-    return contexts
+    for i in np.flatnonzero(~defined):
+        log.warning("station %s: no %s observation in the training split, "
+                    "its own mean is the global mean", stations[i].id, CHANNELS[0])
+    n = len(stations)
+    # (N, k) neighbor grades; an unknown grade counts as grade 0
+    grades = np.clip(np.array([s.grade for s in stations]), 0, None)[nbr_idx]
+    cells = np.arange(n)[:, None] * N_GRADES + grades
+    level = np.bincount(cells[grades < N_GRADES], minlength=n * N_GRADES).reshape(n, N_GRADES)
+    vectors = np.zeros((n, CONTEXT_DIM))
+    vectors[:, 0] = global_mean
+    vectors[:, 4:] = level / np.maximum(level.sum(axis=1, keepdims=True), 1)
+    centroids = points.astype(np.float64)
+    usable = defined[nbr_idx]
+    count = usable.sum(axis=1)
+    for m in np.unique(count[count > 0]):
+        group = np.flatnonzero(count == m)
+        idx = nbr_idx[group][usable[group]].reshape(len(group), m)
+        c, p = c_means[idx], points[idx]  # (G, m), (G, m, 2)
+        weight = c.sum(axis=1)
+        flat = np.abs(weight) < 1e-12
+        weighted = (c[:, :, None] * p).sum(axis=1) / np.where(flat, 1.0, weight)[:, None]
+        centroids[group] = np.where(flat[:, None], p.mean(axis=1), weighted)
+        vectors[group, 0] = c.mean(axis=1)
+        vectors[group, 1] = c.std(axis=1)
+        vectors[group, 2] = haversine(points[group], centroids[group])
+    fallback = count == 0
+    for i in np.flatnonzero(fallback):
+        log.warning("station %s: no neighbor history, falling back to global mean",
+                    stations[i].id)
+    vectors[:, 3] = np.where(defined, c_means, global_mean) - vectors[:, 0]
+    return Contexts(vectors, centroids, fallback)
 
 
-def anchor_context(
-    points_new,
-    anchor_points: np.ndarray,
-    anchor_contexts: list[NeighborContext],
-) -> list[NeighborContext]:
+def anchor_context(points_new, anchor_points: np.ndarray, anchors: Contexts) -> Contexts:
     """Contexts for unseen locations: copy the nearest anchor's statistics.
 
     ``points_new`` is (M, 2); one nearest-anchor search serves all M. The
@@ -173,46 +140,35 @@ def anchor_context(
     anomaly is zeroed (a new station has no history of its own).
     Equidistant anchors resolve to the lower index.
     """
-    if len(anchor_contexts) == 0:
+    if len(anchors.vectors) == 0:
         raise ValueError("anchor_context: need at least one anchor")
     points_new = np.asarray(points_new, dtype=np.float64)
     if points_new.ndim != 2 or points_new.shape[1] != 2:
         raise ValueError(f"anchor_context: points must be (M, 2), got {points_new.shape}")
-    idx, _ = knn_geo(anchor_points, 1, queries=points_new)
-    contexts = []
-    for p, i in zip(points_new, idx[:, 0]):
-        a = anchor_contexts[int(i)]
-        contexts.append(
-            NeighborContext(
-                a.mu_nbr,
-                a.sigma_nbr,
-                float(haversine(p, a.centroid)),
-                0.0,
-                a.level_dist.copy(),
-                a.centroid.copy(),
-                a.fallback,
-            )
-        )
-    return contexts
+    nearest = knn_geo(anchor_points, 1, queries=points_new)[0][:, 0]
+    vectors = anchors.vectors[nearest]
+    centroids = anchors.centroids[nearest]
+    vectors[:, 2] = haversine(points_new, centroids)
+    vectors[:, 3] = 0.0
+    return Contexts(vectors, centroids, anchors.fallback[nearest])
 
 
-def resolve_grade(grade: int, ctx: NeighborContext) -> int:
+def resolve_grade(grades: np.ndarray, contexts: Contexts) -> np.ndarray:
     """Unknown grades (-1) take the most common grade in the neighborhood."""
-    return int(np.argmax(ctx.level_dist)) if grade < 0 else grade
+    return np.where(grades < 0, contexts.level_dist.argmax(axis=1), grades)
 
 
 def identity_feature_matrix(
     stations: list[StationMeta],
-    contexts: list[NeighborContext],
-    cfg: FourierConfig,
+    points: np.ndarray,
+    contexts: Contexts,
+    levels: int,
     stats: NormStats,
 ) -> np.ndarray:
     """Constant (non-learnable) part of the encoder input, one row per station."""
-    points = np.stack([s.point for s in stations])
-    fourier = fourier_features(points, cfg)
-    ctx = np.stack([c.vector() for c in contexts])
+    fourier = fourier_features(points, levels)
     geo = stats.normalize_geo(np.stack([s.geo_feats for s in stations]))
-    return np.concatenate([fourier, ctx, geo], axis=1)
+    return np.concatenate([fourier, contexts.vectors, geo], axis=1)
 
 
 def semantic_feature_matrix(id_features: np.ndarray, grades: np.ndarray) -> np.ndarray:

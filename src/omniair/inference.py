@@ -18,10 +18,11 @@ from .data import (
     SeriesFrame,
     StationMeta,
     csv_fields,
+    date_range,
     float_reprs,
     write_dated_csv,
 )
-from .encoder import NeighborContext
+from .encoder import Contexts
 from .evaluation import MetricReport, masked_metrics
 from .model import ModelState, _derive_state, build_extension, forward, forward_extension
 
@@ -47,19 +48,17 @@ def rebuild_state(
     stats = NormStats(
         buffers["channel_mean"], buffers["channel_std"], buffers["geo_mean"], buffers["geo_std"]
     )
-    contexts = [
-        NeighborContext.from_vector(*stored)
-        for stored in zip(
-            buffers["context_vectors"], buffers["context_centroids"], buffers["context_fallback"]
+    contexts = Contexts(
+        buffers["context_vectors"], buffers["context_centroids"], buffers["context_fallback"] != 0
+    )
+    state = _derive_state(cfg, stations, np.stack([s.point for s in stations]), stats, contexts)
+    changed = np.flatnonzero(state.grades != buffers["grades"])
+    if changed.size:
+        i = changed[0]
+        raise ValueError(
+            f"station {stations[i].id!r}: the station file gives grade {state.grades[i]}, "
+            f"the checkpoint was trained with grade {int(buffers['grades'][i])}"
         )
-    ]
-    state = _derive_state(cfg, stations, stats, contexts)
-    for station, got, trained in zip(stations, state.grades, buffers["grades"]):
-        if got != trained:
-            raise ValueError(
-                f"station {station.id!r}: the station file gives grade {got}, "
-                f"the checkpoint was trained with grade {int(trained)}"
-            )
     return state
 
 
@@ -83,6 +82,21 @@ def window_end_index(frame: SeriesFrame, window_end: str | int | None, t_in: int
             f"within the {frame.n_steps}-step frame"
         )
     return idx
+
+
+def _base_window(state: ModelState, frame: SeriesFrame, window_end) -> tuple[int, np.ndarray]:
+    """End index and normalized inputs of the base stations' window ending at
+    ``window_end``; a window without any observation is refused, since its
+    forecast would rest on no data."""
+    t_in = state.cfg.t_in
+    end_idx = window_end_index(frame, window_end, t_in)
+    lo = end_idx - t_in + 1
+    if not frame.valid[lo : end_idx + 1].any():
+        raise ValueError(
+            f"the input window from {frame.timestamps[lo]} to {frame.timestamps[end_idx]} "
+            "holds no observation"
+        )
+    return end_idx, _window_inputs(state.stats, frame, end_idx, t_in)
 
 
 def _window_inputs(stats: NormStats, frame: SeriesFrame, end_idx: int, t_in: int) -> np.ndarray:
@@ -115,12 +129,11 @@ def predict_window(
     window_end: str | int | None = None,
 ) -> Forecast:
     """Raw-unit forecast for the window ending at ``window_end``."""
-    cfg = state.cfg
-    end_idx = window_end_index(frame, window_end, cfg.t_in)
+    end_idx, x = _base_window(state, frame, window_end)
     with no_grad():
-        out = forward(params, state, _window_inputs(state.stats, frame, end_idx, cfg.t_in))
+        out = forward(params, state, x)
     values = state.stats.denormalize(out.data)[0]
-    return Forecast(_future_timestamps(frame, end_idx, cfg.tau), frame.station_ids, values)
+    return Forecast(_future_timestamps(frame, end_idx, state.cfg.tau), frame.station_ids, values)
 
 
 def params_digest(params: dict[str, Tensor]) -> str:
@@ -129,12 +142,6 @@ def params_digest(params: dict[str, Tensor]) -> str:
         h.update(name.encode())
         h.update(np.ascontiguousarray(params[name].data).tobytes())
     return h.hexdigest()
-
-
-def _date_range(frame: SeriesFrame) -> str:
-    if frame.n_steps == 0:
-        return "no dates"
-    return f"{frame.n_steps} steps from {frame.timestamps[0]} to {frame.timestamps[-1]}"
 
 
 def predict_unseen(
@@ -158,11 +165,10 @@ def predict_unseen(
     cfg = state.cfg
     if new_frame is not None and not np.array_equal(new_frame.timestamps, frame.timestamps):
         raise ValueError(
-            f"the new stations' series covers {_date_range(new_frame)}, the base series "
-            f"{_date_range(frame)}; both must hold the same dates"
+            f"the new stations' series covers {date_range(new_frame)}, the base series "
+            f"{date_range(frame)}; both must hold the same dates"
         )
-    end_idx = window_end_index(frame, window_end, cfg.t_in)
-    x = _window_inputs(state.stats, frame, end_idx, cfg.t_in)
+    end_idx, x = _base_window(state, frame, window_end)
     ext = build_extension(state, new_stations)
     if new_frame is None:
         x_new = np.zeros((1, cfg.t_in, len(new_stations), len(CHANNELS)))

@@ -13,8 +13,7 @@ from .config import RunConfig
 from .data import CHANNELS, N_GRADES, NormStats, SeriesFrame, StationMeta
 from .encoder import (
     CONTEXT_DIM,
-    FourierConfig,
-    NeighborContext,
+    Contexts,
     anchor_context,
     build_contexts,
     encode_identity,
@@ -84,7 +83,7 @@ class ModelState:
     cfg: RunConfig
     stations: list[StationMeta]
     stats: NormStats
-    contexts: list[NeighborContext]
+    contexts: Contexts
     graph: HybridGraph
     id_features: np.ndarray  # (N, fourier+context+geo)
     grades: np.ndarray  # (N,) resolved grades
@@ -106,22 +105,25 @@ def build_state(
 
     if stats is None:
         stats = compute_norm_stats(train, stations)
-    geo = knn_geo(np.stack([s.point for s in stations]), cfg.k_geo)
-    return _derive_state(cfg, stations, stats, build_contexts(stations, train, geo[0]), geo)
+    points = np.stack([s.point for s in stations])
+    geo = knn_geo(points, cfg.k_geo)
+    contexts = build_contexts(stations, train, geo[0], points)
+    return _derive_state(cfg, stations, points, stats, contexts, geo)
 
 
 def _derive_state(
     cfg: RunConfig,
     stations: list[StationMeta],
+    points: np.ndarray,
     stats: NormStats,
-    contexts: list[NeighborContext],
+    contexts: Contexts,
     geo: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ModelState:
-    """The model state as a pure function of the stations, the training-split
-    statistics and contexts: training and reload both build it here, so a
-    reloaded model runs on exactly the graph it was trained on."""
-    id_features, grades, sem_vectors = _identity_inputs(cfg, stations, contexts, stats)
-    points = np.stack([s.point for s in stations])
+    """The model state as a pure function of the stations and their (N, 2)
+    coordinates, the training-split statistics and contexts: training and
+    reload both build it here, so a reloaded model runs on exactly the graph
+    it was trained on."""
+    id_features, grades, sem_vectors = _identity_inputs(cfg, stations, points, contexts, stats)
     graph = build_hybrid_graph(points, sem_vectors, cfg.k_geo, cfg.k_sem, cfg.kappa_km, geo=geo)
     return ModelState(cfg, stations, stats, contexts, graph, id_features, grades, sem_vectors)
 
@@ -129,15 +131,15 @@ def _derive_state(
 def _identity_inputs(
     cfg: RunConfig,
     stations: list[StationMeta],
-    contexts: list[NeighborContext],
+    points: np.ndarray,
+    contexts: Contexts,
     stats: NormStats,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Identity features, resolved grades and semantic vectors of ``stations``,
     one row each: base and unseen stations get them from the same attributes
     and the same training-split statistics."""
-    fcfg = FourierConfig(levels=cfg.fourier_levels)
-    id_features = identity_feature_matrix(stations, contexts, fcfg, stats)
-    grades = np.array([resolve_grade(s.grade, c) for s, c in zip(stations, contexts)])
+    id_features = identity_feature_matrix(stations, points, contexts, cfg.fourier_levels, stats)
+    grades = resolve_grade(np.array([s.grade for s in stations]), contexts)
     return id_features, grades, semantic_feature_matrix(id_features, grades)
 
 
@@ -185,7 +187,7 @@ class ExtensionState:
     """Unseen stations attached to a trained base graph by directed edges."""
 
     stations: list[StationMeta]
-    contexts: list[NeighborContext]
+    contexts: Contexts
     attach: HybridGraph  # row i = new node i, nbr = base nodes
     id_features: np.ndarray
     grades: np.ndarray
@@ -201,7 +203,9 @@ def build_extension(state: ModelState, new_stations: list[StationMeta]) -> Exten
     new_points = np.stack([s.point for s in new_stations])
     contexts = anchor_context(new_points, base_points, state.contexts)
     cfg = state.cfg
-    id_features, grades, sem_vectors = _identity_inputs(cfg, new_stations, contexts, state.stats)
+    id_features, grades, sem_vectors = _identity_inputs(
+        cfg, new_stations, new_points, contexts, state.stats
+    )
     attach = attach_new_nodes(
         base_points,
         state.sem_vectors,

@@ -166,8 +166,8 @@ def model_buffers(state: ModelState) -> dict[str, np.ndarray]:
         "channel_std": np.asarray(state.stats.channel_std, dtype=np.float64),
         "geo_mean": state.stats.geo_mean,
         "geo_std": state.stats.geo_std,
-        "context_vectors": np.stack([c.vector() for c in state.contexts]),
-        "context_centroids": np.stack([c.centroid for c in state.contexts]),
-        "context_fallback": np.array([float(c.fallback) for c in state.contexts]),
+        "context_vectors": state.contexts.vectors,
+        "context_centroids": state.contexts.centroids,
+        "context_fallback": state.contexts.fallback.astype(np.float64),
         "grades": state.grades.astype(np.float64),
     }

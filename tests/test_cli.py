@@ -520,6 +520,69 @@ class TestErrors:
         assert code == 2
         assert "row 2: 4 fields, the header has 10" in capsys.readouterr().err
 
+    @staticmethod
+    def _blanked_series(ws, path, blank):
+        """The workspace series with ``blank(day, channel)`` cells emptied."""
+        header, *lines = (ws / "data" / "series.csv").read_text().splitlines()
+        days = sorted({line.split(",")[0] for line in lines})
+        for k, line in enumerate(lines):
+            cells = line.split(",")
+            day = days.index(cells[0])
+            cells[2:] = ["" if blank(day, c) else v for c, v in zip(CHANNELS, cells[2:])]
+            lines[k] = ",".join(cells)
+        path.write_text("\n".join([header, *lines]) + "\n")
+        return days
+
+    def test_channel_without_training_observation_exits_2(self, workspace, tmp_path, capsys):
+        # so2 blank over the first 80 of 120 days: the 72-day training split
+        # has no so2 value to take a scale from
+        ws, cfg_path = workspace
+        series = tmp_path / "series.csv"
+        self._blanked_series(ws, series, lambda day, channel: channel == "so2" and day < 80)
+        code = run(["train", "--config", cfg_path, "--stations", ws / "data" / "stations.csv",
+                    "--series", series, "--out", tmp_path / "run"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no so2 observation in the training split" in err
+        assert "72 steps from 2020-01-01 to 2020-03-12" in err
+        assert not (tmp_path / "run" / "checkpoint").exists()
+
+    def test_station_without_history_is_logged(self, workspace, tmp_path, caplog):
+        # s003 has no observation at all: it trains on the global mean, and says so
+        ws, cfg_path = workspace
+        series = tmp_path / "series.csv"
+        text = (ws / "data" / "series.csv").read_text().splitlines()
+        series.write_text("\n".join(
+            line if ",s003," not in line else ",".join(line.split(",")[:2] + [""] * 6)
+            for line in text) + "\n")
+        with caplog.at_level("WARNING", logger="omniair"):
+            assert run(["features", "--config", cfg_path,
+                        "--stations", ws / "data" / "stations.csv", "--series", series,
+                        "--out", tmp_path / "f.csv"]) == 0
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            "station s003: no pm25 observation in the training split, "
+            "its own mean is the global mean"
+        ]
+
+    @pytest.mark.parametrize("command", ["predict", "predict-unseen"])
+    def test_blank_input_window_exits_2(self, workspace, tmp_path, capsys, command):
+        # every input of the last t_in = 8 days is blank
+        ws, _ = workspace
+        series = tmp_path / "series.csv"
+        days = self._blanked_series(ws, series, lambda day, channel: day >= 112)
+        argv = [command, "--checkpoint", ws / "run" / "checkpoint",
+                "--stations", ws / "data" / "stations.csv", "--series", series,
+                "--out", tmp_path / "fc.csv"]
+        if command == "predict-unseen":
+            new = tmp_path / "new.csv"
+            header = (ws / "data" / "stations.csv").read_text().splitlines()[0]
+            new.write_text(header + "\nzz1,35.5,105.5,400,8,90,0,5,100,\n")
+            argv += ["--new-stations", new]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"the input window from {days[112]} to {days[119]} holds no observation" in err
+        assert not (tmp_path / "fc.csv").exists()
+
     def test_grad_check_command(self, capsys):
         assert run(["grad-check", "--seed", 0]) == 0
         out = capsys.readouterr().out

@@ -3,7 +3,7 @@ import pytest
 
 from omniair.autodiff import Tensor
 from omniair.data import CHANNELS, NormStats, chrono_split, make_windows
-from omniair.encoder import NeighborContext
+from omniair.encoder import Contexts
 from omniair.model import (
     ModelState,
     build_extension,
@@ -119,14 +119,15 @@ class TestSingleStation:
             np.empty((1, 0)),
             np.empty((1, 0)),
         )
-        ctx = NeighborContext(1.0, 0.5, 2.0, 0.1, np.full(6, 1 / 6), np.array([0.0, 0.0]))
+        ctx = Contexts(np.array([[1.0, 0.5, 2.0, 0.1] + [1 / 6] * 6]), np.zeros((1, 2)),
+                       np.array([False]))
         feat_dim = cfg.fourier_dim + 10 + 6
         stats = NormStats(np.zeros(6), np.ones(6), np.zeros(6), np.ones(6))
         state = ModelState(
             cfg=cfg,
             stations=[],
             stats=stats,
-            contexts=[ctx],
+            contexts=ctx,
             graph=graph,
             id_features=rng.normal(size=(1, feat_dim)),
             grades=np.array([2]),

@@ -22,6 +22,7 @@ from omniair.oracle import (
     build_sim_laplacian,
     check_kernel,
     dense_forward,
+    random_fourier_features,
     simulate_rd,
     stability_bound,
     toy_grad_check,
@@ -107,10 +108,7 @@ class TestKernelChecker:
         assert table[4096] < table[64]
 
     def test_zero_offset_kernel_is_one(self):
-        from omniair.encoder import FourierConfig, fourier_features
-
-        cfg = FourierConfig(levels=256, mode="gaussian", bandwidth=1.0, seed=3)
-        f = fourier_features((12.0, 34.0), cfg)
+        f = random_fourier_features((12.0, 34.0), 256, 1.0, 3)
         assert float(f @ f) == pytest.approx(1.0, abs=1e-9)
 
     def test_closed_form_target_value(self):
