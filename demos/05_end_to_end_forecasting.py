@@ -29,8 +29,8 @@ stations, frame = simulate_rd(scenario)
 print(f"simulated {len(stations)} stations x {frame.n_steps} daily steps")
 
 cfg = RunConfig(
-    d_model=16, id_dim=16, heads=4, t_in=12, tau=4, k_geo=4, k_sem=2,
-    k_max=6.0, batch=16, max_epochs=8, patience=50, seed=42,
+    d_model=16, heads=4, t_in=12, tau=4, k_geo=4, k_sem=2,
+    batch=16, max_epochs=8, patience=50, seed=42,
     attn_dim=8, head_hidden=32,
 )
 result = train_model(cfg, stations, frame)

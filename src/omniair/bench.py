@@ -105,14 +105,12 @@ def _synthetic_state(n: int, k: int, cfg: RunConfig, rng: np.random.Generator) -
 def bench_config(k: int, t_in: int) -> RunConfig:
     return RunConfig(
         d_model=32,
-        id_dim=32,
         heads=4,
         fourier_dim=32,
         t_in=t_in,
         tau=2,
         k_geo=max(k - 5, 1),
         k_sem=min(5, k - 1),
-        k_max=float(k),
         batch=1,
         attn_dim=16,
         head_hidden=64,

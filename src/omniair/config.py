@@ -5,7 +5,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass
+import inspect
+from dataclasses import InitVar, dataclass
 
 
 def dict_hash(d: dict) -> str:
@@ -29,7 +30,7 @@ REMOVED_FIELDS = {
 @dataclass
 class RunConfig:
     fourier_dim: int = 32  # deterministic mapping dim, must be 4 * levels
-    id_dim: int = 64
+    id_dim: InitVar[int | None] = None  # derived: d_model
     id_hidden: int = 64
     grade_embed: int = 16
     d_model: int = 64
@@ -37,7 +38,7 @@ class RunConfig:
     diffusion_steps: int = 2
     k_geo: int = 10
     k_sem: int = 5
-    k_max: float = 15.0
+    k_max: InitVar[float | None] = None  # derived: k_geo + k_sem
     eta: float = 10.0
     kappa_km: float = 100.0
     restart: float = 0.2
@@ -53,16 +54,24 @@ class RunConfig:
     seed: int = 42
     coeff_mode: str = "signed"  # signed | positive (smoothing-only control)
 
-    def __post_init__(self):
+    def __post_init__(self, id_dim, k_max):
+        # settable in earlier versions, now derived: the identity width is the
+        # gate's d_model and the bound of beta is the neighbour table's width
+        # K; a stored or passed value loads only if it is the derived one
+        for name, given, rule, derived in (
+            ("id_dim", id_dim, "d_model", self.d_model),
+            ("k_max", k_max, "k_geo + k_sem", self.k_geo + self.k_sem),
+        ):
+            if given is not None and given != derived:
+                raise ValueError(f"config field {name}={given!r} is no longer supported: "
+                                 f"it is {rule} = {derived}")
         if self.d_model % self.heads != 0:
             raise ValueError("d_model must be divisible by heads")
-        if self.id_dim != self.d_model:
-            raise ValueError("id_dim must equal d_model (gate concatenation)")
         if self.fourier_dim % 4 != 0:
             raise ValueError("fourier_dim must be a multiple of 4")
         for name in ("fourier_dim", "grade_embed", "d_model", "heads", "k_geo",
                      "t_in", "tau", "batch", "max_epochs", "patience",
-                     "k_max", "eta", "kappa_km", "lr", "attn_dim", "head_hidden"):
+                     "eta", "kappa_km", "lr", "attn_dim", "head_hidden"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.k_sem < 0 or self.diffusion_steps < 0:
@@ -91,7 +100,7 @@ class RunConfig:
             if name in d and kept is not None and d[name] != kept:
                 raise ValueError(f"config field {name}={d[name]!r} is no longer supported")
         d = {k: v for k, v in d.items() if k not in REMOVED_FIELDS}
-        known = {f.name for f in dataclasses.fields(cls)}
+        known = set(inspect.signature(cls).parameters)
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -109,3 +118,7 @@ class RunConfig:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+# the InitVar defaults would linger as class attributes that read None
+del RunConfig.id_dim, RunConfig.k_max

@@ -54,7 +54,8 @@ class Contexts:
     ``vectors`` columns: the neighbors' mean mu and standard deviation sigma
     of their historical means, the km from the station to the neighbors'
     pollution-weighted centroid, the station's own mean minus mu, and the
-    neighbors' grade distribution (``N_GRADES`` columns summing to 1).
+    grade distribution of the neighbors of known grade (``N_GRADES`` columns
+    summing to 1, all zero when no neighbor's grade is known).
     """
 
     vectors: np.ndarray  # (N, CONTEXT_DIM)
@@ -92,7 +93,9 @@ def build_contexts(
 
     A station without history of its own uses the global mean as its own
     mean; one whose neighbors all lack history falls back to the global mean
-    with zero spread and its own location as centroid. Both are logged.
+    with zero spread and its own location as centroid. Both are logged, as
+    is a station of unknown grade with no neighbor of known grade (it
+    resolves to grade 0).
     Rows are reduced in groups of equal usable-neighbor count m, so every
     statistic sums the same m values in the same order as a per-station
     reduction would.
@@ -103,13 +106,18 @@ def build_contexts(
         log.warning("station %s: no %s observation in the training split, "
                     "its own mean is the global mean", stations[i].id, CHANNELS[0])
     n = len(stations)
-    # (N, k) neighbor grades; an unknown grade counts as grade 0
-    grades = np.clip(np.array([s.grade for s in stations]), 0, None)[nbr_idx]
+    own_grades = np.array([s.grade for s in stations])
+    grades = own_grades[nbr_idx]  # (N, k); an unknown grade (-1) is not counted
     cells = np.arange(n)[:, None] * N_GRADES + grades
-    level = np.bincount(cells[grades < N_GRADES], minlength=n * N_GRADES).reshape(n, N_GRADES)
+    known = (grades >= 0) & (grades < N_GRADES)
+    level = np.bincount(cells[known], minlength=n * N_GRADES).reshape(n, N_GRADES)
+    counted = level.sum(axis=1)
+    for i in np.flatnonzero((own_grades < 0) & (counted == 0)):
+        log.warning("station %s: unknown grade and no neighbor of known grade, "
+                    "it resolves to grade 0", stations[i].id)
     vectors = np.zeros((n, CONTEXT_DIM))
     vectors[:, 0] = global_mean
-    vectors[:, 4:] = level / np.maximum(level.sum(axis=1, keepdims=True), 1)
+    vectors[:, 4:] = level / np.maximum(counted, 1)[:, None]
     centroids = points.astype(np.float64)
     usable = defined[nbr_idx]
     count = usable.sum(axis=1)

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import logging
 from dataclasses import dataclass
 from operator import add
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .autodiff import Tensor, no_grad
 from .config import RunConfig
@@ -25,6 +27,8 @@ from .data import (
 from .encoder import Contexts
 from .evaluation import MetricReport, masked_metrics
 from .model import ModelState, _derive_state, build_extension, forward, forward_extension
+
+log = logging.getLogger("omniair")
 
 
 def rebuild_state(
@@ -189,11 +193,21 @@ def predict_unseen(
 def evaluate_split(
     params: dict[str, Tensor], state: ModelState, frame: SeriesFrame
 ) -> MetricReport:
-    """Masked metrics over every forecast window of a frame."""
+    """Masked metrics over the forecast windows of a frame whose input days
+    hold an observation; a window with blank inputs forecasts from no data,
+    so it is dropped, and the drop is logged."""
     from .training import predict_batches
 
     preds, targets, masks = predict_batches(params, state, frame)
-    return masked_metrics(targets, preds, masks)
+    t_in = state.cfg.t_in
+    observed = frame.valid.any(axis=(1, 2))
+    scored = sliding_window_view(observed, t_in)[: len(preds)].any(axis=1)
+    if not scored.any():
+        raise ValueError(f"no input window of the {date_range(frame)} holds an observation")
+    if not scored.all():
+        log.warning("evaluate: dropped %d of %d windows whose %d input days hold no observation",
+                    len(preds) - scored.sum(), len(preds), t_in)
+    return masked_metrics(targets[scored], preds[scored], masks[scored])
 
 
 def require_finite(forecast: Forecast, path) -> None:

@@ -54,8 +54,8 @@ def init_params(
     params["grade_embed.table"] = glorot(N_GRADES, cfg.grade_embed)
     params["id_mlp.w1"] = glorot(identity_input_dim(cfg), cfg.id_hidden)
     params["id_mlp.b1"] = zeros(cfg.id_hidden)
-    params["id_mlp.w2"] = glorot(cfg.id_hidden, cfg.id_dim)
-    params["id_mlp.b2"] = zeros(cfg.id_dim)
+    params["id_mlp.w2"] = glorot(cfg.id_hidden, d)
+    params["id_mlp.b2"] = zeros(d)
     params["attn.we"] = glorot(2 * d, cfg.attn_dim)
     params["attn.a"] = glorot(cfg.attn_dim, fans=(cfg.attn_dim, 1))
     params["edge_gate.w"] = glorot(2 * d + 1, fans=(2 * d + 1, 1))
@@ -162,7 +162,7 @@ def _pass(
     b, t, n, d = h.shape
     h_edge = ad.slice_axis(h, 1, t - 1, t).reshape((b, n, d))  # last input step
     h_src, src_stack = (None, None) if base is None else (base["h_edge"], base["stack"])
-    edges = edge_weights(h_edge, graph, params, k_max=cfg.k_max, eta=cfg.eta, h_src=h_src)
+    edges = edge_weights(h_edge, graph, params, eta=cfg.eta, h_src=h_src)
     stack = diffuse(h, edges["w_tilde"], graph, cfg.diffusion_steps, cfg.restart, src_stack)
     z = signed_aggregate(stack, params, cfg.heads, cfg.coeff_mode)
     gate, zhat = fuse_and_gate(z, e_id, params)
@@ -187,7 +187,6 @@ class ExtensionState:
     """Unseen stations attached to a trained base graph by directed edges."""
 
     stations: list[StationMeta]
-    contexts: Contexts
     attach: HybridGraph  # row i = new node i, nbr = base nodes
     id_features: np.ndarray
     grades: np.ndarray
@@ -215,7 +214,7 @@ def build_extension(state: ModelState, new_stations: list[StationMeta]) -> Exten
         cfg.k_sem,
         cfg.kappa_km,
     )
-    return ExtensionState(new_stations, contexts, attach, id_features, grades)
+    return ExtensionState(new_stations, attach, id_features, grades)
 
 
 def forward_extension(

@@ -211,7 +211,7 @@ def dense_forward(
     w_dyn = np.where(cand, w_dyn, 0.0)
 
     bh = np.tanh(h_edge @ params["beta_mlp.w1"] + params["beta_mlp.b1"])
-    beta = cfg.k_max * _sigmoid(bh @ params["beta_mlp.w2"] + params["beta_mlp.b2"])[..., 0]
+    beta = float(g.k) * _sigmoid(bh @ params["beta_mlp.w2"] + params["beta_mlp.b2"])[..., 0]
 
     ranks = np.zeros((b, n, n))
     for q in range(b):
@@ -275,8 +275,8 @@ def toy_grad_check(
     from .model import build_state, forward, init_params, masked_mae_loss
 
     cfg = RunConfig(
-        d_model=8, id_dim=8, heads=4, fourier_dim=32, t_in=6, tau=2,
-        k_geo=2, k_sem=1, k_max=3.0, batch=2, attn_dim=8, head_hidden=16,
+        d_model=8, heads=4, fourier_dim=32, t_in=6, tau=2,
+        k_geo=2, k_sem=1, batch=2, attn_dim=8, head_hidden=16,
     )
     scn = RDScenario(n=5, steps=40, seed=seed + 7, noise_std=0.3, missing_rate=0.1)
     stations, frame = simulate_rd(scn)

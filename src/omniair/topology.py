@@ -211,11 +211,12 @@ def fuse_gate(
     return g, w_dyn
 
 
-def predict_beta(h_nodes: Tensor, params: dict[str, Tensor], k_max: float) -> Tensor:
-    """Per-node continuous truncation threshold in (0, k_max)."""
+def predict_beta(h_nodes: Tensor, params: dict[str, Tensor], k: int) -> Tensor:
+    """Per-node continuous truncation threshold in (0, k), k the number of
+    candidates per node."""
     h = ad.tanh(ad.matmul(h_nodes, params["beta_mlp.w1"]) + params["beta_mlp.b1"])
     s = ad.matmul(h, params["beta_mlp.w2"]) + params["beta_mlp.b2"]
-    return k_max * ad.sigmoid(s.reshape(s.shape[:-1]))
+    return float(k) * ad.sigmoid(s.reshape(s.shape[:-1]))
 
 
 def compute_ranks(w_dyn: np.ndarray, graph: HybridGraph) -> np.ndarray:
@@ -252,7 +253,6 @@ def edge_weights(
     graph: HybridGraph,
     params: dict[str, Tensor],
     *,
-    k_max: float,
     eta: float,
     h_src: Tensor | None = None,
 ) -> dict[str, Tensor | np.ndarray]:
@@ -261,12 +261,12 @@ def edge_weights(
     ``h_nodes`` is (B, N, D) for the nodes owning the edges; ``h_src``
     (defaulting to ``h_nodes``) is gathered for edge targets, which lets
     unseen nodes attach to a separately computed base state. Every per-edge
-    output is (B, N, K).
+    output is (B, N, K). Each node's threshold beta lies in (0, K).
     """
     h_src = h_nodes if h_src is None else h_src
     alpha = dynamic_attention(h_nodes, h_src, graph.nbr, params)
     gate, w_dyn = fuse_gate(h_nodes, h_src, graph.nbr, graph.w_static, alpha, params)
-    beta = predict_beta(h_nodes, params, k_max)
+    beta = predict_beta(h_nodes, params, graph.k)
     ranks = compute_ranks(w_dyn.data, graph)
     mask = prune_mask(ranks, beta, eta)
     w_tilde = normalize_weights(w_dyn, mask)

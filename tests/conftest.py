@@ -14,14 +14,12 @@ from omniair.oracle import RDScenario, simulate_rd
 def small_config(**overrides) -> RunConfig:
     base = dict(
         d_model=16,
-        id_dim=16,
         heads=4,
         fourier_dim=32,
         t_in=8,
         tau=3,
         k_geo=3,
         k_sem=2,
-        k_max=5.0,
         batch=8,
         max_epochs=3,
         patience=20,

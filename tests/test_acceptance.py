@@ -64,7 +64,7 @@ def test_criterion_02_sparse_dense_equivalence():
     for n in (4, 8, 16):
         cfg = small_config(
             d_model=16, id_dim=16, t_in=6, tau=2, batch=2,
-            k_geo=min(3, n - 2), k_sem=1, k_max=4.0,
+            k_geo=min(3, n - 2), k_sem=1,
         )
         for seed in range(25):
             scn = RDScenario(n=n, steps=40, seed=seed, noise_std=0.2,

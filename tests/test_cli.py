@@ -308,14 +308,15 @@ class TestErrors:
         assert not (tmp_path / "fc.csv").exists()
 
     def test_legacy_checkpoint_predicts_same_bytes(self, workspace, tmp_path):
-        # earlier versions stored seven more config fields at their kept
-        # values, a never-read fusion.w tensor and a per_station_norm buffer
+        # earlier versions stored nine more config fields at their kept or
+        # derived values, a never-read fusion.w tensor and a per_station_norm buffer
         ws, _ = workspace
 
         def edit(manifest, ck):
             manifest["config"].update(fusion_mode="signed", rank_mode="abs", norm_mode="abs",
                                       edge_source="last", eps_norm=1e-8,
-                                      refresh_semantic_every=0, per_station_norm=False)
+                                      refresh_semantic_every=0, per_station_norm=False,
+                                      id_dim=16, k_max=5.0)
             l1 = manifest["config"]["diffusion_steps"] + 1
             blob = ck / "params.bin"
             offset = blob.stat().st_size
@@ -582,6 +583,52 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"the input window from {days[112]} to {days[119]} holds no observation" in err
         assert not (tmp_path / "fc.csv").exists()
+
+    def test_evaluate_drops_blank_input_windows(self, workspace, tmp_path, caplog):
+        # the test split is days 96-119 (14 windows of t_in = 8, tau = 3);
+        # with days 100-108 blank the windows starting on days 100 and 101
+        # have no observed input and are not scored
+        ws, _ = workspace
+        series = tmp_path / "series.csv"
+        self._blanked_series(ws, series, lambda day, channel: 100 <= day <= 108)
+        with caplog.at_level("WARNING", logger="omniair"):
+            assert run(["evaluate", "--checkpoint", ws / "run" / "checkpoint",
+                        "--stations", ws / "data" / "stations.csv", "--series", series,
+                        "--split", "test", "--out", tmp_path / "m.csv"]) == 0
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            "evaluate: dropped 2 of 14 windows whose 8 input days hold no observation"
+        ]
+        valid = load_series(series, load_stations(ws / "data" / "stations.csv")).valid[96:]
+        expected = sum(int(valid[s + 8 : s + 11].sum()) for s in range(14) if s not in (4, 5))
+        rows = list(csv.reader((tmp_path / "m.csv").open()))
+        assert rows[-1][0] == "all" and int(rows[-1][4]) == expected
+
+    def test_evaluate_without_observed_input_exits_2(self, workspace, tmp_path, capsys):
+        # days 96-116 blank: every test window's inputs, but not every target
+        ws, _ = workspace
+        series = tmp_path / "series.csv"
+        days = self._blanked_series(ws, series, lambda day, channel: 96 <= day <= 116)
+        assert run(["evaluate", "--checkpoint", ws / "run" / "checkpoint",
+                    "--stations", ws / "data" / "stations.csv", "--series", series,
+                    "--split", "test", "--out", tmp_path / "m.csv"]) == 2
+        err = capsys.readouterr().err
+        assert (f"no input window of the 24 steps from {days[96]} to {days[119]} "
+                "holds an observation") in err
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("field, value", [("id_dim", 32), ("k_max", 15.0)])
+    def test_derived_width_at_other_value_exits_2(self, workspace, tmp_path, capsys,
+                                                  field, value):
+        # the workspace config has d_model = 16 and k_geo + k_sem = 5
+        ws, cfg_path = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**json.loads(cfg_path.read_text()), field: value}))
+        code = run(["train", "--config", cfg,
+                    "--stations", ws / "data" / "stations.csv",
+                    "--series", ws / "data" / "series.csv", "--out", tmp_path / "run"])
+        assert code == 2
+        assert f"config field {field}={value!r} is no longer supported" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_grad_check_command(self, capsys):
         assert run(["grad-check", "--seed", 0]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -8,22 +9,41 @@ from omniair.config import RunConfig
 class TestRunConfig:
     def test_defaults_match_stock_settings(self):
         cfg = RunConfig()
-        assert cfg.fourier_dim == 32 and cfg.id_dim == 64 and cfg.grade_embed == 16
+        assert cfg.fourier_dim == 32 and cfg.grade_embed == 16
         assert cfg.d_model == 64 and cfg.heads == 4 and cfg.diffusion_steps == 2
-        assert cfg.k_geo == 10 and cfg.k_sem == 5 and cfg.k_max == 15.0
+        assert cfg.k_geo == 10 and cfg.k_sem == 5
         assert cfg.eta == 10.0 and cfg.kappa_km == 100.0 and cfg.restart == 0.2
         assert cfg.t_in == 30 and cfg.tau == 14 and cfg.batch == 32
         assert cfg.lr == 1e-3 and cfg.weight_decay == 1e-5
         assert cfg.max_epochs == 300 and cfg.patience == 20 and cfg.seed == 42
         assert cfg.head_hidden == 128
+        # the derived widths: 64-d identities, beta bounded by K = 15
+        assert RunConfig(id_dim=64, k_max=15.0).to_dict() == cfg.to_dict()
 
     def test_heads_must_divide(self):
         with pytest.raises(ValueError):
             RunConfig(d_model=30, id_dim=30, heads=4)
 
     def test_id_dim_must_equal_d_model(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="id_dim=32 is no longer supported: it is d_model = 64"):
             RunConfig(d_model=64, id_dim=32)
+
+    def test_k_max_must_equal_table_width(self):
+        with pytest.raises(ValueError, match="k_max=4.0 is no longer supported: it is k_geo"):
+            RunConfig(k_geo=2, k_sem=1, k_max=4.0)
+        with pytest.raises(ValueError, match="k_max=9.0 is no longer supported"):
+            RunConfig.from_dict({"k_geo": 6, "k_sem": 2, "k_max": 9.0})
+
+    def test_derived_widths_are_not_fields(self):
+        # perfbench and configs of earlier versions pass them at the derived value
+        cfg = RunConfig(d_model=32, id_dim=32, k_geo=6, k_sem=3, k_max=9.0)
+        assert len(dataclasses.fields(RunConfig)) == 22
+        assert len(cfg.to_dict()) == 22
+        assert "id_dim" not in cfg.to_dict() and "k_max" not in cfg.to_dict()
+        assert cfg.config_hash() == RunConfig(d_model=32, k_geo=6, k_sem=3).config_hash()
+        for name in ("id_dim", "k_max"):
+            with pytest.raises(AttributeError):
+                getattr(cfg, name)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown config fields"):
@@ -52,10 +72,10 @@ class TestRunConfig:
     def test_removed_fields_load_at_their_kept_value(self):
         # configs and checkpoints of earlier versions store these switches
         legacy = {"fusion_mode": "signed", "rank_mode": "abs", "norm_mode": "abs",
-                  "edge_source": "last", "eps_norm": 1e-8}
+                  "edge_source": "last", "eps_norm": 1e-8, "id_dim": 64, "k_max": 15.0}
         cfg = RunConfig.from_dict({"t_in": 12, **legacy})
         assert cfg.to_dict() == RunConfig(t_in=12).to_dict()
-        assert len(cfg.to_dict()) == 24
+        assert len(cfg.to_dict()) == 22
 
     def test_stored_refresh_switch_at_zero_loads(self):
         # 0 (never rebuild the semantic edges) is the fixed graph, the only one built
@@ -67,6 +87,7 @@ class TestRunConfig:
         ("fusion_mode", "softmax"), ("fusion_mode", "sum"), ("rank_mode", "signed"),
         ("norm_mode", "plain"), ("edge_source", "mean"), ("eps_norm", 1e-6),
         ("refresh_semantic_every", 1), ("per_station_norm", True),
+        ("id_dim", 32), ("k_max", 14.0),
     ])
     def test_removed_field_at_other_value_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name}={value!r} is no longer supported"):

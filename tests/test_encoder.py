@@ -121,7 +121,8 @@ def reference_contexts(stations, train, nbr_idx):
     for i, nbrs in enumerate(nbr_idx):
         nbrs = np.asarray(nbrs)
         usable = nbrs[defined[nbrs]]
-        level = np.bincount(np.clip(grades[nbrs], 0, None), minlength=N_GRADES)[:N_GRADES]
+        known = grades[nbrs][grades[nbrs] >= 0]
+        level = np.bincount(known, minlength=N_GRADES)[:N_GRADES]
         level = level / max(level.sum(), 1)
         c_i = c_means[i] if defined[i] else global_mean
         if usable.size == 0:
@@ -333,6 +334,33 @@ class TestContextsMatchReference:
         ctx = self._check(stations, frame, 5)
         grades = resolve_grade(np.array([s.grade for s in stations]), ctx)
         assert (grades >= 0).all()
+
+    def test_unknown_grades_do_not_vote(self, caplog):
+        # three stations of unknown grade inherit the one known grade; the
+        # known station's neighbors are all unknown, so its row is all zero
+        stations = [_station(i, 0.0, float(i), grade=g) for i, g in enumerate((-1, -1, -1, 5))]
+        with caplog.at_level("WARNING", logger="omniair"):
+            ctx = self._check(stations, _frame(np.full((5, 4), 3.0)), 3)
+        np.testing.assert_array_equal(ctx.level_dist[:3], np.eye(N_GRADES)[[5, 5, 5]])
+        np.testing.assert_array_equal(ctx.level_dist[3], 0.0)
+        assert resolve_grade(np.array([-1, -1, -1, 5]), ctx).tolist() == [5, 5, 5, 5]
+        assert not caplog.records
+
+    def test_no_known_grade_is_logged(self, caplog):
+        # s2 is of known grade but no station's neighbor
+        stations = [_station(0, 0, 0, -1), _station(1, 0, 1, -1), _station(2, 40, 40, 2),
+                    _station(3, 0, 2, -1)]
+        nbr = np.array([[1, 3], [0, 3], [0, 1], [0, 1]])
+        frame = _frame(np.full((5, 4), 3.0))
+        with caplog.at_level("WARNING", logger="omniair"):
+            ctx = build_contexts(stations, frame, nbr, np.stack([s.point for s in stations]))
+        assert_bit_equal(ctx, reference_contexts(stations, frame, nbr))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"station s{i}: unknown grade and no neighbor of known grade, it resolves to grade 0"
+            for i in (0, 1, 3)
+        ]
+        np.testing.assert_array_equal(ctx.level_dist, 0.0)
+        assert resolve_grade(np.array([-1, -1, 2, -1]), ctx).tolist() == [0, 0, 2, 0]
 
     def test_anchor_batch(self):
         stations, frame = simulate_rd(RDScenario(n=30, steps=50, seed=5, missing_rate=0.2))

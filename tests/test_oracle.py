@@ -122,7 +122,7 @@ class TestDenseEquivalence:
         for n in (4, 8, 16):
             cfg = small_config(
                 d_model=16, id_dim=16, t_in=6, tau=2, batch=2,
-                k_geo=min(3, n - 2), k_sem=1, k_max=4.0,
+                k_geo=min(3, n - 2), k_sem=1,
             )
             for seed in range(25):
                 scn = RDScenario(n=n, steps=40, seed=seed, noise_std=0.2,
@@ -193,7 +193,7 @@ def extension_vs_dense(cfg, rng, n, m, k, missing):
     base = table_state(cfg, rng, random_table(rng, n, k))
     new = table_state(cfg, rng, np.stack([rng.permutation(n)[:k] for _ in range(m)]),
                       cross=True)
-    ext = ExtensionState([], [], new.graph, new.id_features, new.grades)
+    ext = ExtensionState([], new.graph, new.id_features, new.grades)
     params = init_params(cfg, rng)
     b, t_in = cfg.batch, cfg.t_in
     x = masked_inputs(rng, (b, t_in, n, 6), missing)
@@ -288,7 +288,7 @@ class TestTableLayoutProperty:
                            k_geo=2, k_sem=0, k_max=2.0)
         base = table_state(cfg, rng, random_table(rng, 5, 2))
         new = table_state(cfg, rng, np.array([[0, 1], [2, 3]]), cross=True)
-        ext = ExtensionState([], [], new.graph, new.id_features, new.grades)
+        ext = ExtensionState([], new.graph, new.id_features, new.grades)
         params = init_params(cfg, rng)
         with no_grad():
             _, extras = forward(params, base, rng.normal(size=(1, 3, 5, 6)), collect=True)

@@ -10,6 +10,7 @@ from omniair.topology import (
     HybridGraph,
     KIND_GEO,
     KIND_SEM,
+    attach_new_nodes,
     build_hybrid_graph,
     compute_ranks,
     dynamic_attention,
@@ -255,7 +256,7 @@ class TestPerNodeProjection:
         checked["h_src"] = Tensor(h_src, requires_grad=True)
 
         def f():
-            out = edge_weights(checked["h_own"], graph, params, k_max=2.0, eta=5.0,
+            out = edge_weights(checked["h_own"], graph, params, eta=5.0,
                                h_src=checked["h_src"])
             return (out["w_tilde"] * out["w_tilde"]).sum() + (out["gate"] * out["alpha"]).sum()
 
@@ -443,7 +444,7 @@ class TestEdgeWeightsPipeline:
         params = edge_params(d, 8, zero=True)
         n = tiny_state.n_stations
         h = Tensor(np.zeros((1, n, d)))
-        out = edge_weights(h, tiny_state.graph, params, k_max=5.0, eta=10.0)
+        out = edge_weights(h, tiny_state.graph, params, eta=10.0)
         g = tiny_state.graph
         # gate 0.5 and alpha 0 make w_dyn = w_static / 2
         np.testing.assert_allclose(out["w_dyn"].data[0], g.w_static / 2, rtol=1e-12)
@@ -469,6 +470,25 @@ class TestEdgeWeightsPipeline:
         assert np.array_equal(result.state.graph.nbr, fresh.graph.nbr)
         assert np.array_equal(result.state.graph.kind, fresh.graph.kind)
 
+    def test_beta_bound_is_table_width(self):
+        # a saturated beta_mlp puts beta just below the width K of the table
+        # the pass runs on: K = 5 for the base graph, 3 for the attachment
+        rng = np.random.default_rng(3)
+        d = 4
+        params = edge_params(d, 3, rng=rng)
+        params["beta_mlp.w2"] = Tensor(np.zeros((16, 1)))
+        params["beta_mlp.b2"] = Tensor(np.array([20.0]))
+        points, vectors = rng.uniform(-10, 10, size=(12, 2)), rng.normal(size=(12, 3))
+        base = build_hybrid_graph(points, vectors, 3, 2, 100.0)
+        attach = attach_new_nodes(points, vectors, rng.uniform(-10, 10, size=(4, 2)),
+                                  rng.normal(size=(4, 3)), 2, 1, 100.0)
+        h = Tensor(rng.normal(size=(2, 12, d)))
+        for graph, h_own in ((base, h), (attach, Tensor(rng.normal(size=(2, 4, d))))):
+            beta = edge_weights(h_own, graph, params, eta=10.0, h_src=h)["beta"].data
+            assert beta.shape == (2, graph.n_nodes)
+            assert (beta < graph.k).all()
+            np.testing.assert_allclose(beta, graph.k / (1.0 + np.exp(-20.0)), rtol=1e-15)
+
     def test_edge_weight_gradcheck(self):
         d = 4
         params = edge_params(d, 3, rng=np.random.default_rng(11))
@@ -477,7 +497,7 @@ class TestEdgeWeightsPipeline:
         h_data = np.random.default_rng(12).normal(size=(2, 3, d))
 
         def f():
-            out = edge_weights(Tensor(h_data), g, params, k_max=2.0, eta=5.0)
+            out = edge_weights(Tensor(h_data), g, params, eta=5.0)
             return (out["w_tilde"] * out["w_tilde"]).sum()
 
         err = grad_check(f, params, samples_per_param=None)

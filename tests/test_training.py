@@ -1,4 +1,3 @@
-import dataclasses
 import errno
 import json
 from pathlib import Path
@@ -8,6 +7,7 @@ import pytest
 
 from omniair import checkpoint
 from omniair.checkpoint import load_checkpoint, save_checkpoint
+from omniair.config import RunConfig
 from omniair.data import chrono_split
 from omniair.inference import (
     evaluate_split,
@@ -130,7 +130,7 @@ class TestCheckpointRoundtrip:
         ck = tmp_path / "ck"
         save_checkpoint(ck, tiny_params, buffers, tiny_cfg, 42)
         before = {f.name: f.read_bytes() for f in ck.iterdir()}
-        other = dataclasses.replace(tiny_cfg, seed=7)
+        other = RunConfig.from_dict({**tiny_cfg.to_dict(), "seed": 7})
         other_params = init_params(other, np.random.default_rng(7))
 
         def failing_open(file, mode="r", *args, **kwargs):
