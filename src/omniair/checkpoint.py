@@ -66,7 +66,8 @@ def save_checkpoint(
     if station_ids is not None:
         manifest["station_ids"] = list(station_ids)
     out.parent.mkdir(parents=True, exist_ok=True)
-    # the scratch directory takes the failed save or the replaced checkpoint with it
+    # the scratch directory takes the failed save or the replaced checkpoint
+    # with it; a failed final rename moves the replaced one back first
     with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as scratch:
         staged = Path(scratch) / "new"
         staged.mkdir()
@@ -76,9 +77,15 @@ def save_checkpoint(
         with open(staged / "params.bin", "wb") as fh:
             fh.write(blob_p)
             fh.write(blob_b)
+        old = Path(scratch) / "old"
         if out.exists():
-            out.rename(Path(scratch) / "old")
-        staged.rename(out)
+            out.rename(old)
+        try:
+            staged.rename(out)
+        except BaseException:
+            if old.exists():
+                old.rename(out)
+            raise
 
 
 def _count(entry: dict) -> int:

@@ -37,8 +37,9 @@ log = logging.getLogger("omniair")
 
 def _load_config(args) -> RunConfig:
     overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
+    for name in ("seed", "max_epochs"):
+        if getattr(args, name, None) is not None:
+            overrides[name] = getattr(args, name)
     if args.config:
         return RunConfig.load(args.config, overrides)
     return RunConfig(**overrides)
@@ -128,10 +129,6 @@ def cmd_build_graph(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    if args.max_epochs is not None:
-        if args.max_epochs <= 0:
-            raise ValueError("--max-epochs must be positive")
-        cfg.max_epochs = args.max_epochs
     stations = load_stations(args.stations)
     frame = load_series(args.series, stations)
     result = train_model(cfg, stations, frame, out_dir=args.out)

@@ -26,7 +26,7 @@ from .data import (
 )
 from .encoder import Contexts
 from .evaluation import MetricReport, masked_metrics
-from .model import ModelState, _derive_state, build_extension, forward, forward_extension
+from .model import ModelState, _derive_state, build_extension, forward
 
 log = logging.getLogger("omniair")
 
@@ -88,10 +88,24 @@ def window_end_index(frame: SeriesFrame, window_end: str | int | None, t_in: int
     return idx
 
 
+def _require_stations(frame: SeriesFrame, stations: list[StationMeta], what: str) -> None:
+    """Refuse a frame whose columns are not ``stations`` in their order: the
+    model reads column i as the station at graph position i."""
+    for i, (got, station) in enumerate(zip(frame.station_ids, stations)):
+        if got != station.id:
+            raise ValueError(
+                f"{what} lists {got!r} in column {i}, where station {station.id!r} belongs"
+            )
+    if len(frame.station_ids) != len(stations):
+        raise ValueError(f"{what} lists {len(frame.station_ids)} stations, not {len(stations)}")
+
+
 def _base_window(state: ModelState, frame: SeriesFrame, window_end) -> tuple[int, np.ndarray]:
     """End index and normalized inputs of the base stations' window ending at
-    ``window_end``; a window without any observation is refused, since its
+    ``window_end``; a frame that does not list the state's stations in order
+    is refused, and so is a window without any observation, since its
     forecast would rest on no data."""
+    _require_stations(frame, state.stations, "the series")
     t_in = state.cfg.t_in
     end_idx = window_end_index(frame, window_end, t_in)
     lo = end_idx - t_in + 1
@@ -161,17 +175,20 @@ def predict_unseen(
     New stations attach through directed edges and consume the base run's
     states, so the returned base forecast is the same object the plain
     predictor computes, byte for byte, and no parameter is ever written.
-    ``new_frame`` optionally carries observations for the new stations over
-    the same dates as ``frame``; without it their inputs are fully missing.
+    ``new_frame`` optionally carries observations for the new stations, in
+    their order, over the same dates as ``frame``; without it their inputs
+    are fully missing.
     Base and new inputs share the training-split normalization.
     """
     before = params_digest(params)
     cfg = state.cfg
-    if new_frame is not None and not np.array_equal(new_frame.timestamps, frame.timestamps):
-        raise ValueError(
-            f"the new stations' series covers {date_range(new_frame)}, the base series "
-            f"{date_range(frame)}; both must hold the same dates"
-        )
+    if new_frame is not None:
+        if not np.array_equal(new_frame.timestamps, frame.timestamps):
+            raise ValueError(
+                f"the new stations' series covers {date_range(new_frame)}, the base series "
+                f"{date_range(frame)}; both must hold the same dates"
+            )
+        _require_stations(new_frame, new_stations, "the new stations' series")
     end_idx, x = _base_window(state, frame, window_end)
     ext = build_extension(state, new_stations)
     if new_frame is None:
@@ -180,7 +197,7 @@ def predict_unseen(
         x_new = _window_inputs(state.stats, new_frame, end_idx, cfg.t_in)
     with no_grad():
         base_out, extras = forward(params, state, x, collect=True)
-        new_out = forward_extension(params, state, ext, x_new, extras)
+        new_out = forward(params, ext, x_new, base=extras)
     if params_digest(params) != before:
         raise RuntimeError("zero-shot prediction mutated model parameters")
     future = _future_timestamps(frame, end_idx, cfg.tau)
@@ -198,6 +215,7 @@ def evaluate_split(
     so it is dropped, and the drop is logged."""
     from .training import predict_batches
 
+    _require_stations(frame, state.stations, "the series")
     preds, targets, masks = predict_batches(params, state, frame)
     t_in = state.cfg.t_in
     observed = frame.valid.any(axis=(1, 2))

@@ -32,9 +32,7 @@ def identity_input_dim(cfg: RunConfig) -> int:
     return cfg.fourier_dim + CONTEXT_DIM + N_GEO_FEATURES + cfg.grade_embed
 
 
-def init_params(
-    cfg: RunConfig, rng: np.random.Generator, n_channels: int = len(CHANNELS)
-) -> dict[str, Tensor]:
+def init_params(cfg: RunConfig, rng: np.random.Generator) -> dict[str, Tensor]:
     """Glorot-initialized learnable tensors, one entry per model symbol."""
 
     def glorot(*shape, fans: tuple[int, int] | None = None):
@@ -47,6 +45,7 @@ def init_params(
 
     d = cfg.d_model
     dh = d // cfg.heads
+    n_channels = len(CHANNELS)
     l1 = cfg.diffusion_steps + 1
     params: dict[str, Tensor] = {}
     params["input_proj.w"] = glorot(n_channels, d)
@@ -78,7 +77,9 @@ def init_params(
 
 @dataclass
 class ModelState:
-    """Everything fixed at graph-build time: stats, contexts, topology."""
+    """Everything fixed at graph-build time: stats, contexts, topology. The
+    stations are the base stations, or unseen ones (``build_extension``)
+    whose ``cross`` graph attaches them to a base state's stations."""
 
     cfg: RunConfig
     stations: list[StationMeta]
@@ -98,13 +99,11 @@ def build_state(
     cfg: RunConfig,
     stations: list[StationMeta],
     train: SeriesFrame,
-    stats: NormStats | None = None,
 ) -> ModelState:
     """Compute stats, contexts and the hybrid graph from the training split."""
     from .data import compute_norm_stats
 
-    if stats is None:
-        stats = compute_norm_stats(train, stations)
+    stats = compute_norm_stats(train, stations)
     points = np.stack([s.point for s in stations])
     geo = knn_geo(points, cfg.k_geo)
     contexts = build_contexts(stations, train, geo[0], points)
@@ -143,21 +142,31 @@ def _identity_inputs(
     return id_features, grades, semantic_feature_matrix(id_features, grades)
 
 
-def _pass(
+def forward(
     params: dict[str, Tensor],
-    cfg: RunConfig,
-    graph: HybridGraph,
-    id_features: np.ndarray,
-    grades: np.ndarray,
+    state: ModelState,
     x: np.ndarray,
+    collect: bool = False,
     base: dict | None = None,
-) -> tuple[Tensor, dict]:
-    """Forward pipeline for the nodes owning ``graph``'s rows -> (forecast,
-    collect dict). With ``base`` (a base run's collect dict), edge targets and
-    diffusion messages come from its features and states, read-only."""
+) -> Tensor | tuple[Tensor, dict]:
+    """Forward pass on one batch of normalized inputs (B, T, N, C) for the
+    nodes owning ``state.graph``'s rows -> forecast, or (forecast, collect
+    dict) with ``collect``.
+
+    The stations of a ``build_extension`` state gather from a base run over
+    a ``cross`` graph: ``base`` is that run's collect dict, and edge targets
+    and diffusion messages come from its features and states, read-only.
+    Nothing existing is recomputed, which is what makes the existing
+    stations' forecasts identical with or without new nodes.
+    """
+    cfg, graph = state.cfg, state.graph
+    if graph.cross and base is None:
+        raise ValueError("the stations of a cross graph need the base run (base=)")
+    if base is not None and not graph.cross:
+        raise ValueError("base= is only for the stations of a cross graph")
     if x.ndim != 4 or x.shape[2] != graph.n_nodes or x.shape[3] != len(CHANNELS):
         raise ValueError(f"bad input shape {x.shape}")
-    e_id = encode_identity(id_features, grades, params)
+    e_id = encode_identity(state.id_features, state.grades, params)
     h = ad.matmul(Tensor(x), params["input_proj.w"]) + params["input_proj.b"]
     b, t, n, d = h.shape
     h_edge = ad.slice_axis(h, 1, t - 1, t).reshape((b, n, d))  # last input step
@@ -167,33 +176,17 @@ def _pass(
     z = signed_aggregate(stack, params, cfg.heads, cfg.coeff_mode)
     gate, zhat = fuse_and_gate(z, e_id, params)
     forecast = forecast_head(zhat, params, cfg.tau, len(CHANNELS))
+    if not collect:
+        return forecast
     return forecast, {"e_id": e_id, "h": h, "h_edge": h_edge, "edges": edges,
                       "stack": stack, "z": z, "gate": gate, "zhat": zhat}
 
 
-def forward(
-    params: dict[str, Tensor],
-    state: ModelState,
-    x: np.ndarray,
-    collect: bool = False,
-) -> Tensor | tuple[Tensor, dict]:
-    """Full forward pass on one batch of normalized inputs (B, T, N, C)."""
-    out = _pass(params, state.cfg, state.graph, state.id_features, state.grades, x)
-    return out if collect else out[0]
-
-
-@dataclass
-class ExtensionState:
-    """Unseen stations attached to a trained base graph by directed edges."""
-
-    stations: list[StationMeta]
-    attach: HybridGraph  # row i = new node i, nbr = base nodes
-    id_features: np.ndarray
-    grades: np.ndarray
-
-
-def build_extension(state: ModelState, new_stations: list[StationMeta]) -> ExtensionState:
-    """Contexts, identity features, and attachment edges for unseen stations."""
+def build_extension(state: ModelState, new_stations: list[StationMeta]) -> ModelState:
+    """Unseen stations as a model state of their own: contexts anchored in
+    the base stations, identity features from the same attributes and
+    training-split statistics, and a ``cross`` graph of directed attachment
+    edges into the base graph."""
     existing = {s.id for s in state.stations}
     for s in new_stations:
         if s.id in existing:
@@ -205,7 +198,7 @@ def build_extension(state: ModelState, new_stations: list[StationMeta]) -> Exten
     id_features, grades, sem_vectors = _identity_inputs(
         cfg, new_stations, new_points, contexts, state.stats
     )
-    attach = attach_new_nodes(
+    graph = attach_new_nodes(
         base_points,
         state.sem_vectors,
         new_points,
@@ -214,23 +207,8 @@ def build_extension(state: ModelState, new_stations: list[StationMeta]) -> Exten
         cfg.k_sem,
         cfg.kappa_km,
     )
-    return ExtensionState(new_stations, attach, id_features, grades)
-
-
-def forward_extension(
-    params: dict[str, Tensor],
-    state: ModelState,
-    ext: ExtensionState,
-    x_new: np.ndarray,
-    base: dict,
-) -> Tensor:
-    """Forecast unseen stations from the base run's diffusion states.
-
-    The base states in ``base`` (from ``forward(..., collect=True)``) are
-    consumed read-only; nothing existing is recomputed, which is what makes
-    the existing stations' forecasts identical with or without new nodes.
-    """
-    return _pass(params, state.cfg, ext.attach, ext.id_features, ext.grades, x_new, base)[0]
+    return ModelState(cfg, new_stations, state.stats, contexts, graph, id_features, grades,
+                      sem_vectors)
 
 
 def masked_mae_loss(pred: Tensor, target_norm: np.ndarray, mask: np.ndarray) -> Tensor:

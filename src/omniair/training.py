@@ -13,7 +13,7 @@ import numpy as np
 from .autodiff import Tensor, no_grad
 from .checkpoint import save_checkpoint
 from .config import RunConfig
-from .data import SeriesFrame, StationMeta, chrono_split, make_windows
+from .data import SeriesFrame, StationMeta, chrono_split, date_range, make_windows
 from .evaluation import masked_metrics
 from .model import ModelState, build_state, forward, init_params, masked_mae_loss
 from .optim import Adam
@@ -98,6 +98,10 @@ def train_model(
     The graph is built once from the training split and never changes, so
     restoring the best parameters restores the whole best-epoch model."""
     train, val, test = chrono_split(frame, min_len=cfg.t_in + cfg.tau)
+    if not val.valid[cfg.t_in:].any():
+        # early stopping would have no validation MAE to compare
+        raise ValueError(f"the validation split ({date_range(val)}) holds no observed "
+                         "forecast target")
     state = build_state(cfg, stations, train)
     rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg, rng)

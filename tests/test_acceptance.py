@@ -20,7 +20,6 @@ from omniair.model import (
     build_extension,
     build_state,
     forward,
-    forward_extension,
     init_params,
 )
 from omniair.oracle import (
@@ -300,7 +299,7 @@ def test_criterion_09_zero_shot_inductive():
             with no_grad():
                 out, extras = forward(result.params, state, batch.inputs, collect=True)
                 x_new = np.zeros((batch.inputs.shape[0], cfg.t_in, n_held, 6))
-                out_new = forward_extension(result.params, state, ext, x_new, extras)
+                out_new = forward(result.params, ext, x_new, base=extras)
                 out_plain = forward(result.params, state, batch.inputs)
             identical = identical and np.array_equal(out.data, out_plain.data)
             preds.append(state.stats.denormalize(out_new.data))

@@ -5,7 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
-from omniair import cli
+from omniair import cli, training
 from omniair.cli import main
 from omniair.config import dict_hash
 from omniair.data import CHANNELS, load_series, load_stations
@@ -547,6 +547,31 @@ class TestErrors:
         assert "no so2 observation in the training split" in err
         assert "72 steps from 2020-01-01 to 2020-03-12" in err
         assert not (tmp_path / "run" / "checkpoint").exists()
+
+    def test_validation_split_without_target_exits_2(self, workspace, tmp_path, capsys,
+                                                     monkeypatch):
+        # days 72-95, the whole validation split, blank: early stopping has
+        # nothing to compare, so training must not start
+        ws, cfg_path = workspace
+        series = tmp_path / "series.csv"
+        days = self._blanked_series(ws, series, lambda day, channel: 72 <= day <= 95)
+        monkeypatch.setattr(training, "build_state", None)
+        code = run(["train", "--config", cfg_path, "--stations", ws / "data" / "stations.csv",
+                    "--series", series, "--out", tmp_path / "run"])
+        assert code == 2
+        assert (f"the validation split (24 steps from {days[72]} to {days[95]}) holds no "
+                "observed forecast target") in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_max_epochs_flag_is_a_config_override(self, workspace, tmp_path, capsys):
+        ws, cfg_path = workspace
+        argv = ["train", "--config", cfg_path, "--stations", ws / "data" / "stations.csv",
+                "--series", ws / "data" / "series.csv", "--out", tmp_path / "run"]
+        assert run(argv + ["--max-epochs", 0]) == 2
+        assert "max_epochs must be positive" in capsys.readouterr().err
+        assert run(argv + ["--max-epochs", 1]) == 0
+        assert json.loads((tmp_path / "run" / "config.json").read_text())["max_epochs"] == 1
+        assert len(json.loads((tmp_path / "run" / "train_log.json").read_text())["epochs"]) == 1
 
     def test_station_without_history_is_logged(self, workspace, tmp_path, caplog):
         # s003 has no observation at all: it trains on the global mean, and says so

@@ -9,7 +9,6 @@ from omniair.model import (
     build_extension,
     build_state,
     forward,
-    forward_extension,
     init_params,
     masked_mae_loss,
 )
@@ -162,12 +161,24 @@ class TestExtension:
         out1, extras = forward(params, state, batch.inputs, collect=True)
         ext = build_extension(state, held)
         x_new = np.zeros((1, cfg.t_in, len(held), 6))
-        out_new = forward_extension(params, state, ext, x_new, extras)
+        out_new = forward(params, ext, x_new, base=extras)
         assert out_new.shape == (1, cfg.tau, len(held), 6)
         assert np.isfinite(out_new.data).all()
         # base forward untouched by the extension computation
         out2 = forward(params, state, batch.inputs)
         assert np.array_equal(out1.data, out2.data)
+
+    def test_forward_takes_base_exactly_for_cross_graph(self):
+        # unseen stations are a model state whose cross graph gathers from a
+        # base run: without that run its indices would read its own rows
+        cfg, state, params, batch, held = self._setup()
+        ext = build_extension(state, held)
+        assert ext.graph.cross and ext.stations == held and ext.stats is state.stats
+        _, extras = forward(params, state, batch.inputs, collect=True)
+        with pytest.raises(ValueError, match=r"need the base run \(base=\)"):
+            forward(params, ext, np.zeros((1, cfg.t_in, len(held), 6)))
+        with pytest.raises(ValueError, match="base= is only for the stations of a cross graph"):
+            forward(params, state, batch.inputs, base=extras)
 
     def test_id_collision_rejected(self):
         cfg, state, params, batch, held = self._setup()
@@ -178,9 +189,9 @@ class TestExtension:
     def test_attachment_edges_point_into_base(self):
         cfg, state, params, batch, held = self._setup()
         ext = build_extension(state, held)
-        assert ext.attach.n_nodes == len(held)
-        assert ext.attach.nbr.max() < state.n_stations
-        assert ext.attach.nbr.shape == (len(held), cfg.k_geo + cfg.k_sem)
+        assert ext.graph.n_nodes == len(held)
+        assert ext.graph.nbr.max() < state.n_stations
+        assert ext.graph.nbr.shape == (len(held), cfg.k_geo + cfg.k_sem)
 
     def test_coincident_new_station_same_embedding_inputs(self):
         # a new station carrying identical observable inputs encodes to the

@@ -8,11 +8,9 @@ from omniair.config import RunConfig
 from omniair.data import chrono_split, make_windows
 from omniair.autodiff import no_grad
 from omniair.model import (
-    ExtensionState,
     ModelState,
     build_state,
     forward,
-    forward_extension,
     identity_input_dim,
     init_params,
 )
@@ -193,14 +191,13 @@ def extension_vs_dense(cfg, rng, n, m, k, missing):
     base = table_state(cfg, rng, random_table(rng, n, k))
     new = table_state(cfg, rng, np.stack([rng.permutation(n)[:k] for _ in range(m)]),
                       cross=True)
-    ext = ExtensionState([], new.graph, new.id_features, new.grades)
     params = init_params(cfg, rng)
     b, t_in = cfg.batch, cfg.t_in
     x = masked_inputs(rng, (b, t_in, n, 6), missing)
     x_new = masked_inputs(rng, (b, t_in, m, 6), missing)
     with no_grad():
         base_out, extras = forward(params, base, x, collect=True)
-        new_out = forward_extension(params, base, ext, x_new, extras)
+        new_out = forward(params, new, x_new, base=extras)
 
     g, a = base.graph, new.graph
     union = ModelState(
@@ -288,12 +285,11 @@ class TestTableLayoutProperty:
                            k_geo=2, k_sem=0, k_max=2.0)
         base = table_state(cfg, rng, random_table(rng, 5, 2))
         new = table_state(cfg, rng, np.array([[0, 1], [2, 3]]), cross=True)
-        ext = ExtensionState([], new.graph, new.id_features, new.grades)
         params = init_params(cfg, rng)
         with no_grad():
             _, extras = forward(params, base, rng.normal(size=(1, 3, 5, 6)), collect=True)
             with pytest.raises(ValueError, match="bad input shape"):
-                forward_extension(params, base, ext, np.zeros((1, 3, 3, 6)), extras)
+                forward(params, new, np.zeros((1, 3, 3, 6)), base=extras)
 
 
 class TestToyGradCheck:

@@ -156,6 +156,31 @@ class TestCheckpointRoundtrip:
             assert np.array_equal(params[name].data, t.data)
         assert [p.name for p in tmp_path.iterdir()] == ["ck"]
 
+    def test_failed_final_rename_keeps_earlier_checkpoint(
+        self, tmp_path, monkeypatch, tiny_cfg, tiny_state, tiny_params
+    ):
+        # the earlier checkpoint is already moved aside when the new one is
+        # renamed into place; a failure there must move it back
+        buffers = model_buffers(tiny_state)
+        ck = tmp_path / "ck"
+        save_checkpoint(ck, tiny_params, buffers, tiny_cfg, 42)
+        before = {f.name: f.read_bytes() for f in ck.iterdir()}
+        other = RunConfig.from_dict({**tiny_cfg.to_dict(), "seed": 7})
+        real_rename = Path.rename
+
+        def failing_rename(self, target):
+            if self.name == "new" and Path(target) == ck:
+                raise OSError(errno.EXDEV, "Invalid cross-device link")
+            return real_rename(self, target)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "rename", failing_rename)
+            with pytest.raises(OSError):
+                save_checkpoint(ck, init_params(other, np.random.default_rng(7)), buffers,
+                                other, 7)
+        assert {f.name: f.read_bytes() for f in ck.iterdir()} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+
     def test_rejects_foreign_directory(self, tmp_path):
         (tmp_path / "manifest.json").write_text('{"format": "other"}')
         (tmp_path / "params.bin").write_bytes(b"")
@@ -236,6 +261,39 @@ class TestPrediction:
                               same.valid, ("new1",))
         with pytest.raises(ValueError, match="same dates"):
             predict_unseen(result.params, result.state, frame, new, new_frame=shifted)
+
+    def test_frame_must_list_state_stations_in_order(self, trained):
+        # column i is read as the station at graph position i
+        stations, frame, result, out = trained
+        params, state = result.params, result.state
+        new = [type(stations[0])("new1", 35.2, 104.1, np.arange(6, dtype=float), -1)]
+        reverse = type(frame)(frame.timestamps, frame.values[:, ::-1], frame.valid[:, ::-1],
+                              frame.station_ids[::-1])
+        msg = (f"the series lists {stations[-1].id!r} in column 0, "
+               f"where station {stations[0].id!r} belongs")
+        for call in (lambda: predict_window(params, state, reverse),
+                     lambda: predict_unseen(params, state, reverse, new),
+                     lambda: evaluate_split(params, state, reverse)):
+            with pytest.raises(ValueError, match=msg):
+                call()
+        fewer = type(frame)(frame.timestamps, frame.values[:, :-1], frame.valid[:, :-1],
+                            frame.station_ids[:-1])
+        with pytest.raises(ValueError, match=f"the series lists {len(stations) - 1} stations, "
+                                             f"not {len(stations)}"):
+            predict_window(params, state, fewer)
+
+    def test_new_frame_must_list_new_stations_in_order(self, trained):
+        stations, frame, result, out = trained
+        new = [
+            type(stations[0])("new1", 35.2, 104.1, np.arange(6, dtype=float), -1),
+            type(stations[0])("new2", 36.8, 107.4, np.zeros(6), 2),
+        ]
+        shape = (frame.n_steps, 2, 6)
+        swapped = type(frame)(frame.timestamps, np.ones(shape), np.ones(shape, dtype=bool),
+                              ("new2", "new1"))
+        with pytest.raises(ValueError, match="the new stations' series lists 'new2' in "
+                                             "column 0, where station 'new1' belongs"):
+            predict_unseen(result.params, result.state, frame, new, new_frame=swapped)
 
     def test_evaluate_split_report(self, trained):
         stations, frame, result, out = trained
