@@ -5,13 +5,8 @@ differentiable pruning that learns how many neighbors each node keeps."""
 import numpy as np
 
 from omniair.autodiff import Tensor
-from omniair.topology import (
-    HybridGraph,
-    build_hybrid_graph,
-    compute_ranks,
-    normalize_weights,
-    prune_mask,
-)
+from omniair.geo import haversine
+from omniair.topology import build_hybrid_graph, compute_ranks, normalize_weights, prune_mask
 
 rng = np.random.default_rng(0)
 n = 16
@@ -19,18 +14,17 @@ points = np.stack([rng.uniform(30, 45, n), rng.uniform(100, 120, n)], axis=1)
 vectors = rng.normal(size=(n, 12))
 
 print("== Hybrid graph: 4 geographic + 2 semantic edges per node ==")
-g = build_hybrid_graph(points, vectors, k_geo=4, k_sem=2, kappa_km=100.0)
-kind_name = {0: "geo", 1: "sem"}
+k_geo = 4
+g = build_hybrid_graph(points, vectors, k_geo=k_geo, k_sem=2, kappa_km=100.0)
+km = haversine(points[0], points[g.nbr[0]])
 for k in range(g.k):
-    print(f"  node 0 -> {g.nbr[0, k]:2d} [{kind_name[int(g.kind[0, k])]}] "
-          f"{g.km[0, k]:7.1f} km, w_static={g.w_static[0, k]:.4f}")
+    print(f"  node 0 -> {g.nbr[0, k]:2d} [{'geo' if k < k_geo else 'sem'}] "
+          f"{km[k]:7.1f} km, w_static={g.w_static[0, k]:.4f}")
 
 print("\n== Soft pruning mask around a learned threshold ==")
 per = 6
-toy = HybridGraph(np.tile(np.arange(per) + 50, (3, 1)), np.zeros((3, per), np.int8),
-                  np.ones((3, per)), np.ones((3, per)), cross=True)
 w_dyn = rng.normal(size=(1, 3, per))
-ranks = compute_ranks(w_dyn, toy)
+ranks = compute_ranks(w_dyn, np.tile(np.arange(per) + 50, (3, 1)))
 for beta_val in (1.5, 3.5, 5.5):
     beta = Tensor(np.full((1, 3), beta_val))
     m = prune_mask(ranks, beta, eta=10.0)

@@ -19,7 +19,7 @@ n, per, d = 6, 2, 4
 nbr = np.stack(
     [rng.choice([j for j in range(n) if j != i], per, replace=False) for i in range(n)]
 )
-graph = HybridGraph(nbr, np.zeros(nbr.shape, np.int8), np.ones(nbr.shape), np.ones(nbr.shape))
+graph = HybridGraph(nbr, np.ones(nbr.shape))
 weights = Tensor(rng.uniform(0.2, 0.5, size=(1, n, per)))
 h0 = Tensor(rng.normal(size=(1, 1, n, d)))
 

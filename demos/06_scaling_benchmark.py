@@ -14,7 +14,7 @@ full = "--full" in sys.argv
 sizes = (1024, 2048, 4096, 8192) if full else (256, 512, 1024, 2048)
 
 print(f"timing forward passes at N = {sizes} (K = 15, median of 5 repeats)")
-report = run_scaling(sizes, k=15, t_in=4, repeats=5, seed=0, workers=1)
+report = run_scaling(sizes, k=15, t_in=4, repeats=5, seed=0)
 print(f"{'N':>8} {'edges':>8} {'build ms':>10} {'forward ms':>12}")
 for row in report.rows:
     print(f"{row.n:8d} {row.edges:8d} {row.build_ms:10.2f} {row.forward_ms:12.2f}")

@@ -9,7 +9,6 @@ time is reported separately.
 from __future__ import annotations
 
 import csv
-import logging
 import resource
 import time
 from dataclasses import dataclass
@@ -21,13 +20,6 @@ from .config import RunConfig
 from .data import CHANNELS, N_GRADES
 from .model import ModelState, forward, identity_input_dim, init_params
 from .topology import HybridGraph
-
-try:  # optional; pins BLAS threads so slopes are comparable across N
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-    threadpool_limits = None
-
-log = logging.getLogger("omniair")
 
 
 def _pin_allocator() -> None:
@@ -62,8 +54,6 @@ class BenchReport:
     rows: list[BenchRow]
     slope: float
     repeats: int
-    workers: int  # requested BLAS threads
-    threads_pinned: bool  # False when threadpoolctl is missing: default BLAS threads ran
 
 
 def fit_loglog_slope(ns, times_ms) -> float:
@@ -83,8 +73,7 @@ def _random_graph(n: int, k: int, rng: np.random.Generator) -> HybridGraph:
         picks[picks >= i] += 1
         nbr[i] = np.sort(picks)
     km = rng.uniform(1.0, 400.0, size=(n, k))
-    w_static = np.exp(-(km**2) / (2.0 * 100.0**2))
-    return HybridGraph(nbr, np.zeros((n, k), dtype=np.int8), km, w_static)
+    return HybridGraph(nbr, np.exp(-(km**2) / (2.0 * 100.0**2)))
 
 
 def _synthetic_state(n: int, k: int, cfg: RunConfig, rng: np.random.Generator) -> ModelState:
@@ -123,7 +112,6 @@ def run_scaling(
     t_in: int = 4,
     repeats: int = 5,
     seed: int = 0,
-    workers: int = 1,
 ) -> BenchReport:
     """Time the sparse forward pass across station counts and fit the slope."""
     if len(n_list) < 3:
@@ -151,34 +139,21 @@ def run_scaling(
             forward(params, state, x)
             return (time.perf_counter() - t0) * 1e3
 
-    def run_all():
-        # warm-up sweep excluded, then interleaved rounds so every size
-        # sees the same allocator and cache history
-        samples = {n: [] for n in n_list}
-        for _, state, params, x in setups:
-            timed_run(state, params, x)
-        for _ in range(repeats):
-            for n, state, params, x in setups:
-                samples[n].append(timed_run(state, params, x))
-        return samples
-
-    threads_pinned = threadpool_limits is not None
-    if threads_pinned:
-        with threadpool_limits(limits=workers):
-            samples = run_all()
-    else:
-        log.warning(
-            "threadpoolctl is not installed; BLAS threads are not pinned to %d worker(s)",
-            workers,
-        )
-        samples = run_all()
+    # warm-up sweep excluded, then interleaved rounds so every size sees the
+    # same allocator and cache history
+    samples = {n: [] for n in n_list}
+    for _, state, params, x in setups:
+        timed_run(state, params, x)
+    for _ in range(repeats):
+        for n, state, params, x in setups:
+            samples[n].append(timed_run(state, params, x))
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     rows = [
         BenchRow(n, k, state.graph.n_edges, build_ms[n], float(np.median(samples[n])), rss_mb)
         for n, state, params, x in setups
     ]
     slope = fit_loglog_slope([r.n for r in rows], [r.forward_ms for r in rows])
-    return BenchReport(rows, slope, repeats, workers, threads_pinned)
+    return BenchReport(rows, slope, repeats)
 
 
 def write_bench_csv(report: BenchReport, path) -> None:

@@ -19,6 +19,7 @@ from .checkpoint import load_checkpoint
 from .config import RunConfig
 from .data import N_GRADES, load_series, load_stations, chrono_split
 from .evaluation import format_report, write_report_csv
+from .geo import haversine
 from .inference import (
     evaluate_split,
     export_embeddings,
@@ -109,7 +110,8 @@ def cmd_build_graph(args) -> int:
     train, _, _ = chrono_split(frame, min_len=cfg.t_in + cfg.tau)
     state = build_state(cfg, stations, train)
     g = state.graph
-    kind_names = {0: "geo", 1: "sem"}
+    points = np.stack([s.point for s in stations])
+    km = haversine(points[:, None], points[g.nbr])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst", "kind", "km", "w_static"])
@@ -118,8 +120,8 @@ def cmd_build_graph(args) -> int:
                 [
                     stations[i].id,
                     stations[j].id,
-                    kind_names[int(g.kind[i, k])],
-                    repr(float(g.km[i, k])),
+                    "geo" if k < cfg.k_geo else "sem",
+                    repr(float(km[i, k])),
                     repr(float(g.w_static[i, k])),
                 ]
             )
@@ -190,7 +192,6 @@ def cmd_bench(args) -> int:
         t_in=args.t_in,
         repeats=args.repeats,
         seed=args.seed or 0,
-        workers=args.workers,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -296,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-in", type=int, default=4)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="BLAS threads for the timed forwards")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_bench)
 

@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import RunConfig
-from .data import CHANNELS, N_GRADES, NormStats, SeriesFrame, StationMeta
+from .data import CHANNELS, GEO_FEATURES, N_GRADES, NormStats, SeriesFrame, StationMeta
 from .encoder import (
     CONTEXT_DIM,
     Contexts,
@@ -25,7 +25,7 @@ from .geo import knn_geo
 from .propagation import diffuse, forecast_head, fuse_and_gate, signed_aggregate
 from .topology import HybridGraph, attach_new_nodes, build_hybrid_graph, edge_weights
 
-N_GEO_FEATURES = 6
+N_GEO_FEATURES = len(GEO_FEATURES)
 
 
 def identity_input_dim(cfg: RunConfig) -> int:
@@ -105,9 +105,9 @@ def build_state(
 
     stats = compute_norm_stats(train, stations)
     points = np.stack([s.point for s in stations])
-    geo = knn_geo(points, cfg.k_geo)
-    contexts = build_contexts(stations, train, geo[0], points)
-    return _derive_state(cfg, stations, points, stats, contexts, geo)
+    geo_idx = knn_geo(points, cfg.k_geo)[0]
+    contexts = build_contexts(stations, train, geo_idx, points)
+    return _derive_state(cfg, stations, points, stats, contexts, geo_idx)
 
 
 def _derive_state(
@@ -116,14 +116,15 @@ def _derive_state(
     points: np.ndarray,
     stats: NormStats,
     contexts: Contexts,
-    geo: tuple[np.ndarray, np.ndarray] | None = None,
+    geo_idx: np.ndarray | None = None,
 ) -> ModelState:
     """The model state as a pure function of the stations and their (N, 2)
     coordinates, the training-split statistics and contexts: training and
     reload both build it here, so a reloaded model runs on exactly the graph
     it was trained on."""
     id_features, grades, sem_vectors = _identity_inputs(cfg, stations, points, contexts, stats)
-    graph = build_hybrid_graph(points, sem_vectors, cfg.k_geo, cfg.k_sem, cfg.kappa_km, geo=geo)
+    graph = build_hybrid_graph(points, sem_vectors, cfg.k_geo, cfg.k_sem, cfg.kappa_km,
+                               geo_idx=geo_idx)
     return ModelState(cfg, stations, stats, contexts, graph, id_features, grades, sem_vectors)
 
 

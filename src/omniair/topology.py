@@ -18,8 +18,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .geo import gaussian_static_weight, haversine, knn_geo, smallest_k
 
-KIND_GEO = 0
-KIND_SEM = 1
 NORM_EPS = 1e-8  # keeps the weight normalization finite for an all-pruned node
 
 
@@ -28,15 +26,13 @@ class HybridGraph:
     """Fixed-degree candidate edges as an (N, K) neighbour table.
 
     Row i lists the K nodes that node i gathers messages FROM, geographic
-    candidates first; ``kind``, ``km`` and ``w_static`` are aligned with it.
-    With ``cross`` set, ``nbr`` indexes a different node set (the base
-    stations that unseen nodes attach to).
+    candidates first; ``w_static`` is aligned with it. With ``cross`` set,
+    ``nbr`` indexes a different node set (the base stations that unseen
+    nodes attach to).
     """
 
     nbr: np.ndarray  # (N, K) intp
-    kind: np.ndarray  # (N, K) int8, 0 geo / 1 sem
-    km: np.ndarray  # (N, K) great-circle distance
-    w_static: np.ndarray  # (N, K) Gaussian kernel weight
+    w_static: np.ndarray  # (N, K) Gaussian kernel weight of the great-circle distance
     cross: bool = False
 
     def __post_init__(self):
@@ -55,11 +51,6 @@ class HybridGraph:
     @property
     def n_edges(self) -> int:
         return self.nbr.size
-
-
-def _kind_table(n: int, k_geo: int, k_sem: int) -> np.ndarray:
-    row = np.repeat(np.array([KIND_GEO, KIND_SEM], dtype=np.int8), [k_geo, k_sem])
-    return np.tile(row, (n, 1))
 
 
 def semantic_knn(
@@ -92,27 +83,24 @@ def semantic_knn(
     return idx, np.sqrt(d2)
 
 
-def _hybrid_table(points, vectors, k_geo, k_sem, kappa_km, queries=None, geo=None):
+def _hybrid_table(points, vectors, k_geo, k_sem, kappa_km, queries=None, geo_idx=None):
     """Geographic k-NN edges, then semantic k-NN edges to the other nodes.
 
     ``queries`` holds the (points, vectors) of nodes outside the base set;
     without it the base nodes query themselves and skip their own row.
-    ``geo`` is a precomputed geographic (idx, km) table.
+    ``geo_idx`` is a precomputed geographic neighbour table. Every edge is
+    weighted by the kernel of its great-circle length, so the weights are a
+    function of the points and the table alone.
     """
     points = np.asarray(points, dtype=np.float64)
     q_points, q_vectors = (None, None) if queries is None else queries
-    geo_idx, geo_km = knn_geo(points, k_geo, queries=q_points) if geo is None else geo
+    if geo_idx is None:
+        geo_idx = knn_geo(points, k_geo, queries=q_points)[0]
     sem_idx, _ = semantic_knn(vectors, k_sem, geo_idx, queries=q_vectors)
     q = points if q_points is None else np.asarray(q_points, dtype=np.float64)
-    km = np.concatenate([geo_km, haversine(q[:, None], points[sem_idx])], axis=1)
     nbr = np.concatenate([geo_idx, sem_idx], axis=1)
-    return HybridGraph(
-        nbr,
-        _kind_table(len(q), k_geo, k_sem),
-        km,
-        gaussian_static_weight(km, kappa_km),
-        cross=queries is not None,
-    )
+    w_static = gaussian_static_weight(haversine(q[:, None], points[nbr]), kappa_km)
+    return HybridGraph(nbr, w_static, cross=queries is not None)
 
 
 def build_hybrid_graph(
@@ -122,17 +110,17 @@ def build_hybrid_graph(
     k_sem: int,
     kappa_km: float,
     *,
-    geo: tuple[np.ndarray, np.ndarray] | None = None,
+    geo_idx: np.ndarray | None = None,
 ) -> HybridGraph:
     """Geographic k-NN edges followed by semantic k-NN edges per node.
 
-    ``geo`` reuses a ``knn_geo(points, k_geo)`` result the caller already
-    holds instead of searching again.
+    ``geo_idx`` reuses a ``knn_geo(points, k_geo)`` neighbour table the
+    caller already holds instead of searching again.
     """
     n = len(points)
     if n <= k_geo + k_sem:
         raise ValueError(f"need more than k_geo+k_sem={k_geo + k_sem} stations, got {n}")
-    return _hybrid_table(points, feature_vectors, k_geo, k_sem, kappa_km, geo=geo)
+    return _hybrid_table(points, feature_vectors, k_geo, k_sem, kappa_km, geo_idx=geo_idx)
 
 
 def attach_new_nodes(
@@ -219,16 +207,17 @@ def predict_beta(h_nodes: Tensor, params: dict[str, Tensor], k: int) -> Tensor:
     return float(k) * ad.sigmoid(s.reshape(s.shape[:-1]))
 
 
-def compute_ranks(w_dyn: np.ndarray, graph: HybridGraph) -> np.ndarray:
+def compute_ranks(w_dyn: np.ndarray, nbr: np.ndarray) -> np.ndarray:
     """1-based importance ranks within each node's K candidates.
 
-    ``w_dyn`` is (B, N, K), ranked by descending magnitude; ties break
-    toward the lower target index. Detached from differentiation.
+    ``w_dyn`` is (B, N, K) over the (N, K) table ``nbr``, ranked by
+    descending magnitude; ties break toward the lower target index.
+    Detached from differentiation.
     """
     key = -np.abs(w_dyn)
-    order = np.lexsort((np.broadcast_to(graph.nbr, key.shape), key), axis=-1)
+    order = np.lexsort((np.broadcast_to(nbr, key.shape), key), axis=-1)
     ranks = np.empty(key.shape, dtype=np.int64)
-    np.put_along_axis(ranks, order, np.arange(1, graph.k + 1), axis=-1)
+    np.put_along_axis(ranks, order, np.arange(1, nbr.shape[-1] + 1), axis=-1)
     return ranks
 
 
@@ -267,7 +256,7 @@ def edge_weights(
     alpha = dynamic_attention(h_nodes, h_src, graph.nbr, params)
     gate, w_dyn = fuse_gate(h_nodes, h_src, graph.nbr, graph.w_static, alpha, params)
     beta = predict_beta(h_nodes, params, graph.k)
-    ranks = compute_ranks(w_dyn.data, graph)
+    ranks = compute_ranks(w_dyn.data, graph.nbr)
     mask = prune_mask(ranks, beta, eta)
     w_tilde = normalize_weights(w_dyn, mask)
     return {

@@ -124,8 +124,7 @@ def _random_sparse_setup(rng, n=6, per=3, d=8, t=2):
     nbr = np.stack(
         [rng.choice([j for j in range(n) if j != i], per, replace=False) for i in range(n)]
     )
-    graph = HybridGraph(nbr, np.zeros(nbr.shape, np.int8), np.ones(nbr.shape),
-                        np.ones(nbr.shape))
+    graph = HybridGraph(nbr, np.ones(nbr.shape))
     w = rng.normal(size=(1, n, per))
     h0 = rng.normal(size=(1, t, n, d))
     return graph, w, h0
@@ -225,11 +224,11 @@ def test_criterion_06_mass_conservation():
 
 def test_criterion_07_linear_scaling():
     t0 = time.perf_counter()
-    rep = run_scaling((1024, 2048, 4096, 8192), k=15, t_in=4, repeats=5, seed=0, workers=1)
+    rep = run_scaling((1024, 2048, 4096, 8192), k=15, t_in=4, repeats=5, seed=0)
     elapsed = time.perf_counter() - t0
     report(
         7,
-        "forward wall time scales linearly in station count (K=15, 1 worker)",
+        "forward wall time scales linearly in station count (K=15)",
         0.8 <= rep.slope <= 1.3 and elapsed < 300.0,
         f"log-log slope {rep.slope:.3f}, {elapsed:.0f}s",
     )
@@ -239,10 +238,8 @@ def test_criterion_08_hard_topk_limit():
     t0 = time.perf_counter()
     rng = np.random.default_rng(8)
     n, per, k = 6, 8, 3
-    graph = HybridGraph(np.tile(np.arange(per) + 10, (n, 1)), np.zeros((n, per), np.int8),
-                        np.ones((n, per)), np.ones((n, per)), cross=True)
     w = rng.normal(size=(1, n, per))
-    ranks = compute_ranks(w, graph)
+    ranks = compute_ranks(w, np.tile(np.arange(per) + 10, (n, 1)))
     mask = prune_mask(ranks, Tensor(np.full((1, n), k + 0.5)), eta=50.0).data[0]
     saturated = bool(np.all((mask < 1e-4) | (mask > 1 - 1e-4)))
     exact = True

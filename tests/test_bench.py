@@ -50,18 +50,17 @@ class TestRunScaling:
         b = run_scaling((64, 128, 256), k=5, t_in=2, repeats=5, seed=3)
         assert [(r.n, r.k, r.edges) for r in a.rows] == [(r.n, r.k, r.edges) for r in b.rows]
 
-    def test_reports_whether_threads_were_pinned(self, monkeypatch, caplog):
-        import contextlib
 
-        import omniair.bench as bench
+def test_cli_bench_writes_csv_and_loglog(tmp_path, capsys):
+    from omniair.cli import main
 
-        monkeypatch.setattr(bench, "threadpool_limits", None)
-        with caplog.at_level("WARNING", logger="omniair"):
-            report = run_scaling((64, 128, 256), k=4, t_in=2, repeats=5, seed=0, workers=2)
-        assert report.workers == 2 and not report.threads_pinned
-        assert "not pinned" in caplog.text
-
-        monkeypatch.setattr(
-            bench, "threadpool_limits", lambda limits=None: contextlib.nullcontext(limits)
-        )
-        assert run_scaling((64, 128, 256), k=4, t_in=2, repeats=5, seed=0).threads_pinned
+    out = tmp_path / "bench"
+    argv = ["bench", "--n", "64", "128", "256", "--k", "4", "--t-in", "2", "--out", str(out)]
+    assert main(argv) == 0
+    rows = (out / "bench.csv").read_text().strip().splitlines()
+    assert rows[0] == "n,k,edges,build_ms,forward_ms,rss_mb"
+    assert [r.split(",")[:3] for r in rows[1:4]] == [["64", "4", "256"], ["128", "4", "512"],
+                                                     ["256", "4", "1024"]]
+    assert rows[4].startswith("slope,")
+    assert len((out / "loglog.txt").read_text().strip().splitlines()) == 3
+    assert "log-log slope" in capsys.readouterr().out

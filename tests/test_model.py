@@ -112,12 +112,7 @@ class TestSingleStation:
         cfg = small_config(d_model=8, id_dim=8, heads=2, t_in=4, tau=2, batch=1,
                            k_geo=1, k_sem=0, k_max=1.0)
         rng = np.random.default_rng(0)
-        graph = HybridGraph(
-            np.empty((1, 0), dtype=np.intp),
-            np.empty((1, 0), dtype=np.int8),
-            np.empty((1, 0)),
-            np.empty((1, 0)),
-        )
+        graph = HybridGraph(np.empty((1, 0), dtype=np.intp), np.empty((1, 0)))
         ctx = Contexts(np.array([[1.0, 0.5, 2.0, 0.1] + [1 / 6] * 6]), np.zeros((1, 2)),
                        np.array([False]))
         feat_dim = cfg.fourier_dim + 10 + 6

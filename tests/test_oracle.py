@@ -171,8 +171,7 @@ def random_table(rng, n, k):
 
 def table_state(cfg, rng, nbr, cross=False):
     km = rng.uniform(1.0, 300.0, size=nbr.shape)
-    graph = HybridGraph(nbr, np.zeros(nbr.shape, np.int8), km, np.exp(-km / 100.0),
-                        cross=cross)
+    graph = HybridGraph(nbr, np.exp(-km / 100.0), cross=cross)
     n = len(nbr)
     id_dim = identity_input_dim(cfg) - cfg.grade_embed
     return ModelState(cfg, [], None, [], graph, rng.normal(size=(n, id_dim)),
@@ -202,8 +201,7 @@ def extension_vs_dense(cfg, rng, n, m, k, missing):
     g, a = base.graph, new.graph
     union = ModelState(
         cfg, [], None, [],
-        HybridGraph(np.concatenate([g.nbr, a.nbr]), np.concatenate([g.kind, a.kind]),
-                    np.concatenate([g.km, a.km]), np.concatenate([g.w_static, a.w_static])),
+        HybridGraph(np.concatenate([g.nbr, a.nbr]), np.concatenate([g.w_static, a.w_static])),
         np.concatenate([base.id_features, new.id_features]),
         np.concatenate([base.grades, new.grades]), np.empty((n + m, 0)),
     )

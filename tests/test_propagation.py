@@ -20,7 +20,7 @@ from conftest import REGIMES, diffusion_regime
 
 def make_graph(nbr):
     nbr = np.asarray(nbr, dtype=np.intp)
-    return HybridGraph(nbr, np.zeros(nbr.shape, np.int8), np.ones(nbr.shape), np.ones(nbr.shape))
+    return HybridGraph(nbr, np.ones(nbr.shape))
 
 
 def dense_matrix(g, w):

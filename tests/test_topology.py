@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omniair.autodiff import Tensor, grad_check
+from omniair.geo import gaussian_static_weight, haversine
 from omniair.topology import (
     HybridGraph,
-    KIND_GEO,
-    KIND_SEM,
     attach_new_nodes,
     build_hybrid_graph,
     compute_ranks,
@@ -60,15 +59,39 @@ class TestGraphBuild:
         g = build_hybrid_graph(points, vectors, k_geo=1, k_sem=1, kappa_km=100.0)
         # node 0: geo -> 1; sem ties (all equal) -> lowest non-excluded index 2
         assert list(g.nbr[0]) == [1, 2]
-        assert list(g.kind[0]) == [KIND_GEO, KIND_SEM]
         g2 = build_hybrid_graph(points, vectors, k_geo=1, k_sem=1, kappa_km=100.0)
         assert np.array_equal(g.nbr, g2.nbr)
+
+    def test_self_edge_refused(self):
+        nbr = np.array([[1], [1], [0]])
+        with pytest.raises(ValueError, match="self-edges"):
+            HybridGraph(nbr, np.ones(nbr.shape))
+        # a cross table indexes another node set, where row i may name node i
+        assert HybridGraph(nbr, np.ones(nbr.shape), cross=True).n_edges == 3
+
+    def test_static_weight_is_kernel_of_edge_length(self):
+        # base and attachment graphs weigh every column, geographic or
+        # semantic, by the kernel of its great-circle length
+        rng = np.random.default_rng(6)
+        points = np.stack([rng.uniform(-60, 60, 30), rng.uniform(-170, 170, 30)], axis=1)
+        vectors = rng.normal(size=(30, 5))
+        new = np.stack([rng.uniform(-60, 60, 4), rng.uniform(-170, 170, 4)], axis=1)
+        base = build_hybrid_graph(points, vectors, 3, 2, 250.0)
+        attach = attach_new_nodes(points, vectors, new, rng.normal(size=(4, 5)), 3, 2, 250.0)
+        for q, g in ((points, base), (new, attach)):
+            km = haversine(q[:, None], points[g.nbr])
+            np.testing.assert_array_equal(g.w_static, gaussian_static_weight(km, 250.0))
+
+    def test_attach_needs_k_base_stations(self):
+        points, vectors = np.zeros((3, 2)), np.zeros((3, 2))
+        with pytest.raises(ValueError, match="not enough base stations"):
+            attach_new_nodes(points, vectors, np.ones((1, 2)), np.ones((1, 2)), 3, 1, 100.0)
 
     def test_identical_coordinates_full_weight(self):
         points = np.array([[10.0, 20.0], [10.0, 20.0], [0.0, 0.0], [50.0, 50.0]])
         vectors = np.arange(4.0).reshape(-1, 1) * np.ones((1, 2))
         g = build_hybrid_graph(points, vectors, k_geo=1, k_sem=1, kappa_km=100.0)
-        assert g.nbr[0, 0] == 1 and g.km[0, 0] == 0.0 and g.w_static[0, 0] == 1.0
+        assert g.nbr[0, 0] == 1 and g.w_static[0, 0] == 1.0
 
     def test_semantic_edges_beat_all_non_selected(self):
         # brute-force all-pairs distance oracle over 20 random stations
@@ -79,8 +102,7 @@ class TestGraphBuild:
         g = build_hybrid_graph(points, vectors, k_geo, k_sem, kappa_km=100.0)
         d2 = ((vectors[:, None, :] - vectors[None, :, :]) ** 2).sum(axis=2)
         for i in range(20):
-            geo = g.nbr[i][g.kind[i] == KIND_GEO]
-            sem = g.nbr[i][g.kind[i] == KIND_SEM]
+            geo, sem = g.nbr[i, :k_geo], g.nbr[i, k_geo:]
             allowed = set(range(20)) - set(geo) - {i}
             worst_selected = max(d2[i, j] for j in sem)
             best_unselected = min(d2[i, j] for j in allowed - set(sem))
@@ -248,8 +270,7 @@ class TestPerNodeProjection:
 
     def test_edge_weights_gradcheck_with_source_features(self):
         params, h_own, h_src, w_static = self._inputs()
-        graph = HybridGraph(self.NBR, np.zeros(self.NBR.shape, np.int8),
-                            np.ones(self.NBR.shape), w_static, cross=True)
+        graph = HybridGraph(self.NBR, w_static, cross=True)
         checked = {name: params[name]
                    for name in ("attn.we", "attn.a", "edge_gate.w", "edge_gate.b")}
         checked["h_own"] = Tensor(h_own, requires_grad=True)
@@ -263,44 +284,32 @@ class TestPerNodeProjection:
         assert grad_check(f, checked, samples_per_param=None) < 1e-6
 
 
-def table_graph(nbr):
-    """Fixed-degree graph with unit static weights whose targets lie outside
-    its own node set (cross), so any target index is allowed."""
-    nbr = np.asarray(nbr, dtype=np.intp)
-    return HybridGraph(nbr, np.zeros(nbr.shape, np.int8), np.ones(nbr.shape),
-                       np.ones(nbr.shape), cross=True)
-
-
 class TestRanksAndMask:
-    def _graph(self):
-        # two nodes with three candidates each; node 1's targets are unsorted
-        return table_graph([[1, 2, 3], [0, 3, 2]])
+    # two nodes with three candidates each; node 1's targets are unsorted
+    NBR = np.array([[1, 2, 3], [0, 3, 2]])
 
     def test_ranks_are_segment_permutations(self):
-        g = self._graph()
         rng = np.random.default_rng(0)
         w = rng.normal(size=(3, 2, 3))
-        r = compute_ranks(w, g)
+        r = compute_ranks(w, self.NBR)
         for b in range(3):
             assert sorted(r[b, 0]) == [1, 2, 3]
             assert sorted(r[b, 1]) == [1, 2, 3]
-        assert np.array_equal(r, compute_ranks(w, g))
+        assert np.array_equal(r, compute_ranks(w, self.NBR))
 
     def test_abs_vs_signed_mode(self):
-        g = self._graph()
         w = np.array([[[-5.0, 4.0, 1.0], [2.0, -3.0, 0.5]]])
         # ranks follow magnitude, not signed value: the large negative
         # candidates rank first
-        r_abs = compute_ranks(w, g)
+        r_abs = compute_ranks(w, self.NBR)
         assert list(r_abs[0, 0]) == [1, 2, 3]
         assert list(r_abs[0, 1]) == [2, 1, 3]
         by_value = np.argsort(np.argsort(-w, axis=-1), axis=-1) + 1
         assert not np.array_equal(r_abs, by_value)
 
     def test_rank_tie_by_target_index(self):
-        g = self._graph()
         w = np.array([[[0.5, 0.5, 0.5], [1.0, 1.0, 1.0]]])
-        r = compute_ranks(w, g)
+        r = compute_ranks(w, self.NBR)
         assert list(r[0, 0]) == [1, 2, 3]  # targets 1, 2, 3
         assert list(r[0, 1]) == [1, 3, 2]  # targets 0, 3, 2: lower index wins
 
@@ -328,10 +337,9 @@ class TestRanksAndMask:
         # large eta with beta = k + 0.5 reproduces exact top-k retention
         rng = np.random.default_rng(8)
         n, per = 6, 8
-        g = table_graph(np.tile(np.arange(per) + 10, (n, 1)))
         w = Tensor(rng.normal(size=(1, n, per)))
         k = 3
-        ranks = compute_ranks(w.data, g)
+        ranks = compute_ranks(w.data, np.tile(np.arange(per) + 10, (n, 1)))
         beta = Tensor(np.full((1, n), k + 0.5))
         m = prune_mask(ranks, beta, eta=50.0).data[0]
         assert np.all((m < 1e-4) | (m > 1 - 1e-4))
@@ -369,13 +377,12 @@ class TestPruningGradient:
         # 5-node toy graph, fixed dynamic weights, beta as the only variable
         rng = np.random.default_rng(rng_seed)
         n, per = 5, 4
-        g = table_graph(np.tile(np.arange(per) + 100, (n, 1)))
         w_dyn = rng.normal(size=(1, n, per))
-        ranks = compute_ranks(w_dyn, g)
+        ranks = compute_ranks(w_dyn, np.tile(np.arange(per) + 100, (n, 1)))
         beta0 = rng.uniform(1.0, 3.0, size=(1, n))
-        return g, w_dyn, ranks, beta0
+        return w_dyn, ranks, beta0
 
-    def _loss_grad(self, g, w_dyn, ranks, beta_val, coeff, eta):
+    def _loss_grad(self, w_dyn, ranks, beta_val, coeff, eta):
         beta = Tensor(beta_val, requires_grad=True)
         m = prune_mask(ranks, beta, eta)
         wt = normalize_weights(Tensor(w_dyn), m)
@@ -385,17 +392,17 @@ class TestPruningGradient:
 
     def test_reverse_mode_matches_finite_differences(self):
         eta = 4.0
-        g, w_dyn, ranks, beta0 = self._toy()
+        w_dyn, ranks, beta0 = self._toy()
         coeff = np.random.default_rng(1).normal(size=w_dyn.shape)
-        _, analytic = self._loss_grad(g, w_dyn, ranks, beta0, coeff, eta)
+        _, analytic = self._loss_grad(w_dyn, ranks, beta0, coeff, eta)
         eps = 1e-6
         for i in range(beta0.shape[1]):
             hi = beta0.copy()
             hi[0, i] += eps
             lo = beta0.copy()
             lo[0, i] -= eps
-            fhi, _ = self._loss_grad(g, w_dyn, ranks, hi, coeff, eta)
-            flo, _ = self._loss_grad(g, w_dyn, ranks, lo, coeff, eta)
+            fhi, _ = self._loss_grad(w_dyn, ranks, hi, coeff, eta)
+            flo, _ = self._loss_grad(w_dyn, ranks, lo, coeff, eta)
             numeric = (fhi - flo) / (2 * eps)
             assert abs(analytic[0, i] - numeric) / max(1.0, abs(numeric)) < 1e-6
 
@@ -406,14 +413,14 @@ class TestPruningGradient:
         # the |w m| denominator then only rescales w~ along itself. Build
         # such a loss and require all three quantities to agree.
         eta = 4.0
-        g, w_dyn, ranks, beta0 = self._toy(rng_seed=3)
+        w_dyn, ranks, beta0 = self._toy(rng_seed=3)
         beta = Tensor(beta0, requires_grad=True)
         m = prune_mask(ranks, beta, eta)
         wt = normalize_weights(Tensor(w_dyn), m)
         # per node, coefficients orthogonal to w~ at the evaluation point
         rng = np.random.default_rng(9)
         coeff = rng.normal(size=w_dyn.shape)
-        for i in range(g.n_nodes):
+        for i in range(beta0.shape[1]):
             row = wt.data[0, i]
             c = coeff[0, i]
             coeff[0, i] = c - row * (c @ row) / (row @ row)
@@ -422,18 +429,18 @@ class TestPruningGradient:
         analytic = beta.grad.copy()
 
         formula = np.zeros_like(beta0)
-        for i in range(g.n_nodes):
+        for i in range(beta0.shape[1]):
             formula[0, i] = (coeff[0, i] * wt.data[0, i] * (1 - m.data[0, i]) * eta).sum()
         np.testing.assert_allclose(analytic, formula, rtol=1e-6, atol=1e-12)
 
         eps = 1e-6
-        for i in range(g.n_nodes):
+        for i in range(beta0.shape[1]):
             hi = beta0.copy()
             hi[0, i] += eps
             lo = beta0.copy()
             lo[0, i] -= eps
-            fhi, _ = self._loss_grad(g, w_dyn, ranks, hi, coeff, eta)
-            flo, _ = self._loss_grad(g, w_dyn, ranks, lo, coeff, eta)
+            fhi, _ = self._loss_grad(w_dyn, ranks, hi, coeff, eta)
+            flo, _ = self._loss_grad(w_dyn, ranks, lo, coeff, eta)
             numeric = (fhi - flo) / (2 * eps)
             assert abs(analytic[0, i] - numeric) / max(1.0, abs(numeric)) < 1e-6
 
@@ -468,7 +475,7 @@ class TestEdgeWeightsPipeline:
 
         fresh = build_state(cfg, stations, train)
         assert np.array_equal(result.state.graph.nbr, fresh.graph.nbr)
-        assert np.array_equal(result.state.graph.kind, fresh.graph.kind)
+        assert np.array_equal(result.state.graph.w_static, fresh.graph.w_static)
 
     def test_beta_bound_is_table_width(self):
         # a saturated beta_mlp puts beta just below the width K of the table
@@ -493,7 +500,7 @@ class TestEdgeWeightsPipeline:
         d = 4
         params = edge_params(d, 3, rng=np.random.default_rng(11))
         nbr = np.array([[1, 2], [0, 2], [0, 1]])
-        g = HybridGraph(nbr, np.zeros((3, 2), np.int8), np.ones((3, 2)), np.full((3, 2), 0.7))
+        g = HybridGraph(nbr, np.full((3, 2), 0.7))
         h_data = np.random.default_rng(12).normal(size=(2, 3, d))
 
         def f():

@@ -92,6 +92,18 @@ class TestTrainLoop:
         restored = validation_mae(result.params, result.state, val)
         assert restored == pytest.approx(result.log.best_val_mae, abs=1e-12)
 
+    def test_patience_stop_restores_best_epoch(self):
+        stations, frame = quick_dataset(seed=19)
+        cfg = small_config(max_epochs=12, patience=2, lr=3e-2)
+        result = train_model(cfg, stations, frame)
+        log = result.log
+        assert log.stop_reason == "patience" and log.best_epoch > 0
+        assert len(log.epochs) == log.best_epoch + cfg.patience + 1 < cfg.max_epochs
+        from omniair.training import validation_mae
+
+        _, val, _ = result.splits
+        assert validation_mae(result.params, result.state, val) == log.best_val_mae
+
     def test_train_log_written(self, tmp_path):
         stations, frame = quick_dataset(seed=23)
         cfg = small_config(max_epochs=2)
@@ -181,6 +193,12 @@ class TestCheckpointRoundtrip:
         assert {f.name: f.read_bytes() for f in ck.iterdir()} == before
         assert [p.name for p in tmp_path.iterdir()] == ["ck"]
 
+    def test_unknown_parameter_refused(self, tmp_path, tiny_cfg, tiny_state, tiny_params):
+        params = {**tiny_params, "extra.w": tiny_params["input_proj.b"]}
+        save_checkpoint(tmp_path / "ck", params, model_buffers(tiny_state), tiny_cfg, 42)
+        with pytest.raises(ValueError, match="unknown parameter 'extra.w'"):
+            load_checkpoint(tmp_path / "ck")
+
     def test_rejects_foreign_directory(self, tmp_path):
         (tmp_path / "manifest.json").write_text('{"format": "other"}')
         (tmp_path / "params.bin").write_bytes(b"")
@@ -207,6 +225,13 @@ class TestPrediction:
         pred_a = predict_window(result.params, result.state, frame)
         pred_b = predict_window(params, state, frame)
         assert np.array_equal(pred_a.values, pred_b.values)
+
+    def test_rebuild_refuses_other_station_count(self, trained):
+        stations, _, _, out = trained
+        _, buffers, cfg, _ = load_checkpoint(out / "checkpoint")
+        with pytest.raises(ValueError, match=f"trained on {len(stations)} stations, got "
+                                             f"{len(stations) - 1}"):
+            rebuild_state(cfg, stations[:-1], buffers)
 
     def test_window_end_resolution(self, trained):
         stations, frame, result, out = trained
@@ -317,7 +342,7 @@ class TestSemanticRefresh:
         assert np.array_equal(result.state.graph.nbr, fresh.graph.nbr)
         params, buffers, cfg, _ = load_checkpoint(tmp_path / "checkpoint")
         state = rebuild_state(cfg, stations, buffers)
-        for name in ("nbr", "kind", "km", "w_static"):
+        for name in ("nbr", "w_static"):
             assert np.array_equal(getattr(state.graph, name), getattr(result.state.graph, name))
         for name in ("id_features", "grades", "sem_vectors"):
             assert np.array_equal(getattr(state, name), getattr(result.state, name))
