@@ -4,11 +4,14 @@ The engine is deliberately small: a :class:`Tensor` wraps a numpy array and,
 while gradients are enabled, every primitive operation records the closure
 needed to push adjoints back to its inputs. Calling ``backward`` on a scalar
 replays those closures in reverse topological order. The operator set is
-exactly what the forecasting model needs (dense linear algebra, pointwise
-nonlinearities, row ``gather`` and ``diffuse``, the whole multi-step restart
-diffusion over a fixed-degree (N, K) neighbour table as one node); there
-are no views and no dtype zoo. Repeated targets add up through
-``np.bincount``, never through ``np.add.at``.
+exactly what the forecasting model needs: dense linear algebra, pointwise
+nonlinearities, row ``gather``, and four hand-written model ops with
+closed-form backwards, each one node: ``diffuse`` (the whole multi-step
+restart diffusion over a fixed-degree (N, K) neighbour table),
+``step_attention`` (per-head signed or softmax attention over the diffusion
+states), ``gate`` (a logistic gate over ``[z || e]``) and ``blend``
+(``g * a + (1 - g) * b``). There are no views and no dtype zoo. Repeated
+targets add up through ``np.bincount``, never through ``np.add.at``.
 
 All data is float64 and all reductions run in a fixed order, so repeated
 forward+backward passes over identical inputs are bit-identical.
@@ -377,12 +380,21 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 # -- pointwise nonlinearities --------------------------------------------------
 
+def _logistic(x: Array) -> Array:
+    # exp(-|x|) never overflows; bit-identical to 1/(1+e^-x) for x >= 0 and
+    # e^x/(1+e^x) for x < 0. In place, so only two full-size arrays are new.
+    ex = np.abs(x)
+    np.negative(ex, out=ex)
+    np.exp(ex, out=ex)
+    y = np.where(x >= 0, 1.0, ex)
+    ex += 1.0
+    y /= ex
+    return y
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    # exp(-|x|) never overflows; bit-identical to 1/(1+e^-x) for x >= 0 and
-    # e^x/(1+e^x) for x < 0
-    ex = np.exp(-np.abs(a.data))
-    y = np.where(a.data >= 0, 1.0, ex) / (1.0 + ex)
+    y = _logistic(a.data)
 
     def backward(g: Array) -> None:
         if a.requires_grad:
@@ -596,6 +608,136 @@ def diffuse(
             w._accumulate(op.edge_grad(adj[1:], xs))
 
     return _node(out, (h0, w) if src is None else (h0, w, src), backward)
+
+
+# -- step attention and the identity gate ----------------------------------------
+
+def _per_head(x: Array, w: Array) -> Array:
+    """``x[p, h] @ w[h]`` for (P, H, a) rows and (H, a, b) maps, as a
+    contiguous (P, H, b) array."""
+    out = np.empty((x.shape[0], w.shape[0], w.shape[2]))
+    # a strided w halves the speed of the batched product
+    np.matmul(x.transpose(1, 0, 2), np.ascontiguousarray(w), out=out.transpose(1, 0, 2))
+    return out
+
+
+def _per_head_outer(x: Array, y: Array) -> Array:
+    """``sum_p x[p, h]^T y[p, h]`` for (P, H, a) and (P, H, b) rows: (H, a, b)."""
+    return np.matmul(x.transpose(1, 2, 0), y.transpose(1, 0, 2))
+
+
+def step_attention(stack: Tensor, wq: Tensor, wk: Tensor, bias: Tensor, signed: bool) -> Tensor:
+    """Combine the L states of an (L, ..., D) stack with per-row, per-head
+    step coefficients: ``z = sum_l c_l s_l``, shape (..., D).
+
+    D splits into H heads of dh = D / H columns, and ``wq``, ``wk`` are
+    (H, dh, dh). Per head, the pooled query is ``q = mean_l(s_l) wq`` and
+    step l scores ``(s_l wk) . q / sqrt(dh)``, computed as ``s_l . r`` with
+    ``r = q wk^T / sqrt(dh)``, so no key is formed. ``signed`` coefficients
+    are ``tanh(score_l) * bias_l``; otherwise they are a softmax over steps
+    and ``bias`` gets no gradient. The backward is closed-form.
+    """
+    s, wq, wk, bias = as_tensor(stack), as_tensor(wq), as_tensor(wk), as_tensor(bias)
+    n_steps = s.shape[0]
+    heads, dh = wq.shape[0], wq.shape[1]
+    scale = 1.0 / math.sqrt(dh)
+    x = s.data.reshape(n_steps, -1, heads, dh)
+    mean = x.mean(axis=0)
+    k = wk.data * scale
+    q = _per_head(mean, wq.data)
+    r = _per_head(q, k.transpose(0, 2, 1))
+    score = np.einsum("lphj,phj->lph", x, r)
+    if signed:
+        t = np.tanh(score)
+        c = t * bias.data[:, None, None]
+    else:
+        ex = np.exp(score - score.max(axis=0))
+        c = ex / ex.sum(axis=0)
+    z = np.einsum("lph,lphj->phj", c, x)
+
+    def backward(g: Array) -> None:
+        g = g.reshape(z.shape)
+        dc = np.einsum("lphj,phj->lph", x, g)
+        if signed:
+            if bias.requires_grad:
+                bias._accumulate(np.einsum("lph,lph->l", dc, t))
+            dscore = t * t
+            np.subtract(1.0, dscore, out=dscore)
+            dscore *= bias.data[:, None, None]
+            dscore *= dc
+        else:
+            dscore = c * (dc - (c * dc).sum(axis=0))
+        dr = np.einsum("lph,lphj->phj", dscore, x)
+        if wk.requires_grad:
+            wk._accumulate(_per_head_outer(dr, q) * scale)
+        dq = _per_head(dr, k)
+        if wq.requires_grad:
+            wq._accumulate(_per_head_outer(mean, dq))
+        if s.requires_grad:
+            # step by step, into the output and one reused (P, H, dh) buffer
+            dmean = _per_head(dq, wq.data.transpose(0, 2, 1))
+            dmean /= n_steps
+            ds, tmp = np.empty(x.shape), np.empty(g.shape)
+            for l in range(n_steps):
+                np.einsum("ph,phj->phj", c[l], g, out=ds[l])
+                ds[l] += np.einsum("ph,phj->phj", dscore[l], r, out=tmp)
+                ds[l] += dmean
+            s._accumulate(ds.reshape(s.shape))
+
+    return _node(z.reshape(s.shape[1:]), (s, wq, wk, bias), backward)
+
+
+def gate(z: Tensor, e: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``sigmoid([z || e] w + b)`` for (..., N, D) rows ``z`` and an (N, D)
+    ``e`` that broadcasts over the leading axes, computed as
+    ``z w[:D] + (e w[D:] + b)`` so the ``e`` half is projected once per row
+    of ``e``. The logistic is :func:`sigmoid`'s, bit for bit; the backward
+    is closed-form."""
+    z, e, w, b = as_tensor(z), as_tensor(e), as_tensor(w), as_tensor(b)
+    d = z.shape[-1]
+    w_z, w_e = w.data[:d], w.data[d:]
+    pre = z.data @ w_z
+    pre += e.data @ w_e + b.data
+    y = _logistic(pre)
+
+    def backward(g: Array) -> None:
+        da = 1.0 - y
+        da *= y
+        da *= g
+        de = da.sum(axis=tuple(range(da.ndim - 2)))
+        if z.requires_grad:
+            z._accumulate(da @ w_z.T)
+        if e.requires_grad:
+            e._accumulate(de @ w_e.T)
+        if w.requires_grad:
+            dw = np.empty_like(w.data)
+            dw[:d] = z.data.reshape(-1, d).T @ da.reshape(-1, w.shape[1])
+            dw[d:] = e.data.T @ de
+            w._accumulate(dw)
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(de, b.shape))
+
+    return _node(y, (z, e, w, b), backward)
+
+
+def blend(g: Tensor, a: Tensor, b: Tensor) -> Tensor:
+    """``g * a + (1 - g) * b`` with broadcasting, as one node, computed as
+    ``b + g * (a - b)``."""
+    g, a, b = as_tensor(g), as_tensor(a), as_tensor(b)
+    diff = a.data - b.data
+    data = g.data * diff
+    data += b.data
+
+    def backward(gr: Array) -> None:
+        if g.requires_grad:
+            g._accumulate(_unbroadcast(gr * diff, g.shape))
+        ga = gr * g.data
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(ga, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(gr - ga, b.shape))
+
+    return _node(data, (g, a, b), backward)
 
 
 # -- gradient checking ---------------------------------------------------------

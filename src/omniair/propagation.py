@@ -5,16 +5,15 @@ All station mixing happens in ``ad.diffuse``, one tape op for every step.
 On graphs with at most ``ad._DENSE_RATIO`` * K source stations it runs on the
 per-batch (N, N_src) operator built from the (N, K) neighbour table; on
 larger graphs it gathers from the table, and nothing N x N is formed.
-Aggregation runs all heads over the (L, B, T, N, D) state stack with
-block-diagonal per-head maps, and the identity gate projects ``e_id`` once
-per node.
+Aggregation over the (L, B, T, N, D) state stack is one hand-written tape
+node for all heads (``ad.step_attention``, per-head maps applied to
+(rows, heads, dh) views); the identity gate and the blend are one node each
+(``ad.gate``, ``ad.blend``), and the gate projects ``e_id`` once per node.
 Signed aggregation is the only way diffusion states are combined; its
 ``positive`` mode (a softmax over steps) is the smoothing-only control.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -44,13 +43,6 @@ def diffuse(
     return ad.diffuse(h0, w_tilde, graph.nbr, steps, restart, h_src_stack)
 
 
-def _block_diagonal(w: Tensor) -> Tensor:
-    """Per-head (H, dh, dh) maps as one (H*dh, H*dh) block-diagonal matrix."""
-    heads, dh, _ = w.shape
-    mask = np.eye(heads).reshape(heads, 1, heads, 1)
-    return (w.reshape((heads, dh, 1, dh)) * mask).reshape((heads * dh, heads * dh))
-
-
 def signed_aggregate(
     stack: Tensor,
     params: dict[str, Tensor],
@@ -68,11 +60,10 @@ def signed_aggregate(
     combination, used as the smoothing-only control). ``forced_coeffs``
     bypasses attention entirely and applies the given per-step constants.
 
-    All heads and states run in one pass: the per-head maps act as
-    block-diagonal (D, D) matrices, and scores and coefficients are
-    (L, B, T, N, H).
+    The attention over all heads and states is one ``ad.step_attention``
+    node; scores and coefficients are (L, B*T*N, H).
     """
-    n_steps, lead, d = stack.shape[0], stack.shape[1:-1], stack.shape[-1]
+    n_steps, d = stack.shape[0], stack.shape[-1]
     if forced_coeffs is not None:
         if len(forced_coeffs) != n_steps:
             raise ValueError("forced_coeffs must provide one value per state")
@@ -83,37 +74,27 @@ def signed_aggregate(
     if d % heads != 0:
         raise ValueError(f"head count {heads} must divide feature dim {d}")
     dh = d // heads
-    wq, wk = params["agg.wq"], params["agg.wk"]
+    wq, wk, bias = params["agg.wq"], params["agg.wk"], params["agg.step_bias"]
     if wq.shape != (heads, dh, dh) or wk.shape != (heads, dh, dh):
         raise ValueError(f"agg.wq/agg.wk must be ({heads}, {dh}, {dh}) for {heads} heads")
-    query = ad.matmul(stack.mean(axis=0), _block_diagonal(wq))
-    key = ad.matmul(stack, _block_diagonal(wk))
-    per_head = (n_steps,) + lead + (heads, dh)
-    scores = (key * query).reshape(per_head).sum(axis=-1) * (1.0 / math.sqrt(dh))
-    if mode == "signed":
-        bias = params["agg.step_bias"].reshape((n_steps,) + (1,) * (len(lead) + 1))
-        coeffs = ad.tanh(scores) * bias
-    else:
-        coeffs = ad.softmax(scores, axis=0)
-    out = coeffs.reshape(coeffs.shape + (1,)) * stack.reshape(per_head)
-    return out.sum(axis=0).reshape(lead + (d,))
+    if bias.shape != (n_steps,):
+        raise ValueError(f"agg.step_bias must be ({n_steps},) for {n_steps} states")
+    return ad.step_attention(stack, wq, wk, bias, signed=mode == "signed")
 
 
 def fuse_and_gate(z: Tensor, e_id: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
     """Blend the dynamic state with the static identity via a learned gate.
 
     ``e_id`` is (N, D) and broadcasts over batch and time. Returns (gate,
-    fused) where fused = g * z + (1 - g) * e_id. The gate's map over
-    [z || e_id] is split as z W[:D] + e_id W[D:], so the identity half is
-    projected once per node.
+    fused) where gate = sigmoid([z || e_id] W + b) and fused = g * z +
+    (1 - g) * e_id, one tape node each; the identity half of W is applied
+    once per node.
     """
     n, d = z.shape[2:]
     if e_id.shape != (n, d):
         raise ValueError(f"identity shape {e_id.shape} incompatible with state {z.shape}")
-    w = params["out_gate.w"]
-    ident = ad.matmul(e_id, ad.slice_axis(w, 0, d, 2 * d)) + params["out_gate.b"]
-    g = ad.sigmoid(ad.matmul(z, ad.slice_axis(w, 0, 0, d)) + ident)
-    return g, g * z + (1.0 - g) * e_id
+    g = ad.gate(z, e_id, params["out_gate.w"], params["out_gate.b"])
+    return g, ad.blend(g, z, e_id)
 
 
 def forecast_head(

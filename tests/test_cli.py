@@ -7,9 +7,17 @@ import pytest
 
 from omniair import cli, training
 from omniair.cli import main
+from omniair.checkpoint import load_checkpoint
 from omniair.config import dict_hash
 from omniair.data import CHANNELS, load_series, load_stations
-from omniair.inference import Forecast, predict_unseen, predict_window, write_forecast_csv
+from omniair.inference import (
+    Forecast,
+    predict_unseen,
+    predict_window,
+    rebuild_state,
+    write_forecast_csv,
+)
+from omniair.oracle import dense_forward
 from omniair.training import train_model
 
 from conftest import small_config
@@ -165,6 +173,35 @@ class TestReloadRoundTrip:
                     "--out", tmp_path / "new_fc.csv", "--base-out", tmp_path / "base_fc.csv"]) == 0
         for got, want in (("fc", "ref"), ("base_fc", "ref_base"), ("new_fc", "ref_new")):
             assert (tmp_path / f"{got}.csv").read_bytes() == (tmp_path / f"{want}.csv").read_bytes()
+
+    @pytest.mark.parametrize("coeff_mode", ["signed", "positive"])
+    def test_checkpoint_forecast_matches_dense_reference(self, tmp_path, coeff_mode):
+        # what `predict` writes from a saved model is the dense O(N^2)
+        # reference forward of the saved parameters to rtol 1e-12: the
+        # engine's summation order may change between versions, so a
+        # checkpoint of an earlier version is held to this, not to its bytes
+        assert run(["synth", "--n", 10, "--steps", 60, "--seed", 8,
+                    "--noise-std", "0.2", "--out", tmp_path / "data"]) == 0
+        stations = load_stations(tmp_path / "data" / "stations.csv")
+        frame = load_series(tmp_path / "data" / "series.csv", stations)
+        cfg = small_config(max_epochs=1, t_in=6, tau=2, coeff_mode=coeff_mode)
+        train_model(cfg, stations, frame, out_dir=tmp_path / "run")
+        ck = tmp_path / "run" / "checkpoint"
+        assert run(["predict", "--checkpoint", ck,
+                    "--stations", tmp_path / "data" / "stations.csv",
+                    "--series", tmp_path / "data" / "series.csv",
+                    "--out", tmp_path / "fc.csv"]) == 0
+        with open(tmp_path / "fc.csv", newline="") as fh:
+            got = np.array([float(row["value"]) for row in csv.DictReader(fh)])
+
+        params, buffers, saved_cfg, _ = load_checkpoint(ck)
+        state = rebuild_state(saved_cfg, stations, buffers)
+        end = frame.n_steps - 1
+        window = slice(end - cfg.t_in + 1, end + 1)
+        x = np.where(frame.valid[window], state.stats.normalize(frame.values[window]), 0.0)
+        dense = dense_forward({k: p.data for k, p in params.items()}, state, x[None])
+        want = state.stats.denormalize(dense)[0]
+        np.testing.assert_allclose(got, want.reshape(-1), rtol=1e-12, atol=0)
 
 
 def reference_forecast_csv(forecast, path):

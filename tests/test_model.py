@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from omniair.autodiff import Tensor
+from omniair.autodiff import Tensor, grad_check
 from omniair.data import CHANNELS, NormStats, chrono_split, make_windows
 from omniair.encoder import Contexts
 from omniair.model import (
@@ -69,6 +69,27 @@ class TestParameterInventory:
         masked_mae_loss(pred, target_norm, tiny_batch.target_valid).backward()
         for name, p in tiny_params.items():
             assert p.grad is not None and np.any(p.grad != 0), name
+
+
+class TestForwardGradients:
+    @pytest.mark.parametrize("coeff_mode", ["signed", "positive"])
+    def test_grad_check_every_parameter(self, tiny_dataset, coeff_mode):
+        # three diffusion states, four heads, B and T > 1, and an (N, D)
+        # identity broadcast over them
+        cfg = small_config(t_in=3, tau=2, head_hidden=8, coeff_mode=coeff_mode)
+        assert cfg.diffusion_steps + 1 == 3 and cfg.heads > 1
+        stations, frame = tiny_dataset
+        state = build_state(cfg, stations, chrono_split(frame)[0])
+        rng = np.random.default_rng(21)
+        params = init_params(cfg, rng)
+        params["agg.step_bias"].data[:] = [0.8, -0.5, 1.2]
+        x = rng.normal(size=(2, cfg.t_in, state.n_stations, len(CHANNELS)))
+        cot = Tensor(rng.normal(size=(2, cfg.tau, state.n_stations, len(CHANNELS))))
+
+        def f():
+            return (forward(params, state, x) * cot).sum()
+
+        assert grad_check(f, params, samples_per_param=6) < 1e-6
 
 
 class TestPermutationEquivariance:

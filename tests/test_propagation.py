@@ -258,6 +258,36 @@ class TestSignedAggregate:
 
         assert grad_check(f, params, samples_per_param=None) < 1e-6
 
+    @pytest.mark.parametrize("mode", ["signed", "positive"])
+    def test_gradcheck_stack(self, mode):
+        # every coordinate of the stack and of the weights, three states
+        rng = np.random.default_rng(15)
+        params = agg_params(4, 2, 3, rng=rng, bias=[0.9, -0.6, 0.4])
+        params["stack"] = Tensor(rng.normal(size=(3, 2, 2, 3, 4)), requires_grad=True)
+        cot = Tensor(rng.normal(size=(2, 2, 3, 4)))
+
+        def f():
+            return (signed_aggregate(params["stack"], params, heads=2, mode=mode) * cot).sum()
+
+        assert grad_check(f, params, samples_per_param=None) < 1e-6
+
+    def test_gradcheck_forced_stack(self):
+        rng = np.random.default_rng(16)
+        params = {"stack": Tensor(rng.normal(size=(3, 2, 2, 3, 4)), requires_grad=True)}
+        cot = Tensor(rng.normal(size=(2, 2, 3, 4)))
+
+        def f():
+            z = signed_aggregate(params["stack"], {}, heads=2,
+                                 forced_coeffs=np.array([1.0, -0.5, 0.25]))
+            return (z * cot).sum()
+
+        assert grad_check(f, params, samples_per_param=None) < 1e-6
+
+    def test_bias_length_must_match_states(self):
+        stack = Tensor(np.zeros((3, 1, 1, 2, 4)))
+        with pytest.raises(ValueError, match="step_bias"):
+            signed_aggregate(stack, agg_params(4, 2, 2), heads=2)
+
     def test_weight_shape_must_match_heads(self):
         stack = Tensor(np.zeros((1, 1, 1, 2, 4)))
         with pytest.raises(ValueError):
@@ -324,6 +354,58 @@ class TestFusionAndGate:
         }
         with pytest.raises(ValueError):
             fuse_and_gate(Tensor(np.zeros((1, 1, 4, 6))), Tensor(np.zeros((4, 5))), params)
+
+
+def tape_nodes(out, leaves):
+    """The nodes between ``out`` and the given leaf tensors, ``out`` included."""
+    stop = {id(t) for t in leaves}
+    seen, todo = {}, [out]
+    while todo:
+        node = todo.pop()
+        if id(node) in stop or id(node) in seen:
+            continue
+        seen[id(node)] = node
+        todo.extend(node._parents)
+    return list(seen.values())
+
+
+class TestTapeStructure:
+    """Aggregation is one node and the gate and blend one node each, so a
+    refactor cannot silently bring back a chain of composite nodes."""
+
+    def _inputs(self, rng):
+        params = agg_params(8, 2, 3, rng=rng, bias=[1.0, 0.5, -0.5])
+        params["out_gate.w"] = Tensor(rng.normal(size=(16, 8)), requires_grad=True)
+        params["out_gate.b"] = Tensor(rng.normal(size=8), requires_grad=True)
+        stack = Tensor(rng.normal(size=(3, 2, 2, 5, 8)), requires_grad=True)
+        e_id = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
+        return params, stack, e_id
+
+    @pytest.mark.parametrize("mode", ["signed", "positive"])
+    def test_aggregate_is_one_node(self, mode):
+        params, stack, _ = self._inputs(np.random.default_rng(17))
+        z = signed_aggregate(stack, params, heads=2, mode=mode)
+        want = (stack, params["agg.wq"], params["agg.wk"], params["agg.step_bias"])
+        assert len(z._parents) == len(want)
+        assert all(p is w for p, w in zip(z._parents, want))
+
+    def test_fuse_and_gate_at_most_two_nodes(self):
+        params, _, e_id = self._inputs(np.random.default_rng(18))
+        z = Tensor(np.random.default_rng(19).normal(size=(2, 2, 5, 8)), requires_grad=True)
+        gate, fused = fuse_and_gate(z, e_id, params)
+        leaves = (z, e_id, params["out_gate.w"], params["out_gate.b"])
+        nodes = tape_nodes(fused, leaves)
+        assert len(nodes) <= 2
+        assert any(n is gate for n in nodes)
+        assert tape_nodes(gate, leaves) == [gate]
+
+    def test_no_grad_records_nothing(self):
+        params, stack, e_id = self._inputs(np.random.default_rng(20))
+        with ad.no_grad():
+            z = signed_aggregate(stack, params, heads=2)
+            gate, fused = fuse_and_gate(z, e_id, params)
+        for out in (z, gate, fused):
+            assert out._parents == () and out._backward is None and not out.requires_grad
 
 
 class TestForecastHead:
