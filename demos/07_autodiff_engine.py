@@ -32,7 +32,7 @@ data = np.random.default_rng(1).normal(size=(8, 6))
 
 def program():
     h = ad.leaky_relu(ad.matmul(Tensor(data), params["w"]) + params["b"], 0.1)
-    return (ad.softmax(h, axis=1) * ad.sigmoid(h)).sum()
+    return (ad.tanh(h) * ad.sigmoid(h)).sum()
 
 
 err = grad_check(program, params, samples_per_param=None)
@@ -58,7 +58,7 @@ opt = Adam(fit, lr=0.05)
 for step in range(200):
     opt.zero_grad()
     resid = ad.matmul(Tensor(xs), fit["w"]) - Tensor(ys)
-    (resid * resid).mean().backward()
+    ((resid * resid).sum() / len(xs)).backward()
     opt.step()
 print(f"recovered weights: {fit['w'].data.ravel().round(4)}")
 print(f"true weights:      {target_w.ravel().round(4)}")

@@ -142,9 +142,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -161,9 +158,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return mean(self, axis=axis, keepdims=keepdims)
 
 
 def as_tensor(x) -> Tensor:
@@ -244,16 +238,6 @@ def div(a, b) -> Tensor:
             b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _node(data, (a, b), backward)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            a._accumulate(-g)
-
-    return _node(-a.data, (a,), backward)
 
 
 def abs_(a) -> Tensor:
@@ -366,18 +350,6 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _node(data, (a,), backward)
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size / max(data.size, 1)
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            a._accumulate(_expand_reduced(g, a.shape, axis, keepdims) / count)
-
-    return _node(data, (a,), backward)
-
-
 # -- pointwise nonlinearities --------------------------------------------------
 
 def _logistic(x: Array) -> Array:
@@ -433,20 +405,6 @@ def leaky_relu(a, slope: float = 0.1) -> Tensor:
             a._accumulate(g * np.where(a.data > 0, 1.0, slope))
 
     return _node(data, (a,), backward)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    y = ex / ex.sum(axis=axis, keepdims=True)
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            inner = (g * y).sum(axis=axis, keepdims=True)
-            a._accumulate(y * (g - inner))
-
-    return _node(y, (a,), backward)
 
 
 # -- sparse message-passing primitives ----------------------------------------

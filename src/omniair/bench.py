@@ -1,9 +1,17 @@
-"""Scaling benchmark: median forward wall time vs station count.
+"""Scaling benchmark: graph build, forward and forward+backward time vs
+station count.
+
+For each N the network is generated: stations uniform in a 10°×10° box,
+random identity features and grades, and their semantic vectors. Three
+times are reported per N:
+
+- ``build_ms``: one ``build_hybrid_graph`` call, the graph the model runs
+  on. Its semantic k-NN is O(N²), so this time grows faster than N.
+- ``forward_ms``: the median no-grad ``forward``.
+- ``step_ms``: the median ``masked_mae_loss(forward(...)).backward()``.
 
 The runtime phase touches only per-node and per-edge arrays, so the
-log-log slope of forward time against N should sit near 1. Synthetic
-random graphs keep graph construction out of the measured path; build
-time is reported separately.
+log-log slope of forward time against N should sit near 1.
 """
 
 from __future__ import annotations
@@ -15,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import no_grad
+from .autodiff import no_grad, zero_grads
 from .config import RunConfig
 from .data import CHANNELS, N_GRADES
-from .model import ModelState, forward, identity_input_dim, init_params
-from .topology import HybridGraph
+from .encoder import semantic_feature_matrix
+from .model import ModelState, forward, identity_input_dim, init_params, masked_mae_loss
+from .topology import build_hybrid_graph
 
 
 def _pin_allocator() -> None:
@@ -44,15 +53,16 @@ class BenchRow:
     n: int
     k: int
     edges: int
-    build_ms: float
+    build_ms: float  # one build_hybrid_graph call
     forward_ms: float  # median over repeats
+    step_ms: float  # median forward+loss+backward over repeats
     rss_mb: float
 
 
 @dataclass
 class BenchReport:
     rows: list[BenchRow]
-    slope: float
+    slope: float  # of forward_ms
     repeats: int
 
 
@@ -63,32 +73,6 @@ def fit_loglog_slope(ns, times_ms) -> float:
     if len(ns) < 3:
         raise ValueError("slope fit needs at least 3 sizes")
     return float(np.polyfit(np.log(ns), np.log(times_ms), 1)[0])
-
-
-def _random_graph(n: int, k: int, rng: np.random.Generator) -> HybridGraph:
-    """k random distinct non-self targets per node, kernel-like weights."""
-    nbr = np.empty((n, k), dtype=np.intp)
-    for i in range(n):
-        picks = rng.choice(n - 1, size=k, replace=False)
-        picks[picks >= i] += 1
-        nbr[i] = np.sort(picks)
-    km = rng.uniform(1.0, 400.0, size=(n, k))
-    return HybridGraph(nbr, np.exp(-(km**2) / (2.0 * 100.0**2)))
-
-
-def _synthetic_state(n: int, k: int, cfg: RunConfig, rng: np.random.Generator) -> ModelState:
-    graph = _random_graph(n, k, rng)
-    feat_dim = identity_input_dim(cfg) - cfg.grade_embed
-    return ModelState(
-        cfg=cfg,
-        stations=[],
-        stats=None,
-        contexts=[],
-        graph=graph,
-        id_features=rng.normal(size=(n, feat_dim)),
-        grades=rng.integers(0, N_GRADES, size=n),
-        sem_vectors=np.empty((n, 0)),
-    )
 
 
 def bench_config(k: int, t_in: int) -> RunConfig:
@@ -113,56 +97,81 @@ def run_scaling(
     repeats: int = 5,
     seed: int = 0,
 ) -> BenchReport:
-    """Time the sparse forward pass across station counts and fit the slope."""
+    """Time the graph build, the forward and the forward+backward across
+    station counts, and fit the slope of the forward."""
     if len(n_list) < 3:
         raise ValueError("need at least 3 station counts for a slope")
     if list(n_list) != sorted(set(n_list)):
         raise ValueError("station counts must be strictly increasing")
     if repeats < 5:
         raise ValueError("need at least 5 repeats")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     _pin_allocator()
     cfg = bench_config(k, t_in)
     setups = []
     build_ms = {}
     for n in n_list:
         rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
+        points = np.stack([rng.uniform(30.0, 40.0, n), rng.uniform(100.0, 110.0, n)], axis=1)
+        grades = rng.integers(0, N_GRADES, size=n)
+        id_features = rng.normal(size=(n, identity_input_dim(cfg) - cfg.grade_embed))
+        sem_vectors = semantic_feature_matrix(id_features, grades)
         t0 = time.perf_counter()
-        state = _synthetic_state(n, k, cfg, rng)
+        graph = build_hybrid_graph(points, sem_vectors, cfg.k_geo, cfg.k_sem, cfg.kappa_km)
         build_ms[n] = (time.perf_counter() - t0) * 1e3
+        state = ModelState(cfg, [], None, None, graph, id_features, grades, sem_vectors)
         params = init_params(cfg, rng)
         x = rng.normal(size=(1, t_in, n, len(CHANNELS)))
-        setups.append((n, state, params, x))
+        target = rng.normal(size=(1, cfg.tau, n, len(CHANNELS)))
+        setups.append((n, state, params, x, target))
 
-    def timed_run(state, params, x) -> float:
+    def timed_forward(state, params, x, _target) -> float:
         with no_grad():
             t0 = time.perf_counter()
             forward(params, state, x)
             return (time.perf_counter() - t0) * 1e3
 
-    # warm-up sweep excluded, then interleaved rounds so every size sees the
-    # same allocator and cache history
-    samples = {n: [] for n in n_list}
-    for _, state, params, x in setups:
-        timed_run(state, params, x)
-    for _ in range(repeats):
-        for n, state, params, x in setups:
-            samples[n].append(timed_run(state, params, x))
+    def timed_step(state, params, x, target) -> float:
+        zero_grads(params)
+        mask = np.ones(target.shape, dtype=bool)
+        t0 = time.perf_counter()
+        masked_mae_loss(forward(params, state, x), target, mask).backward()
+        return (time.perf_counter() - t0) * 1e3
+
+    def medians(timed_run) -> dict[int, float]:
+        # warm-up sweep excluded, then interleaved rounds so every size sees
+        # the same allocator and cache history
+        samples = {n: [] for n in n_list}
+        for _, *args in setups:
+            timed_run(*args)
+        for _ in range(repeats):
+            for n, *args in setups:
+                samples[n].append(timed_run(*args))
+        return {n: float(np.median(s)) for n, s in samples.items()}
+
+    # the forward pass runs first, so the medians the slope fits see the
+    # allocator history of a forward-only sweep
+    forward_ms = medians(timed_forward)
+    step_ms = medians(timed_step)
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     rows = [
-        BenchRow(n, k, state.graph.n_edges, build_ms[n], float(np.median(samples[n])), rss_mb)
-        for n, state, params, x in setups
+        BenchRow(n, k, state.graph.n_edges, build_ms[n], forward_ms[n], step_ms[n], rss_mb)
+        for n, state, *_ in setups
     ]
     slope = fit_loglog_slope([r.n for r in rows], [r.forward_ms for r in rows])
     return BenchReport(rows, slope, repeats)
 
 
 def write_bench_csv(report: BenchReport, path) -> None:
+    columns = ["n", "k", "edges", "build_ms", "forward_ms", "step_ms", "rss_mb"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "k", "edges", "build_ms", "forward_ms", "rss_mb"])
+        writer.writerow(columns)
         for r in report.rows:
-            writer.writerow([r.n, r.k, r.edges, repr(r.build_ms), repr(r.forward_ms), repr(r.rss_mb)])
-        writer.writerow(["slope", repr(report.slope), "", "", "", ""])
+            writer.writerow([r.n, r.k, r.edges, repr(r.build_ms), repr(r.forward_ms),
+                             repr(r.step_ms), repr(r.rss_mb)])
+        writer.writerow(["slope", repr(report.slope)] + [""] * (len(columns) - 2))
 
 
 def write_loglog(report: BenchReport, path) -> None:

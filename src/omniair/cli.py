@@ -198,7 +198,8 @@ def cmd_bench(args) -> int:
     write_bench_csv(report, out / "bench.csv")
     write_loglog(report, out / "loglog.txt")
     for r in report.rows:
-        print(f"N={r.n:6d} edges={r.edges:8d} build={r.build_ms:9.2f}ms forward={r.forward_ms:9.2f}ms")
+        print(f"N={r.n:6d} edges={r.edges:8d} build={r.build_ms:9.2f}ms "
+              f"forward={r.forward_ms:9.2f}ms step={r.step_ms:9.2f}ms")
     print(f"log-log slope: {report.slope:.4f}")
     return 0
 
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_embeddings)
 
-    p = sub.add_parser("bench", help="forward-pass scaling benchmark")
+    p = sub.add_parser("bench", help="graph build, forward and forward+backward scaling benchmark")
     p.add_argument("--n", type=int, nargs="+", default=[1024, 2048, 4096, 8192])
     p.add_argument("--k", type=int, default=15)
     p.add_argument("--t-in", type=int, default=4)

@@ -20,6 +20,12 @@ from .optim import Adam
 
 log = logging.getLogger("omniair")
 
+# A skipped Adam step leaves the parameters as they were, so a run of skips
+# means batch after batch gives a non-finite gradient at the same
+# parameters: later batches will not repair them. Stop as on a non-finite
+# loss, and keep the best snapshot.
+_MAX_SKIPPED_IN_A_ROW = 8
+
 
 @dataclass
 class TrainLog:
@@ -110,6 +116,7 @@ def train_model(
     tlog = TrainLog()
     best_snapshot = {k: p.data.copy() for k, p in params.items()}
     diverged = False
+    skipped_in_a_row = 0
 
     for epoch in range(cfg.max_epochs):
         epoch_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch]))
@@ -126,7 +133,14 @@ def train_model(
                 diverged = True
                 break
             loss.backward()
-            skipped += not opt.step()
+            stepped = opt.step()
+            skipped += not stepped
+            skipped_in_a_row = 0 if stepped else skipped_in_a_row + 1
+            if skipped_in_a_row >= _MAX_SKIPPED_IN_A_ROW:
+                log.error("training diverged at epoch %d: %d Adam steps in a row skipped on "
+                          "non-finite gradients; keeping best checkpoint", epoch, skipped_in_a_row)
+                diverged = True
+                break
             losses.append(loss.item())
         if diverged:
             tlog.stop_reason = "divergence"

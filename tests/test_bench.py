@@ -1,5 +1,6 @@
 import pytest
 
+from omniair import bench
 from omniair.bench import fit_loglog_slope, run_scaling, write_bench_csv, write_loglog
 
 
@@ -25,11 +26,23 @@ class TestRunScaling:
         assert [r.n for r in report.rows] == [64, 128, 256]
         for r in report.rows:
             assert r.edges == r.n * 6  # N * K exactly by construction
-            assert r.forward_ms > 0
+            assert r.forward_ms > 0 and r.step_ms > 0
         write_bench_csv(report, tmp_path / "bench.csv")
         write_loglog(report, tmp_path / "loglog.txt")
         lines = (tmp_path / "loglog.txt").read_text().strip().splitlines()
         assert len(lines) == 3 and all(len(l.split()) == 2 for l in lines)
+
+    def test_builds_each_graph_with_build_hybrid_graph(self, monkeypatch):
+        calls = []
+        real = bench.build_hybrid_graph
+
+        def counted(points, *args, **kwargs):
+            calls.append(len(points))
+            return real(points, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "build_hybrid_graph", counted)
+        run_scaling((64, 128, 256), k=4, t_in=2, repeats=5, seed=0)
+        assert calls == [64, 128, 256]
 
     def test_doubling_k_doubles_edges(self):
         a = run_scaling((64, 128, 256), k=4, t_in=2, repeats=5, seed=0)
@@ -44,6 +57,9 @@ class TestRunScaling:
             run_scaling((64, 128, 256), repeats=2)
         with pytest.raises(ValueError):
             run_scaling((256, 128, 64), repeats=5)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+                run_scaling((64, 128, 256), k=k, repeats=5)
 
     def test_rows_reproducible_in_structure(self):
         a = run_scaling((64, 128, 256), k=5, t_in=2, repeats=5, seed=3)
@@ -58,9 +74,10 @@ def test_cli_bench_writes_csv_and_loglog(tmp_path, capsys):
     argv = ["bench", "--n", "64", "128", "256", "--k", "4", "--t-in", "2", "--out", str(out)]
     assert main(argv) == 0
     rows = (out / "bench.csv").read_text().strip().splitlines()
-    assert rows[0] == "n,k,edges,build_ms,forward_ms,rss_mb"
+    assert rows[0] == "n,k,edges,build_ms,forward_ms,step_ms,rss_mb"
     assert [r.split(",")[:3] for r in rows[1:4]] == [["64", "4", "256"], ["128", "4", "512"],
                                                      ["256", "4", "1024"]]
     assert rows[4].startswith("slope,")
     assert len((out / "loglog.txt").read_text().strip().splitlines()) == 3
-    assert "log-log slope" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "log-log slope" in printed and printed.count(" step=") == 3

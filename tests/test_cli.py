@@ -610,6 +610,18 @@ class TestErrors:
         assert json.loads((tmp_path / "run" / "config.json").read_text())["max_epochs"] == 1
         assert len(json.loads((tmp_path / "run" / "train_log.json").read_text())["epochs"]) == 1
 
+    def test_run_of_skipped_adam_steps_stops_train(self, workspace, tmp_path, capsys,
+                                                    monkeypatch):
+        from omniair.optim import Adam
+
+        monkeypatch.setattr(Adam, "step", lambda self: False)
+        ws, cfg_path = workspace
+        assert run(["train", "--config", cfg_path, "--stations", ws / "data" / "stations.csv",
+                    "--series", ws / "data" / "series.csv", "--out", tmp_path / "run"]) == 0
+        assert capsys.readouterr().out.startswith("stopped: divergence;")
+        log = json.loads((tmp_path / "run" / "train_log.json").read_text())
+        assert log["stop_reason"] == "divergence" and log["epochs"] == []
+
     def test_station_without_history_is_logged(self, workspace, tmp_path, caplog):
         # s003 has no observation at all: it trains on the global mean, and says so
         ws, cfg_path = workspace

@@ -382,3 +382,38 @@ class TestDivergenceHandling:
         result = train_model(small_config(max_epochs=2), stations, frame)
         assert [e["skipped_steps"] for e in result.log.epochs] == [1, 0]
         assert result.log.stop_reason == "max_epochs"
+
+    def test_run_of_skipped_adam_steps_stops_training(self, monkeypatch):
+        # every update is skipped: training stops after the limit, counted
+        # across epochs, on the initial parameters
+        import omniair.training as training
+        from omniair.optim import Adam
+
+        calls = []
+        monkeypatch.setattr(Adam, "step", lambda self: calls.append(1) and False)
+        stations, frame = quick_dataset(seed=31)
+        cfg = small_config(max_epochs=5)
+        result = train_model(cfg, stations, frame)
+        assert result.log.stop_reason == "divergence"
+        assert len(calls) == training._MAX_SKIPPED_IN_A_ROW
+        assert sum(e["skipped_steps"] for e in result.log.epochs) < len(calls)
+        initial = init_params(cfg, np.random.default_rng(cfg.seed))
+        for name, p in result.params.items():
+            assert np.array_equal(p.data, initial[name].data), name
+
+    def test_skips_short_of_the_limit_do_not_stop(self, monkeypatch):
+        import omniair.training as training
+        from omniair.optim import Adam
+
+        limit = training._MAX_SKIPPED_IN_A_ROW
+        real_step, calls = Adam.step, []
+
+        def step(self):
+            calls.append(1)
+            return len(calls) >= limit and real_step(self)
+
+        monkeypatch.setattr(Adam, "step", step)
+        stations, frame = quick_dataset(seed=31)
+        result = train_model(small_config(max_epochs=2), stations, frame)
+        assert result.log.stop_reason == "max_epochs"
+        assert sum(e["skipped_steps"] for e in result.log.epochs) == limit - 1
