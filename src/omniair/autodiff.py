@@ -448,8 +448,9 @@ def gather(a: Tensor, idx: Array, axis: int) -> Tensor:
 
 # Diffusion runs on the dense per-batch operator A_b (N, N_src) when
 # N_src <= _DENSE_RATIO * K and on the (N, K) table otherwise. Measured on one
-# thread, the dense forward+backward is faster up to about 50 K source rows
-# and the dense forward up to 35-48 K when B * T >= 16; 32 K is below both.
+# thread (K 9 and 15, D 32), the dense forward is faster up to 40-48 K source
+# rows at B * T = 16 and about 80 K at 256, and the dense forward+backward up
+# to 64-80 K at both; 32 K is below all of them.
 _DENSE_RATIO = 32
 
 
@@ -463,8 +464,8 @@ class _DenseOperator:
         self.a = _scatter_add(w, cells, n * n_src, 1).reshape(b, n, n_src)
         self.nbr = nbr
 
-    def apply(self, x: Array) -> Array:
-        return np.matmul(self.a[:, None], x)
+    def apply(self, x: Array, out: Array) -> None:
+        np.matmul(self.a[:, None], x, out=out)
 
     def transposed(self, shape: tuple[int, ...]) -> Callable[[Array], Array]:
         a_t = self.a.transpose(0, 2, 1)[:, None]
@@ -477,19 +478,19 @@ class _DenseOperator:
 
 
 class _TableOperator:
-    """``(A x)[b,t,i] = sum_k w[b,i,k] * x[b,t,nbr[i,k]]`` on gathered
-    (B, T, N, K, D) messages, which ``apply`` keeps when the weight gradient
-    will need them."""
+    """``(A x)[b,t,i] = sum_k w[b,i,k] * x[b,t,nbr[i,k]]`` one table column
+    at a time: each column k gathers one (B, T, N, D) array, and nothing of
+    the size of the (B, T, N, K, D) messages is formed or kept."""
 
-    def __init__(self, w: Array, nbr: Array, n_src: int, keep_msgs: bool):
-        self.w, self.nbr, self.n_src, self.keep_msgs = w, nbr, n_src, keep_msgs
-        self.msgs: list[Array] = []
+    def __init__(self, w: Array, nbr: Array, n_src: int):
+        self.w, self.nbr, self.n_src = w, nbr, n_src
 
-    def apply(self, x: Array) -> Array:
-        msgs = np.take(x, self.nbr, axis=2)
-        if self.keep_msgs:
-            self.msgs.append(msgs)
-        return np.einsum("btnkd,bnk->btnd", msgs, self.w)
+    def apply(self, x: Array, out: Array) -> None:
+        out.fill(0.0)  # K = 0, a lone station, leaves A x = 0
+        for k in range(self.nbr.shape[1]):
+            col = np.take(x, self.nbr[:, k], axis=2)
+            col *= self.w[:, None, :, k, None]
+            out += col
 
     def transposed(self, shape: tuple[int, ...]) -> Callable[[Array], Array]:
         # one flat scatter index for every step of one backward, freed with it
@@ -503,8 +504,12 @@ class _TableOperator:
         return apply_t
 
     def edge_grad(self, adj: Array, xs: Array) -> Array:
-        # the messages gathered from xs in the forward
-        return sum(np.einsum("btnd,btnkd->bnk", a, m) for a, m in zip(adj, self.msgs))
+        # column k sums adj * (the states gathered again at nbr[:, k])
+        out = np.zeros(self.w.shape)
+        for a, x in zip(adj, xs):
+            for k in range(self.nbr.shape[1]):
+                out[:, :, k] += np.einsum("btnd,btnd->bn", a, np.take(x, self.nbr[:, k], axis=2))
+        return out
 
 
 def diffuse(
@@ -522,10 +527,11 @@ def diffuse(
     (B, T, N, D), ``w`` is (B, N, K) and ``nbr`` an (N, K) table whose
     targets may repeat. ``x_l`` is ``s_{l-1}``, or ``sources[l-1]`` when a
     stack of another graph's states is given (N_src rows, read, never
-    written). The backward runs the L adjoint steps: the input gradient is
-    ``A^T a`` and the weight gradient ``a x^T`` sampled at the table. Graphs
-    with N_src <= ``_DENSE_RATIO`` * K run on the dense per-batch operator,
-    larger ones on the table; the two differ only in summation order.
+    written). The op keeps nothing from the forward but its output. The
+    backward runs the L adjoint steps: the input gradient is ``A^T a`` and
+    the weight gradient ``a x^T`` sampled at the table. Graphs with N_src <=
+    ``_DENSE_RATIO`` * K run on the dense per-batch operator, larger ones on
+    the table one column at a time; the two differ only in summation order.
     """
     h0, w = as_tensor(h0), as_tensor(w)
     if not steps:
@@ -533,16 +539,14 @@ def diffuse(
     src = None if sources is None else as_tensor(sources)
     nbr = np.asarray(nbr, dtype=np.intp)
     n_src = h0.shape[2] if src is None else src.shape[3]
-    if n_src <= _DENSE_RATIO * nbr.shape[1]:
-        op = _DenseOperator(w.data, nbr, n_src)
-    else:
-        op = _TableOperator(w.data, nbr, n_src, keep_msgs=grad_enabled() and w.requires_grad)
+    operator = _DenseOperator if n_src <= _DENSE_RATIO * nbr.shape[1] else _TableOperator
+    op = operator(w.data, nbr, n_src)
     restart_h0 = restart * h0.data
-    states = [h0.data]
+    out = np.empty((steps + 1,) + h0.shape)
+    out[0] = h0.data
     for l in range(steps):
-        x = states[-1] if src is None else src.data[l]
-        states.append(op.apply(x) + restart_h0)
-    out = np.stack(states)
+        op.apply(out[l] if src is None else src.data[l], out[l + 1])
+        out[l + 1] += restart_h0
 
     def backward(g: Array) -> None:
         if src is None:  # a_l = g_l + A^T a_{l+1}

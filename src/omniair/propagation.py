@@ -4,7 +4,8 @@ states, identity-gated fusion, and the forecast head.
 All station mixing happens in ``ad.diffuse``, one tape op for every step.
 On graphs with at most ``ad._DENSE_RATIO`` * K source stations it runs on the
 per-batch (N, N_src) operator built from the (N, K) neighbour table; on
-larger graphs it gathers from the table, and nothing N x N is formed.
+larger graphs it gathers from the table one column at a time, and nothing
+N x N is formed.
 Aggregation over the (L, B, T, N, D) state stack is one hand-written tape
 node for all heads (``ad.step_attention``, per-head maps applied to
 (rows, heads, dh) views); the identity gate and the blend are one node each

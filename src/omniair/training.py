@@ -23,7 +23,8 @@ log = logging.getLogger("omniair")
 # A skipped Adam step leaves the parameters as they were, so a run of skips
 # means batch after batch gives a non-finite gradient at the same
 # parameters: later batches will not repair them. Stop as on a non-finite
-# loss, and keep the best snapshot.
+# loss, and keep the best snapshot; with no validated epoch yet there is no
+# snapshot to keep, and training fails.
 _MAX_SKIPPED_IN_A_ROW = 8
 
 
@@ -115,7 +116,7 @@ def train_model(
     stopper = EarlyStopper(cfg.patience)
     tlog = TrainLog()
     best_snapshot = {k: p.data.copy() for k, p in params.items()}
-    diverged = False
+    diverged = ""
     skipped_in_a_row = 0
 
     for epoch in range(cfg.max_epochs):
@@ -129,20 +130,23 @@ def train_model(
             target_norm = state.stats.normalize(batch.targets)
             loss = masked_mae_loss(pred, target_norm, batch.target_valid)
             if not np.isfinite(loss.data):
-                log.error("training diverged at epoch %d; keeping best checkpoint", epoch)
-                diverged = True
+                diverged = "a non-finite loss"
                 break
             loss.backward()
             stepped = opt.step()
             skipped += not stepped
             skipped_in_a_row = 0 if stepped else skipped_in_a_row + 1
             if skipped_in_a_row >= _MAX_SKIPPED_IN_A_ROW:
-                log.error("training diverged at epoch %d: %d Adam steps in a row skipped on "
-                          "non-finite gradients; keeping best checkpoint", epoch, skipped_in_a_row)
-                diverged = True
+                diverged = (f"{skipped_in_a_row} Adam steps in a row skipped on non-finite "
+                            "gradients")
                 break
             losses.append(loss.item())
         if diverged:
+            if stopper.best_epoch < 0:
+                raise ValueError(f"training diverged at epoch {epoch}, before any validated "
+                                 f"epoch: {diverged}")
+            log.error("training diverged at epoch %d: %s; keeping best checkpoint", epoch,
+                      diverged)
             tlog.stop_reason = "divergence"
             break
         val_mae = validation_mae(params, state, val)

@@ -351,16 +351,15 @@ class TestSemanticRefresh:
 
 
 class TestDivergenceHandling:
-    def test_nonfinite_loss_aborts_with_checkpoint(self):
+    def test_nonfinite_loss_before_first_validation_raises(self, tmp_path):
+        # no epoch was validated, so there is no checkpoint worth writing
         stations, frame = quick_dataset(seed=31)
         cfg = small_config(max_epochs=5, lr=1e30)  # first step overflows
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = train_model(cfg, stations, frame)
-        assert result.log.stop_reason == "divergence"
-        # restored parameters are the last good (initial) snapshot
-        assert np.isfinite(
-            np.concatenate([p.data.ravel() for p in result.params.values()])
-        ).all()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="^training diverged at epoch 0, before any validated epoch: "
+                              "a non-finite loss$"):
+            train_model(cfg, stations, frame, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_skipped_adam_steps_are_counted(self, monkeypatch):
         # the first update sees a non-finite gradient, so Adam skips it
@@ -383,7 +382,7 @@ class TestDivergenceHandling:
         assert [e["skipped_steps"] for e in result.log.epochs] == [1, 0]
         assert result.log.stop_reason == "max_epochs"
 
-    def test_run_of_skipped_adam_steps_stops_training(self, monkeypatch):
+    def test_run_of_skipped_adam_steps_stops_training(self, monkeypatch, tmp_path):
         # every update is skipped: training stops after the limit, counted
         # across epochs, on the initial parameters
         import omniair.training as training
@@ -393,8 +392,12 @@ class TestDivergenceHandling:
         monkeypatch.setattr(Adam, "step", lambda self: calls.append(1) and False)
         stations, frame = quick_dataset(seed=31)
         cfg = small_config(max_epochs=5)
-        result = train_model(cfg, stations, frame)
+        result = train_model(cfg, stations, frame, out_dir=tmp_path)
         assert result.log.stop_reason == "divergence"
+        # strict JSON: no Infinity or NaN
+        log = json.loads((tmp_path / "train_log.json").read_text(),
+                         parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+        assert log["stop_reason"] == "divergence" and log["best_epoch"] == 0
         assert len(calls) == training._MAX_SKIPPED_IN_A_ROW
         assert sum(e["skipped_steps"] for e in result.log.epochs) < len(calls)
         initial = init_params(cfg, np.random.default_rng(cfg.seed))
