@@ -178,4 +178,4 @@ def write_loglog(report: BenchReport, path) -> None:
     """Two-column plot-ready file: log N, log median forward ms."""
     with open(path, "w") as fh:
         for r in report.rows:
-            fh.write(f"{np.log(r.n)!r} {np.log(r.forward_ms)!r}\n")
+            fh.write(f"{float(np.log(r.n))!r} {float(np.log(r.forward_ms))!r}\n")

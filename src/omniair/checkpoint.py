@@ -23,7 +23,7 @@ from .model import N_GEO_FEATURES, init_params
 FORMAT = "omniair-checkpoint-v1"
 # stored by earlier versions, never read
 LEGACY_PARAMS = ("fusion.w",)  # fed a removed fusion mode
-LEGACY_BUFFERS = ("per_station_norm",)  # flagged a removed normalization mode
+LEGACY_BUFFERS = ("per_station_norm", "context_fallback")  # a removed mode's flag, an unread flag
 
 
 def _entries(arrays: dict[str, np.ndarray], offset: int) -> tuple[list[dict], bytes, int]:
@@ -128,7 +128,6 @@ def _buffer_shapes(n: int) -> dict[str, tuple[int, ...]]:
         "geo_std": (N_GEO_FEATURES,),
         "context_vectors": (n, CONTEXT_DIM),
         "context_centroids": (n, 2),
-        "context_fallback": (n,),
         "grades": (n,),
     }
 

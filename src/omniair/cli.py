@@ -17,7 +17,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .config import RunConfig
-from .data import N_GRADES, load_series, load_stations, chrono_split
+from .data import N_GRADES, chrono_split, load_series, load_stations, write_series, write_stations
 from .evaluation import format_report, write_report_csv
 from .geo import haversine
 from .inference import (
@@ -46,11 +46,16 @@ def _load_config(args) -> RunConfig:
     return RunConfig(**overrides)
 
 
+def _source_spec(text: str) -> SourceSpec:
+    try:
+        node, amp, period, on = text.split(":")
+        return SourceSpec(int(node), float(amp), int(period), int(on))
+    except ValueError:
+        raise ValueError(f"--source {text!r}: expected NODE:AMP:PERIOD:ON, four numbers") from None
+
+
 def cmd_synth(args) -> int:
-    sources = tuple(
-        SourceSpec(node=int(s[0]), amplitude=float(s[1]), period=int(s[2]), on_steps=int(s[3]))
-        for s in (text.split(":") for text in args.source)
-    )
+    sources = tuple(_source_spec(text) for text in args.source)
     scn = RDScenario(
         n=args.n,
         steps=args.steps,
@@ -64,8 +69,6 @@ def cmd_synth(args) -> int:
     stations, frame = simulate_rd(scn)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    from .data import write_series, write_stations
-
     write_stations(stations, out / "stations.csv")
     write_series(frame, out / "series.csv")
     print(f"wrote {len(stations)} stations x {frame.n_steps} steps to {out}")

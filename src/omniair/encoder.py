@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import CHANNELS, N_GRADES, NormStats, SeriesFrame, StationMeta
-from .geo import haversine, knn_geo
+from .geo import haversine
 
 log = logging.getLogger("omniair")
 
@@ -49,7 +49,7 @@ CONTEXT_DIM = 4 + N_GRADES
 @dataclass(frozen=True)
 class Contexts:
     """Training-split statistics of each station's geographic neighborhood,
-    one row per station; the three arrays are the checkpoint's buffers.
+    one row per station; the two arrays are the checkpoint's buffers.
 
     ``vectors`` columns: the neighbors' mean mu and standard deviation sigma
     of their historical means, the km from the station to the neighbors'
@@ -60,7 +60,6 @@ class Contexts:
 
     vectors: np.ndarray  # (N, CONTEXT_DIM)
     centroids: np.ndarray  # (N, 2) (lat, lon)
-    fallback: np.ndarray  # (N,) bool: no neighbor has history, mu is the global mean
 
     @property
     def level_dist(self) -> np.ndarray:
@@ -132,33 +131,26 @@ def build_contexts(
         vectors[group, 0] = c.mean(axis=1)
         vectors[group, 1] = c.std(axis=1)
         vectors[group, 2] = haversine(points[group], centroids[group])
-    fallback = count == 0
-    for i in np.flatnonzero(fallback):
+    for i in np.flatnonzero(count == 0):
         log.warning("station %s: no neighbor history, falling back to global mean",
                     stations[i].id)
     vectors[:, 3] = np.where(defined, c_means, global_mean) - vectors[:, 0]
-    return Contexts(vectors, centroids, fallback)
+    return Contexts(vectors, centroids)
 
 
-def anchor_context(points_new, anchor_points: np.ndarray, anchors: Contexts) -> Contexts:
+def anchor_context(points_new, nearest: np.ndarray, anchors: Contexts) -> Contexts:
     """Contexts for unseen locations: copy the nearest anchor's statistics.
 
-    ``points_new`` is (M, 2); one nearest-anchor search serves all M. The
-    centroid offset is recomputed from the new coordinates and the local
-    anomaly is zeroed (a new station has no history of its own).
-    Equidistant anchors resolve to the lower index.
+    ``points_new`` is (M, 2) and ``nearest`` the (M,) index of each one's
+    nearest anchor. The centroid offset is recomputed from the new
+    coordinates and the local anomaly is zeroed (a new station has no
+    history of its own).
     """
-    if len(anchors.vectors) == 0:
-        raise ValueError("anchor_context: need at least one anchor")
-    points_new = np.asarray(points_new, dtype=np.float64)
-    if points_new.ndim != 2 or points_new.shape[1] != 2:
-        raise ValueError(f"anchor_context: points must be (M, 2), got {points_new.shape}")
-    nearest = knn_geo(anchor_points, 1, queries=points_new)[0][:, 0]
     vectors = anchors.vectors[nearest]
     centroids = anchors.centroids[nearest]
     vectors[:, 2] = haversine(points_new, centroids)
     vectors[:, 3] = 0.0
-    return Contexts(vectors, centroids, anchors.fallback[nearest])
+    return Contexts(vectors, centroids)
 
 
 def resolve_grade(grades: np.ndarray, contexts: Contexts) -> np.ndarray:

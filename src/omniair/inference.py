@@ -24,9 +24,10 @@ from .data import (
     float_reprs,
     write_dated_csv,
 )
-from .encoder import Contexts
+from .encoder import Contexts, encode_identity
 from .evaluation import MetricReport, masked_metrics
 from .model import ModelState, _derive_state, build_extension, forward
+from .training import predict_batches
 
 log = logging.getLogger("omniair")
 
@@ -52,9 +53,7 @@ def rebuild_state(
     stats = NormStats(
         buffers["channel_mean"], buffers["channel_std"], buffers["geo_mean"], buffers["geo_std"]
     )
-    contexts = Contexts(
-        buffers["context_vectors"], buffers["context_centroids"], buffers["context_fallback"] != 0
-    )
+    contexts = Contexts(buffers["context_vectors"], buffers["context_centroids"])
     state = _derive_state(cfg, stations, np.stack([s.point for s in stations]), stats, contexts)
     changed = np.flatnonzero(state.grades != buffers["grades"])
     if changed.size:
@@ -213,8 +212,6 @@ def evaluate_split(
     """Masked metrics over the forecast windows of a frame whose input days
     hold an observation; a window with blank inputs forecasts from no data,
     so it is dropped, and the drop is logged."""
-    from .training import predict_batches
-
     _require_stations(frame, state.stations, "the series")
     preds, targets, masks = predict_batches(params, state, frame)
     t_in = state.cfg.t_in
@@ -257,8 +254,6 @@ def write_forecast_csv(forecast: Forecast, path) -> None:
 
 def export_embeddings(params: dict[str, Tensor], state: ModelState, path) -> None:
     """CSV of identity embeddings, one row per station."""
-    from .encoder import encode_identity
-
     with no_grad():
         e_id = encode_identity(state.id_features, state.grades, params).data
     with open(path, "w", newline="") as fh:

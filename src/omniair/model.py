@@ -10,7 +10,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import RunConfig
-from .data import CHANNELS, GEO_FEATURES, N_GRADES, NormStats, SeriesFrame, StationMeta
+from .data import (CHANNELS, GEO_FEATURES, N_GRADES, NormStats, SeriesFrame, StationMeta,
+                   compute_norm_stats)
 from .encoder import (
     CONTEXT_DIM,
     Contexts,
@@ -101,8 +102,6 @@ def build_state(
     train: SeriesFrame,
 ) -> ModelState:
     """Compute stats, contexts and the hybrid graph from the training split."""
-    from .data import compute_norm_stats
-
     stats = compute_norm_stats(train, stations)
     points = np.stack([s.point for s in stations])
     geo_idx = knn_geo(points, cfg.k_geo)[0]
@@ -187,27 +186,25 @@ def build_extension(state: ModelState, new_stations: list[StationMeta]) -> Model
     """Unseen stations as a model state of their own: contexts anchored in
     the base stations, identity features from the same attributes and
     training-split statistics, and a ``cross`` graph of directed attachment
-    edges into the base graph."""
+    edges into the base graph.
+
+    One geographic search serves both: column 0 of the new stations'
+    ``knn_geo`` table is each one's nearest base station, its anchor, and
+    the whole table gives the attachment's geographic edges."""
     existing = {s.id for s in state.stations}
     for s in new_stations:
         if s.id in existing:
             raise ValueError(f"new station id {s.id!r} collides with an existing station")
+    cfg = state.cfg
     base_points = np.stack([s.point for s in state.stations])
     new_points = np.stack([s.point for s in new_stations])
-    contexts = anchor_context(new_points, base_points, state.contexts)
-    cfg = state.cfg
+    geo_idx = knn_geo(base_points, cfg.k_geo, queries=new_points)[0]
+    contexts = anchor_context(new_points, geo_idx[:, 0], state.contexts)
     id_features, grades, sem_vectors = _identity_inputs(
         cfg, new_stations, new_points, contexts, state.stats
     )
-    graph = attach_new_nodes(
-        base_points,
-        state.sem_vectors,
-        new_points,
-        sem_vectors,
-        cfg.k_geo,
-        cfg.k_sem,
-        cfg.kappa_km,
-    )
+    graph = attach_new_nodes(base_points, state.sem_vectors, new_points, sem_vectors, cfg.k_geo,
+                             cfg.k_sem, cfg.kappa_km, geo_idx=geo_idx)
     return ModelState(cfg, new_stations, state.stats, contexts, graph, id_features, grades,
                       sem_vectors)
 

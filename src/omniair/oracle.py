@@ -16,11 +16,12 @@ from datetime import date, timedelta
 
 import numpy as np
 
+from .autodiff import grad_check
 from .config import RunConfig
-from .data import CHANNELS, SeriesFrame, StationMeta
+from .data import CHANNELS, SeriesFrame, StationMeta, chrono_split, make_windows
 from .encoder import normalize_coords
 from .geo import gaussian_static_weight, knn_geo
-from .model import ModelState
+from .model import ModelState, build_state, forward, init_params, masked_mae_loss
 from .topology import NORM_EPS
 
 _EXTRA_CHANNEL_SCALES = (0.85, 0.7, 0.55, 0.4, 0.25)
@@ -66,6 +67,25 @@ def _random_stations(scn: RDScenario, rng: np.random.Generator) -> np.ndarray:
     return np.stack([lat, lon], axis=1)
 
 
+def _check_scenario(scn: RDScenario) -> None:
+    """Refuse a scenario the simulator cannot run as asked, naming the field."""
+    rules = [("n", scn.n, scn.n > scn.k_neighbors, f"more than k_neighbors={scn.k_neighbors}"),
+             ("steps", scn.steps, scn.steps >= 1, "at least 1"),
+             ("missing_rate", scn.missing_rate, 0 <= scn.missing_rate < 1, "in [0, 1)")]
+    rules += [(f, getattr(scn, f), getattr(scn, f) > 0, "positive") for f in ("dt", "kappa_km")]
+    rules += [(f, getattr(scn, f), getattr(scn, f) >= 0, "non-negative")
+              for f in ("diffusion", "decay", "noise_std")]
+    for i, s in enumerate(scn.sources):
+        rules += [(f"sources[{i}].node", s.node, 0 <= s.node < scn.n, f"in [0, {scn.n})"),
+                  (f"sources[{i}].amplitude", s.amplitude, math.isfinite(s.amplitude), "finite"),
+                  (f"sources[{i}].period", s.period, s.period >= 0, "non-negative"),
+                  (f"sources[{i}].on_steps", s.on_steps, 0 <= s.on_steps <= s.period,
+                   f"in [0, period={s.period}]")]
+    for name, value, ok, need in rules:
+        if not ok:
+            raise ValueError(f"scenario {name}={value!r}: must be {need}")
+
+
 def build_sim_laplacian(points: np.ndarray, k: int, kappa_km: float) -> np.ndarray:
     """Combinatorial Laplacian of the union-symmetrized geographic k-NN graph."""
     n = len(points)
@@ -89,6 +109,7 @@ def simulate_rd(scn: RDScenario) -> tuple[list[StationMeta], SeriesFrame]:
     and missingness are applied to the recorded values only, never fed back
     into the dynamics.
     """
+    _check_scenario(scn)
     rng = np.random.default_rng(scn.seed)
     points = _random_stations(scn, rng)
     lap = build_sim_laplacian(points, scn.k_neighbors, scn.kappa_km)
@@ -270,10 +291,6 @@ def toy_grad_check(
     All modules are active, including pruning, so gradients flow through the
     soft mask and its normalization. Returns the max relative error.
     """
-    from .autodiff import grad_check
-    from .data import chrono_split, make_windows
-    from .model import build_state, forward, init_params, masked_mae_loss
-
     cfg = RunConfig(
         d_model=8, heads=4, fourier_dim=32, t_in=6, tau=2,
         k_geo=2, k_sem=1, batch=2, attn_dim=8, head_hidden=16,

@@ -131,18 +131,21 @@ def attach_new_nodes(
     k_geo: int,
     k_sem: int,
     kappa_km: float,
+    *,
+    geo_idx: np.ndarray | None = None,
 ) -> HybridGraph:
     """Directed attachment edges for unseen nodes.
 
     Every returned edge is owned by a new node and gathers from a base node,
     so base-node computations are untouched by construction. ``nbr`` indexes
-    the BASE station list.
+    the BASE station list. ``geo_idx`` reuses a
+    ``knn_geo(base_points, k_geo, queries=new_points)`` table the caller
+    already holds instead of searching again.
     """
     if len(base_points) < k_geo + k_sem:
         raise ValueError("not enough base stations to attach new nodes")
-    return _hybrid_table(
-        base_points, base_vectors, k_geo, k_sem, kappa_km, queries=(new_points, new_vectors)
-    )
+    return _hybrid_table(base_points, base_vectors, k_geo, k_sem, kappa_km,
+                         queries=(new_points, new_vectors), geo_idx=geo_idx)
 
 
 # -- dynamic edge weights (tape ops) -------------------------------------------

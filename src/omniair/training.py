@@ -190,6 +190,5 @@ def model_buffers(state: ModelState) -> dict[str, np.ndarray]:
         "geo_std": state.stats.geo_std,
         "context_vectors": state.contexts.vectors,
         "context_centroids": state.contexts.centroids,
-        "context_fallback": state.contexts.fallback.astype(np.float64),
         "grades": state.grades.astype(np.float64),
     }

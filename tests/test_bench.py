@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from omniair import bench
@@ -30,7 +32,10 @@ class TestRunScaling:
         write_bench_csv(report, tmp_path / "bench.csv")
         write_loglog(report, tmp_path / "loglog.txt")
         lines = (tmp_path / "loglog.txt").read_text().strip().splitlines()
-        assert len(lines) == 3 and all(len(l.split()) == 2 for l in lines)
+        # two plain numbers per line, not numpy reprs such as np.float64(...)
+        parsed = [[float(field) for field in line.split()] for line in lines]
+        assert parsed == [pytest.approx([math.log(r.n), math.log(r.forward_ms)], rel=1e-12)
+                          for r in report.rows]
 
     def test_builds_each_graph_with_build_hybrid_graph(self, monkeypatch):
         calls = []

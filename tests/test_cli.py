@@ -60,6 +60,24 @@ class TestSynth:
         assert run(["synth", "--n", 10, "--steps", 50, "--seed", 1,
                     "--source", "2:5.0:20:10", "--out", tmp_path / "s"]) == 0
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--source=-1:8:0:0"], "sources[0].node=-1"),
+        (["--source", "99:8:0:0"], "sources[0].node=99"),
+        (["--source", "3:8.0:40"], "--source '3:8.0:40'"),
+        (["--source", "3:x:0:0"], "--source '3:x:0:0'"),
+        (["--source", "3:8:4:5"], "sources[0].on_steps=5"),
+        (["--steps", "0"], "steps=0"),
+        (["--missing-rate", "1.5"], "missing_rate=1.5"),
+        (["--noise-std", "-1"], "noise_std=-1.0"),
+        (["--diffusion", "-0.1"], "diffusion=-0.1"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_bad_scenario_exits_2(self, tmp_path, capsys, flags, named):
+        # a negative source index would wrap to the last station and zero
+        # steps would write an empty dataset: each is refused, by name
+        assert run(["synth", "--n", 5, "--steps", 20, *flags, "--out", tmp_path / "s"]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
 
 class TestPipeline:
     def test_predict_and_evaluate(self, workspace, tmp_path):
@@ -344,9 +362,19 @@ class TestErrors:
         assert "manifest.json" in capsys.readouterr().err
         assert not (tmp_path / "fc.csv").exists()
 
+    def test_new_checkpoint_holds_seven_buffers(self, workspace):
+        # no context_fallback: a flag that no forward or output reads
+        ws, _ = workspace
+        manifest = json.loads((ws / "run" / "checkpoint" / "manifest.json").read_text())
+        assert [e["name"] for e in manifest["buffers"]] == [
+            "channel_mean", "channel_std", "geo_mean", "geo_std",
+            "context_vectors", "context_centroids", "grades",
+        ]
+
     def test_legacy_checkpoint_predicts_same_bytes(self, workspace, tmp_path):
         # earlier versions stored nine more config fields at their kept or
-        # derived values, a never-read fusion.w tensor and a per_station_norm buffer
+        # derived values, a never-read fusion.w tensor, a per_station_norm buffer
+        # and a context_fallback buffer of one never-read flag per station
         ws, _ = workspace
 
         def edit(manifest, ck):
@@ -355,14 +383,17 @@ class TestErrors:
                                       refresh_semantic_every=0, per_station_norm=False,
                                       id_dim=16, k_max=5.0)
             l1 = manifest["config"]["diffusion_steps"] + 1
+            n = len(manifest["station_ids"])
             blob = ck / "params.bin"
             offset = blob.stat().st_size
             manifest["params"].append({"name": "fusion.w", "shape": [l1], "dtype": "f64",
                                        "offset": offset})
             manifest["buffers"].append({"name": "per_station_norm", "shape": [1], "dtype": "f64",
                                         "offset": offset + 8 * l1})
+            manifest["buffers"].append({"name": "context_fallback", "shape": [n], "dtype": "f64",
+                                        "offset": offset + 8 * (l1 + 1)})
             with open(blob, "ab") as fh:
-                fh.write(np.zeros(l1 + 1, dtype="<f8").tobytes())
+                fh.write(np.zeros(l1 + 1 + n, dtype="<f8").tobytes())
 
         ck = self._edited_checkpoint(ws, tmp_path, edit)
         assert self._predict(ws, ck, tmp_path / "legacy.csv") == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -117,7 +118,7 @@ def reference_contexts(stations, train, nbr_idx):
     global_mean = float(c_means[defined].mean()) if defined.any() else 0.0
     points = np.stack([s.point for s in stations])
     grades = np.array([s.grade for s in stations])
-    vectors, centroids, fallback = [], [], []
+    vectors, centroids = [], []
     for i, nbrs in enumerate(nbr_idx):
         nbrs = np.asarray(nbrs)
         usable = nbrs[defined[nbrs]]
@@ -128,7 +129,6 @@ def reference_contexts(stations, train, nbr_idx):
         if usable.size == 0:
             vectors.append(np.concatenate([[global_mean, 0.0, 0.0, c_i - global_mean], level]))
             centroids.append(points[i].copy())
-            fallback.append(True)
             continue
         c = c_means[usable]
         mu = float(c.mean())
@@ -141,19 +141,17 @@ def reference_contexts(stations, train, nbr_idx):
         delta_c = float(haversine(points[i], centroid))
         vectors.append(np.concatenate([[mu, sigma, delta_c, c_i - mu], level]))
         centroids.append(centroid)
-        fallback.append(False)
-    return Contexts(np.stack(vectors), np.stack(centroids), np.array(fallback))
+    return Contexts(np.stack(vectors), np.stack(centroids))
 
 
-def reference_anchor_context(points_new, anchor_points, anchors):
+def reference_anchor_context(points_new, nearest, anchors):
     points_new = np.asarray(points_new, dtype=np.float64)
-    idx, _ = knn_geo(anchor_points, 1, queries=points_new)
     vectors = []
-    for p, i in zip(points_new, idx[:, 0]):
+    for p, i in zip(points_new, nearest):
         a = anchors.vectors[i]
         delta_c = float(haversine(p, anchors.centroids[i]))
         vectors.append(np.concatenate([[a[0], a[1], delta_c, 0.0], a[4:].copy()]))
-    return Contexts(np.stack(vectors), anchors.centroids[idx[:, 0]], anchors.fallback[idx[:, 0]])
+    return Contexts(np.stack(vectors), anchors.centroids[nearest])
 
 
 def reference_resolve_grade(grades, contexts):
@@ -165,8 +163,21 @@ def assert_bit_equal(got: Contexts, want: Contexts):
     assert got.vectors.shape == want.vectors.shape
     assert got.vectors.tobytes() == want.vectors.tobytes()
     assert got.centroids.tobytes() == want.centroids.astype(np.float64).tobytes()
-    assert got.fallback.dtype == bool
-    np.testing.assert_array_equal(got.fallback, want.fallback)
+
+
+FALLBACK = "station %s: no neighbor history, falling back to global mean"
+
+
+def assert_falls_back(ctx: Contexts, i: int, point, global_mean: float):
+    """Row i holds the fallback values: the global mean as mu, zero spread
+    and the station's own location as centroid, so no centroid offset."""
+    assert ctx.vectors[i, 0] == global_mean
+    assert ctx.vectors[i, 1] == 0.0 and ctx.vectors[i, 2] == 0.0
+    np.testing.assert_array_equal(ctx.centroids[i], point)
+
+
+def fallback_ids(records) -> list[str]:
+    return [r.args[0] for r in records if r.msg == FALLBACK]
 
 
 class TestNeighborContext:
@@ -175,7 +186,7 @@ class TestNeighborContext:
         ctx = _contexts(stations, _frame(np.full((5, 3), 10.0)), NBRS3)
         assert ctx.vectors.shape == (3, CONTEXT_DIM)
         assert ctx.centroids.shape == (3, 2)
-        assert ctx.fallback.shape == (3,) and not ctx.fallback.any()
+        assert [f.name for f in dataclasses.fields(ctx)] == ["vectors", "centroids"]
         np.testing.assert_array_equal(ctx.level_dist, ctx.vectors[:, 4:])
 
     def test_uniform_neighborhood(self):
@@ -217,9 +228,8 @@ class TestNeighborContext:
         frame = _frame(np.full((5, 3), 4.0), valid)
         with caplog.at_level("WARNING", logger="omniair"):
             ctx = _contexts(stations, frame, NBRS3)
-        assert ctx.fallback[0]
-        assert _row(ctx, 0)[2] == 0.0
-        assert any("falling back" in r.message for r in caplog.records)
+        assert_falls_back(ctx, 0, stations[0].point, 4.0)
+        assert fallback_ids(caplog.records) == ["s0"]
 
     def test_station_without_history_is_logged(self, caplog):
         # s1 has no observation: its own mean is the global mean (4.0, from
@@ -238,19 +248,22 @@ class TestNeighborContext:
         mu, _, _, delta_self = _row(ctx, 1)
         assert mu == 4.0 and delta_self == 0.0
         assert _row(ctx, 0)[0] == 6.0  # s1 is not a usable neighbor of s0
-        assert not ctx.fallback.any()
 
     @pytest.mark.parametrize("fallback", [False, True])
-    def test_vector_round_trip(self, tmp_path, fallback):
-        # the record passes through the checkpoint's three buffers unchanged
+    def test_vector_round_trip(self, tmp_path, caplog, fallback):
+        # the record passes through the checkpoint's two buffers unchanged
         stations, frame = simulate_rd(RDScenario(n=10, steps=40, seed=2))
         train = chrono_split(frame)[0]
         cfg = small_config(k_geo=3, k_sem=2)
         if fallback:  # no neighbor of station 0 has history
             nbr = knn_geo(np.stack([s.point for s in stations]), 3)[0]
             train.valid[:, nbr[0], 0] = False
-        state = build_state(cfg, stations, train)
-        assert state.contexts.fallback.tolist() == [fallback] + [False] * 9
+        with caplog.at_level("WARNING", logger="omniair"):
+            state = build_state(cfg, stations, train)
+        assert fallback_ids(caplog.records) == ([stations[0].id] if fallback else [])
+        if fallback:
+            c_means, defined = station_historical_means(train)
+            assert_falls_back(state.contexts, 0, stations[0].point, c_means[defined].mean())
         save_checkpoint(tmp_path / "ck", init_params(cfg, np.random.default_rng(0)),
                         model_buffers(state), cfg, 0)
         _, buffers, _, _ = load_checkpoint(tmp_path / "ck")
@@ -303,17 +316,26 @@ class TestContextsMatchReference:
         frame.valid[:, np.union1d(blank, nbr[0]), 0] = False  # station 0 falls back
         counts = set(frame.valid[:, :, 0].any(axis=0)[nbr].sum(axis=1).tolist())
         assert {0, 3, 8, 9, 10} <= counts
+        logged = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("omniair.encoder.log.warning", lambda *a: None)
+            mp.setattr("omniair.encoder.log.warning", lambda *a: logged.append(a))
             ctx = self._check(stations, frame, 10)
-        assert ctx.fallback[0] and not ctx.fallback.all()
+        c_means, defined = station_historical_means(frame)
+        alone = np.flatnonzero(~defined[nbr].any(axis=1))
+        assert alone[0] == 0 and len(alone) < 120
+        assert [a[1] for a in logged if a[0] == FALLBACK] == [stations[i].id for i in alone]
+        for i in alone:
+            assert_falls_back(ctx, i, stations[i].point, c_means[defined].mean())
 
-    def test_fallback_station(self):
+    def test_fallback_station(self, caplog):
         stations = [_station(0, 0, 0), _station(1, 0, 1), _station(2, 0, -1)]
         valid = np.zeros((5, 3), dtype=bool)
         valid[:, 0] = True
-        ctx = self._check(stations, _frame(np.full((5, 3), 4.0), valid), 2)
-        assert ctx.fallback.tolist() == [True, False, False]
+        with caplog.at_level("WARNING", logger="omniair"):
+            ctx = self._check(stations, _frame(np.full((5, 3), 4.0), valid), 2)
+        assert fallback_ids(caplog.records) == ["s0"]
+        assert_falls_back(ctx, 0, stations[0].point, 4.0)
+        assert ctx.vectors[1:, 0].tolist() == [4.0, 4.0]  # s0 is s1's and s2's neighbor
 
     def test_zero_weight_centroid(self):
         # neighbors' means +5 and -5 sum to zero: the plain mean is the centroid
@@ -373,24 +395,27 @@ class TestContextsMatchReference:
             np.random.default_rng(5).uniform((30.0, 100.0), (40.0, 110.0), size=(64, 2)),
             points[:4],  # coincident with anchors
         ])
-        got = anchor_context(queries, points, anchors)
-        assert_bit_equal(got, reference_anchor_context(queries, points, anchors))
+        # column 0 of a wider table, as build_extension passes it
+        nearest = knn_geo(points, 4, queries=queries)[0][:, 0]
+        got = anchor_context(queries, nearest, anchors)
+        assert_bit_equal(got, reference_anchor_context(queries, nearest, anchors))
 
 
 class TestAnchorContext:
+    # which anchor is nearest comes from build_extension's geographic table
+    # (tests/test_model.py, TestExtension); here it is given
+
     def _anchors(self):
         stations = [_station(0, 0, 0), _station(1, 0, 10)]
         vals = np.zeros((4, 2))
         vals[:, 0] = 5.0
         vals[:, 1] = 20.0
         frame = _frame(vals)
-        ctx = _contexts(stations, frame, np.array([[1], [0]]))
-        points = np.stack([s.point for s in stations])
-        return points, ctx
+        return _contexts(stations, frame, np.array([[1], [0]]))
 
     def test_coincident_anchor(self):
-        points, ctx = self._anchors()
-        got = anchor_context([(0.0, 0.0)], points, ctx)
+        ctx = self._anchors()
+        got = anchor_context([(0.0, 0.0)], np.array([0]), ctx)
         assert got.vectors[0, 0] == ctx.vectors[0, 0]
         assert got.vectors[0, 1] == ctx.vectors[0, 1]
         assert got.vectors[0, 3] == 0.0
@@ -398,49 +423,37 @@ class TestAnchorContext:
         # recomputed from the same coordinates: same centroid offset
         assert got.vectors[0, 2] == pytest.approx(ctx.vectors[0, 2], abs=1e-12)
 
-    def test_tie_breaks_low_index(self):
-        points, ctx = self._anchors()
-        got = anchor_context([(0.0, 5.0)], points, ctx)  # equidistant
-        assert got.vectors[0, 0] == ctx.vectors[0, 0]
-
-    def test_nearest_wins(self):
-        points, ctx = self._anchors()
-        got = anchor_context([(0.0, 2.0), (0.0, 9.0)], points, ctx)
-        assert got.vectors[0, 0] == ctx.vectors[0, 0]
-        assert got.vectors[1, 0] == ctx.vectors[1, 0]
-
-    def test_empty_anchor_set(self):
-        empty = Contexts(np.zeros((0, CONTEXT_DIM)), np.zeros((0, 2)), np.zeros(0, dtype=bool))
-        with pytest.raises(ValueError):
-            anchor_context([(0.0, 0.0)], np.zeros((0, 2)), empty)
+    def test_copies_the_given_anchor(self):
+        ctx = self._anchors()
+        got = anchor_context([(0.0, 2.0), (0.0, 9.0)], np.array([1, 0]), ctx)
+        np.testing.assert_array_equal(got.centroids, ctx.centroids[[1, 0]])
+        np.testing.assert_array_equal(got.vectors[:, [0, 1]], ctx.vectors[[1, 0]][:, [0, 1]])
+        np.testing.assert_array_equal(got.level_dist, ctx.level_dist[[1, 0]])
 
     def test_anchors_are_not_written(self):
-        points, ctx = self._anchors()
+        ctx = self._anchors()
         before = ctx.vectors.copy(), ctx.centroids.copy()
-        got = anchor_context([(0.0, 0.0), (0.0, 9.0)], points, ctx)
+        got = anchor_context([(0.0, 0.0), (0.0, 9.0)], np.array([0, 1]), ctx)
         got.vectors[:] = 0.0
         got.centroids[:] = 0.0
         np.testing.assert_array_equal(ctx.vectors, before[0])
         np.testing.assert_array_equal(ctx.centroids, before[1])
 
     def test_batch_equals_per_station_calls(self):
-        # (0, 5) is equidistant from both anchors, (0, 0) coincides with one
-        points, ctx = self._anchors()
+        ctx = self._anchors()
         queries = np.array([[0.0, 5.0], [0.0, 9.0], [0.0, 0.0], [1.0, 5.0], [0.0, 2.0]])
-        batch = anchor_context(queries, points, ctx)
+        nearest = np.array([0, 1, 0, 0, 0])
+        batch = anchor_context(queries, nearest, ctx)
         assert len(batch.vectors) == len(queries)
         for i, q in enumerate(queries):
-            want = anchor_context(q[None], points, ctx)
+            want = anchor_context(q[None], nearest[i : i + 1], ctx)
             assert batch.vectors[i].tobytes() == want.vectors[0].tobytes()
             assert batch.vectors[i, 3] == 0.0
             np.testing.assert_array_equal(batch.centroids[i], want.centroids[0])
-            assert batch.fallback[i] == want.fallback[0]
-        assert batch.vectors[0, 0] == ctx.vectors[0, 0]
-        assert batch.vectors[1, 0] == ctx.vectors[1, 0]
 
     def test_resolve_grade_argmax(self):
-        points, ctx = self._anchors()
-        got = anchor_context([(0.0, 0.1), (0.0, 0.1)], points, ctx)
+        ctx = self._anchors()
+        got = anchor_context([(0.0, 0.1), (0.0, 0.1)], np.array([0, 0]), ctx)
         resolved = resolve_grade(np.array([-1, 4]), got)
         assert resolved.tolist() == [int(np.argmax(got.level_dist[0])), 4]
 

@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
 from omniair.autodiff import Tensor, grad_check
-from omniair.data import CHANNELS, NormStats, chrono_split, make_windows
+from omniair.data import CHANNELS, NormStats, StationMeta, chrono_split, make_windows
 from omniair.encoder import Contexts
+from omniair.geo import knn_geo
 from omniair.model import (
     ModelState,
     build_extension,
@@ -134,8 +137,7 @@ class TestSingleStation:
                            k_geo=1, k_sem=0, k_max=1.0)
         rng = np.random.default_rng(0)
         graph = HybridGraph(np.empty((1, 0), dtype=np.intp), np.empty((1, 0)))
-        ctx = Contexts(np.array([[1.0, 0.5, 2.0, 0.1] + [1 / 6] * 6]), np.zeros((1, 2)),
-                       np.array([False]))
+        ctx = Contexts(np.array([[1.0, 0.5, 2.0, 0.1] + [1 / 6] * 6]), np.zeros((1, 2)))
         feat_dim = cfg.fourier_dim + 10 + 6
         stats = NormStats(np.zeros(6), np.ones(6), np.zeros(6), np.ones(6))
         state = ModelState(
@@ -201,6 +203,53 @@ class TestExtension:
         clash = [state.stations[0]]
         with pytest.raises(ValueError, match="collides"):
             build_extension(state, clash)
+
+    def test_one_geographic_search(self, monkeypatch):
+        # the new stations' knn_geo table gives both their anchors (column 0)
+        # and their geographic attachment edges
+        cfg, state, params, batch, held = self._setup()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("queries") is not None)
+            return knn_geo(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "omniair" and getattr(module, "knn_geo", None) is knn_geo:
+                monkeypatch.setattr(module, "knn_geo", counted)
+        ext = build_extension(state, held)
+        assert calls == [True]
+        geo = knn_geo(np.stack([s.point for s in state.stations]), cfg.k_geo,
+                      queries=np.stack([s.point for s in held]))[0]
+        np.testing.assert_array_equal(ext.graph.nbr[:, : cfg.k_geo], geo)
+        np.testing.assert_array_equal(ext.contexts.centroids, state.contexts.centroids[geo[:, 0]])
+
+    def _line(self):
+        # base stations 10 degrees apart on the equator, context rows distinct
+        cfg = small_config(d_model=8, heads=2, t_in=4, tau=2, k_geo=2, k_sem=1)
+        stations, frame = simulate_rd(RDScenario(n=6, steps=40, seed=3, k_neighbors=2))
+        base = [StationMeta(s.id, 0.0, 10.0 * i, s.geo_feats, s.grade)
+                for i, s in enumerate(stations)]
+        state = build_state(cfg, base, chrono_split(frame)[0])
+        assert len(np.unique(state.contexts.vectors[:2, 0])) == 2
+        return state
+
+    def _new(self, *lons):
+        return [StationMeta(f"n{i}", 0.0, lon, np.zeros(6), 2) for i, lon in enumerate(lons)]
+
+    def test_nearest_base_station_is_the_anchor(self):
+        state = self._line()
+        ext = build_extension(state, self._new(2.0, 9.0, 38.0))
+        np.testing.assert_array_equal(ext.graph.nbr[:, 0], [0, 1, 4])
+        np.testing.assert_array_equal(ext.contexts.vectors[:, :2],
+                                      state.contexts.vectors[[0, 1, 4], :2])
+        np.testing.assert_array_equal(ext.contexts.vectors[:, 3], 0.0)
+
+    def test_equidistant_anchors_resolve_to_the_lower_index(self):
+        state = self._line()
+        ext = build_extension(state, self._new(5.0, 15.0))  # halfway between 0|1 and 1|2
+        np.testing.assert_array_equal(ext.graph.nbr[:, :2], [[0, 1], [1, 2]])
+        np.testing.assert_array_equal(ext.contexts.centroids, state.contexts.centroids[[0, 1]])
 
     def test_attachment_edges_point_into_base(self):
         cfg, state, params, batch, held = self._setup()

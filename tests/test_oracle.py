@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,37 @@ class TestSimulator:
         scn = RDScenario(n=10, steps=10, seed=5, diffusion=50.0, dt=1.0)
         with pytest.raises(ValueError, match="unstable"):
             simulate_rd(scn)
+
+    @pytest.mark.parametrize("fields, named", [
+        (dict(n=4), "n=4"),
+        (dict(steps=0), "steps=0"),
+        (dict(dt=0.0), "dt=0.0"),
+        (dict(dt=float("nan")), "dt=nan"),
+        (dict(diffusion=-0.1), "diffusion=-0.1"),
+        (dict(decay=-0.1), "decay=-0.1"),
+        (dict(noise_std=-1.0), "noise_std=-1.0"),
+        (dict(missing_rate=1.0), "missing_rate=1.0"),
+        (dict(missing_rate=-0.1), "missing_rate=-0.1"),
+        (dict(kappa_km=0.0), "kappa_km=0.0"),
+        (dict(sources=(SourceSpec(-1, 8.0),)), "sources[0].node=-1"),
+        (dict(sources=(SourceSpec(0, 1.0), SourceSpec(6, 8.0))), "sources[1].node=6"),
+        (dict(sources=(SourceSpec(0, float("inf")),)), "sources[0].amplitude=inf"),
+        (dict(sources=(SourceSpec(0, 1.0, period=-2),)), "sources[0].period=-2"),
+        (dict(sources=(SourceSpec(0, 1.0, period=4, on_steps=5),)), "sources[0].on_steps=5"),
+        (dict(sources=(SourceSpec(0, 1.0, period=4, on_steps=-1),)), "sources[0].on_steps=-1"),
+        (dict(sources=(SourceSpec(0, 1.0, on_steps=1),)), "sources[0].on_steps=1"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_bad_scenario_is_refused_by_name(self, fields, named):
+        # a negative node would wrap to the last station, zero steps would
+        # give an empty dataset and the rest describe no physical scenario
+        with pytest.raises(ValueError, match=re.escape(named)):
+            simulate_rd(RDScenario(**{"n": 6, "steps": 20, **fields}))
+
+    def test_boundary_scenario_is_accepted(self):
+        src = (SourceSpec(5, 2.0), SourceSpec(0, -1.0, period=3, on_steps=3))
+        _, frame = simulate_rd(RDScenario(n=6, steps=1, diffusion=0.0, decay=0.0,
+                                          noise_std=0.0, missing_rate=0.0, sources=src))
+        assert frame.values.shape == (1, 6, 6)
 
     def test_determinism(self):
         a_st, a_fr = simulate_rd(RDScenario(n=7, steps=40, seed=9, noise_std=0.5, missing_rate=0.1))
