@@ -710,14 +710,17 @@ def zero_grads(params: dict[str, Tensor] | Iterable[Tensor]) -> None:
         p.zero_grad()
 
 
+GRAD_CHECK_STEP = 1e-5  # central-difference step of grad_check
+
+
 def grad_check(
     f: Callable[[], Tensor],
     params: dict[str, Tensor],
-    eps: float = 1e-5,
     samples_per_param: int | None = 8,
     seed: int = 0,
 ) -> float:
-    """Max relative error of reverse-mode gradients vs central differences.
+    """Max relative error of reverse-mode gradients vs central differences
+    with step ``GRAD_CHECK_STEP``.
 
     ``f`` must rebuild the loss from the live ``params`` tensors on every
     call. ``samples_per_param=None`` checks every coordinate.
@@ -743,14 +746,14 @@ def grad_check(
         for c in coords:
             orig = flat[c]
             with no_grad():
-                flat[c] = orig + eps
+                flat[c] = orig + GRAD_CHECK_STEP
                 hi = float(f().data)
-                flat[c] = orig - eps
+                flat[c] = orig - GRAD_CHECK_STEP
                 lo = float(f().data)
             flat[c] = orig
             if not (np.isfinite(hi) and np.isfinite(lo)):
                 raise RuntimeError("grad_check: non-finite loss at perturbed point")
-            numeric = (hi - lo) / (2.0 * eps)
+            numeric = (hi - lo) / (2.0 * GRAD_CHECK_STEP)
             ana = analytic[name].reshape(-1)[c]
             err = abs(ana - numeric) / max(1.0, abs(numeric))
             worst = max(worst, err)

@@ -1,9 +1,10 @@
 """Checkpoint directory format: ``manifest.json`` + ``params.bin``.
 
 The manifest lists every tensor (name, shape, dtype, byte offset into the
-bin), the rng seed, the config and its hash. Model buffers (normalization
-stats, neighborhood contexts) ride along in a second section of the same
-bin so prediction never has to re-derive training-time statistics.
+bin), the rng seed, the config and its hash, and the ids of the stations the
+model was trained on, in graph order. Model buffers (normalization stats,
+neighborhood contexts) ride along in a second section of the same bin so
+prediction never has to re-derive training-time statistics.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def save_checkpoint(
     buffers: dict[str, np.ndarray],
     config: RunConfig,
     rng_seed: int,
-    station_ids: tuple[str, ...] | None = None,
+    station_ids: tuple[str, ...],
 ) -> None:
     """Write the checkpoint directory ``out_dir``, replacing any earlier one.
 
@@ -62,9 +63,8 @@ def save_checkpoint(
         "config": config.to_dict(),
         "params": param_list,
         "buffers": buffer_list,
+        "station_ids": list(station_ids),
     }
-    if station_ids is not None:
-        manifest["station_ids"] = list(station_ids)
     out.parent.mkdir(parents=True, exist_ok=True)
     # the scratch directory takes the failed save or the replaced checkpoint
     # with it; a failed final rename moves the replaced one back first
@@ -86,6 +86,50 @@ def save_checkpoint(
             if old.exists():
                 old.rename(out)
             raise
+
+
+def _is_count(value) -> bool:
+    """A JSON integer (not a bool) that is at least 0."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_manifest(manifest: dict, where) -> None:
+    """Refuse a malformed tensor listing or station list before any byte of
+    the bin is read: each entry is an object with a name unique across both
+    lists, a shape of non-negative integers, dtype ``f64`` and a non-negative
+    integer offset; the station ids are distinct strings."""
+    names = set()
+    for key in ("params", "buffers"):
+        if not isinstance(manifest[key], list):
+            raise ValueError(f"{where}: {key!r} must be a list of tensor entries")
+        for i, entry in enumerate(manifest[key]):
+            if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+                raise ValueError(f"{where}: {key}[{i}] must be an object with a string 'name'")
+            label = f"{key}[{i}] {entry['name']!r}"
+            if entry["name"] in names:
+                raise ValueError(f"{where}: {label} is listed twice")
+            names.add(entry["name"])
+            shape = entry.get("shape")
+            if not isinstance(shape, list) or not all(map(_is_count, shape)):
+                raise ValueError(
+                    f"{where}: {label} has shape {shape!r}, not a list of non-negative integers"
+                )
+            if entry.get("dtype") != "f64":
+                raise ValueError(f"{where}: {label} has dtype {entry.get('dtype')!r}, not 'f64'")
+            if not _is_count(entry.get("offset")):
+                raise ValueError(
+                    f"{where}: {label} has offset {entry.get('offset')!r}, "
+                    "not a non-negative integer"
+                )
+    if not isinstance(manifest["station_ids"], list):
+        raise ValueError(f"{where}: 'station_ids' must be a list of station ids")
+    seen = set()
+    for i, sid in enumerate(manifest["station_ids"]):
+        if not isinstance(sid, str):
+            raise ValueError(f"{where}: station_ids[{i}]={sid!r} is not a string")
+        if sid in seen:
+            raise ValueError(f"{where}: station_ids[{i}] {sid!r} is listed twice")
+        seen.add(sid)
 
 
 def _count(entry: dict) -> int:
@@ -134,17 +178,19 @@ def _buffer_shapes(n: int) -> dict[str, tuple[int, ...]]:
 
 def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], dict[str, np.ndarray], RunConfig, dict]:
     ckpt = Path(ckpt_dir)
-    with open(ckpt / "manifest.json") as fh:
+    where = ckpt / "manifest.json"
+    with open(where) as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT:
         raise ValueError(f"{ckpt_dir}: not a recognized checkpoint")
-    for key in ("config", "params", "buffers"):
+    for key in ("config", "params", "buffers", "station_ids"):
         if key not in manifest:
-            raise ValueError(f"{ckpt / 'manifest.json'}: the manifest has no {key!r} entry")
+            raise ValueError(f"{where}: the manifest has no {key!r} entry")
     # hash the stored dict: loading drops the fields of earlier versions
     if dict_hash(manifest["config"]) != manifest.get("config_hash"):
-        raise ValueError(f"{ckpt / 'manifest.json'}: config does not match its config_hash")
+        raise ValueError(f"{where}: config does not match its config_hash")
     config = RunConfig.from_dict(manifest["config"])
+    _check_manifest(manifest, where)
     blob = (ckpt / "params.bin").read_bytes()
     listing = manifest["params"] + manifest["buffers"]
     expected = max((e["offset"] + 8 * _count(e) for e in listing), default=0)
@@ -158,10 +204,9 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], dict[str, np.ndarray],
         params.pop(name, None)
     for name in LEGACY_BUFFERS:
         buffers.pop(name, None)
-    where = ckpt / "manifest.json"
     shapes = {k: v.shape for k, v in init_params(config, np.random.default_rng(0)).items()}
     _check_inventory("parameter", params, shapes, "the config needs", where)
-    n = len(manifest.get("station_ids", buffers.get("context_vectors", ())))
+    n = len(manifest["station_ids"])
     _check_inventory("buffer", buffers, _buffer_shapes(n), f"{n} stations need", where)
     for kind, arrays in (("parameter", params), ("buffer", buffers)):
         for name, arr in arrays.items():

@@ -78,8 +78,7 @@ def cmd_synth(args) -> int:
 def _state_from_checkpoint(args):
     params, buffers, cfg, manifest = load_checkpoint(args.checkpoint)
     stations = load_stations(args.stations)
-    expected = manifest.get("station_ids")
-    if expected is not None and [s.id for s in stations] != expected:
+    if [s.id for s in stations] != manifest["station_ids"]:
         raise ValueError(
             "station file does not match the checkpoint's training stations "
             "(same ids in the same order required)"

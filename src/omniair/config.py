@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import inspect
+import math
 from dataclasses import InitVar, dataclass
 
 
@@ -55,6 +56,18 @@ class RunConfig:
     coeff_mode: str = "signed"  # signed | positive (smoothing-only control)
 
     def __post_init__(self, id_dim, k_max):
+        # JSON gives strings, bools, fractions and NaN as readily as the
+        # numbers a field means; each would fail later, far from its field
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            ok, need = {
+                "int": (number and isinstance(value, int), "an integer"),
+                "float": (number and math.isfinite(value), "a finite number"),
+                "str": (isinstance(value, str), "a string"),
+            }[f.type]
+            if not ok:
+                raise ValueError(f"config field {f.name}={value!r} must be {need}")
         # settable in earlier versions, now derived: the identity width is the
         # gate's d_model and the bound of beta is the neighbour table's width
         # K; a stored or passed value loads only if it is the derived one
@@ -93,6 +106,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"a config must be a JSON object, not {type(d).__name__}")
         # fields stored by earlier versions are dropped so that their config
         # files and checkpoints still load, but only at the one value that is
         # still implemented: any other value asked for a different model
@@ -110,7 +125,7 @@ class RunConfig:
     def load(cls, path, overrides: dict | None = None) -> "RunConfig":
         with open(path) as fh:
             d = json.load(fh)
-        if overrides:
+        if overrides and isinstance(d, dict):  # from_dict refuses any other d
             d.update(overrides)
         return cls.from_dict(d)
 

@@ -322,16 +322,14 @@ def write_series(frame: SeriesFrame, path) -> None:
 
 
 def chrono_split(
-    frame: SeriesFrame,
-    ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
-    min_len: int | None = None,
+    frame: SeriesFrame, min_len: int | None = None
 ) -> tuple[SeriesFrame, SeriesFrame, SeriesFrame]:
-    """Contiguous train/val/test partitions; remainder goes to test."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("split ratios must sum to 1")
+    """Contiguous train/val/test partitions: the first 60 % of the steps,
+    the next 20 % (each rounded down) and the remainder; a partition shorter
+    than ``min_len`` is refused."""
     total = frame.n_steps
-    n_train = int(total * ratios[0])
-    n_val = int(total * ratios[1])
+    n_train = int(total * 0.6)
+    n_val = int(total * 0.2)
     n_test = total - n_train - n_val
     if min_len is not None and min(n_train, n_val, n_test) < min_len:
         raise ValueError(

@@ -100,29 +100,21 @@ def _require_stations(frame: SeriesFrame, stations: list[StationMeta], what: str
 
 
 def _base_window(state: ModelState, frame: SeriesFrame, window_end) -> tuple[int, np.ndarray]:
-    """End index and normalized inputs of the base stations' window ending at
-    ``window_end``; a frame that does not list the state's stations in order
-    is refused, and so is a window without any observation, since its
-    forecast would rest on no data."""
+    """End index and normalized (1, t_in, N, C) inputs of the base stations'
+    window ending at ``window_end``, missing values zero; a frame that does
+    not list the state's stations in order is refused, and so is a window
+    without any observation, since its forecast would rest on no data."""
     _require_stations(frame, state.stations, "the series")
-    t_in = state.cfg.t_in
-    end_idx = window_end_index(frame, window_end, t_in)
-    lo = end_idx - t_in + 1
-    if not frame.valid[lo : end_idx + 1].any():
+    end_idx = window_end_index(frame, window_end, state.cfg.t_in)
+    lo = end_idx - state.cfg.t_in + 1
+    valid = frame.valid[lo : end_idx + 1]
+    if not valid.any():
         raise ValueError(
             f"the input window from {frame.timestamps[lo]} to {frame.timestamps[end_idx]} "
             "holds no observation"
         )
-    return end_idx, _window_inputs(state.stats, frame, end_idx, t_in)
-
-
-def _window_inputs(stats: NormStats, frame: SeriesFrame, end_idx: int, t_in: int) -> np.ndarray:
-    """Normalized (1, t_in, N, C) inputs of the window ending at ``end_idx``;
-    missing values are zero."""
-    lo = end_idx - t_in + 1
-    values = frame.values[lo : end_idx + 1]
-    valid = frame.valid[lo : end_idx + 1]
-    return np.where(valid, stats.normalize(values), 0.0)[None]
+    values = state.stats.normalize(frame.values[lo : end_idx + 1])
+    return end_idx, np.where(valid, values, 0.0)[None]
 
 
 def _future_timestamps(frame: SeriesFrame, end_idx: int, tau: int) -> np.ndarray:
@@ -166,7 +158,6 @@ def predict_unseen(
     state: ModelState,
     frame: SeriesFrame,
     new_stations: list[StationMeta],
-    new_frame: SeriesFrame | None = None,
     window_end: str | int | None = None,
 ) -> tuple[Forecast, Forecast]:
     """Zero-shot forecasts for stations absent from training.
@@ -174,26 +165,14 @@ def predict_unseen(
     New stations attach through directed edges and consume the base run's
     states, so the returned base forecast is the same object the plain
     predictor computes, byte for byte, and no parameter is ever written.
-    ``new_frame`` optionally carries observations for the new stations, in
-    their order, over the same dates as ``frame``; without it their inputs
-    are fully missing.
-    Base and new inputs share the training-split normalization.
+    The new stations' own inputs are blank: they are forecast from their
+    identity and their neighbourhood alone.
     """
     before = params_digest(params)
     cfg = state.cfg
-    if new_frame is not None:
-        if not np.array_equal(new_frame.timestamps, frame.timestamps):
-            raise ValueError(
-                f"the new stations' series covers {date_range(new_frame)}, the base series "
-                f"{date_range(frame)}; both must hold the same dates"
-            )
-        _require_stations(new_frame, new_stations, "the new stations' series")
     end_idx, x = _base_window(state, frame, window_end)
     ext = build_extension(state, new_stations)
-    if new_frame is None:
-        x_new = np.zeros((1, cfg.t_in, len(new_stations), len(CHANNELS)))
-    else:
-        x_new = _window_inputs(state.stats, new_frame, end_idx, cfg.t_in)
+    x_new = np.zeros((1, cfg.t_in, len(new_stations), len(CHANNELS)))
     with no_grad():
         base_out, extras = forward(params, state, x, collect=True)
         new_out = forward(params, ext, x_new, base=extras)

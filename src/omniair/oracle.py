@@ -11,8 +11,7 @@ bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from datetime import date, timedelta
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +24,12 @@ from .model import ModelState, build_state, forward, init_params, masked_mae_los
 from .topology import NORM_EPS
 
 _EXTRA_CHANNEL_SCALES = (0.85, 0.7, 0.55, 0.4, 0.25)
+# the simulated network: stations uniform in a 10 x 10 degree box, linked by
+# Gaussian-weighted geographic k-NN edges, one step per day from SIM_START
+SIM_LAT_RANGE = (30.0, 40.0)
+SIM_LON_RANGE = (100.0, 110.0)
+SIM_KAPPA_KM = 100.0
+SIM_START = np.datetime64("2020-01-01", "D")
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,9 @@ class SourceSpec:
 
 @dataclass
 class RDScenario:
+    """A simulated network and its dynamics; the station box, the edge
+    bandwidth and the first date are the module's ``SIM_*`` constants."""
+
     n: int = 20
     steps: int = 400
     dt: float = 0.1
@@ -54,16 +62,12 @@ class RDScenario:
     missing_rate: float = 0.0
     seed: int = 0
     k_neighbors: int = 4
-    lat_range: tuple[float, float] = (30.0, 40.0)
-    lon_range: tuple[float, float] = (100.0, 110.0)
     base_level: float = 5.0
-    kappa_km: float = 100.0
-    start: date = dc_field(default_factory=lambda: date(2020, 1, 1))
 
 
 def _random_stations(scn: RDScenario, rng: np.random.Generator) -> np.ndarray:
-    lat = rng.uniform(*scn.lat_range, size=scn.n)
-    lon = rng.uniform(*scn.lon_range, size=scn.n)
+    lat = rng.uniform(*SIM_LAT_RANGE, size=scn.n)
+    lon = rng.uniform(*SIM_LON_RANGE, size=scn.n)
     return np.stack([lat, lon], axis=1)
 
 
@@ -71,8 +75,8 @@ def _check_scenario(scn: RDScenario) -> None:
     """Refuse a scenario the simulator cannot run as asked, naming the field."""
     rules = [("n", scn.n, scn.n > scn.k_neighbors, f"more than k_neighbors={scn.k_neighbors}"),
              ("steps", scn.steps, scn.steps >= 1, "at least 1"),
-             ("missing_rate", scn.missing_rate, 0 <= scn.missing_rate < 1, "in [0, 1)")]
-    rules += [(f, getattr(scn, f), getattr(scn, f) > 0, "positive") for f in ("dt", "kappa_km")]
+             ("missing_rate", scn.missing_rate, 0 <= scn.missing_rate < 1, "in [0, 1)"),
+             ("dt", scn.dt, scn.dt > 0, "positive")]
     rules += [(f, getattr(scn, f), getattr(scn, f) >= 0, "non-negative")
               for f in ("diffusion", "decay", "noise_std")]
     for i, s in enumerate(scn.sources):
@@ -112,7 +116,7 @@ def simulate_rd(scn: RDScenario) -> tuple[list[StationMeta], SeriesFrame]:
     _check_scenario(scn)
     rng = np.random.default_rng(scn.seed)
     points = _random_stations(scn, rng)
-    lap = build_sim_laplacian(points, scn.k_neighbors, scn.kappa_km)
+    lap = build_sim_laplacian(points, scn.k_neighbors, SIM_KAPPA_KM)
     growth = scn.dt * stability_bound(lap, scn.diffusion, scn.decay)
     if growth >= 1.0:
         raise ValueError(
@@ -161,10 +165,7 @@ def simulate_rd(scn: RDScenario) -> tuple[list[StationMeta], SeriesFrame]:
                 f"s{i:03d}", float(points[i, 0]), float(points[i, 1]), feats, int(grades[i])
             )
         )
-    timestamps = np.array(
-        [np.datetime64(scn.start + timedelta(days=i)) for i in range(scn.steps)],
-        dtype="datetime64[D]",
-    )
+    timestamps = SIM_START + np.arange(scn.steps)
     frame = SeriesFrame(timestamps, values, valid, tuple(s.id for s in stations))
     return stations, frame
 
@@ -283,10 +284,9 @@ def dense_forward(
     return out.reshape(b, n, cfg.tau, n_ch).transpose(0, 2, 1, 3)
 
 
-def toy_grad_check(
-    seed: int = 0, samples_per_param: int = 6, eps: float = 1e-5
-) -> float:
-    """Finite-difference check of the full model on a 5-station toy.
+def toy_grad_check(seed: int = 0) -> float:
+    """Finite-difference check of the full model on a 5-station toy, at 6
+    sampled coordinates per parameter and ``grad_check``'s step.
 
     All modules are active, including pruning, so gradients flow through the
     soft mask and its normalization. Returns the max relative error.
@@ -307,8 +307,7 @@ def toy_grad_check(
         pred = forward(params, state, batch.inputs)
         return masked_mae_loss(pred, target_norm, batch.target_valid)
 
-    return grad_check(params=params, f=loss_fn, eps=eps,
-                      samples_per_param=samples_per_param, seed=seed)
+    return grad_check(params=params, f=loss_fn, samples_per_param=6, seed=seed)
 
 
 # -- closed-form checkers ---------------------------------------------------------

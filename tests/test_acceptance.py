@@ -47,7 +47,7 @@ def report(num: int, desc: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_01_gradient_correctness():
     t0 = time.perf_counter()
-    err = toy_grad_check(seed=0, samples_per_param=6)
+    err = toy_grad_check(seed=0)
     elapsed = time.perf_counter() - t0
     report(
         1,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from omniair import autodiff as ad
+from omniair import optim
 from omniair.autodiff import Tensor, grad_check, no_grad
 from omniair.optim import Adam
 
@@ -289,7 +290,7 @@ class TestGradCheckHarness:
 class TestAdam:
     def test_stock_moment_constants(self):
         opt = Adam({"w": Tensor(np.zeros(1), requires_grad=True)})
-        assert (opt.beta1, opt.beta2, opt.eps) == (0.9, 0.999, 1e-8)
+        assert (optim.BETA1, optim.BETA2, optim.EPS) == (0.9, 0.999, 1e-8)
         assert opt.weight_decay == 0.0 and opt.step_count == 0
 
     def test_first_step_is_signed_lr(self):

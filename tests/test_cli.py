@@ -421,7 +421,7 @@ class TestErrors:
         assert self._predict(ws, ck, tmp_path / "fc.csv") == 2
         assert "parameter 'out_gate.b' has shape" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["params", "buffers", "config"])
+    @pytest.mark.parametrize("key", ["params", "buffers", "config", "station_ids"])
     def test_manifest_without_section_exits_2(self, workspace, tmp_path, capsys, key):
         ws, _ = workspace
 
@@ -432,6 +432,36 @@ class TestErrors:
         assert self._predict(ws, ck, tmp_path / "fc.csv") == 2
         err = capsys.readouterr().err
         assert "manifest.json" in err and f"no {key!r} entry" in err
+        assert not (tmp_path / "fc.csv").exists()
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda m: m["params"][1].pop("shape"), "params[1] 'input_proj.b' has shape None"),
+        (lambda m: m["params"][1].pop("offset"), "params[1] 'input_proj.b' has offset None"),
+        (lambda m: m["params"][1].pop("name"), "params[1] must be an object with a string 'name'"),
+        (lambda m: m["buffers"].__setitem__(0, 7), "buffers[0] must be an object"),
+        (lambda m: m["params"][0].update(shape="ab"), "params[0] 'input_proj.w' has shape 'ab'"),
+        (lambda m: m["params"][0].update(shape=[6.0, 16.0]), "has shape [6.0, 16.0]"),
+        (lambda m: m["params"][0].update(shape=[True, 16]), "has shape [True, 16]"),
+        (lambda m: m["params"][0].update(offset=0.0), "params[0] 'input_proj.w' has offset 0.0"),
+        (lambda m: m["params"][0].update(offset=-8), "params[0] 'input_proj.w' has offset -8"),
+        (lambda m: m["params"][0].update(dtype="f32"), "has dtype 'f32', not 'f64'"),
+        (lambda m: m.update(params={}), "'params' must be a list"),
+        (lambda m: m["buffers"].append(dict(m["params"][0])), "'input_proj.w' is listed twice"),
+        (lambda m: m.update(station_ids=None), "'station_ids' must be a list"),
+        (lambda m: m["station_ids"].__setitem__(1, 4), "station_ids[1]=4 is not a string"),
+        (lambda m: m["station_ids"].__setitem__(2, m["station_ids"][0]), "station_ids[2] 's000' "
+                                                                         "is listed twice"),
+    ], ids=["no-shape", "no-offset", "no-name", "not-an-object", "str-shape", "float-shape",
+            "bool-shape", "float-offset", "negative-offset", "f32", "params-object", "twice",
+            "null-ids", "int-id", "repeated-id"])
+    def test_malformed_manifest_exits_2(self, workspace, tmp_path, capsys, edit, named):
+        # unchecked, each fails inside the reader or loads the wrong bytes:
+        # a repeated entry's last copy wins, f32 bytes are read as f64
+        ws, _ = workspace
+        ck = self._edited_checkpoint(ws, tmp_path, lambda manifest, _: edit(manifest))
+        assert self._predict(ws, ck, tmp_path / "fc.csv") == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and named in err
         assert not (tmp_path / "fc.csv").exists()
 
     def test_misshaped_buffer_exits_2(self, workspace, tmp_path, capsys):
@@ -458,6 +488,18 @@ class TestErrors:
         assert code == 2
         assert "fusion_mode='sum' is no longer supported" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_config_field_of_wrong_type_exits_2(self, workspace, tmp_path, capsys):
+        # a string where a count belongs would fail deep in the graph build
+        ws, _ = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k_geo": "3"}))
+        code = run(["build-graph", "--config", cfg,
+                    "--stations", ws / "data" / "stations.csv",
+                    "--series", ws / "data" / "series.csv", "--out", tmp_path / "g.csv"])
+        assert code == 2
+        assert "config field k_geo='3' must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
 
     def test_nonzero_refresh_config_exits_2(self, workspace, tmp_path, capsys):
         # the graph is fixed; a run that asked for rebuilt edges is refused

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -98,3 +99,32 @@ class TestRunConfig:
         p.write_text(json.dumps({"t_in": 12, "tau": 5}))
         cfg = RunConfig.load(p)
         assert cfg.t_in == 12 and cfg.tau == 5 and cfg.d_model == 64
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"k_geo": "3"}, "k_geo='3' must be an integer"),
+        ({"k_geo": 3.5}, "k_geo=3.5 must be an integer"),
+        ({"k_geo": True}, "k_geo=True must be an integer"),
+        ({"heads": 2.0}, "heads=2.0 must be an integer"),
+        ({"max_epochs": 1.5}, "max_epochs=1.5 must be an integer"),
+        ({"lr": "0.1"}, "lr='0.1' must be a finite number"),
+        ({"restart": None}, "restart=None must be a finite number"),
+        ({"eta": float("nan")}, "eta=nan must be a finite number"),
+        ({"weight_decay": float("inf")}, "weight_decay=inf must be a finite number"),
+        ({"kappa_km": False}, "kappa_km=False must be a finite number"),
+        ({"coeff_mode": 1}, "coeff_mode=1 must be a string"),
+    ])
+    def test_field_of_wrong_type_rejected_by_name(self, fields, message):
+        # JSON gives each of these as readily as the number the field means
+        with pytest.raises(ValueError, match=re.escape(f"config field {message}")):
+            RunConfig.from_dict(fields)
+
+    def test_integer_for_float_field_accepted(self):
+        assert RunConfig.from_dict({"lr": 1, "restart": 0}).to_dict() == RunConfig(
+            lr=1.0, restart=0.0).to_dict()
+
+    @pytest.mark.parametrize("overrides", [None, {"seed": 3}])
+    def test_config_file_must_hold_an_object(self, tmp_path, overrides):
+        p = tmp_path / "cfg.json"
+        p.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="a config must be a JSON object, not list"):
+            RunConfig.load(p, overrides)

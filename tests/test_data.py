@@ -469,10 +469,6 @@ class TestChronoSplit:
         with pytest.raises(ValueError):
             chrono_split(toy_frame(10), min_len=44)
 
-    def test_bad_ratios(self):
-        with pytest.raises(ValueError):
-            chrono_split(toy_frame(100), ratios=(0.5, 0.2, 0.2))
-
     def test_contiguous_partition(self):
         frame = toy_frame(50)
         frame.values[:, 0, 0] = np.arange(50)

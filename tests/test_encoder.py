@@ -265,7 +265,7 @@ class TestNeighborContext:
             c_means, defined = station_historical_means(train)
             assert_falls_back(state.contexts, 0, stations[0].point, c_means[defined].mean())
         save_checkpoint(tmp_path / "ck", init_params(cfg, np.random.default_rng(0)),
-                        model_buffers(state), cfg, 0)
+                        model_buffers(state), cfg, 0, tuple(s.id for s in stations))
         _, buffers, _, _ = load_checkpoint(tmp_path / "ck")
         back = rebuild_state(cfg, stations, buffers).contexts
         assert back.vectors.shape == (10, CONTEXT_DIM)

@@ -17,6 +17,7 @@ from omniair.model import (
     init_params,
 )
 from omniair.oracle import (
+    SIM_KAPPA_KM,
     RDScenario,
     SourceSpec,
     build_sim_laplacian,
@@ -54,7 +55,7 @@ class TestSimulator:
         stations, frame = simulate_rd(scn)
         # rebuild with a uniform start by exploiting linearity: replay manually
         points = np.stack([s.point for s in stations])
-        lap = build_sim_laplacian(points, scn.k_neighbors, scn.kappa_km)
+        lap = build_sim_laplacian(points, scn.k_neighbors, SIM_KAPPA_KM)
         c = np.full(scn.n, 4.2)
         for _ in range(100):
             c_next = c + scn.dt * (-scn.diffusion * (lap @ c))
@@ -85,7 +86,7 @@ class TestSimulator:
         (dict(noise_std=-1.0), "noise_std=-1.0"),
         (dict(missing_rate=1.0), "missing_rate=1.0"),
         (dict(missing_rate=-0.1), "missing_rate=-0.1"),
-        (dict(kappa_km=0.0), "kappa_km=0.0"),
+        (dict(decay=float("nan")), "decay=nan"),
         (dict(sources=(SourceSpec(-1, 8.0),)), "sources[0].node=-1"),
         (dict(sources=(SourceSpec(0, 1.0), SourceSpec(6, 8.0))), "sources[1].node=6"),
         (dict(sources=(SourceSpec(0, float("inf")),)), "sources[0].amplitude=inf"),

@@ -28,6 +28,10 @@ def quick_dataset(n=12, steps=100, seed=3):
     return simulate_rd(RDScenario(n=n, steps=steps, seed=seed, noise_std=0.2))
 
 
+def ids(state):
+    return tuple(s.id for s in state.stations)
+
+
 class TestEarlyStopper:
     def test_stops_after_exactly_patience_stale_epochs(self):
         stopper = EarlyStopper(patience=20)
@@ -116,7 +120,7 @@ class TestTrainLoop:
 class TestCheckpointRoundtrip:
     def test_roundtrip(self, tmp_path, tiny_cfg, tiny_state, tiny_params):
         buffers = model_buffers(tiny_state)
-        save_checkpoint(tmp_path / "ck", tiny_params, buffers, tiny_cfg, 42)
+        save_checkpoint(tmp_path / "ck", tiny_params, buffers, tiny_cfg, 42, ids(tiny_state))
         params, bufs, cfg, manifest = load_checkpoint(tmp_path / "ck")
         assert manifest["rng_seed"] == 42
         assert manifest["config_hash"] == tiny_cfg.config_hash()
@@ -127,8 +131,10 @@ class TestCheckpointRoundtrip:
             assert np.array_equal(bufs[name], arr)
 
     def test_manifest_entries_complete(self, tmp_path, tiny_cfg, tiny_state, tiny_params):
-        save_checkpoint(tmp_path / "ck", tiny_params, model_buffers(tiny_state), tiny_cfg, 1)
+        save_checkpoint(tmp_path / "ck", tiny_params, model_buffers(tiny_state), tiny_cfg, 1,
+                        ids(tiny_state))
         manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        assert manifest["station_ids"] == list(ids(tiny_state))
         for entry in manifest["params"] + manifest["buffers"]:
             assert set(entry) == {"name", "shape", "dtype", "offset"}
             assert entry["dtype"] == "f64"
@@ -140,7 +146,7 @@ class TestCheckpointRoundtrip:
         # the tensors of the earlier save
         buffers = model_buffers(tiny_state)
         ck = tmp_path / "ck"
-        save_checkpoint(ck, tiny_params, buffers, tiny_cfg, 42)
+        save_checkpoint(ck, tiny_params, buffers, tiny_cfg, 42, ids(tiny_state))
         before = {f.name: f.read_bytes() for f in ck.iterdir()}
         other = RunConfig.from_dict({**tiny_cfg.to_dict(), "seed": 7})
         other_params = init_params(other, np.random.default_rng(7))
@@ -153,7 +159,7 @@ class TestCheckpointRoundtrip:
         with monkeypatch.context() as patch:
             patch.setattr(checkpoint, "open", failing_open, raising=False)
             with pytest.raises(OSError):
-                save_checkpoint(ck, other_params, buffers, other, 7)
+                save_checkpoint(ck, other_params, buffers, other, 7, ids(tiny_state))
         assert {f.name: f.read_bytes() for f in ck.iterdir()} == before
         params, _, cfg, manifest = load_checkpoint(ck)
         assert manifest["rng_seed"] == 42 and cfg.to_dict() == tiny_cfg.to_dict()
@@ -161,7 +167,7 @@ class TestCheckpointRoundtrip:
             assert np.array_equal(params[name].data, t.data)
         assert [p.name for p in tmp_path.iterdir()] == ["ck"]
         # a save that completes replaces the whole directory
-        save_checkpoint(ck, other_params, buffers, other, 7)
+        save_checkpoint(ck, other_params, buffers, other, 7, ids(tiny_state))
         params, _, cfg, manifest = load_checkpoint(ck)
         assert manifest["rng_seed"] == 7 and cfg.seed == 7
         for name, t in other_params.items():
@@ -175,7 +181,7 @@ class TestCheckpointRoundtrip:
         # renamed into place; a failure there must move it back
         buffers = model_buffers(tiny_state)
         ck = tmp_path / "ck"
-        save_checkpoint(ck, tiny_params, buffers, tiny_cfg, 42)
+        save_checkpoint(ck, tiny_params, buffers, tiny_cfg, 42, ids(tiny_state))
         before = {f.name: f.read_bytes() for f in ck.iterdir()}
         other = RunConfig.from_dict({**tiny_cfg.to_dict(), "seed": 7})
         real_rename = Path.rename
@@ -189,13 +195,14 @@ class TestCheckpointRoundtrip:
             patch.setattr(Path, "rename", failing_rename)
             with pytest.raises(OSError):
                 save_checkpoint(ck, init_params(other, np.random.default_rng(7)), buffers,
-                                other, 7)
+                                other, 7, ids(tiny_state))
         assert {f.name: f.read_bytes() for f in ck.iterdir()} == before
         assert [p.name for p in tmp_path.iterdir()] == ["ck"]
 
     def test_unknown_parameter_refused(self, tmp_path, tiny_cfg, tiny_state, tiny_params):
         params = {**tiny_params, "extra.w": tiny_params["input_proj.b"]}
-        save_checkpoint(tmp_path / "ck", params, model_buffers(tiny_state), tiny_cfg, 42)
+        save_checkpoint(tmp_path / "ck", params, model_buffers(tiny_state), tiny_cfg, 42,
+                        ids(tiny_state))
         with pytest.raises(ValueError, match="unknown parameter 'extra.w'"):
             load_checkpoint(tmp_path / "ck")
 
@@ -275,18 +282,6 @@ class TestPrediction:
         assert newfc.values.shape == (result.state.cfg.tau, 2, 6)
         assert np.isfinite(newfc.values).all()
 
-    def test_zero_shot_new_frame_on_other_dates_refused(self, trained):
-        stations, frame, result, out = trained
-        new = [type(stations[0])("new1", 35.2, 104.1, np.arange(6, dtype=float), -1)]
-        shape = (frame.n_steps, 1, 6)
-        same = type(frame)(frame.timestamps, np.ones(shape), np.ones(shape, dtype=bool), ("new1",))
-        base, newfc = predict_unseen(result.params, result.state, frame, new, new_frame=same)
-        assert np.isfinite(newfc.values).all()
-        shifted = type(frame)(frame.timestamps + np.timedelta64(365, "D"), same.values,
-                              same.valid, ("new1",))
-        with pytest.raises(ValueError, match="same dates"):
-            predict_unseen(result.params, result.state, frame, new, new_frame=shifted)
-
     def test_frame_must_list_state_stations_in_order(self, trained):
         # column i is read as the station at graph position i
         stations, frame, result, out = trained
@@ -306,19 +301,6 @@ class TestPrediction:
         with pytest.raises(ValueError, match=f"the series lists {len(stations) - 1} stations, "
                                              f"not {len(stations)}"):
             predict_window(params, state, fewer)
-
-    def test_new_frame_must_list_new_stations_in_order(self, trained):
-        stations, frame, result, out = trained
-        new = [
-            type(stations[0])("new1", 35.2, 104.1, np.arange(6, dtype=float), -1),
-            type(stations[0])("new2", 36.8, 107.4, np.zeros(6), 2),
-        ]
-        shape = (frame.n_steps, 2, 6)
-        swapped = type(frame)(frame.timestamps, np.ones(shape), np.ones(shape, dtype=bool),
-                              ("new2", "new1"))
-        with pytest.raises(ValueError, match="the new stations' series lists 'new2' in "
-                                             "column 0, where station 'new1' belongs"):
-            predict_unseen(result.params, result.state, frame, new, new_frame=swapped)
 
     def test_evaluate_split_report(self, trained):
         stations, frame, result, out = trained
