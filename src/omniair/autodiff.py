@@ -409,25 +409,17 @@ def leaky_relu(a, slope: float = 0.1) -> Tensor:
 
 # -- sparse message-passing primitives ----------------------------------------
 
-def _scatter_bins(p: int, idx: Array, n: int, q: int) -> Array:
-    """Flat bincount index sending (p, idx.size, q) slices to (p, n, q)."""
-    flat = (np.arange(p)[:, None, None] * n + idx.reshape(1, -1, 1)) * q + np.arange(q)
-    return flat.reshape(-1)
-
-
-def _scatter_add(g: Array, idx: Array, n: int, axis: int, bins: Array | None = None) -> Array:
+def _scatter_add(g: Array, idx: Array, n: int, axis: int) -> Array:
     """Adjoint of ``np.take(a, idx, axis)`` for an ``a`` with ``n`` rows there.
 
     ``g`` has the ``idx.shape`` axes in place of that axis. Slices sharing a
     target add up in index order through one ``np.bincount`` over a flat
-    (lead, target, tail) index, which is deterministic. ``bins`` is that
-    index when the caller already holds it for a ``g`` of this shape.
+    (lead, target, tail) index, which is deterministic.
     """
     lead, tail = g.shape[:axis], g.shape[axis + idx.ndim :]
     p, q = math.prod(lead), math.prod(tail)
-    if bins is None:
-        bins = _scatter_bins(p, idx, n, q)
-    out = np.bincount(bins, weights=g.reshape(-1), minlength=p * n * q)
+    bins = (np.arange(p)[:, None, None] * n + idx.reshape(1, -1, 1)) * q + np.arange(q)
+    out = np.bincount(bins.reshape(-1), weights=g.reshape(-1), minlength=p * n * q)
     return out.reshape(lead + (n,) + tail)
 
 
@@ -467,9 +459,8 @@ class _DenseOperator:
     def apply(self, x: Array, out: Array) -> None:
         np.matmul(self.a[:, None], x, out=out)
 
-    def transposed(self, shape: tuple[int, ...]) -> Callable[[Array], Array]:
-        a_t = self.a.transpose(0, 2, 1)[:, None]
-        return lambda g: np.matmul(a_t, g)
+    def apply_t(self, g: Array) -> Array:
+        return np.matmul(self.a.transpose(0, 2, 1)[:, None], g)
 
     def edge_grad(self, adj: Array, xs: Array) -> Array:
         # sum over steps and time of adj x^T, sampled at the table
@@ -479,8 +470,10 @@ class _DenseOperator:
 
 class _TableOperator:
     """``(A x)[b,t,i] = sum_k w[b,i,k] * x[b,t,nbr[i,k]]`` one table column
-    at a time: each column k gathers one (B, T, N, D) array, and nothing of
-    the size of the (B, T, N, K, D) messages is formed or kept."""
+    at a time: each column k gathers one (B, T, N, D) array. The adjoint
+    scatters one (b, t) slice of (N, K, D) edge values at a time, so nothing
+    of the size of the (B, T, N, K, D) messages is formed in either
+    direction."""
 
     def __init__(self, w: Array, nbr: Array, n_src: int):
         self.w, self.nbr, self.n_src = w, nbr, n_src
@@ -492,16 +485,16 @@ class _TableOperator:
             col *= self.w[:, None, :, k, None]
             out += col
 
-    def transposed(self, shape: tuple[int, ...]) -> Callable[[Array], Array]:
-        # one flat scatter index for every step of one backward, freed with it
-        b, t, _, d = shape
-        bins = _scatter_bins(b * t, self.nbr, self.n_src, d)
-
-        def apply_t(g: Array) -> Array:
-            weighted = g[:, :, :, None, :] * self.w[:, None, :, :, None]
-            return _scatter_add(weighted, self.nbr, self.n_src, 2, bins)
-
-        return apply_t
+    def apply_t(self, g: Array) -> Array:
+        # one (b, t) slice of (N, K, D) edge values at a time; within a slice
+        # each target adds its (i, k, d) contributions in index order
+        b, t, _, d = g.shape
+        index = (self.nbr[:, :, None] * d + np.arange(d)).ravel()
+        out = np.empty((b, t, self.n_src * d))
+        for i, j in np.ndindex(b, t):
+            edges = g[i, j, :, None, :] * self.w[i, :, :, None]
+            out[i, j] = np.bincount(index, weights=edges.ravel(), minlength=out.shape[2])
+        return out.reshape(b, t, self.n_src, d)
 
     def edge_grad(self, adj: Array, xs: Array) -> Array:
         # column k sums adj * (the states gathered again at nbr[:, k])
@@ -531,7 +524,7 @@ def diffuse(
     backward runs the L adjoint steps: the input gradient is ``A^T a`` and
     the weight gradient ``a x^T`` sampled at the table. Graphs with N_src <=
     ``_DENSE_RATIO`` * K run on the dense per-batch operator, larger ones on
-    the table one column at a time; the two differ only in summation order.
+    the table; the two differ only in summation order.
     """
     h0, w = as_tensor(h0), as_tensor(w)
     if not steps:
@@ -550,19 +543,17 @@ def diffuse(
 
     def backward(g: Array) -> None:
         if src is None:  # a_l = g_l + A^T a_{l+1}
-            apply_t = op.transposed(h0.shape)
             adj = np.empty_like(g)
             adj[steps] = g[steps]
             for l in range(steps - 1, -1, -1):
-                np.add(g[l], apply_t(adj[l + 1]), out=adj[l])
+                np.add(g[l], op.apply_t(adj[l + 1]), out=adj[l])
             xs = out[:-1]
         else:
             adj, xs = g, src.data[:steps]
             if src.requires_grad:
-                apply_t = op.transposed(h0.shape)
                 dsrc = np.zeros_like(src.data)
                 for l in range(1, steps + 1):
-                    dsrc[l - 1] = apply_t(g[l])
+                    dsrc[l - 1] = op.apply_t(g[l])
                 src._accumulate(dsrc)
         if h0.requires_grad:
             h0._accumulate(adj[0] + restart * adj[1:].sum(axis=0))

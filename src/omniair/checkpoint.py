@@ -10,6 +10,7 @@ prediction never has to re-derive training-time statistics.
 from __future__ import annotations
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -132,35 +133,49 @@ def _check_manifest(manifest: dict, where) -> None:
         seen.add(sid)
 
 
-def _count(entry: dict) -> int:
-    return int(np.prod(entry["shape"]))
-
-
-def _read(listing: list[dict], blob: bytes) -> dict[str, np.ndarray]:
-    out = {}
-    for entry in listing:
-        arr = np.frombuffer(
-            blob, dtype="<f8", count=_count(entry), offset=entry["offset"]
-        ).reshape(entry["shape"])
-        out[entry["name"]] = arr.astype(np.float64)
-    return out
-
-
 def _check_inventory(
-    kind: str, arrays: dict[str, np.ndarray], expected: dict[str, tuple], need: str, where
+    kind: str, listing: list[dict], legacy: tuple[str, ...], expected: dict[str, tuple],
+    need: str, where,
 ) -> None:
-    """Every tensor of ``expected``, at its shape, and nothing else; ``need``
-    says what sets the shape."""
-    for name in sorted(set(expected) | set(arrays)):
-        if name not in arrays:
+    """Every tensor of ``expected``, at its shape, and nothing else but the
+    ``legacy`` names; ``need`` says what sets the shape."""
+    listed = {e["name"]: tuple(e["shape"]) for e in listing if e["name"] not in legacy}
+    for name in sorted(set(expected) | set(listed)):
+        if name not in listed:
             raise ValueError(f"{where}: {kind} {name!r} is missing")
         if name not in expected:
             raise ValueError(f"{where}: unknown {kind} {name!r}")
-        if arrays[name].shape != expected[name]:
+        if listed[name] != expected[name]:
             raise ValueError(
-                f"{where}: {kind} {name!r} has shape {arrays[name].shape}, "
-                f"{need} {expected[name]}"
+                f"{where}: {kind} {name!r} has shape {listed[name]}, {need} {expected[name]}"
             )
+
+
+def _check_layout(manifest: dict, where, bin_path: Path) -> None:
+    """The entries tile the bin, as ``_entries`` writes them: taken by offset
+    (listed order, params first, breaks ties), the first starts at byte 0,
+    each later one where the one before it ends, and the file ends where the
+    last one ends. Sizes are Python ints, which do not wrap around."""
+    listing = [(f"{key}[{i}] {e['name']!r}", e)
+               for key in ("params", "buffers") for i, e in enumerate(manifest[key])]
+    end, before = 0, "the bin starts"
+    for label, entry in sorted(listing, key=lambda item: item[1]["offset"]):
+        if entry["offset"] != end:
+            raise ValueError(
+                f"{where}: {label} starts at byte {entry['offset']}, not at {end} where {before}"
+            )
+        end, before = end + 8 * math.prod(entry["shape"]), f"{label} ends"
+    size = bin_path.stat().st_size
+    if size != end:
+        raise ValueError(
+            f"{bin_path}: {where} needs {end} bytes, up to where {before}; the file has {size}"
+        )
+
+
+def _read(entry: dict, blob: bytes) -> np.ndarray:
+    count = math.prod(entry["shape"])
+    arr = np.frombuffer(blob, dtype="<f8", count=count, offset=entry["offset"])
+    return arr.reshape(entry["shape"]).astype(np.float64)
 
 
 def _buffer_shapes(n: int) -> dict[str, tuple[int, ...]]:
@@ -191,23 +206,18 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], dict[str, np.ndarray],
         raise ValueError(f"{where}: config does not match its config_hash")
     config = RunConfig.from_dict(manifest["config"])
     _check_manifest(manifest, where)
-    blob = (ckpt / "params.bin").read_bytes()
-    listing = manifest["params"] + manifest["buffers"]
-    expected = max((e["offset"] + 8 * _count(e) for e in listing), default=0)
-    if len(blob) != expected:
-        raise ValueError(
-            f"{ckpt / 'params.bin'}: the manifest needs {expected} bytes, "
-            f"the file has {len(blob)}"
-        )
-    params, buffers = _read(manifest["params"], blob), _read(manifest["buffers"], blob)
-    for name in LEGACY_PARAMS:
-        params.pop(name, None)
-    for name in LEGACY_BUFFERS:
-        buffers.pop(name, None)
     shapes = {k: v.shape for k, v in init_params(config, np.random.default_rng(0)).items()}
-    _check_inventory("parameter", params, shapes, "the config needs", where)
+    _check_inventory("parameter", manifest["params"], LEGACY_PARAMS, shapes,
+                     "the config needs", where)
     n = len(manifest["station_ids"])
-    _check_inventory("buffer", buffers, _buffer_shapes(n), f"{n} stations need", where)
+    _check_inventory("buffer", manifest["buffers"], LEGACY_BUFFERS, _buffer_shapes(n),
+                     f"{n} stations need", where)
+    _check_layout(manifest, where, ckpt / "params.bin")
+    blob = (ckpt / "params.bin").read_bytes()
+    params, buffers = (
+        {e["name"]: _read(e, blob) for e in manifest[key] if e["name"] not in legacy}
+        for key, legacy in (("params", LEGACY_PARAMS), ("buffers", LEGACY_BUFFERS))
+    )
     for kind, arrays in (("parameter", params), ("buffer", buffers)):
         for name, arr in arrays.items():
             if not np.isfinite(arr).all():

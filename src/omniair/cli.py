@@ -46,6 +46,17 @@ def _load_config(args) -> RunConfig:
     return RunConfig(**overrides)
 
 
+def _seed(text: str) -> int:
+    """argparse type of every ``--seed``: a non-negative integer."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+
+
 def _source_spec(text: str) -> SourceSpec:
     try:
         node, amp, period, on = text.split(":")
@@ -193,7 +204,7 @@ def cmd_bench(args) -> int:
         k=args.k,
         t_in=args.t_in,
         repeats=args.repeats,
-        seed=args.seed or 0,
+        seed=args.seed,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -207,7 +218,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    err = toy_grad_check(seed=args.seed or 0)
+    err = toy_grad_check(seed=args.seed)
     print(f"max relative gradient error: {err:.3e}")
     if err >= 1e-4:
         print("gradient check FAILED (threshold 1e-4)")
@@ -225,12 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="override config seed")
+        p.add_argument("--seed", type=_seed, help="override config seed")
 
     p = sub.add_parser("synth", help="generate a synthetic reaction-diffusion dataset")
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--steps", type=int, default=400)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--noise-std", type=float, default=0.0)
     p.add_argument("--missing-rate", type=float, default=0.0)
     p.add_argument("--diffusion", type=float, default=0.15)
@@ -299,12 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=15)
     p.add_argument("--t-in", type=int, default=4)
     p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("grad-check", help="finite-difference check of the full model")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_grad_check)
 
     return parser

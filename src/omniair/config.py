@@ -89,6 +89,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive")
         if self.k_sem < 0 or self.diffusion_steps < 0:
             raise ValueError("k_sem and diffusion_steps must be non-negative")
+        if self.seed < 0:  # numpy seeds no generator from a negative value
+            raise ValueError(f"config field seed={self.seed!r} must be non-negative")
         if not 0.0 <= self.restart < 1.0:
             raise ValueError("restart must be in [0, 1)")
         if self.coeff_mode not in ("signed", "positive"):

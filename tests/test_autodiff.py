@@ -164,6 +164,51 @@ class TestDiffuseMemory:
         assert peak - start < msgs_bytes
 
 
+class TestTableAdjoint:
+    """``_TableOperator.apply_t`` scatters one (b, t) slice at a time and adds
+    each target's (i, k, d) contributions in the order of one bincount over
+    the batch-spanning index of all the weighted messages."""
+
+    @staticmethod
+    def batch_spanning(g, w, nbr, n_src):
+        b, t, _, d = g.shape
+        weighted = g[:, :, :, None, :] * w[:, None, :, :, None]
+        bins = (np.arange(b * t)[:, None, None] * n_src + nbr.reshape(1, -1, 1)) * d
+        bins = (bins + np.arange(d)).reshape(-1)
+        out = np.bincount(bins, weights=weighted.reshape(-1), minlength=b * t * n_src * d)
+        return out.reshape(b, t, n_src, d)
+
+    @pytest.mark.parametrize("n_src", [9, 5, 14], ids=["self", "fewer-sources", "more-sources"])
+    def test_bytes_equal_one_batch_spanning_bincount(self, n_src):
+        rng = np.random.default_rng(n_src)
+        b, t, n, k, d = 2, 3, 9, 5, 4
+        nbr = rng.integers(0, n_src, size=(n, k)).astype(np.intp)
+        nbr[:, 1] = nbr[:, 0]  # every row repeats a target
+        nbr[2] = nbr[0]  # and two rows share theirs
+        g = rng.normal(size=(b, t, n, d))
+        w = rng.normal(size=(b, n, k))
+        got = ad._TableOperator(w, nbr, n_src).apply_t(g)
+        assert got.tobytes() == self.batch_spanning(g, w, nbr, n_src).tobytes()
+
+    def test_forms_no_messages(self):
+        # (B, T, N, K, D) = (2, 4, 512, 8, 16): the messages are 4.2 MB, the
+        # output an eighth of that and one (b, t) slice of edges a quarter
+        b, t, n, k, d = 2, 4, 512, 8, 16
+        rng = np.random.default_rng(0)
+        nbr = rng.integers(0, n, size=(n, k)).astype(np.intp)
+        g = rng.normal(size=(b, t, n, d))
+        op = ad._TableOperator(rng.normal(size=(b, n, k)), nbr, n)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = op.apply_t(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == g.shape
+        assert peak - start < 8 * b * t * n * k * d
+
+
 class TestOpSemantics:
     def test_product_rule_example(self):
         x = Tensor([2.0], requires_grad=True)
@@ -248,6 +293,11 @@ class TestOpSemantics:
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 2)], ids=["1-d", "3-d"])
+    def test_matmul_right_operand_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match="2-d right operand"):
+            ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones(shape)))
 
     def test_no_grad_skips_graph(self):
         x = Tensor([1.0], requires_grad=True)

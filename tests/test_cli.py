@@ -97,6 +97,15 @@ class TestPipeline:
         header = (tmp_path / "m.csv").read_text().splitlines()[0]
         assert header == "channel,mae,rmse,mape_pct,count,mape_count"
 
+    def test_window_end_minus_one_is_the_last_step(self, workspace, tmp_path):
+        ws, _ = workspace
+        args = ["predict", "--checkpoint", ws / "run" / "checkpoint",
+                "--stations", ws / "data" / "stations.csv",
+                "--series", ws / "data" / "series.csv"]
+        assert run(args + ["--out", tmp_path / "last.csv"]) == 0
+        assert run(args + ["--window-end", "-1", "--out", tmp_path / "minus1.csv"]) == 0
+        assert (tmp_path / "minus1.csv").read_bytes() == (tmp_path / "last.csv").read_bytes()
+
     def test_predict_unseen(self, workspace, tmp_path):
         ws, cfg_path = workspace
         new = tmp_path / "new.csv"
@@ -351,6 +360,28 @@ class TestErrors:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--stations", "s.csv", "--series", "x.csv", "--out", "o"],
+        ["synth", "--out", "o"],
+        ["bench", "--out", "o"],
+        ["grad-check"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_flag_exits_2(self, argv, capsys):
+        # numpy's own refusal, "expected non-negative integer", names no flag
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-3"])
+        assert exc.value.code == 2
+        assert "argument --seed: '-3' is not a non-negative integer" in capsys.readouterr().err
+
+    def test_negative_config_seed_exits_2(self, workspace, tmp_path, capsys):
+        ws, cfg_path = workspace
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**json.loads(cfg_path.read_text()), "seed": -1}))
+        assert run(["train", "--config", cfg, "--stations", ws / "data" / "stations.csv",
+                    "--series", ws / "data" / "series.csv", "--out", tmp_path / "run"]) == 2
+        assert "config field seed=-1 must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_config_hash_mismatch_exits_2(self, workspace, tmp_path, capsys):
         ws, _ = workspace
 
@@ -462,6 +493,51 @@ class TestErrors:
         assert self._predict(ws, ck, tmp_path / "fc.csv") == 2
         err = capsys.readouterr().err
         assert "manifest.json" in err and named in err
+        assert not (tmp_path / "fc.csv").exists()
+
+    @pytest.mark.parametrize("entry, offset, named", [
+        (1, 0, "params[1] 'input_proj.b' starts at byte 0, not at {end0} where "
+               "params[0] 'input_proj.w' ends"),
+        (0, 8, "params[0] 'input_proj.w' starts at byte 8, not at 0 where the bin starts"),
+    ], ids=["onto-the-previous", "not-at-0"])
+    def test_overlapping_entries_exit_2(self, workspace, tmp_path, capsys, entry, offset,
+                                        named):
+        # the bin keeps its length, so before the entries had to tile it the
+        # overlap loaded and predict wrote a forecast from the wrong bytes
+        ws, _ = workspace
+        ck = self._edited_checkpoint(
+            ws, tmp_path, lambda m, _: m["params"][entry].update(offset=offset))
+        end0 = 8 * np.prod(json.loads((ck / "manifest.json").read_text())["params"][0]["shape"])
+        assert self._predict(ws, ck, tmp_path / "fc.csv") == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and named.format(end0=end0) in err
+        assert not (tmp_path / "fc.csv").exists()
+
+    @pytest.mark.parametrize("legacy", [False, True], ids=["parameter", "legacy-tensor"])
+    def test_shape_too_large_for_int64_exits_2(self, workspace, tmp_path, capsys, legacy):
+        # 2**64 elements: an int64 product wraps to 0, which read 0 bytes and
+        # failed in numpy's reshape, naming neither the file nor the entry
+        ws, _ = workspace
+        huge = [2**32, 2**32]
+        trained = ws / "run" / "checkpoint"
+        size = (trained / "params.bin").stat().st_size
+        n_params = len(json.loads((trained / "manifest.json").read_text())["params"])
+
+        def edit(manifest, ck):
+            if legacy:  # a stored legacy tensor is not checked against the config
+                manifest["params"].append({"name": "fusion.w", "shape": huge, "dtype": "f64",
+                                           "offset": size})
+            else:
+                manifest["params"][1]["shape"] = huge
+
+        ck = self._edited_checkpoint(ws, tmp_path, edit)
+        assert self._predict(ws, ck, tmp_path / "fc.csv") == 2
+        if legacy:
+            named = (f"manifest.json needs {size + 8 * 2**64} bytes, "
+                     f"up to where params[{n_params}] 'fusion.w' ends")
+        else:
+            named = "manifest.json: parameter 'input_proj.b' has shape (4294967296, 4294967296)"
+        assert named in capsys.readouterr().err
         assert not (tmp_path / "fc.csv").exists()
 
     def test_misshaped_buffer_exits_2(self, workspace, tmp_path, capsys):

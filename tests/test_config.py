@@ -118,6 +118,11 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=re.escape(f"config field {message}")):
             RunConfig.from_dict(fields)
 
+    def test_negative_seed_rejected_by_name(self):
+        # numpy's own refusal, "expected non-negative integer", names no field
+        with pytest.raises(ValueError, match="config field seed=-1 must be non-negative"):
+            RunConfig.from_dict({"seed": -1})
+
     def test_integer_for_float_field_accepted(self):
         assert RunConfig.from_dict({"lr": 1, "restart": 0}).to_dict() == RunConfig(
             lr=1.0, restart=0.0).to_dict()

@@ -532,6 +532,11 @@ class TestWindows:
         starts = np.concatenate([b.starts for b in batches])
         assert sorted(starts) == list(range(window_count(30, 5, 2)))
 
+    def test_shuffle_requires_rng(self):
+        frame = toy_frame(30)
+        with pytest.raises(ValueError, match="shuffle requires an rng"):
+            next(make_windows(frame, 5, 2, self._stats(frame), 7, shuffle=True))
+
 
 class TestNormStats:
     def test_train_only_canary(self):

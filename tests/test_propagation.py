@@ -293,6 +293,15 @@ class TestSignedAggregate:
         with pytest.raises(ValueError):
             signed_aggregate(stack, agg_params(4, 2, 1), heads=1)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"forced_coeffs": np.array([1.0, -1.0])}, "one value per state"),
+        ({"mode": "convex"}, "unknown aggregation mode 'convex'"),
+    ], ids=["forced-length", "mode"])
+    def test_bad_mode_or_forced_coeffs_refused(self, kwargs, message):
+        stack = Tensor(np.zeros((3, 1, 1, 2, 4)))
+        with pytest.raises(ValueError, match=message):
+            signed_aggregate(stack, agg_params(4, 2, 3), heads=2, **kwargs)
+
 
 class TestFusionAndGate:
     def test_gate_limits(self):
