@@ -31,19 +31,28 @@ from .model import ModelState, forward, identity_input_dim, init_params, masked_
 from .topology import build_hybrid_graph
 
 
-def _pin_allocator() -> None:
-    """Keep large temporaries heap-resident across forward passes.
+def pin_allocator() -> None:
+    """Keep large temporaries heap-resident for the rest of the process.
 
     glibc serves blocks above its mmap threshold (capped at 32 MB) straight
-    from mmap and unmaps them on free, so every repeat re-faults and re-zeros
-    the big message buffers at large N. That artifact, not compute, bends the
-    measured scaling; raising the threshold removes it.
+    from mmap and unmaps them on free, and it gives the top of the heap back
+    to the system once more than its trim threshold (128 KB) is free there.
+    Either way the next forward or training step faults the same memory in
+    and zeroes it again; at large N that artifact, not compute, bends the
+    measured scaling. Raising both thresholds to 1 GiB removes it.
+
+    This changes the whole process, so it is called where a process starts
+    (``cli.main``, ``run_scaling``), never by a library function. It does
+    nothing where glibc is absent.
     """
     import ctypes
 
     try:
         libc = ctypes.CDLL("libc.so.6")
+        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        libc.mallopt.restype = ctypes.c_int
         libc.mallopt(-3, 1 << 30)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
     except (OSError, AttributeError):  # pragma: no cover - non-glibc platform
         pass
 
@@ -107,7 +116,7 @@ def run_scaling(
         raise ValueError("need at least 5 repeats")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    _pin_allocator()
+    pin_allocator()
     cfg = bench_config(k, t_in)
     setups = []
     build_ms = {}

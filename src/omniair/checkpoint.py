@@ -3,8 +3,9 @@
 The manifest lists every tensor (name, shape, dtype, byte offset into the
 bin), the rng seed, the config and its hash, and the ids of the stations the
 model was trained on, in graph order. Model buffers (normalization stats,
-neighborhood contexts) ride along in a second section of the same bin so
-prediction never has to re-derive training-time statistics.
+neighborhood contexts, the graph's neighbour table) ride along in a second
+section of the same bin so prediction never has to re-derive training-time
+statistics or search for the training graph again.
 """
 
 from __future__ import annotations
@@ -178,8 +179,22 @@ def _read(entry: dict, blob: bytes) -> np.ndarray:
     return arr.reshape(entry["shape"]).astype(np.float64)
 
 
-def _buffer_shapes(n: int) -> dict[str, tuple[int, ...]]:
-    """Shape of each ``training.model_buffers`` entry for ``n`` stations."""
+def _check_neighbors(nbr: np.ndarray, where) -> None:
+    """Every entry of the stored (N, K) neighbour table is the index of
+    another of the N stations: an integer in [0, N) that is not its row."""
+    n = len(nbr)
+    bad = (nbr != np.floor(nbr)) | (nbr < 0) | (nbr >= n) | (nbr == np.arange(n)[:, None])
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        raise ValueError(
+            f"{where}: buffer 'neighbors' row {i} lists {float(nbr[i, k])!r} in column {k}, "
+            f"not the index of another of the {n} stations"
+        )
+
+
+def _buffer_shapes(n: int, k: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each ``training.model_buffers`` entry for ``n`` stations and
+    ``k`` neighbours per station."""
     return {
         "channel_mean": (len(CHANNELS),),
         "channel_std": (len(CHANNELS),),
@@ -188,6 +203,7 @@ def _buffer_shapes(n: int) -> dict[str, tuple[int, ...]]:
         "context_vectors": (n, CONTEXT_DIM),
         "context_centroids": (n, 2),
         "grades": (n,),
+        "neighbors": (n, k),
     }
 
 
@@ -210,8 +226,11 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], dict[str, np.ndarray],
     _check_inventory("parameter", manifest["params"], LEGACY_PARAMS, shapes,
                      "the config needs", where)
     n = len(manifest["station_ids"])
-    _check_inventory("buffer", manifest["buffers"], LEGACY_BUFFERS, _buffer_shapes(n),
-                     f"{n} stations need", where)
+    buffer_shapes = _buffer_shapes(n, config.k_geo + config.k_sem)
+    if all(e["name"] != "neighbors" for e in manifest["buffers"]):
+        del buffer_shapes["neighbors"]  # stored by earlier versions: rebuilt by the search
+    _check_inventory("buffer", manifest["buffers"], LEGACY_BUFFERS, buffer_shapes,
+                     f"{n} stations and the config need", where)
     _check_layout(manifest, where, ckpt / "params.bin")
     blob = (ckpt / "params.bin").read_bytes()
     params, buffers = (
@@ -222,5 +241,7 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], dict[str, np.ndarray],
         for name, arr in arrays.items():
             if not np.isfinite(arr).all():
                 raise ValueError(f"{ckpt / 'params.bin'}: {kind} {name!r} holds NaN or inf")
+    if "neighbors" in buffers:
+        _check_neighbors(buffers["neighbors"], ckpt / "params.bin")
     params = {name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
     return params, buffers, config, manifest

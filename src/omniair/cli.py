@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import bench
 from .checkpoint import load_checkpoint
 from .config import RunConfig
 from .data import N_GRADES, chrono_split, load_series, load_stations, write_series, write_stations
@@ -197,9 +198,7 @@ def cmd_export_embeddings(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .bench import run_scaling, write_bench_csv, write_loglog
-
-    report = run_scaling(
+    report = bench.run_scaling(
         tuple(args.n),
         k=args.k,
         t_in=args.t_in,
@@ -208,8 +207,8 @@ def cmd_bench(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_bench_csv(report, out / "bench.csv")
-    write_loglog(report, out / "loglog.txt")
+    bench.write_bench_csv(report, out / "bench.csv")
+    bench.write_loglog(report, out / "loglog.txt")
     for r in report.rows:
         print(f"N={r.n:6d} edges={r.edges:8d} build={r.build_ms:9.2f}ms "
               f"forward={r.forward_ms:9.2f}ms step={r.step_ms:9.2f}ms")
@@ -324,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    bench.pin_allocator()
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:

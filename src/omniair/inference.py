@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
+import re
 from dataclasses import dataclass
 from operator import add
 
@@ -39,10 +40,12 @@ def rebuild_state(
 ) -> ModelState:
     """Reconstruct the frozen model state from checkpoint buffers.
 
-    Contexts and normalization come from the buffers (training-time values);
-    the graph is then derived exactly as training derived it. A station
-    whose grade resolves differently from the one it was trained with is
-    refused, since its identity and its semantic edges would disagree.
+    Contexts, normalization and the graph's neighbour table come from the
+    buffers (training-time values), so no neighbour search runs; a
+    checkpoint without the table derives the graph exactly as training
+    derived it. A station whose grade resolves differently from the one it
+    was trained with is refused, since its identity and its semantic edges
+    would disagree.
     """
     n = len(stations)
     if buffers["context_vectors"].shape[0] != n:
@@ -54,7 +57,9 @@ def rebuild_state(
         buffers["channel_mean"], buffers["channel_std"], buffers["geo_mean"], buffers["geo_std"]
     )
     contexts = Contexts(buffers["context_vectors"], buffers["context_centroids"])
-    state = _derive_state(cfg, stations, np.stack([s.point for s in stations]), stats, contexts)
+    nbr = buffers.get("neighbors")
+    state = _derive_state(cfg, stations, np.stack([s.point for s in stations]), stats, contexts,
+                          nbr=None if nbr is None else nbr.astype(np.intp))
     changed = np.flatnonzero(state.grades != buffers["grades"])
     if changed.size:
         i = changed[0]
@@ -69,12 +74,18 @@ def window_end_index(frame: SeriesFrame, window_end: str | int | None, t_in: int
     """Resolve a window end (ISO date, index, or None for the last step)."""
     if window_end is None:
         idx = frame.n_steps - 1
-    elif isinstance(window_end, int) or str(window_end).lstrip("-").isdigit():
+    elif isinstance(window_end, int) or re.fullmatch(r"-?[0-9]+", str(window_end)):
         idx = int(window_end)
         if idx < 0:
             idx += frame.n_steps
     else:
-        ts = np.datetime64(str(window_end), "D")
+        try:
+            ts = np.datetime64(str(window_end), "D")
+        except ValueError:
+            raise ValueError(
+                f"--window-end {window_end!r}: expected an ISO date (YYYY-MM-DD) or a step "
+                "index (negative counts back from the last step)"
+            ) from None
         hits = np.flatnonzero(frame.timestamps == ts)
         if len(hits) == 0:
             raise ValueError(f"window end {window_end!r} not in frame range")

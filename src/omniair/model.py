@@ -24,7 +24,8 @@ from .encoder import (
 )
 from .geo import knn_geo
 from .propagation import diffuse, forecast_head, fuse_and_gate, signed_aggregate
-from .topology import HybridGraph, attach_new_nodes, build_hybrid_graph, edge_weights
+from .topology import (HybridGraph, attach_new_nodes, build_hybrid_graph, edge_weights,
+                       table_graph)
 
 N_GEO_FEATURES = len(GEO_FEATURES)
 
@@ -116,14 +117,19 @@ def _derive_state(
     stats: NormStats,
     contexts: Contexts,
     geo_idx: np.ndarray | None = None,
+    nbr: np.ndarray | None = None,
 ) -> ModelState:
     """The model state as a pure function of the stations and their (N, 2)
     coordinates, the training-split statistics and contexts: training and
     reload both build it here, so a reloaded model runs on exactly the graph
-    it was trained on."""
+    it was trained on. ``nbr`` is the graph's stored (N, K) neighbour table,
+    which takes the place of both searches."""
     id_features, grades, sem_vectors = _identity_inputs(cfg, stations, points, contexts, stats)
-    graph = build_hybrid_graph(points, sem_vectors, cfg.k_geo, cfg.k_sem, cfg.kappa_km,
-                               geo_idx=geo_idx)
+    if nbr is None:
+        graph = build_hybrid_graph(points, sem_vectors, cfg.k_geo, cfg.k_sem, cfg.kappa_km,
+                                   geo_idx=geo_idx)
+    else:
+        graph = table_graph(points, nbr, cfg.kappa_km)
     return ModelState(cfg, stations, stats, contexts, graph, id_features, grades, sem_vectors)
 
 

@@ -88,17 +88,25 @@ def _hybrid_table(points, vectors, k_geo, k_sem, kappa_km, queries=None, geo_idx
 
     ``queries`` holds the (points, vectors) of nodes outside the base set;
     without it the base nodes query themselves and skip their own row.
-    ``geo_idx`` is a precomputed geographic neighbour table. Every edge is
-    weighted by the kernel of its great-circle length, so the weights are a
-    function of the points and the table alone.
+    ``geo_idx`` is a precomputed geographic neighbour table. The weights
+    are ``table_graph``'s, a function of the points and the table alone.
     """
-    points = np.asarray(points, dtype=np.float64)
     q_points, q_vectors = (None, None) if queries is None else queries
     if geo_idx is None:
         geo_idx = knn_geo(points, k_geo, queries=q_points)[0]
     sem_idx, _ = semantic_knn(vectors, k_sem, geo_idx, queries=q_vectors)
-    q = points if q_points is None else np.asarray(q_points, dtype=np.float64)
-    nbr = np.concatenate([geo_idx, sem_idx], axis=1)
+    return table_graph(points, np.concatenate([geo_idx, sem_idx], axis=1), kappa_km,
+                       queries=q_points)
+
+
+def table_graph(points, nbr, kappa_km, queries=None) -> HybridGraph:
+    """The graph of the neighbour table ``nbr`` into ``points``: every edge
+    is weighted by the Gaussian kernel of its great-circle length, so the
+    points, the table and ``kappa_km`` give the graph exactly. ``queries``
+    holds the points of the rows' own nodes when they are outside the base
+    set (a ``cross`` table)."""
+    points = np.asarray(points, dtype=np.float64)
+    q = points if queries is None else np.asarray(queries, dtype=np.float64)
     w_static = gaussian_static_weight(haversine(q[:, None], points[nbr]), kappa_km)
     return HybridGraph(nbr, w_static, cross=queries is not None)
 

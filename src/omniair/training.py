@@ -182,7 +182,8 @@ def train_model(
 
 
 def model_buffers(state: ModelState) -> dict[str, np.ndarray]:
-    """Training-time statistics needed to rebuild the state at predict time."""
+    """Training-time statistics and the graph's neighbour table, everything
+    needed to rebuild the state at predict time."""
     return {
         "channel_mean": np.asarray(state.stats.channel_mean, dtype=np.float64),
         "channel_std": np.asarray(state.stats.channel_std, dtype=np.float64),
@@ -191,4 +192,5 @@ def model_buffers(state: ModelState) -> dict[str, np.ndarray]:
         "context_vectors": state.contexts.vectors,
         "context_centroids": state.contexts.centroids,
         "grades": state.grades.astype(np.float64),
+        "neighbors": state.graph.nbr.astype(np.float64),
     }

@@ -1,9 +1,58 @@
+import ctypes
 import math
 
+import numpy as np
 import pytest
 
 from omniair import bench
+from omniair.autodiff import no_grad
 from omniair.bench import fit_loglog_slope, run_scaling, write_bench_csv, write_loglog
+from omniair.cli import main
+from omniair.data import make_windows
+from omniair.model import forward
+from omniair.training import train_model
+
+from conftest import small_config
+
+
+class TestPinAllocator:
+    @staticmethod
+    def _fake_libc(monkeypatch):
+        """Record every ``mallopt`` call instead of changing this process."""
+        calls = []
+
+        class FakeLibc:
+            def __init__(self):
+                def mallopt(param, value):
+                    calls.append((param, value))
+                    return 1
+
+                self.mallopt = mallopt  # a function, so argtypes can be set on it
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: FakeLibc())
+        return calls
+
+    def test_raises_mmap_and_trim_thresholds(self, monkeypatch):
+        calls = self._fake_libc(monkeypatch)
+        bench.pin_allocator()
+        assert calls == [(-3, 1 << 30), (-1, 1 << 30)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+    def test_cli_main_pins_once(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(bench, "pin_allocator", lambda: calls.append(1))
+        assert main(["synth", "--n", "5", "--steps", "20", "--out", str(tmp_path / "s")]) == 0
+        assert calls == [1]
+
+    def test_library_never_pins(self, monkeypatch, tiny_dataset):
+        # training and the forward pass must not change process state
+        calls = self._fake_libc(monkeypatch)
+        stations, frame = tiny_dataset
+        result = train_model(small_config(max_epochs=1), stations, frame)
+        batch = next(make_windows(result.splits[2], 8, 3, result.state.stats, 4))
+        with no_grad():
+            out = forward(result.params, result.state, batch.inputs)
+        assert np.isfinite(out.data).all()
+        assert calls == []
 
 
 class TestSlopeFit:

@@ -231,6 +231,139 @@ class TestReloadRoundTrip:
         np.testing.assert_allclose(got, want.reshape(-1), rtol=1e-12, atol=0)
 
 
+class TestStoredNeighbors:
+    """The checkpoint stores the graph's neighbour table, so a reload runs
+    no neighbour search; one written without it rebuilds by the search."""
+
+    NEW_STATIONS = (
+        "station_id,lat,lon,elevation,climate_avg_wind,climate_avg_wind_dir,"
+        "terrain_tpi,terrain_roughness,distance_to_coast_km,grade\n"
+        "zz1,35.5,105.5,400,8,90,0,5,100,\n"
+        "zz2,34.0,102.0,100,2,10,0,1,50,3\n"
+    )
+
+    @staticmethod
+    def _without_table(ws, tmp_path):
+        """The workspace checkpoint as written before the table was stored:
+        no ``neighbors`` entry, whose bytes end the bin."""
+        ck = tmp_path / "no_table"
+        shutil.copytree(ws / "run" / "checkpoint", ck)
+        manifest = json.loads((ck / "manifest.json").read_text())
+        entry = manifest["buffers"].pop()
+        assert entry["name"] == "neighbors"
+        with open(ck / "params.bin", "r+b") as fh:
+            fh.truncate(entry["offset"])
+        (ck / "manifest.json").write_text(json.dumps(manifest))
+        return ck
+
+    def _forecasts(self, ws, tmp_path, ck, tag):
+        common = ["--checkpoint", ck, "--stations", ws / "data" / "stations.csv",
+                  "--series", ws / "data" / "series.csv"]
+        new = tmp_path / "new.csv"
+        new.write_text(self.NEW_STATIONS)
+        outs = [tmp_path / f"{tag}_{name}.csv" for name in ("fc", "new", "base")]
+        assert run(["predict", *common, "--out", outs[0]]) == 0
+        assert run(["predict-unseen", *common, "--new-stations", new,
+                    "--out", outs[1], "--base-out", outs[2]]) == 0
+        return [out.read_bytes() for out in outs]
+
+    @staticmethod
+    def _count_searches(monkeypatch):
+        from omniair import model, topology
+
+        calls = {"knn_geo": 0, "semantic_knn": 0}
+        for module, name in ((model, "knn_geo"), (topology, "knn_geo"),
+                             (topology, "semantic_knn")):
+            real = getattr(module, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_table_is_the_trained_graph(self, workspace):
+        ws, _ = workspace
+        stations = load_stations(ws / "data" / "stations.csv")
+        _, buffers, cfg, _ = load_checkpoint(ws / "run" / "checkpoint")
+        stored = rebuild_state(cfg, stations, buffers)
+        del buffers["neighbors"]
+        searched = rebuild_state(cfg, stations, buffers)
+        np.testing.assert_array_equal(stored.graph.nbr, searched.graph.nbr)
+        assert stored.graph.w_static.tobytes() == searched.graph.w_static.tobytes()
+
+    def test_same_bytes_with_and_without_table(self, workspace, tmp_path):
+        ws, _ = workspace
+        stored = self._forecasts(ws, tmp_path, ws / "run" / "checkpoint", "stored")
+        searched = self._forecasts(ws, tmp_path, self._without_table(ws, tmp_path), "searched")
+        assert stored == searched
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "export-embeddings"])
+    def test_reload_runs_no_search(self, workspace, tmp_path, monkeypatch, command):
+        ws, _ = workspace
+        calls = self._count_searches(monkeypatch)
+        argv = [command, "--checkpoint", ws / "run" / "checkpoint",
+                "--stations", ws / "data" / "stations.csv", "--out", tmp_path / "out.csv"]
+        if command != "export-embeddings":
+            argv += ["--series", ws / "data" / "series.csv"]
+        assert run(argv) == 0
+        assert calls == {"knn_geo": 0, "semantic_knn": 0}
+
+    @pytest.mark.parametrize("table, searches", [(True, 1), (False, 2)],
+                             ids=["stored", "without"])
+    def test_predict_unseen_searches_only_for_new_stations(self, workspace, tmp_path,
+                                                           monkeypatch, table, searches):
+        ws, _ = workspace
+        ck = ws / "run" / "checkpoint" if table else self._without_table(ws, tmp_path)
+        new = tmp_path / "new.csv"
+        new.write_text(self.NEW_STATIONS)
+        calls = self._count_searches(monkeypatch)
+        assert run(["predict-unseen", "--checkpoint", ck,
+                    "--stations", ws / "data" / "stations.csv",
+                    "--series", ws / "data" / "series.csv",
+                    "--new-stations", new, "--out", tmp_path / "z.csv"]) == 0
+        assert calls == {"knn_geo": searches, "semantic_knn": searches}
+
+    @pytest.mark.parametrize("value", [2.5, -1.0, 15.0, "own"],
+                             ids=["non-integer", "negative", "n", "self-edge"])
+    def test_bad_table_exits_2(self, workspace, tmp_path, capsys, value):
+        # row 3 of the 15-station table, column 1
+        ws, _ = workspace
+        ck = tmp_path / "checkpoint"
+        shutil.copytree(ws / "run" / "checkpoint", ck)
+        manifest = json.loads((ck / "manifest.json").read_text())
+        entry = next(e for e in manifest["buffers"] if e["name"] == "neighbors")
+        k = entry["shape"][1]
+        value = 3.0 if value == "own" else value
+        with open(ck / "params.bin", "r+b") as fh:
+            fh.seek(entry["offset"] + 8 * (3 * k + 1))
+            fh.write(np.array([value], dtype="<f8").tobytes())
+        assert run(["predict", "--checkpoint", ck,
+                    "--stations", ws / "data" / "stations.csv",
+                    "--series", ws / "data" / "series.csv", "--out", tmp_path / "fc.csv"]) == 2
+        err = capsys.readouterr().err
+        assert (f"params.bin: buffer 'neighbors' row 3 lists {value!r} in column 1, "
+                "not the index of another of the 15 stations") in err
+        assert not (tmp_path / "fc.csv").exists()
+
+    def test_misshaped_table_exits_2(self, workspace, tmp_path, capsys):
+        # the transposed shape holds the same bytes
+        ws, _ = workspace
+        ck = tmp_path / "checkpoint"
+        shutil.copytree(ws / "run" / "checkpoint", ck)
+        manifest = json.loads((ck / "manifest.json").read_text())
+        entry = next(e for e in manifest["buffers"] if e["name"] == "neighbors")
+        entry["shape"] = entry["shape"][::-1]
+        (ck / "manifest.json").write_text(json.dumps(manifest))
+        assert run(["predict", "--checkpoint", ck,
+                    "--stations", ws / "data" / "stations.csv",
+                    "--series", ws / "data" / "series.csv", "--out", tmp_path / "fc.csv"]) == 2
+        assert ("buffer 'neighbors' has shape (5, 15), 15 stations and the config need (15, 5)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "fc.csv").exists()
+
+
 def reference_forecast_csv(forecast, path):
     """The csv.writer version of ``write_forecast_csv``: one row per cell."""
     with open(path, "w", newline="") as fh:
@@ -382,6 +515,18 @@ class TestErrors:
         assert "config field seed=-1 must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("value", ["--5", "1e3"])
+    def test_malformed_window_end_exits_2(self, workspace, tmp_path, capsys, value):
+        # int() and numpy's date parser named neither the flag nor the forms
+        ws, _ = workspace
+        assert run(["predict", "--checkpoint", ws / "run" / "checkpoint",
+                    "--stations", ws / "data" / "stations.csv",
+                    "--series", ws / "data" / "series.csv",
+                    f"--window-end={value}", "--out", tmp_path / "fc.csv"]) == 2
+        assert (f"--window-end {value!r}: expected an ISO date (YYYY-MM-DD) or a step index "
+                "(negative counts back from the last step)") in capsys.readouterr().err
+        assert not (tmp_path / "fc.csv").exists()
+
     def test_config_hash_mismatch_exits_2(self, workspace, tmp_path, capsys):
         ws, _ = workspace
 
@@ -393,13 +538,14 @@ class TestErrors:
         assert "manifest.json" in capsys.readouterr().err
         assert not (tmp_path / "fc.csv").exists()
 
-    def test_new_checkpoint_holds_seven_buffers(self, workspace):
-        # no context_fallback: a flag that no forward or output reads
+    def test_new_checkpoint_holds_eight_buffers(self, workspace):
+        # no context_fallback: a flag that no forward or output reads; the
+        # graph's neighbour table, so that a reload runs no search
         ws, _ = workspace
         manifest = json.loads((ws / "run" / "checkpoint" / "manifest.json").read_text())
         assert [e["name"] for e in manifest["buffers"]] == [
             "channel_mean", "channel_std", "geo_mean", "geo_std",
-            "context_vectors", "context_centroids", "grades",
+            "context_vectors", "context_centroids", "grades", "neighbors",
         ]
 
     def test_legacy_checkpoint_predicts_same_bytes(self, workspace, tmp_path):
