@@ -440,10 +440,11 @@ def gather(a: Tensor, idx: Array, axis: int) -> Tensor:
 
 # Diffusion runs on the dense per-batch operator A_b (N, N_src) when
 # N_src <= _DENSE_RATIO * K and on the (N, K) table otherwise. Measured on one
-# thread (K 9 and 15, D 32), the dense forward is faster up to 40-48 K source
-# rows at B * T = 16 and about 80 K at 256, and the dense forward+backward up
-# to 64-80 K at both; 32 K is below all of them.
-_DENSE_RATIO = 32
+# thread at width 7 (the C + 1 input channels that ``model.forward`` diffuses,
+# two steps), the dense forward+backward is faster up to 24-26 K source rows
+# at K 15 and up to 32-44 K at K 9 (B * T = 16 and 256): past about 360-400
+# source rows its time roughly doubles. 24 K is below all of them.
+_DENSE_RATIO = 24
 
 
 class _DenseOperator:
@@ -470,9 +471,9 @@ class _DenseOperator:
 
 class _TableOperator:
     """``(A x)[b,t,i] = sum_k w[b,i,k] * x[b,t,nbr[i,k]]`` one table column
-    at a time: each column k gathers one (B, T, N, D) array. The adjoint
-    scatters one (b, t) slice of (N, K, D) edge values at a time, so nothing
-    of the size of the (B, T, N, K, D) messages is formed in either
+    at a time: each column k gathers one (B, T, N, F) array. The adjoint
+    scatters one (b, t) slice of (N, K, F) edge values at a time, so nothing
+    of the size of the (B, T, N, K, F) messages is formed in either
     direction."""
 
     def __init__(self, w: Array, nbr: Array, n_src: int):
@@ -513,18 +514,18 @@ def diffuse(
     restart: float,
     sources: Tensor | None = None,
 ) -> Tensor:
-    """All L+1 restart-diffusion states as one (L+1, B, T, N, D) tensor.
+    """All L+1 restart-diffusion states as one (L+1, B, T, N, F) tensor.
 
     ``s_0 = h0`` and ``s_l = A x_l + restart * h0`` with
     ``(A x)[b,t,i] = sum_k w[b,i,k] * x[b,t,nbr[i,k]]``. ``h0`` is
-    (B, T, N, D), ``w`` is (B, N, K) and ``nbr`` an (N, K) table whose
-    targets may repeat. ``x_l`` is ``s_{l-1}``, or ``sources[l-1]`` when a
-    stack of another graph's states is given (N_src rows, read, never
-    written). The op keeps nothing from the forward but its output. The
-    backward runs the L adjoint steps: the input gradient is ``A^T a`` and
-    the weight gradient ``a x^T`` sampled at the table. Graphs with N_src <=
-    ``_DENSE_RATIO`` * K run on the dense per-batch operator, larger ones on
-    the table; the two differ only in summation order.
+    (B, T, N, F) for any width F, ``w`` is (B, N, K) and ``nbr`` an (N, K)
+    table whose targets may repeat. ``x_l`` is ``s_{l-1}``, or
+    ``sources[l-1]`` when a stack of another graph's states is given (N_src
+    rows, read, never written). The op keeps nothing from the forward but
+    its output. The backward runs the L adjoint steps: the input gradient is
+    ``A^T a`` and the weight gradient ``a x^T`` sampled at the table. Graphs
+    with N_src <= ``_DENSE_RATIO`` * K run on the dense per-batch operator,
+    larger ones on the table; the two differ only in summation order.
     """
     h0, w = as_tensor(h0), as_tensor(w)
     if not steps:

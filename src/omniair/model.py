@@ -159,11 +159,16 @@ def forward(
     nodes owning ``state.graph``'s rows -> forecast, or (forecast, collect
     dict) with ``collect``.
 
-    The stations of a ``build_extension`` state gather from a base run over
-    a ``cross`` graph: ``base`` is that run's collect dict, and edge targets
-    and diffusion messages come from its features and states, read-only.
-    Nothing existing is recomputed, which is what makes the existing
-    stations' forecasts identical with or without new nodes.
+    Diffusion runs on the C + 1 input channels ``[x || 1]``, not on the D
+    projected features ``h = x W_in + b_in``: the graph operator mixes only
+    the node axis, so it commutes with the projection, and the (L+1, B, T,
+    N, C+1) channel stack times ``[W_in; b_in]`` is the stack that diffusing
+    ``h`` would give. The stations of a ``build_extension`` state gather
+    from a base run over a ``cross`` graph: ``base`` is that run's collect
+    dict, whose ``h_edge`` gives the edge targets and whose
+    ``channel_stack`` gives the diffusion messages, read-only. Nothing
+    existing is recomputed, which is what makes the existing stations'
+    forecasts identical with or without new nodes.
     """
     cfg, graph = state.cfg, state.graph
     if graph.cross and base is None:
@@ -173,18 +178,20 @@ def forward(
     if x.ndim != 4 or x.shape[2] != graph.n_nodes or x.shape[3] != len(CHANNELS):
         raise ValueError(f"bad input shape {x.shape}")
     e_id = encode_identity(state.id_features, state.grades, params)
-    h = ad.matmul(Tensor(x), params["input_proj.w"]) + params["input_proj.b"]
-    b, t, n, d = h.shape
-    h_edge = ad.slice_axis(h, 1, t - 1, t).reshape((b, n, d))  # last input step
-    h_src, src_stack = (None, None) if base is None else (base["h_edge"], base["stack"])
+    w_in, b_in = params["input_proj.w"], params["input_proj.b"]
+    h_edge = ad.matmul(Tensor(x[:, -1]), w_in) + b_in  # last input step, (B, N, D)
+    h_src, u_src = (None, None) if base is None else (base["h_edge"], base["channel_stack"])
     edges = edge_weights(h_edge, graph, params, eta=cfg.eta, h_src=h_src)
-    stack = diffuse(h, edges["w_tilde"], graph, cfg.diffusion_steps, cfg.restart, src_stack)
+    u0 = Tensor(np.concatenate([x, np.ones(x.shape[:3] + (1,))], axis=3))
+    u_stack = diffuse(u0, edges["w_tilde"], graph, cfg.diffusion_steps, cfg.restart, u_src)
+    lift = ad.concat([w_in, b_in.reshape((1, -1))], axis=0)
+    stack = ad.matmul(u_stack, lift)
     z = signed_aggregate(stack, params, cfg.heads, cfg.coeff_mode)
     gate, zhat = fuse_and_gate(z, e_id, params)
     forecast = forecast_head(zhat, params, cfg.tau, len(CHANNELS))
     if not collect:
         return forecast
-    return forecast, {"e_id": e_id, "h": h, "h_edge": h_edge, "edges": edges,
+    return forecast, {"e_id": e_id, "h_edge": h_edge, "edges": edges, "channel_stack": u_stack,
                       "stack": stack, "z": z, "gate": gate, "zhat": zhat}
 
 

@@ -2,12 +2,15 @@
 states, identity-gated fusion, and the forecast head.
 
 All station mixing happens in ``ad.diffuse``, one tape op for every step.
-On graphs with at most ``ad._DENSE_RATIO`` * K source stations it runs on the
-per-batch (N, N_src) operator built from the (N, K) neighbour table; on
-larger graphs it gathers from the table one column at a time, and nothing
-N x N is formed.
-Aggregation over the (L, B, T, N, D) state stack is one hand-written tape
-node for all heads (``ad.step_attention``, per-head maps applied to
+``model.forward`` diffuses the C + 1 input channels ``[x || 1]``, not the D
+projected features: the operator mixes only the node axis, so it commutes
+with the input projection, and the channel stack lifted by ``[W_in; b_in]``
+is the feature stack. On graphs with at most ``ad._DENSE_RATIO`` * K source
+stations the op runs on the per-batch (N, N_src) operator built from the
+(N, K) neighbour table; on larger graphs it gathers from the table one
+column at a time, and nothing N x N is formed.
+Aggregation over the lifted (L, B, T, N, D) state stack is one hand-written
+tape node for all heads (``ad.step_attention``, per-head maps applied to
 (rows, heads, dh) views); the identity gate and the blend are one node each
 (``ad.gate``, ``ad.blend``), and the gate projects ``e_id`` once per node.
 Signed aggregation is the only way diffusion states are combined; its
@@ -33,8 +36,9 @@ def diffuse(
 ) -> Tensor:
     """Multi-step diffusion h^(l) = sum_j w~_ij h_j^(l-1) + restart * h^(0).
 
-    ``h0`` is (B, T, N, D); ``w_tilde`` is (B, N, K) over ``graph.nbr``.
-    Returns all L+1 states as one (L+1, B, T, N, D) tensor. When
+    ``h0`` is (B, T, N, F) for any width F (``model.forward`` passes the
+    C + 1 input channels); ``w_tilde`` is (B, N, K) over ``graph.nbr``.
+    Returns all L+1 states as one (L+1, B, T, N, F) tensor. When
     ``h_src_stack`` (another run's stack) is given, messages are gathered
     from its states instead of the receiving stack (directed attachment of
     new nodes).

@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+from omniair import autodiff as ad
 from omniair.autodiff import Tensor, grad_check
 from omniair.data import CHANNELS, NormStats, StationMeta, chrono_split, make_windows
 from omniair.encoder import Contexts
@@ -18,7 +19,7 @@ from omniair.model import (
 from omniair.oracle import RDScenario, dense_forward, simulate_rd
 from omniair.topology import HybridGraph
 
-from conftest import small_config
+from conftest import REGIMES, diffusion_regime, small_config
 
 
 class TestForwardBasics:
@@ -93,6 +94,26 @@ class TestForwardGradients:
             return (forward(params, state, x) * cot).sum()
 
         assert grad_check(f, params, samples_per_param=6) < 1e-6
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_grad_check_input_projection_through_lift(self, tiny_dataset, regime):
+        # every coordinate of W_in and of a nonzero b_in: diffusion runs on
+        # [x || 1] and the stack is lifted by [W_in; b_in]
+        cfg = small_config(t_in=3, tau=2, head_hidden=8)
+        stations, frame = tiny_dataset
+        state = build_state(cfg, stations, chrono_split(frame)[0])
+        rng = np.random.default_rng(22)
+        params = init_params(cfg, rng)
+        params["input_proj.b"].data[:] = rng.normal(size=cfg.d_model)
+        x = rng.normal(size=(2, cfg.t_in, state.n_stations, len(CHANNELS)))
+        cot = Tensor(rng.normal(size=(2, cfg.tau, state.n_stations, len(CHANNELS))))
+
+        def f():
+            return (forward(params, state, x) * cot).sum()
+
+        checked = {name: params[name] for name in ("input_proj.w", "input_proj.b")}
+        with diffusion_regime(regime):
+            assert grad_check(f, checked, samples_per_param=None) < 1e-6
 
 
 class TestPermutationEquivariance:
@@ -197,6 +218,29 @@ class TestExtension:
             forward(params, ext, np.zeros((1, cfg.t_in, len(held), 6)))
         with pytest.raises(ValueError, match="base= is only for the stations of a cross graph"):
             forward(params, state, batch.inputs, base=extras)
+
+    def test_diffuse_gets_input_channels_without_grad(self, monkeypatch):
+        # base and cross runs diffuse the C + 1 input channels, never the D
+        # projected features, so a refactor cannot quietly bring back the
+        # D-wide diffusion
+        cfg, state, params, batch, held = self._setup()
+        calls = []
+        real = ad.diffuse
+
+        def spy(h0, w, nbr, steps, restart, sources=None):
+            calls.append((h0, sources))
+            return real(h0, w, nbr, steps, restart, sources)
+
+        monkeypatch.setattr(ad, "diffuse", spy)
+        _, extras = forward(params, state, batch.inputs, collect=True)
+        forward(params, build_extension(state, held), np.zeros((1, cfg.t_in, len(held), 6)),
+                base=extras)
+        width = len(CHANNELS) + 1
+        (h0, sources), (h0_new, sources_new) = calls
+        assert sources is None and sources_new is extras["channel_stack"]
+        assert h0.shape[-1] == h0_new.shape[-1] == sources_new.shape[-1] == width
+        assert not h0.requires_grad and not h0_new.requires_grad
+        assert extras["stack"].shape[-1] == cfg.d_model
 
     def test_id_collision_rejected(self):
         cfg, state, params, batch, held = self._setup()

@@ -218,13 +218,21 @@ def masked_inputs(rng, shape, missing):
     return np.where(rng.random(shape) < missing, 0.0, rng.normal(size=shape))
 
 
+def nonzero_input_bias(params, rng):
+    """``params`` with a random ``input_proj.b``: ``init_params`` zeroes it,
+    and diffusion carries it as a ones channel whose diffused values
+    (A 1, not 1 under signed weights) only a nonzero bias exposes."""
+    params["input_proj.b"].data[:] = rng.normal(size=params["input_proj.b"].shape)
+    return params
+
+
 def extension_vs_dense(cfg, rng, n, m, k, missing):
     """Max deviation of the base and extension forecasts from the rows of the
     dense reference on the union graph (base rows plus attachment rows)."""
     base = table_state(cfg, rng, random_table(rng, n, k))
     new = table_state(cfg, rng, np.stack([rng.permutation(n)[:k] for _ in range(m)]),
                       cross=True)
-    params = init_params(cfg, rng)
+    params = nonzero_input_bias(init_params(cfg, rng), rng)
     b, t_in = cfg.batch, cfg.t_in
     x = masked_inputs(rng, (b, t_in, n, 6), missing)
     x_new = masked_inputs(rng, (b, t_in, m, 6), missing)
@@ -265,7 +273,7 @@ class TestTableLayoutProperty:
         cfg = small_config(d_model=8, id_dim=8, heads=2, t_in=t_in, tau=2, batch=b,
                            k_geo=k, k_sem=0, k_max=float(k), coeff_mode=coeff_mode)
         state = table_state(cfg, rng, random_table(rng, n, k))
-        params = init_params(cfg, rng)
+        params = nonzero_input_bias(init_params(cfg, rng), rng)
         x = masked_inputs(rng, (b, t_in, n, 6), missing)
         with diffusion_regime(regime):
             sparse = forward(params, state, x).data
