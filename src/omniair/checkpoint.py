@@ -1,11 +1,12 @@
-"""Checkpoint directory format: ``manifest.json`` + ``params.bin``.
+"""Checkpoint directory format ``FORMAT``: ``manifest.json`` + ``params.bin``.
 
-The manifest lists every tensor (name, shape, dtype, byte offset into the
-bin), the rng seed, the config and its hash, and the ids of the stations the
-model was trained on, in graph order. Model buffers (normalization stats,
-neighborhood contexts, the graph's neighbour table) ride along in a second
-section of the same bin so prediction never has to re-derive training-time
-statistics or search for the training graph again.
+The manifest names its format, the only one that loads, and lists every
+tensor (name, shape, dtype, byte offset into the bin), the rng seed, the
+config and its hash, and the ids of the stations the model was trained on,
+in graph order. Model buffers (normalization stats, neighborhood contexts,
+the graph's neighbour table) ride along in a second section of the same bin
+so prediction never has to re-derive training-time statistics or search for
+the training graph again.
 """
 
 from __future__ import annotations
@@ -19,14 +20,11 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import RunConfig, dict_hash
-from .data import CHANNELS
+from .data import CHANNELS, MIN_STD
 from .encoder import CONTEXT_DIM
 from .model import N_GEO_FEATURES, init_params
 
-FORMAT = "omniair-checkpoint-v1"
-# stored by earlier versions, never read
-LEGACY_PARAMS = ("fusion.w",)  # fed a removed fusion mode
-LEGACY_BUFFERS = ("per_station_norm", "context_fallback")  # a removed mode's flag, an unread flag
+FORMAT = "omniair-checkpoint-v2"
 
 
 def _entries(arrays: dict[str, np.ndarray], offset: int) -> tuple[list[dict], bytes, int]:
@@ -135,12 +133,11 @@ def _check_manifest(manifest: dict, where) -> None:
 
 
 def _check_inventory(
-    kind: str, listing: list[dict], legacy: tuple[str, ...], expected: dict[str, tuple],
-    need: str, where,
+    kind: str, listing: list[dict], expected: dict[str, tuple], need: str, where
 ) -> None:
-    """Every tensor of ``expected``, at its shape, and nothing else but the
-    ``legacy`` names; ``need`` says what sets the shape."""
-    listed = {e["name"]: tuple(e["shape"]) for e in listing if e["name"] not in legacy}
+    """Every tensor of ``expected``, at its shape, and nothing else; ``need``
+    says what sets the shape."""
+    listed = {e["name"]: tuple(e["shape"]) for e in listing}
     for name in sorted(set(expected) | set(listed)):
         if name not in listed:
             raise ValueError(f"{where}: {kind} {name!r} is missing")
@@ -153,14 +150,14 @@ def _check_inventory(
 
 
 def _check_layout(manifest: dict, where, bin_path: Path) -> None:
-    """The entries tile the bin, as ``_entries`` writes them: taken by offset
-    (listed order, params first, breaks ties), the first starts at byte 0,
-    each later one where the one before it ends, and the file ends where the
-    last one ends. Sizes are Python ints, which do not wrap around."""
+    """The entries tile the bin, as ``_entries`` writes them: taken in listed
+    order, params first, the first starts at byte 0, each later one where the
+    one before it ends, and the file ends where the last one ends. Sizes are
+    Python ints, which do not wrap around."""
     listing = [(f"{key}[{i}] {e['name']!r}", e)
                for key in ("params", "buffers") for i, e in enumerate(manifest[key])]
     end, before = 0, "the bin starts"
-    for label, entry in sorted(listing, key=lambda item: item[1]["offset"]):
+    for label, entry in listing:
         if entry["offset"] != end:
             raise ValueError(
                 f"{where}: {label} starts at byte {entry['offset']}, not at {end} where {before}"
@@ -180,8 +177,8 @@ def _read(entry: dict, blob: bytes) -> np.ndarray:
 
 
 def _check_neighbors(nbr: np.ndarray, where) -> None:
-    """Every entry of the stored (N, K) neighbour table is the index of
-    another of the N stations: an integer in [0, N) that is not its row."""
+    """Every row of the stored (N, K) neighbour table lists K distinct other
+    stations of the N: integers in [0, N), none of them its own row."""
     n = len(nbr)
     bad = (nbr != np.floor(nbr)) | (nbr < 0) | (nbr >= n) | (nbr == np.arange(n)[:, None])
     if bad.any():
@@ -189,6 +186,13 @@ def _check_neighbors(nbr: np.ndarray, where) -> None:
         raise ValueError(
             f"{where}: buffer 'neighbors' row {i} lists {float(nbr[i, k])!r} in column {k}, "
             f"not the index of another of the {n} stations"
+        )
+    ranked = np.sort(nbr, axis=1)
+    twice = ranked[:, 1:] == ranked[:, :-1]
+    if twice.any():
+        i, k = np.argwhere(twice)[0]
+        raise ValueError(
+            f"{where}: buffer 'neighbors' row {i} lists station {int(ranked[i, k])} twice"
         )
 
 
@@ -212,36 +216,40 @@ def load_checkpoint(ckpt_dir) -> tuple[dict[str, Tensor], dict[str, np.ndarray],
     where = ckpt / "manifest.json"
     with open(where) as fh:
         manifest = json.load(fh)
-    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT:
-        raise ValueError(f"{ckpt_dir}: not a recognized checkpoint")
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{where}: not a JSON object but {type(manifest).__name__}")
+    if manifest.get("format") != FORMAT:
+        raise ValueError(
+            f"{where}: format {manifest.get('format')!r} is not {FORMAT!r}; checkpoints of "
+            "earlier versions no longer load: train the model again"
+        )
     for key in ("config", "params", "buffers", "station_ids"):
         if key not in manifest:
             raise ValueError(f"{where}: the manifest has no {key!r} entry")
-    # hash the stored dict: loading drops the fields of earlier versions
     if dict_hash(manifest["config"]) != manifest.get("config_hash"):
         raise ValueError(f"{where}: config does not match its config_hash")
     config = RunConfig.from_dict(manifest["config"])
     _check_manifest(manifest, where)
     shapes = {k: v.shape for k, v in init_params(config, np.random.default_rng(0)).items()}
-    _check_inventory("parameter", manifest["params"], LEGACY_PARAMS, shapes,
-                     "the config needs", where)
+    _check_inventory("parameter", manifest["params"], shapes, "the config needs", where)
     n = len(manifest["station_ids"])
-    buffer_shapes = _buffer_shapes(n, config.k_geo + config.k_sem)
-    if all(e["name"] != "neighbors" for e in manifest["buffers"]):
-        del buffer_shapes["neighbors"]  # stored by earlier versions: rebuilt by the search
-    _check_inventory("buffer", manifest["buffers"], LEGACY_BUFFERS, buffer_shapes,
+    _check_inventory("buffer", manifest["buffers"], _buffer_shapes(n, config.k_geo + config.k_sem),
                      f"{n} stations and the config need", where)
     _check_layout(manifest, where, ckpt / "params.bin")
     blob = (ckpt / "params.bin").read_bytes()
-    params, buffers = (
-        {e["name"]: _read(e, blob) for e in manifest[key] if e["name"] not in legacy}
-        for key, legacy in (("params", LEGACY_PARAMS), ("buffers", LEGACY_BUFFERS))
-    )
+    params, buffers = ({e["name"]: _read(e, blob) for e in manifest[key]}
+                       for key in ("params", "buffers"))
     for kind, arrays in (("parameter", params), ("buffer", buffers)):
         for name, arr in arrays.items():
             if not np.isfinite(arr).all():
                 raise ValueError(f"{ckpt / 'params.bin'}: {kind} {name!r} holds NaN or inf")
-    if "neighbors" in buffers:
-        _check_neighbors(buffers["neighbors"], ckpt / "params.bin")
+    for name in ("channel_std", "geo_std"):
+        low = np.flatnonzero(buffers[name] < MIN_STD)
+        if low.size:
+            raise ValueError(
+                f"{ckpt / 'params.bin'}: buffer {name!r} holds {float(buffers[name][low[0]])!r} "
+                f"at index {low[0]}, below the floor {MIN_STD} of every trained scale"
+            )
+    _check_neighbors(buffers["neighbors"], ckpt / "params.bin")
     params = {name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
     return params, buffers, config, manifest

@@ -15,19 +15,6 @@ def dict_hash(d: dict) -> str:
     return hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest()
 
 
-# field -> the only value still implemented (None: any value, a runtime setting)
-REMOVED_FIELDS = {
-    "workers": None,
-    "fusion_mode": "signed",
-    "rank_mode": "abs",
-    "norm_mode": "abs",
-    "edge_source": "last",
-    "eps_norm": 1e-8,
-    "refresh_semantic_every": 0,
-    "per_station_norm": False,
-}
-
-
 @dataclass
 class RunConfig:
     fourier_dim: int = 32  # deterministic mapping dim, must be 4 * levels
@@ -68,9 +55,9 @@ class RunConfig:
             }[f.type]
             if not ok:
                 raise ValueError(f"config field {f.name}={value!r} must be {need}")
-        # settable in earlier versions, now derived: the identity width is the
-        # gate's d_model and the bound of beta is the neighbour table's width
-        # K; a stored or passed value loads only if it is the derived one
+        # derived, not fields: the identity width is the gate's d_model and the
+        # bound of beta is the table width K; passable, at the derived value
+        # only, because the benchmark's workloads still pass them
         for name, given, rule, derived in (
             ("id_dim", id_dim, "d_model", self.d_model),
             ("k_max", k_max, "k_geo + k_sem", self.k_geo + self.k_sem),
@@ -110,13 +97,6 @@ class RunConfig:
     def from_dict(cls, d: dict) -> "RunConfig":
         if not isinstance(d, dict):
             raise ValueError(f"a config must be a JSON object, not {type(d).__name__}")
-        # fields stored by earlier versions are dropped so that their config
-        # files and checkpoints still load, but only at the one value that is
-        # still implemented: any other value asked for a different model
-        for name, kept in REMOVED_FIELDS.items():
-            if name in d and kept is not None and d[name] != kept:
-                raise ValueError(f"config field {name}={d[name]!r} is no longer supported")
-        d = {k: v for k, v in d.items() if k not in REMOVED_FIELDS}
         known = set(inspect.signature(cls).parameters)
         unknown = set(d) - known
         if unknown:

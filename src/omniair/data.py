@@ -32,6 +32,7 @@ GEO_FEATURES = (
 )
 STATION_COLUMNS = ("station_id", "lat", "lon") + GEO_FEATURES + ("grade",)
 N_GRADES = 6
+MIN_STD = 1e-6  # floor of every normalization scale: a constant column divides by it
 
 
 @dataclass(frozen=True)
@@ -380,10 +381,10 @@ def compute_norm_stats(train: SeriesFrame, stations: list[StationMeta]) -> NormS
     total = np.where(train.valid, train.values, 0.0).sum(axis=(0, 1))
     mean = total / count
     sq = np.where(train.valid, (train.values - mean) ** 2, 0.0).sum(axis=(0, 1))
-    std = np.maximum(np.sqrt(sq / count), 1e-6)
+    std = np.maximum(np.sqrt(sq / count), MIN_STD)
     feats = np.stack([s.geo_feats for s in stations])
     geo_mean = feats.mean(axis=0)
-    geo_std = np.maximum(feats.std(axis=0), 1e-6)
+    geo_std = np.maximum(feats.std(axis=0), MIN_STD)
     return NormStats(mean, std, geo_mean, geo_std)
 
 

@@ -41,11 +41,10 @@ def rebuild_state(
     """Reconstruct the frozen model state from checkpoint buffers.
 
     Contexts, normalization and the graph's neighbour table come from the
-    buffers (training-time values), so no neighbour search runs; a
-    checkpoint without the table derives the graph exactly as training
-    derived it. A station whose grade resolves differently from the one it
-    was trained with is refused, since its identity and its semantic edges
-    would disagree.
+    buffers (training-time values), so no neighbour search runs and the
+    model runs on exactly the graph it was trained on. A station whose grade
+    resolves differently from the one it was trained with is refused, since
+    its identity and its semantic edges would disagree.
     """
     n = len(stations)
     if buffers["context_vectors"].shape[0] != n:
@@ -57,9 +56,8 @@ def rebuild_state(
         buffers["channel_mean"], buffers["channel_std"], buffers["geo_mean"], buffers["geo_std"]
     )
     contexts = Contexts(buffers["context_vectors"], buffers["context_centroids"])
-    nbr = buffers.get("neighbors")
     state = _derive_state(cfg, stations, np.stack([s.point for s in stations]), stats, contexts,
-                          nbr=None if nbr is None else nbr.astype(np.intp))
+                          nbr=buffers["neighbors"].astype(np.intp))
     changed = np.flatnonzero(state.grades != buffers["grades"])
     if changed.size:
         i = changed[0]

@@ -122,8 +122,8 @@ def _derive_state(
     """The model state as a pure function of the stations and their (N, 2)
     coordinates, the training-split statistics and contexts: training and
     reload both build it here, so a reloaded model runs on exactly the graph
-    it was trained on. ``nbr`` is the graph's stored (N, K) neighbour table,
-    which takes the place of both searches."""
+    it was trained on. On reload ``nbr``, the checkpoint's (N, K) neighbour
+    table, takes the place of both searches that training runs."""
     id_features, grades, sem_vectors = _identity_inputs(cfg, stations, points, contexts, stats)
     if nbr is None:
         graph = build_hybrid_graph(points, sem_vectors, cfg.k_geo, cfg.k_sem, cfg.kappa_km,

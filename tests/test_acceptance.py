@@ -62,7 +62,7 @@ def test_criterion_02_sparse_dense_equivalence():
     worst = 0.0
     for n in (4, 8, 16):
         cfg = small_config(
-            d_model=16, id_dim=16, t_in=6, tau=2, batch=2,
+            d_model=16, t_in=6, tau=2, batch=2,
             k_geo=min(3, n - 2), k_sem=1,
         )
         for seed in range(25):
@@ -180,7 +180,7 @@ def test_criterion_05_signed_aggregation_necessity():
         )
         stations, frame = simulate_rd(scn)
         cfg = small_config(
-            t_in=12, tau=4, k_geo=4, k_sem=2, k_max=6.0, batch=16,
+            t_in=12, tau=4, k_geo=4, k_sem=2, batch=16,
             max_epochs=8, patience=50, coeff_mode=coeff_mode,
         )
         result = train_model(cfg, stations, frame)
@@ -280,7 +280,7 @@ def test_criterion_09_zero_shot_inductive():
             tuple(s.id for s in base_stations),
         )
         cfg = small_config(
-            d_model=32, id_dim=32, t_in=16, tau=7, k_geo=6, k_sem=3, k_max=9.0,
+            d_model=32, t_in=16, tau=7, k_geo=6, k_sem=3,
             batch=16, max_epochs=10, patience=50, attn_dim=16, head_hidden=64,
         )
         result = train_model(cfg, base_stations, base_frame)
@@ -346,8 +346,8 @@ def test_criterion_10_pipeline_determinism(tmp_path):
 
     t0 = time.perf_counter()
     cfg = {
-        "d_model": 16, "id_dim": 16, "heads": 4, "t_in": 8, "tau": 3,
-        "k_geo": 3, "k_sem": 2, "k_max": 5.0, "batch": 8, "max_epochs": 5,
+        "d_model": 16, "heads": 4, "t_in": 8, "tau": 3,
+        "k_geo": 3, "k_sem": 2, "batch": 8, "max_epochs": 5,
         "patience": 20, "seed": 42, "attn_dim": 8, "head_hidden": 32,
     }
     import json

@@ -9,7 +9,7 @@ from omniair import cli, training
 from omniair.cli import main
 from omniair.checkpoint import load_checkpoint
 from omniair.config import dict_hash
-from omniair.data import CHANNELS, load_series, load_stations
+from omniair.data import CHANNELS, MIN_STD, load_series, load_stations
 from omniair.inference import (
     Forecast,
     predict_unseen,
@@ -18,9 +18,23 @@ from omniair.inference import (
     write_forecast_csv,
 )
 from omniair.oracle import dense_forward
+from omniair.topology import build_hybrid_graph
 from omniair.training import train_model
 
 from conftest import small_config
+
+# config fields of earlier versions, each at the one value that those versions
+# implemented and loaded; today every one is an unknown field
+REMOVED_FIELDS = (
+    ("workers", 3),
+    ("fusion_mode", "signed"),
+    ("rank_mode", "abs"),
+    ("norm_mode", "abs"),
+    ("edge_source", "last"),
+    ("eps_norm", 1e-8),
+    ("refresh_semantic_every", 0),
+    ("per_station_norm", False),
+)
 
 
 def run(argv):
@@ -31,8 +45,8 @@ def run(argv):
 def workspace(tmp_path_factory):
     ws = tmp_path_factory.mktemp("cli")
     cfg = {
-        "d_model": 16, "id_dim": 16, "heads": 4, "t_in": 8, "tau": 3,
-        "k_geo": 3, "k_sem": 2, "k_max": 5.0, "batch": 8, "max_epochs": 2,
+        "d_model": 16, "heads": 4, "t_in": 8, "tau": 3,
+        "k_geo": 3, "k_sem": 2, "batch": 8, "max_epochs": 2,
         "patience": 20, "seed": 42, "attn_dim": 8, "head_hidden": 32,
     }
     cfg_path = ws / "cfg.json"
@@ -233,7 +247,7 @@ class TestReloadRoundTrip:
 
 class TestStoredNeighbors:
     """The checkpoint stores the graph's neighbour table, so a reload runs
-    no neighbour search; one written without it rebuilds by the search."""
+    no neighbour search."""
 
     NEW_STATIONS = (
         "station_id,lat,lon,elevation,climate_avg_wind,climate_avg_wind_dir,"
@@ -241,31 +255,6 @@ class TestStoredNeighbors:
         "zz1,35.5,105.5,400,8,90,0,5,100,\n"
         "zz2,34.0,102.0,100,2,10,0,1,50,3\n"
     )
-
-    @staticmethod
-    def _without_table(ws, tmp_path):
-        """The workspace checkpoint as written before the table was stored:
-        no ``neighbors`` entry, whose bytes end the bin."""
-        ck = tmp_path / "no_table"
-        shutil.copytree(ws / "run" / "checkpoint", ck)
-        manifest = json.loads((ck / "manifest.json").read_text())
-        entry = manifest["buffers"].pop()
-        assert entry["name"] == "neighbors"
-        with open(ck / "params.bin", "r+b") as fh:
-            fh.truncate(entry["offset"])
-        (ck / "manifest.json").write_text(json.dumps(manifest))
-        return ck
-
-    def _forecasts(self, ws, tmp_path, ck, tag):
-        common = ["--checkpoint", ck, "--stations", ws / "data" / "stations.csv",
-                  "--series", ws / "data" / "series.csv"]
-        new = tmp_path / "new.csv"
-        new.write_text(self.NEW_STATIONS)
-        outs = [tmp_path / f"{tag}_{name}.csv" for name in ("fc", "new", "base")]
-        assert run(["predict", *common, "--out", outs[0]]) == 0
-        assert run(["predict-unseen", *common, "--new-stations", new,
-                    "--out", outs[1], "--base-out", outs[2]]) == 0
-        return [out.read_bytes() for out in outs]
 
     @staticmethod
     def _count_searches(monkeypatch):
@@ -288,16 +277,10 @@ class TestStoredNeighbors:
         stations = load_stations(ws / "data" / "stations.csv")
         _, buffers, cfg, _ = load_checkpoint(ws / "run" / "checkpoint")
         stored = rebuild_state(cfg, stations, buffers)
-        del buffers["neighbors"]
-        searched = rebuild_state(cfg, stations, buffers)
-        np.testing.assert_array_equal(stored.graph.nbr, searched.graph.nbr)
-        assert stored.graph.w_static.tobytes() == searched.graph.w_static.tobytes()
-
-    def test_same_bytes_with_and_without_table(self, workspace, tmp_path):
-        ws, _ = workspace
-        stored = self._forecasts(ws, tmp_path, ws / "run" / "checkpoint", "stored")
-        searched = self._forecasts(ws, tmp_path, self._without_table(ws, tmp_path), "searched")
-        assert stored == searched
+        searched = build_hybrid_graph(np.stack([s.point for s in stations]), stored.sem_vectors,
+                                      cfg.k_geo, cfg.k_sem, cfg.kappa_km)
+        np.testing.assert_array_equal(stored.graph.nbr, searched.nbr)
+        assert stored.graph.w_static.tobytes() == searched.w_static.tobytes()
 
     @pytest.mark.parametrize("command", ["predict", "evaluate", "export-embeddings"])
     def test_reload_runs_no_search(self, workspace, tmp_path, monkeypatch, command):
@@ -310,41 +293,45 @@ class TestStoredNeighbors:
         assert run(argv) == 0
         assert calls == {"knn_geo": 0, "semantic_knn": 0}
 
-    @pytest.mark.parametrize("table, searches", [(True, 1), (False, 2)],
-                             ids=["stored", "without"])
     def test_predict_unseen_searches_only_for_new_stations(self, workspace, tmp_path,
-                                                           monkeypatch, table, searches):
+                                                           monkeypatch):
         ws, _ = workspace
-        ck = ws / "run" / "checkpoint" if table else self._without_table(ws, tmp_path)
         new = tmp_path / "new.csv"
         new.write_text(self.NEW_STATIONS)
         calls = self._count_searches(monkeypatch)
-        assert run(["predict-unseen", "--checkpoint", ck,
+        assert run(["predict-unseen", "--checkpoint", ws / "run" / "checkpoint",
                     "--stations", ws / "data" / "stations.csv",
                     "--series", ws / "data" / "series.csv",
                     "--new-stations", new, "--out", tmp_path / "z.csv"]) == 0
-        assert calls == {"knn_geo": searches, "semantic_knn": searches}
+        assert calls == {"knn_geo": 1, "semantic_knn": 1}
 
-    @pytest.mark.parametrize("value", [2.5, -1.0, 15.0, "own"],
-                             ids=["non-integer", "negative", "n", "self-edge"])
+    @pytest.mark.parametrize("value", [2.5, -1.0, 15.0, "own", "twice"],
+                             ids=["non-integer", "negative", "n", "self-edge", "twice"])
     def test_bad_table_exits_2(self, workspace, tmp_path, capsys, value):
-        # row 3 of the 15-station table, column 1
+        # row 3 of the 15-station table, column 1; "twice" repeats column 0
         ws, _ = workspace
         ck = tmp_path / "checkpoint"
         shutil.copytree(ws / "run" / "checkpoint", ck)
         manifest = json.loads((ck / "manifest.json").read_text())
         entry = next(e for e in manifest["buffers"] if e["name"] == "neighbors")
         k = entry["shape"][1]
-        value = 3.0 if value == "own" else value
+        row = entry["offset"] + 8 * 3 * k
         with open(ck / "params.bin", "r+b") as fh:
-            fh.seek(entry["offset"] + 8 * (3 * k + 1))
+            fh.seek(row)
+            first = np.frombuffer(fh.read(8), dtype="<f8")[0]
+            twice = value == "twice"
+            value = {"own": 3.0, "twice": first}.get(value, value)
+            fh.seek(row + 8)
             fh.write(np.array([value], dtype="<f8").tobytes())
         assert run(["predict", "--checkpoint", ck,
                     "--stations", ws / "data" / "stations.csv",
                     "--series", ws / "data" / "series.csv", "--out", tmp_path / "fc.csv"]) == 2
         err = capsys.readouterr().err
-        assert (f"params.bin: buffer 'neighbors' row 3 lists {value!r} in column 1, "
-                "not the index of another of the 15 stations") in err
+        if twice:
+            assert f"params.bin: buffer 'neighbors' row 3 lists station {int(first)} twice" in err
+        else:
+            assert (f"params.bin: buffer 'neighbors' row 3 lists {value!r} in column 1, "
+                    "not the index of another of the 15 stations") in err
         assert not (tmp_path / "fc.csv").exists()
 
     def test_misshaped_table_exits_2(self, workspace, tmp_path, capsys):
@@ -463,6 +450,25 @@ class TestErrors:
         assert "buffer 'geo_std'" in capsys.readouterr().err
         assert not (tmp_path / "fc.csv").exists()
 
+    @pytest.mark.parametrize("name", ["channel_std", "geo_std"])
+    def test_scale_below_floor_exits_2(self, workspace, tmp_path, capsys, name):
+        # training floors every scale at MIN_STD; a negated one still loaded
+        # and flipped the sign of what it scales
+        ws, _ = workspace
+        ck = tmp_path / "checkpoint"
+        shutil.copytree(ws / "run" / "checkpoint", ck)
+        manifest = json.loads((ck / "manifest.json").read_text())
+        entry = next(e for e in manifest["buffers"] if e["name"] == name)
+        with open(ck / "params.bin", "r+b") as fh:
+            fh.seek(entry["offset"])
+            scale = -np.frombuffer(fh.read(8), dtype="<f8")[0]
+            fh.seek(entry["offset"])
+            fh.write(np.array([scale], dtype="<f8").tobytes())
+        assert self._predict(ws, ck, tmp_path / "fc.csv") == 2
+        assert (f"params.bin: buffer {name!r} holds {float(scale)!r} at index 0, "
+                f"below the floor {MIN_STD}") in capsys.readouterr().err
+        assert not (tmp_path / "fc.csv").exists()
+
     def _edited_checkpoint(self, ws, tmp_path, edit, rehash=True):
         ck = tmp_path / "checkpoint"
         shutil.copytree(ws / "run" / "checkpoint", ck)
@@ -548,34 +554,18 @@ class TestErrors:
             "context_vectors", "context_centroids", "grades", "neighbors",
         ]
 
-    def test_legacy_checkpoint_predicts_same_bytes(self, workspace, tmp_path):
-        # earlier versions stored nine more config fields at their kept or
-        # derived values, a never-read fusion.w tensor, a per_station_norm buffer
-        # and a context_fallback buffer of one never-read flag per station
+    def test_earlier_format_exits_2(self, workspace, tmp_path, capsys):
         ws, _ = workspace
 
         def edit(manifest, ck):
-            manifest["config"].update(fusion_mode="signed", rank_mode="abs", norm_mode="abs",
-                                      edge_source="last", eps_norm=1e-8,
-                                      refresh_semantic_every=0, per_station_norm=False,
-                                      id_dim=16, k_max=5.0)
-            l1 = manifest["config"]["diffusion_steps"] + 1
-            n = len(manifest["station_ids"])
-            blob = ck / "params.bin"
-            offset = blob.stat().st_size
-            manifest["params"].append({"name": "fusion.w", "shape": [l1], "dtype": "f64",
-                                       "offset": offset})
-            manifest["buffers"].append({"name": "per_station_norm", "shape": [1], "dtype": "f64",
-                                        "offset": offset + 8 * l1})
-            manifest["buffers"].append({"name": "context_fallback", "shape": [n], "dtype": "f64",
-                                        "offset": offset + 8 * (l1 + 1)})
-            with open(blob, "ab") as fh:
-                fh.write(np.zeros(l1 + 1 + n, dtype="<f8").tobytes())
+            manifest["format"] = "omniair-checkpoint-v1"
 
-        ck = self._edited_checkpoint(ws, tmp_path, edit)
-        assert self._predict(ws, ck, tmp_path / "legacy.csv") == 0
-        assert self._predict(ws, ws / "run" / "checkpoint", tmp_path / "fc.csv") == 0
-        assert (tmp_path / "legacy.csv").read_bytes() == (tmp_path / "fc.csv").read_bytes()
+        ck = self._edited_checkpoint(ws, tmp_path, edit, rehash=False)
+        assert self._predict(ws, ck, tmp_path / "fc.csv") == 2
+        assert ("manifest.json: format 'omniair-checkpoint-v1' is not 'omniair-checkpoint-v2'; "
+                "checkpoints of earlier versions no longer load: train the model again"
+                ) in capsys.readouterr().err
+        assert not (tmp_path / "fc.csv").exists()
 
     def test_missing_parameter_exits_2(self, workspace, tmp_path, capsys):
         ws, _ = workspace
@@ -659,31 +649,33 @@ class TestErrors:
         assert "manifest.json" in err and named.format(end0=end0) in err
         assert not (tmp_path / "fc.csv").exists()
 
-    @pytest.mark.parametrize("legacy", [False, True], ids=["parameter", "legacy-tensor"])
-    def test_shape_too_large_for_int64_exits_2(self, workspace, tmp_path, capsys, legacy):
+    @pytest.mark.parametrize("key, named", [
+        ("params", "parameter 'input_proj.b'"), ("buffers", "buffer 'channel_std'"),
+    ], ids=["parameter", "buffer"])
+    def test_shape_too_large_for_int64_exits_2(self, workspace, tmp_path, capsys, key, named):
         # 2**64 elements: an int64 product wraps to 0, which read 0 bytes and
         # failed in numpy's reshape, naming neither the file nor the entry
         ws, _ = workspace
-        huge = [2**32, 2**32]
-        trained = ws / "run" / "checkpoint"
-        size = (trained / "params.bin").stat().st_size
-        n_params = len(json.loads((trained / "manifest.json").read_text())["params"])
+        ck = self._edited_checkpoint(
+            ws, tmp_path, lambda m, _: m[key][1].update(shape=[2**32, 2**32]))
+        assert self._predict(ws, ck, tmp_path / "fc.csv") == 2
+        assert (f"manifest.json: {named} has shape (4294967296, 4294967296)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "fc.csv").exists()
+
+    def test_entries_out_of_byte_order_exit_2(self, workspace, tmp_path, capsys):
+        # each entry keeps its bytes, but the listing no longer walks the bin
+        # in the order save_checkpoint writes it
+        ws, _ = workspace
 
         def edit(manifest, ck):
-            if legacy:  # a stored legacy tensor is not checked against the config
-                manifest["params"].append({"name": "fusion.w", "shape": huge, "dtype": "f64",
-                                           "offset": size})
-            else:
-                manifest["params"][1]["shape"] = huge
+            manifest["params"][:2] = manifest["params"][1::-1]
 
         ck = self._edited_checkpoint(ws, tmp_path, edit)
+        end0 = 8 * np.prod(json.loads((ck / "manifest.json").read_text())["params"][1]["shape"])
         assert self._predict(ws, ck, tmp_path / "fc.csv") == 2
-        if legacy:
-            named = (f"manifest.json needs {size + 8 * 2**64} bytes, "
-                     f"up to where params[{n_params}] 'fusion.w' ends")
-        else:
-            named = "manifest.json: parameter 'input_proj.b' has shape (4294967296, 4294967296)"
-        assert named in capsys.readouterr().err
+        assert (f"manifest.json: params[0] 'input_proj.b' starts at byte {end0}, "
+                "not at 0 where the bin starts") in capsys.readouterr().err
         assert not (tmp_path / "fc.csv").exists()
 
     def test_misshaped_buffer_exits_2(self, workspace, tmp_path, capsys):
@@ -700,16 +692,26 @@ class TestErrors:
         assert "buffer 'channel_mean' has shape (2, 3)" in err and "15 stations" in err
         assert not (tmp_path / "fc.csv").exists()
 
-    def test_removed_config_value_exits_2(self, workspace, tmp_path, capsys):
-        ws, _ = workspace
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"fusion_mode": "sum"}))
-        code = run(["train", "--config", cfg,
-                    "--stations", ws / "data" / "stations.csv",
-                    "--series", ws / "data" / "series.csv", "--out", tmp_path / "run"])
+    @pytest.mark.parametrize("name, value", REMOVED_FIELDS, ids=[n for n, _ in REMOVED_FIELDS])
+    @pytest.mark.parametrize("stored", [False, True], ids=["config-file", "checkpoint"])
+    def test_removed_config_field_exits_2(self, workspace, tmp_path, capsys, name, value,
+                                          stored):
+        # each at the one value that earlier versions implemented and loaded
+        ws, cfg_path = workspace
+        if stored:
+            ck = self._edited_checkpoint(ws, tmp_path,
+                                         lambda m, _: m["config"].update({name: value}))
+            code, out = self._predict(ws, ck, tmp_path / "fc.csv"), tmp_path / "fc.csv"
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({**json.loads(cfg_path.read_text()), name: value}))
+            code, out = run(["train", "--config", cfg,
+                             "--stations", ws / "data" / "stations.csv",
+                             "--series", ws / "data" / "series.csv",
+                             "--out", tmp_path / "run"]), tmp_path / "run"
         assert code == 2
-        assert "fusion_mode='sum' is no longer supported" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
+        assert f"unknown config fields: [{name!r}]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_field_of_wrong_type_exits_2(self, workspace, tmp_path, capsys):
         # a string where a count belongs would fail deep in the graph build
@@ -722,30 +724,6 @@ class TestErrors:
         assert code == 2
         assert "config field k_geo='3' must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
-
-    def test_nonzero_refresh_config_exits_2(self, workspace, tmp_path, capsys):
-        # the graph is fixed; a run that asked for rebuilt edges is refused
-        ws, _ = workspace
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"refresh_semantic_every": 1}))
-        code = run(["train", "--config", cfg,
-                    "--stations", ws / "data" / "stations.csv",
-                    "--series", ws / "data" / "series.csv", "--out", tmp_path / "run"])
-        assert code == 2
-        assert "refresh_semantic_every=1 is no longer supported" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
-
-    def test_stored_per_station_norm_exits_2(self, workspace, tmp_path, capsys):
-        # a model trained with per-station statistics cannot be rebuilt
-        ws, _ = workspace
-
-        def edit(manifest, ck):
-            manifest["config"]["per_station_norm"] = True
-
-        ck = self._edited_checkpoint(ws, tmp_path, edit)
-        assert self._predict(ws, ck, tmp_path / "fc.csv") == 2
-        assert "per_station_norm=True is no longer supported" in capsys.readouterr().err
-        assert not (tmp_path / "fc.csv").exists()
 
     def test_empty_new_stations_exits_2(self, workspace, tmp_path, capsys):
         ws, _ = workspace

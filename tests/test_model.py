@@ -118,7 +118,7 @@ class TestForwardGradients:
 
 class TestPermutationEquivariance:
     def test_forecast_permutes_with_stations(self):
-        cfg = small_config(d_model=16, id_dim=16, t_in=6, tau=2, batch=2, k_geo=3, k_sem=2)
+        cfg = small_config(d_model=16, t_in=6, tau=2, batch=2, k_geo=3, k_sem=2)
         scn = RDScenario(n=10, steps=50, seed=21, noise_std=0.1)
         stations, frame = simulate_rd(scn)
         train, _, _ = chrono_split(frame)
@@ -154,8 +154,8 @@ class TestSingleStation:
     def test_no_edges_matches_dense(self):
         # one station, empty candidate list: both paths collapse to the
         # per-station pipeline
-        cfg = small_config(d_model=8, id_dim=8, heads=2, t_in=4, tau=2, batch=1,
-                           k_geo=1, k_sem=0, k_max=1.0)
+        cfg = small_config(d_model=8, heads=2, t_in=4, tau=2, batch=1,
+                           k_geo=1, k_sem=0)
         rng = np.random.default_rng(0)
         graph = HybridGraph(np.empty((1, 0), dtype=np.intp), np.empty((1, 0)))
         ctx = Contexts(np.array([[1.0, 0.5, 2.0, 0.1] + [1 / 6] * 6]), np.zeros((1, 2)))
@@ -181,7 +181,7 @@ class TestSingleStation:
 
 class TestExtension:
     def _setup(self):
-        cfg = small_config(d_model=16, id_dim=16, t_in=6, tau=2, batch=1, k_geo=3, k_sem=2)
+        cfg = small_config(d_model=16, t_in=6, tau=2, batch=1, k_geo=3, k_sem=2)
         scn = RDScenario(n=16, steps=60, seed=31, noise_std=0.1)
         stations, frame = simulate_rd(scn)
         base, held = stations[:12], stations[12:]

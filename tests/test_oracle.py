@@ -153,7 +153,7 @@ class TestDenseEquivalence:
         # 25 seeds x N in {4, 8, 16}
         for n in (4, 8, 16):
             cfg = small_config(
-                d_model=16, id_dim=16, t_in=6, tau=2, batch=2,
+                d_model=16, t_in=6, tau=2, batch=2,
                 k_geo=min(3, n - 2), k_sem=1,
             )
             for seed in range(25):
@@ -169,7 +169,7 @@ class TestDenseEquivalence:
                 assert np.abs(sparse - dense).max() < 1e-10, (n, seed)
 
     def test_refuses_large_n(self, tiny_state, tiny_params):
-        big = RunConfig(d_model=16, id_dim=16)
+        big = RunConfig(d_model=16)
         state = tiny_state
         fake = np.zeros((1, state.cfg.t_in, 100, 6))
         state_big = state
@@ -185,8 +185,8 @@ class TestDenseEquivalence:
 
     def test_single_station_no_edges(self):
         # N=1: both paths reduce to the per-station pipeline
-        cfg = small_config(d_model=8, id_dim=8, heads=2, t_in=4, tau=2, batch=1,
-                           k_geo=1, k_sem=0, k_max=1.0)
+        cfg = small_config(d_model=8, heads=2, t_in=4, tau=2, batch=1,
+                           k_geo=1, k_sem=0)
         scn = RDScenario(n=5, steps=30, seed=11)
         stations, frame = simulate_rd(scn)
         train, _, _ = chrono_split(frame)
@@ -270,8 +270,8 @@ class TestTableLayoutProperty:
         # with a random share of them missing
         k = min(k, n - 1)
         rng = np.random.default_rng(seed)
-        cfg = small_config(d_model=8, id_dim=8, heads=2, t_in=t_in, tau=2, batch=b,
-                           k_geo=k, k_sem=0, k_max=float(k), coeff_mode=coeff_mode)
+        cfg = small_config(d_model=8, heads=2, t_in=t_in, tau=2, batch=b,
+                           k_geo=k, k_sem=0, coeff_mode=coeff_mode)
         state = table_state(cfg, rng, random_table(rng, n, k))
         params = nonzero_input_bias(init_params(cfg, rng), rng)
         x = masked_inputs(rng, (b, t_in, n, 6), missing)
@@ -298,8 +298,8 @@ class TestTableLayoutProperty:
         # of the union graph in the dense reference: base rows never gather
         # from new nodes
         k = min(k, n - 1)
-        cfg = small_config(d_model=8, id_dim=8, heads=2, t_in=t_in, tau=2, batch=b,
-                           k_geo=k, k_sem=0, k_max=float(k), coeff_mode=coeff_mode)
+        cfg = small_config(d_model=8, heads=2, t_in=t_in, tau=2, batch=b,
+                           k_geo=k, k_sem=0, coeff_mode=coeff_mode)
         with diffusion_regime(regime):
             dev = extension_vs_dense(cfg, np.random.default_rng(seed), n, m, k, missing)
         assert dev < 1e-10
@@ -314,15 +314,15 @@ class TestTableLayoutProperty:
         dense_ops = []
         real = ad._DenseOperator
         monkeypatch.setattr(ad, "_DenseOperator", lambda *a: dense_ops.append(a) or real(*a))
-        cfg = small_config(d_model=8, id_dim=8, heads=2, t_in=2, tau=2, batch=1,
-                           k_geo=k, k_sem=0, k_max=float(k))
+        cfg = small_config(d_model=8, heads=2, t_in=2, tau=2, batch=1,
+                           k_geo=k, k_sem=0)
         assert extension_vs_dense(cfg, np.random.default_rng(n), n, 3, k, 0.5) < 1e-10
         assert len(dense_ops) == (2 if extra == 0 else 0)  # base pass and extension
 
     def test_extension_rejects_wrong_input_shape(self):
         rng = np.random.default_rng(0)
-        cfg = small_config(d_model=8, id_dim=8, heads=2, t_in=3, tau=2, batch=1,
-                           k_geo=2, k_sem=0, k_max=2.0)
+        cfg = small_config(d_model=8, heads=2, t_in=3, tau=2, batch=1,
+                           k_geo=2, k_sem=0)
         base = table_state(cfg, rng, random_table(rng, 5, 2))
         new = table_state(cfg, rng, np.array([[0, 1], [2, 3]]), cross=True)
         params = init_params(cfg, rng)
