@@ -9,9 +9,10 @@ nonlinearities, row ``gather``, and four hand-written model ops with
 closed-form backwards, each one node: ``diffuse`` (the whole multi-step
 restart diffusion over a fixed-degree (N, K) neighbour table),
 ``step_attention`` (per-head signed or softmax attention over the diffusion
-states), ``gate`` (a logistic gate over ``[z || e]``) and ``blend``
-(``g * a + (1 - g) * b``). There are no views and no dtype zoo. Repeated
-targets add up through ``np.bincount``, never through ``np.add.at``.
+states), ``gate`` (a logistic gate over ``[z || e]``, one weight block
+each) and ``blend`` (``g * a + (1 - g) * b``). There are no views and no
+dtype zoo. Repeated targets add up through ``np.bincount``, never through
+``np.add.at``.
 
 All data is float64 and all reductions run in a fixed order, so repeated
 forward+backward passes over identical inputs are bit-identical.
@@ -146,7 +147,7 @@ class Tensor:
         return matmul(self, other)
 
     def __getitem__(self, key):
-        raise TypeError("use slice_axis/gather for differentiable indexing")
+        raise TypeError("use gather for differentiable indexing")
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -286,22 +287,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _node(data, tuple(tensors), backward)
 
 
-def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    a = as_tensor(a)
-    index = [slice(None)] * a.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
-    data = a.data[index]
-
-    def backward(g: Array) -> None:
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[index] = g
-            a._accumulate(full)
-
-    return _node(data, (a,), backward)
-
-
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     a = as_tensor(a)
     data = a.data.reshape(shape)
@@ -439,12 +424,12 @@ def gather(a: Tensor, idx: Array, axis: int) -> Tensor:
 
 
 # Diffusion runs on the dense per-batch operator A_b (N, N_src) when
-# N_src <= _DENSE_RATIO * K and on the (N, K) table otherwise. Measured on one
+# N_src <= _DENSE_ROWS and on the (N, K) table otherwise. Measured on one
 # thread at width 7 (the C + 1 input channels that ``model.forward`` diffuses,
-# two steps), the dense forward+backward is faster up to 24-26 K source rows
-# at K 15 and up to 32-44 K at K 9 (B * T = 16 and 256): past about 360-400
-# source rows its time roughly doubles. 24 K is below all of them.
-_DENSE_RATIO = 24
+# two steps), at K 9 and 15 and B * T 16 and 256, the dense forward+backward
+# is faster up to 360 source rows, whatever K is; from 384 rows its time
+# more than doubles and the table wins everywhere.
+_DENSE_ROWS = 360
 
 
 class _DenseOperator:
@@ -524,7 +509,7 @@ def diffuse(
     rows, read, never written). The op keeps nothing from the forward but
     its output. The backward runs the L adjoint steps: the input gradient is
     ``A^T a`` and the weight gradient ``a x^T`` sampled at the table. Graphs
-    with N_src <= ``_DENSE_RATIO`` * K run on the dense per-batch operator,
+    with N_src <= ``_DENSE_ROWS`` run on the dense per-batch operator,
     larger ones on the table; the two differ only in summation order.
     """
     h0, w = as_tensor(h0), as_tensor(w)
@@ -533,7 +518,7 @@ def diffuse(
     src = None if sources is None else as_tensor(sources)
     nbr = np.asarray(nbr, dtype=np.intp)
     n_src = h0.shape[2] if src is None else src.shape[3]
-    operator = _DenseOperator if n_src <= _DENSE_RATIO * nbr.shape[1] else _TableOperator
+    operator = _DenseOperator if n_src <= _DENSE_ROWS else _TableOperator
     op = operator(w.data, nbr, n_src)
     restart_h0 = restart * h0.data
     out = np.empty((steps + 1,) + h0.shape)
@@ -641,17 +626,15 @@ def step_attention(stack: Tensor, wq: Tensor, wk: Tensor, bias: Tensor, signed: 
     return _node(z.reshape(s.shape[1:]), (s, wq, wk, bias), backward)
 
 
-def gate(z: Tensor, e: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``sigmoid([z || e] w + b)`` for (..., N, D) rows ``z`` and an (N, D)
-    ``e`` that broadcasts over the leading axes, computed as
-    ``z w[:D] + (e w[D:] + b)`` so the ``e`` half is projected once per row
-    of ``e``. The logistic is :func:`sigmoid`'s, bit for bit; the backward
-    is closed-form."""
-    z, e, w, b = as_tensor(z), as_tensor(e), as_tensor(w), as_tensor(b)
-    d = z.shape[-1]
-    w_z, w_e = w.data[:d], w.data[d:]
-    pre = z.data @ w_z
-    pre += e.data @ w_e + b.data
+def gate(z: Tensor, e: Tensor, w_z: Tensor, w_e: Tensor, b: Tensor) -> Tensor:
+    """``sigmoid([z || e] [w_z; w_e] + b)`` for (..., N, D) rows ``z`` and an
+    (N, D) ``e`` that broadcasts over the leading axes, computed as
+    ``z w_z + (e w_e + b)`` so ``e`` is projected once per row of ``e``.
+    The logistic is :func:`sigmoid`'s, bit for bit; the backward is
+    closed-form."""
+    z, e, w_z, w_e, b = (as_tensor(t) for t in (z, e, w_z, w_e, b))
+    pre = z.data @ w_z.data
+    pre += e.data @ w_e.data + b.data
     y = _logistic(pre)
 
     def backward(g: Array) -> None:
@@ -660,18 +643,18 @@ def gate(z: Tensor, e: Tensor, w: Tensor, b: Tensor) -> Tensor:
         da *= g
         de = da.sum(axis=tuple(range(da.ndim - 2)))
         if z.requires_grad:
-            z._accumulate(da @ w_z.T)
+            z._accumulate(da @ w_z.data.T)
         if e.requires_grad:
-            e._accumulate(de @ w_e.T)
-        if w.requires_grad:
-            dw = np.empty_like(w.data)
-            dw[:d] = z.data.reshape(-1, d).T @ da.reshape(-1, w.shape[1])
-            dw[d:] = e.data.T @ de
-            w._accumulate(dw)
+            e._accumulate(de @ w_e.data.T)
+        if w_z.requires_grad:
+            d = z.shape[-1]
+            w_z._accumulate(z.data.reshape(-1, d).T @ da.reshape(-1, w_z.shape[1]))
+        if w_e.requires_grad:
+            w_e._accumulate(e.data.T @ de)
         if b.requires_grad:
             b._accumulate(_unbroadcast(de, b.shape))
 
-    return _node(y, (z, e, w, b), backward)
+    return _node(y, (z, e, w_z, w_e, b), backward)
 
 
 def blend(g: Tensor, a: Tensor, b: Tensor) -> Tensor:

@@ -24,7 +24,7 @@ from .data import CHANNELS, MIN_STD
 from .encoder import CONTEXT_DIM
 from .model import N_GEO_FEATURES, init_params
 
-FORMAT = "omniair-checkpoint-v2"
+FORMAT = "omniair-checkpoint-v3"
 
 
 def _entries(arrays: dict[str, np.ndarray], offset: int) -> tuple[list[dict], bytes, int]:

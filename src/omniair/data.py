@@ -125,21 +125,25 @@ def _read_blocks(path, columns: tuple[str, ...], what: str):
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing {what} columns {missing}")
-        pos = {name: i for i, name in enumerate(header)}  # a repeated name: the last one
-        first_row = 0
-        while block := list(islice(reader, _BLOCK_ROWS)):
-            rows = [r for r in block if r]
-            faults = _Faults(first_row)
-            short = [len(r) < len(header) for r in rows]
-            faults.flag(short, lambda i: f"{len(rows[i])} fields, the header has {len(header)}")
-            if faults.found:
-                rows = rows[: short.index(True)]
-            yield faults, rows, pos
-            first_row += len(rows)
+        try:
+            header = next(reader, [])
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise ValueError(f"{path}: missing {what} columns {missing}")
+            pos = {name: i for i, name in enumerate(header)}  # a repeated name: the last one
+            first_row = 0
+            while block := list(islice(reader, _BLOCK_ROWS)):
+                rows = [r for r in block if r]
+                faults = _Faults(first_row)
+                short = [len(r) < len(header) for r in rows]
+                faults.flag(short,
+                            lambda i: f"{len(rows[i])} fields, the header has {len(header)}")
+                if faults.found:
+                    rows = rows[: short.index(True)]
+                yield faults, rows, pos
+                first_row += len(rows)
+        except csv.Error as exc:  # such as a field over csv's size limit
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _column(rows: list[list[str]], pos: dict[str, int], name: str) -> list[str]:

@@ -49,17 +49,22 @@ def init_params(cfg: RunConfig, rng: np.random.Generator) -> dict[str, Tensor]:
     dh = d // cfg.heads
     n_channels = len(CHANNELS)
     l1 = cfg.diffusion_steps + 1
+    # a block takes the fans of its joined matrix and is drawn in its row order
+    pair, gate_in = (2 * d, cfg.attn_dim), (2 * d + 1, 1)
     params: dict[str, Tensor] = {}
-    params["input_proj.w"] = glorot(n_channels, d)
-    params["input_proj.b"] = zeros(d)
+    params["input_proj.w"] = Tensor(np.vstack([glorot(n_channels, d).data, np.zeros((1, d))]),
+                                    requires_grad=True)  # [W_in; b_in]
     params["grade_embed.table"] = glorot(N_GRADES, cfg.grade_embed)
     params["id_mlp.w1"] = glorot(identity_input_dim(cfg), cfg.id_hidden)
     params["id_mlp.b1"] = zeros(cfg.id_hidden)
     params["id_mlp.w2"] = glorot(cfg.id_hidden, d)
     params["id_mlp.b2"] = zeros(d)
-    params["attn.we"] = glorot(2 * d, cfg.attn_dim)
-    params["attn.a"] = glorot(cfg.attn_dim, fans=(cfg.attn_dim, 1))
-    params["edge_gate.w"] = glorot(2 * d + 1, fans=(2 * d + 1, 1))
+    params["attn.we_own"] = glorot(d, cfg.attn_dim, fans=pair)
+    params["attn.we_src"] = glorot(d, cfg.attn_dim, fans=pair)
+    params["attn.a"] = glorot(cfg.attn_dim, 1)
+    params["edge_gate.w_own"] = glorot(d, 1, fans=gate_in)
+    params["edge_gate.w_src"] = glorot(d, 1, fans=gate_in)
+    params["edge_gate.w_static"] = glorot(1, fans=gate_in)
     params["edge_gate.b"] = zeros(1)
     params["beta_mlp.w1"] = glorot(d, 16)
     params["beta_mlp.b1"] = zeros(16)
@@ -68,7 +73,8 @@ def init_params(cfg: RunConfig, rng: np.random.Generator) -> dict[str, Tensor]:
     params["agg.wq"] = glorot(cfg.heads, dh, dh)
     params["agg.wk"] = glorot(cfg.heads, dh, dh)
     params["agg.step_bias"] = Tensor(np.ones(l1), requires_grad=True)
-    params["out_gate.w"] = glorot(2 * d, d)
+    params["out_gate.w_z"] = glorot(d, d, fans=(2 * d, d))
+    params["out_gate.w_id"] = glorot(d, d, fans=(2 * d, d))
     params["out_gate.b"] = zeros(d)
     params["head.w1"] = glorot(cfg.t_in * d, cfg.head_hidden)
     params["head.b1"] = zeros(cfg.head_hidden)
@@ -162,10 +168,10 @@ def forward(
     Diffusion runs on the C + 1 input channels ``[x || 1]``, not on the D
     projected features ``h = x W_in + b_in``: the graph operator mixes only
     the node axis, so it commutes with the projection, and the (L+1, B, T,
-    N, C+1) channel stack times ``[W_in; b_in]`` is the stack that diffusing
-    ``h`` would give. The stations of a ``build_extension`` state gather
-    from a base run over a ``cross`` graph: ``base`` is that run's collect
-    dict, whose ``h_edge`` gives the edge targets and whose
+    N, C+1) channel stack times ``input_proj.w = [W_in; b_in]`` is the stack
+    that diffusing ``h`` would give. The stations of a ``build_extension``
+    state gather from a base run over a ``cross`` graph: ``base`` is that
+    run's collect dict, whose ``h_edge`` gives the edge targets and whose
     ``channel_stack`` gives the diffusion messages, read-only. Nothing
     existing is recomputed, which is what makes the existing stations'
     forecasts identical with or without new nodes.
@@ -178,14 +184,13 @@ def forward(
     if x.ndim != 4 or x.shape[2] != graph.n_nodes or x.shape[3] != len(CHANNELS):
         raise ValueError(f"bad input shape {x.shape}")
     e_id = encode_identity(state.id_features, state.grades, params)
-    w_in, b_in = params["input_proj.w"], params["input_proj.b"]
-    h_edge = ad.matmul(Tensor(x[:, -1]), w_in) + b_in  # last input step, (B, N, D)
+    w = params["input_proj.w"]
+    u0 = Tensor(np.concatenate([x, np.ones(x.shape[:3] + (1,))], axis=3))
+    h_edge = ad.matmul(Tensor(u0.data[:, -1]), w)  # last input step, (B, N, D)
     h_src, u_src = (None, None) if base is None else (base["h_edge"], base["channel_stack"])
     edges = edge_weights(h_edge, graph, params, eta=cfg.eta, h_src=h_src)
-    u0 = Tensor(np.concatenate([x, np.ones(x.shape[:3] + (1,))], axis=3))
     u_stack = diffuse(u0, edges["w_tilde"], graph, cfg.diffusion_steps, cfg.restart, u_src)
-    lift = ad.concat([w_in, b_in.reshape((1, -1))], axis=0)
-    stack = ad.matmul(u_stack, lift)
+    stack = ad.matmul(u_stack, w)
     z = signed_aggregate(stack, params, cfg.heads, cfg.coeff_mode)
     gate, zhat = fuse_and_gate(z, e_id, params)
     forecast = forecast_head(zhat, params, cfg.tau, len(CHANNELS))

@@ -204,7 +204,13 @@ def dense_forward(
     hid = np.tanh(feats @ params["id_mlp.w1"] + params["id_mlp.b1"])
     e_id = hid @ params["id_mlp.w2"] + params["id_mlp.b2"]
 
-    h = x @ params["input_proj.w"] + params["input_proj.b"]
+    # the stored blocks, joined back into the paper's concatenated products
+    w_in, b_in = params["input_proj.w"][:-1], params["input_proj.w"][-1]
+    w_attn = np.concatenate([params["attn.we_own"], params["attn.we_src"]])
+    w_edge = np.concatenate([params["edge_gate.w_own"][:, 0], params["edge_gate.w_src"][:, 0],
+                             params["edge_gate.w_static"]])
+    w_out = np.concatenate([params["out_gate.w_z"], params["out_gate.w_id"]])
+    h = x @ w_in + b_in
     h_edge = h[:, -1]
 
     cand = np.zeros((n, n), dtype=bool)
@@ -221,14 +227,14 @@ def dense_forward(
         ],
         axis=-1,
     )
-    hidden = pair @ params["attn.we"]
+    hidden = pair @ w_attn
     hidden = np.where(hidden > 0, hidden, 0.1 * hidden)
-    alpha = np.tanh(hidden @ params["attn.a"])
+    alpha = np.tanh(hidden @ params["attn.a"][:, 0])
 
     gate_in = np.concatenate(
         [pair, np.broadcast_to(w_static[None, :, :, None], (b, n, n, 1))], axis=-1
     )
-    gate = _sigmoid(gate_in @ params["edge_gate.w"] + params["edge_gate.b"])
+    gate = _sigmoid(gate_in @ w_edge + params["edge_gate.b"])
     w_dyn = gate * w_static + (1.0 - gate) * alpha
     w_dyn = np.where(cand, w_dyn, 0.0)
 
@@ -274,7 +280,7 @@ def dense_forward(
 
     e_b = np.broadcast_to(e_id[None, None], z.shape)
     gate_id = _sigmoid(
-        np.concatenate([z, e_b], axis=-1) @ params["out_gate.w"] + params["out_gate.b"]
+        np.concatenate([z, e_b], axis=-1) @ w_out + params["out_gate.b"]
     )
     zhat = gate_id * z + (1.0 - gate_id) * e_b
 

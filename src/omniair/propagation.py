@@ -5,7 +5,7 @@ All station mixing happens in ``ad.diffuse``, one tape op for every step.
 ``model.forward`` diffuses the C + 1 input channels ``[x || 1]``, not the D
 projected features: the operator mixes only the node axis, so it commutes
 with the input projection, and the channel stack lifted by ``[W_in; b_in]``
-is the feature stack. On graphs with at most ``ad._DENSE_RATIO`` * K source
+is the feature stack. On graphs with at most ``ad._DENSE_ROWS`` source
 stations the op runs on the per-batch (N, N_src) operator built from the
 (N, K) neighbour table; on larger graphs it gathers from the table one
 column at a time, and nothing N x N is formed.
@@ -92,13 +92,14 @@ def fuse_and_gate(z: Tensor, e_id: Tensor, params: dict[str, Tensor]) -> tuple[T
 
     ``e_id`` is (N, D) and broadcasts over batch and time. Returns (gate,
     fused) where gate = sigmoid([z || e_id] W + b) and fused = g * z +
-    (1 - g) * e_id, one tape node each; the identity half of W is applied
-    once per node.
+    (1 - g) * e_id, one tape node each. W is stored as its two (D, D)
+    blocks ``out_gate.w_z`` and ``out_gate.w_id``; the identity block is
+    applied once per node.
     """
     n, d = z.shape[2:]
     if e_id.shape != (n, d):
         raise ValueError(f"identity shape {e_id.shape} incompatible with state {z.shape}")
-    g = ad.gate(z, e_id, params["out_gate.w"], params["out_gate.b"])
+    g = ad.gate(z, e_id, params["out_gate.w_z"], params["out_gate.w_id"], params["out_gate.b"])
     return g, ad.blend(g, z, e_id)
 
 

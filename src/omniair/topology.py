@@ -167,18 +167,14 @@ def dynamic_attention(
     ``h_own`` is (B, N, D) for the nodes owning the edges, ``h_src``
     (B, N_src, D) for the targets and ``nbr`` the (N, K) table into it.
     The map is linear before the LeakyReLU, so W_e [h_i || h_j] =
-    h_i W_e[:D] + h_j W_e[D:]: each node is projected once and only the
-    (B, N, K, A) projections are formed per edge. Returns (B, N, K).
+    h_i W_own + h_j W_src with the two (D, A) blocks ``attn.we_own`` and
+    ``attn.we_src``: each node is projected once and only the (B, N, K, A)
+    projections are formed per edge. Returns (B, N, K).
     """
-    w = params["attn.we"]
-    a = params["attn.a"]
-    d = h_own.shape[-1]
-    if 2 * d != w.shape[0] or h_src.shape[-1] != d:
-        raise ValueError(f"attention input dims {d}+{h_src.shape[-1]} != {w.shape[0]}")
-    own = ad.matmul(h_own, ad.slice_axis(w, 0, 0, d))
-    src = ad.matmul(h_src, ad.slice_axis(w, 0, d, 2 * d))
+    own = ad.matmul(h_own, params["attn.we_own"])
+    src = ad.matmul(h_src, params["attn.we_src"])
     pre = ad.gather(src, nbr, axis=1) + own.reshape(own.shape[:-1] + (1, own.shape[-1]))
-    score = ad.matmul(ad.leaky_relu(pre, slope=0.1), a.reshape(-1, 1))
+    score = ad.matmul(ad.leaky_relu(pre, slope=0.1), params["attn.a"])
     return ad.tanh(score.reshape(score.shape[:-1]))
 
 
@@ -192,19 +188,18 @@ def fuse_gate(
 ) -> tuple[Tensor, Tensor]:
     """Gate between static kernel weight and dynamic attention.
 
-    g = sigmoid(w_g . [h_i || h_j || w_static] + b). Like
-    ``dynamic_attention`` it projects each node once, to the scalars
-    h_i w_g[:D] and h_j w_g[D:2D], and gathers only the target's scalar per
+    g = sigmoid(w_g . [h_i || h_j || w_static] + b), with w_g stored as its
+    blocks ``edge_gate.w_own``, ``edge_gate.w_src`` (each (D, 1)) and
+    ``edge_gate.w_static`` (1,). Like ``dynamic_attention`` it projects each
+    node once, to one scalar, and gathers only the target's scalar per
     edge. ``w_static`` is the (N, K) kernel weight of the ``nbr`` table.
     Returns (g, w_dyn) with w_dyn = g * w_static + (1 - g) * alpha, each
     (B, N, K).
     """
-    w = params["edge_gate.w"]
-    d = h_own.shape[-1]
-    own = ad.matmul(h_own, ad.slice_axis(w, 0, 0, d).reshape(-1, 1))
-    src = ad.matmul(h_src, ad.slice_axis(w, 0, d, 2 * d).reshape(-1, 1))
+    own = ad.matmul(h_own, params["edge_gate.w_own"])
+    src = ad.matmul(h_src, params["edge_gate.w_src"])
     static = Tensor(w_static)
-    edge = static * ad.slice_axis(w, 0, 2 * d, 2 * d + 1) + params["edge_gate.b"]
+    edge = static * params["edge_gate.w_static"] + params["edge_gate.b"]
     g = ad.sigmoid(ad.gather(src.reshape(src.shape[:-1]), nbr, axis=1) + own + edge)
     w_dyn = g * static + (1.0 - g) * alpha
     return g, w_dyn

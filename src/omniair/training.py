@@ -109,6 +109,12 @@ def train_model(
         # early stopping would have no validation MAE to compare
         raise ValueError(f"the validation split ({date_range(val)}) holds no observed "
                          "forecast target")
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        made = not out.exists()
+        out.mkdir(parents=True, exist_ok=True)  # an unusable path fails now, not after training
+        if made:
+            out.rmdir()  # and a failed run leaves no directory behind
     state = build_state(cfg, stations, train)
     rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg, rng)
@@ -167,8 +173,7 @@ def train_model(
     for k, p in params.items():
         p.data = best_snapshot[k].copy()
 
-    if out_dir is not None:
-        out = Path(out_dir)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         save_checkpoint(
             out / "checkpoint", params, model_buffers(state), cfg, cfg.seed,

@@ -37,7 +37,7 @@ REGIMES = ("dense", "table")
 @contextlib.contextmanager
 def diffusion_regime(regime: str):
     """Force ``ad.diffuse`` onto its dense per-batch operator or its table."""
-    with mock.patch.object(ad, "_DENSE_RATIO", {"dense": 10**9, "table": 0}[regime]):
+    with mock.patch.object(ad, "_DENSE_ROWS", {"dense": 10**9, "table": 0}[regime]):
         yield
 
 

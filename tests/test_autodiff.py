@@ -47,7 +47,7 @@ class TestOpGradients:
 
     def test_concat_slice(self):
         check_op(
-            lambda a, b: ad.slice_axis(ad.concat([a, b], axis=1), 1, 1, 4),
+            lambda a, b: ad.gather(ad.concat([a, b], axis=1), np.arange(1, 4), axis=1),
             [(2, 3), (2, 2)],
         )
 

@@ -421,7 +421,7 @@ class TestErrors:
         ck = tmp_path / "checkpoint"
         shutil.copytree(ws / "run" / "checkpoint", ck)
         manifest = json.loads((ck / "manifest.json").read_text())
-        entry = next(e for e in manifest["params"] if e["name"] == "attn.we")
+        entry = next(e for e in manifest["params"] if e["name"] == "attn.we_own")
         with open(ck / "params.bin", "r+b") as fh:
             fh.seek(entry["offset"] + 8 * 3)
             fh.write(np.array([np.nan], dtype="<f8").tobytes())
@@ -430,7 +430,7 @@ class TestErrors:
                     "--series", ws / "data" / "series.csv",
                     "--out", tmp_path / "fc.csv"])
         assert code == 2
-        assert "'attn.we'" in capsys.readouterr().err
+        assert "'attn.we_own'" in capsys.readouterr().err
         assert not (tmp_path / "fc.csv").exists()
 
     def test_nan_buffer_exits_2(self, workspace, tmp_path, capsys):
@@ -558,11 +558,11 @@ class TestErrors:
         ws, _ = workspace
 
         def edit(manifest, ck):
-            manifest["format"] = "omniair-checkpoint-v1"
+            manifest["format"] = "omniair-checkpoint-v2"
 
         ck = self._edited_checkpoint(ws, tmp_path, edit, rehash=False)
         assert self._predict(ws, ck, tmp_path / "fc.csv") == 2
-        assert ("manifest.json: format 'omniair-checkpoint-v1' is not 'omniair-checkpoint-v2'; "
+        assert ("manifest.json: format 'omniair-checkpoint-v2' is not 'omniair-checkpoint-v3'; "
                 "checkpoints of earlier versions no longer load: train the model again"
                 ) in capsys.readouterr().err
         assert not (tmp_path / "fc.csv").exists()
@@ -602,8 +602,8 @@ class TestErrors:
         assert not (tmp_path / "fc.csv").exists()
 
     @pytest.mark.parametrize("edit, named", [
-        (lambda m: m["params"][1].pop("shape"), "params[1] 'input_proj.b' has shape None"),
-        (lambda m: m["params"][1].pop("offset"), "params[1] 'input_proj.b' has offset None"),
+        (lambda m: m["params"][1].pop("shape"), "params[1] 'grade_embed.table' has shape None"),
+        (lambda m: m["params"][1].pop("offset"), "params[1] 'grade_embed.table' has offset None"),
         (lambda m: m["params"][1].pop("name"), "params[1] must be an object with a string 'name'"),
         (lambda m: m["buffers"].__setitem__(0, 7), "buffers[0] must be an object"),
         (lambda m: m["params"][0].update(shape="ab"), "params[0] 'input_proj.w' has shape 'ab'"),
@@ -632,7 +632,7 @@ class TestErrors:
         assert not (tmp_path / "fc.csv").exists()
 
     @pytest.mark.parametrize("entry, offset, named", [
-        (1, 0, "params[1] 'input_proj.b' starts at byte 0, not at {end0} where "
+        (1, 0, "params[1] 'grade_embed.table' starts at byte 0, not at {end0} where "
                "params[0] 'input_proj.w' ends"),
         (0, 8, "params[0] 'input_proj.w' starts at byte 8, not at 0 where the bin starts"),
     ], ids=["onto-the-previous", "not-at-0"])
@@ -650,7 +650,7 @@ class TestErrors:
         assert not (tmp_path / "fc.csv").exists()
 
     @pytest.mark.parametrize("key, named", [
-        ("params", "parameter 'input_proj.b'"), ("buffers", "buffer 'channel_std'"),
+        ("params", "parameter 'grade_embed.table'"), ("buffers", "buffer 'channel_std'"),
     ], ids=["parameter", "buffer"])
     def test_shape_too_large_for_int64_exits_2(self, workspace, tmp_path, capsys, key, named):
         # 2**64 elements: an int64 product wraps to 0, which read 0 bytes and
@@ -674,7 +674,7 @@ class TestErrors:
         ck = self._edited_checkpoint(ws, tmp_path, edit)
         end0 = 8 * np.prod(json.loads((ck / "manifest.json").read_text())["params"][1]["shape"])
         assert self._predict(ws, ck, tmp_path / "fc.csv") == 2
-        assert (f"manifest.json: params[0] 'input_proj.b' starts at byte {end0}, "
+        assert (f"manifest.json: params[0] 'grade_embed.table' starts at byte {end0}, "
                 "not at 0 where the bin starts") in capsys.readouterr().err
         assert not (tmp_path / "fc.csv").exists()
 
@@ -807,6 +807,31 @@ class TestErrors:
         code = run(["features", "--stations", bad, "--series", bad, "--out", tmp_path / "o"])
         assert code == 2
 
+    @pytest.mark.parametrize("case", ["train-out-file", "predict-out-dir", "predict-stations-dir"])
+    def test_unusable_path_exits_2(self, workspace, tmp_path, capsys, monkeypatch, case):
+        # each exited 1 with a traceback; train did so only after training
+        # to the end
+        ws, cfg_path = workspace
+        stations, series = ws / "data" / "stations.csv", ws / "data" / "series.csv"
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        windows = []
+        monkeypatch.setattr(training, "make_windows", lambda *a, **k: windows.append(a) or [])
+        argv = {
+            "train-out-file": ["train", "--config", cfg_path, "--stations", stations,
+                               "--series", series, "--out", taken],
+            "predict-out-dir": ["predict", "--checkpoint", ws / "run" / "checkpoint",
+                                "--stations", stations, "--series", series, "--out", tmp_path],
+            "predict-stations-dir": ["predict", "--checkpoint", ws / "run" / "checkpoint",
+                                     "--stations", tmp_path, "--series", series,
+                                     "--out", tmp_path / "fc.csv"],
+        }[case]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and "Traceback" not in err
+        assert windows == []
+        assert taken.read_text() == "" and not (tmp_path / "fc.csv").exists()
+
     def test_short_series_row_exits_2(self, workspace, tmp_path, capsys):
         ws, _ = workspace
         series = tmp_path / "series.csv"
@@ -830,6 +855,24 @@ class TestErrors:
                     "--new-stations", new, "--out", tmp_path / "z.csv"])
         assert code == 2
         assert "row 2: 4 fields, the header has 10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--stations", "--series"])
+    def test_field_over_csv_limit_exits_2(self, workspace, tmp_path, capsys, flag):
+        # a 200 000-character quoted id on line 4 passes csv's 131 072-character
+        # field limit: csv.Error, which exited 1 with a traceback
+        ws, _ = workspace
+        paths = {"--stations": ws / "data" / "stations.csv", "--series": ws / "data" / "series.csv"}
+        lines = paths[flag].read_text().splitlines()
+        lines[3] = '"' + "x" * 200_000 + '"' + lines[3][lines[3].index(","):]
+        paths[flag] = tmp_path / "edited.csv"
+        paths[flag].write_text("\n".join(lines) + "\n")
+        code = run(["predict", "--checkpoint", ws / "run" / "checkpoint",
+                    "--stations", paths["--stations"], "--series", paths["--series"],
+                    "--out", tmp_path / "fc.csv"])
+        assert code == 2
+        assert (f"error: {paths[flag]}: line 4: field larger than field limit (131072)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "fc.csv").exists()
 
     @staticmethod
     def _blanked_series(ws, path, blank):

@@ -50,14 +50,14 @@ class TestForwardBasics:
 class TestParameterInventory:
     def test_every_learnable_symbol_present_once(self, tiny_cfg, tiny_params):
         expected = {
-            "input_proj.w", "input_proj.b",
+            "input_proj.w",
             "grade_embed.table",
             "id_mlp.w1", "id_mlp.b1", "id_mlp.w2", "id_mlp.b2",
-            "attn.we", "attn.a",
-            "edge_gate.w", "edge_gate.b",
+            "attn.we_own", "attn.we_src", "attn.a",
+            "edge_gate.w_own", "edge_gate.w_src", "edge_gate.w_static", "edge_gate.b",
             "beta_mlp.w1", "beta_mlp.b1", "beta_mlp.w2", "beta_mlp.b2",
             "agg.wq", "agg.wk", "agg.step_bias",
-            "out_gate.w", "out_gate.b",
+            "out_gate.w_z", "out_gate.w_id", "out_gate.b",
             "head.w1", "head.b1", "head.w2", "head.b2",
         }
         assert set(tiny_params) == expected
@@ -97,21 +97,21 @@ class TestForwardGradients:
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_grad_check_input_projection_through_lift(self, tiny_dataset, regime):
-        # every coordinate of W_in and of a nonzero b_in: diffusion runs on
-        # [x || 1] and the stack is lifted by [W_in; b_in]
+        # every coordinate of input_proj.w = [W_in; b_in], with a nonzero
+        # b_in row: diffusion runs on [x || 1] and the stack is lifted by it
         cfg = small_config(t_in=3, tau=2, head_hidden=8)
         stations, frame = tiny_dataset
         state = build_state(cfg, stations, chrono_split(frame)[0])
         rng = np.random.default_rng(22)
         params = init_params(cfg, rng)
-        params["input_proj.b"].data[:] = rng.normal(size=cfg.d_model)
+        params["input_proj.w"].data[-1] = rng.normal(size=cfg.d_model)
         x = rng.normal(size=(2, cfg.t_in, state.n_stations, len(CHANNELS)))
         cot = Tensor(rng.normal(size=(2, cfg.tau, state.n_stations, len(CHANNELS))))
 
         def f():
             return (forward(params, state, x) * cot).sum()
 
-        checked = {name: params[name] for name in ("input_proj.w", "input_proj.b")}
+        checked = {"input_proj.w": params["input_proj.w"]}
         with diffusion_regime(regime):
             assert grad_check(f, checked, samples_per_param=None) < 1e-6
 

@@ -219,10 +219,12 @@ def masked_inputs(rng, shape, missing):
 
 
 def nonzero_input_bias(params, rng):
-    """``params`` with a random ``input_proj.b``: ``init_params`` zeroes it,
-    and diffusion carries it as a ones channel whose diffused values
-    (A 1, not 1 under signed weights) only a nonzero bias exposes."""
-    params["input_proj.b"].data[:] = rng.normal(size=params["input_proj.b"].shape)
+    """``params`` with a random b_in, the last row of ``input_proj.w``:
+    ``init_params`` zeroes it, and diffusion carries it as a ones channel
+    whose diffused values (A 1, not 1 under signed weights) only a nonzero
+    bias exposes."""
+    bias = params["input_proj.w"].data[-1]
+    bias[:] = rng.normal(size=bias.shape)
     return params
 
 
@@ -306,11 +308,12 @@ class TestTableLayoutProperty:
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["at_ratio", "above_ratio"])
     def test_regime_boundary_matches_dense(self, extra, monkeypatch):
-        # N_src = ratio * K still runs on the dense operator, one source row
-        # more on the table; both match the reference (K=1 keeps the union
-        # graph within the reference's 64 stations)
+        # N_src at the cap still runs on the dense operator, one source row
+        # more on the table; both match the reference (the cap, lowered to
+        # 24, keeps the union graph within the reference's 64 stations)
+        monkeypatch.setattr(ad, "_DENSE_ROWS", 24)
         k = 1
-        n = ad._DENSE_RATIO * k + extra
+        n = ad._DENSE_ROWS + extra
         dense_ops = []
         real = ad._DenseOperator
         monkeypatch.setattr(ad, "_DenseOperator", lambda *a: dense_ops.append(a) or real(*a))

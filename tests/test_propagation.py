@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from omniair import autodiff as ad
 from omniair.autodiff import Tensor, grad_check
+from omniair.data import chrono_split, make_windows
+from omniair.model import build_state, forward, init_params, masked_mae_loss
+from omniair.oracle import RDScenario, simulate_rd
 from omniair.propagation import (
     diffuse,
     forecast_head,
@@ -15,7 +18,7 @@ from omniair.propagation import (
 )
 from omniair.topology import HybridGraph
 
-from conftest import REGIMES, diffusion_regime
+from conftest import REGIMES, diffusion_regime, small_config
 
 
 def make_graph(nbr):
@@ -303,15 +306,21 @@ class TestSignedAggregate:
             signed_aggregate(stack, agg_params(4, 2, 3), heads=2, **kwargs)
 
 
+def gate_params(w, bias, requires_grad=True):
+    """``fuse_and_gate``'s parameters from the joined (2D, D) weight of
+    ``[z || e_id]`` and the (D,) bias."""
+    d = w.shape[1]
+    return {name: Tensor(value, requires_grad=requires_grad)
+            for name, value in (("out_gate.w_z", w[:d]), ("out_gate.w_id", w[d:]),
+                                ("out_gate.b", bias))}
+
+
 class TestFusionAndGate:
     def test_gate_limits(self):
         rng = np.random.default_rng(9)
         z = Tensor(rng.normal(size=(2, 3, 4, 6)))
         e = Tensor(rng.normal(size=(4, 6)))
-        params = {
-            "out_gate.w": Tensor(np.zeros((12, 6)), requires_grad=True),
-            "out_gate.b": Tensor(np.full(6, 80.0), requires_grad=True),
-        }
+        params = gate_params(np.zeros((12, 6)), np.full(6, 80.0))
         _, fused = fuse_and_gate(z, e, params)
         np.testing.assert_allclose(fused.data, z.data, atol=1e-12)
         params["out_gate.b"] = Tensor(np.full(6, -80.0), requires_grad=True)
@@ -322,10 +331,7 @@ class TestFusionAndGate:
         rng = np.random.default_rng(10)
         e = rng.normal(size=(4, 6))
         z = Tensor(np.broadcast_to(e, (2, 3, 4, 6)).copy())
-        params = {
-            "out_gate.w": Tensor(rng.normal(size=(12, 6)), requires_grad=True),
-            "out_gate.b": Tensor(rng.normal(size=6), requires_grad=True),
-        }
+        params = gate_params(rng.normal(size=(12, 6)), rng.normal(size=6))
         _, fused = fuse_and_gate(z, Tensor(e), params)
         np.testing.assert_allclose(fused.data, z.data, atol=1e-12)
 
@@ -333,7 +339,7 @@ class TestFusionAndGate:
         rng = np.random.default_rng(13)
         z, e = rng.normal(size=(2, 3, 4, 6)), rng.normal(size=(4, 6))
         w, bias = rng.normal(size=(12, 6)), rng.normal(size=6)
-        params = {"out_gate.w": Tensor(w), "out_gate.b": Tensor(bias)}
+        params = gate_params(w, bias, requires_grad=False)
         gate, fused = fuse_and_gate(Tensor(z), Tensor(e), params)
         e_b = np.broadcast_to(e, z.shape)
         want = 1.0 / (1.0 + np.exp(-(np.concatenate([z, e_b], axis=-1) @ w + bias)))
@@ -343,8 +349,7 @@ class TestFusionAndGate:
     def test_gradcheck(self):
         rng = np.random.default_rng(14)
         params = {
-            "out_gate.w": Tensor(rng.normal(size=(8, 4)), requires_grad=True),
-            "out_gate.b": Tensor(rng.normal(size=4), requires_grad=True),
+            **gate_params(rng.normal(size=(8, 4)), rng.normal(size=4)),
             "z": Tensor(rng.normal(size=(2, 2, 3, 4)), requires_grad=True),
             "e_id": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
         }
@@ -357,10 +362,7 @@ class TestFusionAndGate:
         assert grad_check(f, params, samples_per_param=None) < 1e-6
 
     def test_dimension_mismatch(self):
-        params = {
-            "out_gate.w": Tensor(np.zeros((12, 6))),
-            "out_gate.b": Tensor(np.zeros(6)),
-        }
+        params = gate_params(np.zeros((12, 6)), np.zeros(6), requires_grad=False)
         with pytest.raises(ValueError):
             fuse_and_gate(Tensor(np.zeros((1, 1, 4, 6))), Tensor(np.zeros((4, 5))), params)
 
@@ -384,8 +386,7 @@ class TestTapeStructure:
 
     def _inputs(self, rng):
         params = agg_params(8, 2, 3, rng=rng, bias=[1.0, 0.5, -0.5])
-        params["out_gate.w"] = Tensor(rng.normal(size=(16, 8)), requires_grad=True)
-        params["out_gate.b"] = Tensor(rng.normal(size=8), requires_grad=True)
+        params.update(gate_params(rng.normal(size=(16, 8)), rng.normal(size=8)))
         stack = Tensor(rng.normal(size=(3, 2, 2, 5, 8)), requires_grad=True)
         e_id = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
         return params, stack, e_id
@@ -402,7 +403,7 @@ class TestTapeStructure:
         params, _, e_id = self._inputs(np.random.default_rng(18))
         z = Tensor(np.random.default_rng(19).normal(size=(2, 2, 5, 8)), requires_grad=True)
         gate, fused = fuse_and_gate(z, e_id, params)
-        leaves = (z, e_id, params["out_gate.w"], params["out_gate.b"])
+        leaves = (z, e_id, params["out_gate.w_z"], params["out_gate.w_id"], params["out_gate.b"])
         nodes = tape_nodes(fused, leaves)
         assert len(nodes) <= 2
         assert any(n is gate for n in nodes)
@@ -415,6 +416,39 @@ class TestTapeStructure:
             gate, fused = fuse_and_gate(z, e_id, params)
         for out in (z, gate, fused):
             assert out._parents == () and out._backward is None and not out.requires_grad
+
+
+class TestModelTape:
+    """The forward+loss tape of the whole model at the criterion-9 config:
+    each weight is stored as the block its one product multiplies, so no
+    parameter is reshaped, transposed or joined on the tape."""
+
+    @pytest.fixture(scope="class")
+    def tape(self):
+        cfg = small_config(d_model=32, t_in=16, tau=7, k_geo=6, k_sem=3, batch=16,
+                           attn_dim=16, head_hidden=64)
+        stations, frame = simulate_rd(RDScenario(n=14, steps=60, seed=4))
+        train = chrono_split(frame)[0]
+        state = build_state(cfg, stations, train)
+        params = init_params(cfg, np.random.default_rng(0))
+        batch = next(make_windows(train, cfg.t_in, cfg.tau, state.stats, cfg.batch))
+        pred = forward(params, state, batch.inputs)
+        loss = masked_mae_loss(pred, state.stats.normalize(batch.targets), batch.target_valid)
+        ops = [n for n in tape_nodes(loss, ()) if n._backward is not None]
+        return ops, params
+
+    def test_op_count(self, tape):
+        ops, _ = tape
+        assert len(ops) == 66, sorted(n._backward.__qualname__ for n in ops)
+
+    def test_no_parameter_is_reshaped_transposed_or_joined(self, tape):
+        ops, params = tape
+        names = {id(p): name for name, p in params.items()}
+        for node in ops:
+            op = node._backward.__qualname__.split(".")[0]
+            if op in ("reshape", "transpose", "concat"):
+                held = [names[id(p)] for p in node._parents if id(p) in names]
+                assert not held, f"{op} of {held}"
 
 
 class TestForecastHead:

@@ -29,9 +29,12 @@ def edge_params(d, d_prime, rng=None, zero=False):
         return Tensor(data, requires_grad=True)
 
     return {
-        "attn.we": make((2 * d, d_prime)),
-        "attn.a": make((d_prime,)),
-        "edge_gate.w": make((2 * d + 1,)),
+        "attn.we_own": make((d, d_prime)),
+        "attn.we_src": make((d, d_prime)),
+        "attn.a": make((d_prime, 1)),
+        "edge_gate.w_own": make((d, 1)),
+        "edge_gate.w_src": make((d, 1)),
+        "edge_gate.w_static": make((1,)),
         "edge_gate.b": make((1,)),
         "beta_mlp.w1": make((d, 16)),
         "beta_mlp.b1": make((16,)),
@@ -175,8 +178,8 @@ class TestDynamicAttention:
 
     def test_saturates_to_unit_range(self):
         params = edge_params(1, 1)
-        params["attn.we"] = Tensor(np.full((2, 1), 100.0), requires_grad=True)
-        params["attn.a"] = Tensor(np.array([100.0]), requires_grad=True)
+        for name in ("attn.we_own", "attn.we_src", "attn.a"):
+            params[name] = Tensor(np.full((1, 1), 100.0), requires_grad=True)
         h = Tensor(np.ones((1, 2, 1)))
         alpha = dynamic_attention(h, h, np.array([[1], [0]]), params)
         assert np.all(np.abs(alpha.data) <= 1.0)
@@ -190,8 +193,9 @@ class TestDynamicAttention:
         hi = rng.normal(size=2)
         hj = rng.normal(size=2)
         params = edge_params(2, 2)
-        params["attn.we"] = Tensor(we, requires_grad=True)
-        params["attn.a"] = Tensor(a, requires_grad=True)
+        params["attn.we_own"] = Tensor(we[:2], requires_grad=True)
+        params["attn.we_src"] = Tensor(we[2:], requires_grad=True)
+        params["attn.a"] = Tensor(a[:, None], requires_grad=True)
         alpha = dynamic_attention(
             Tensor(hi.reshape(1, 1, 2)), Tensor(hj.reshape(1, 1, 2)), np.array([[0]]), params
         )
@@ -252,10 +256,13 @@ class TestPerNodeProjection:
         own = np.broadcast_to(h_own[:, :, None, :], h_src[:, self.NBR].shape)
         ws = np.broadcast_to(w_static[None, :, :, None], own.shape[:-1] + (1,))
         x = np.concatenate([own, h_src[:, self.NBR], ws], axis=-1)
-        pre = x[..., :-1] @ params["attn.we"].data
+        we = np.vstack([params["attn.we_own"].data, params["attn.we_src"].data])
+        wg = np.concatenate([params[f"edge_gate.w_{part}"].data.ravel()
+                             for part in ("own", "src", "static")])
+        pre = x[..., :-1] @ we
         act = np.where(pre > 0, pre, 0.1 * pre)
-        alpha_ref = np.tanh(act @ params["attn.a"].data)
-        score = x @ params["edge_gate.w"].data + params["edge_gate.b"].data
+        alpha_ref = np.tanh(act @ params["attn.a"].data[:, 0])
+        score = x @ wg + params["edge_gate.b"].data
         gate_ref = 1.0 / (1.0 + np.exp(-score))
 
         alpha = dynamic_attention(Tensor(h_own), Tensor(h_src), self.NBR, params)
@@ -272,7 +279,8 @@ class TestPerNodeProjection:
         params, h_own, h_src, w_static = self._inputs()
         graph = HybridGraph(self.NBR, w_static, cross=True)
         checked = {name: params[name]
-                   for name in ("attn.we", "attn.a", "edge_gate.w", "edge_gate.b")}
+                   for name in ("attn.we_own", "attn.we_src", "attn.a", "edge_gate.w_own",
+                                "edge_gate.w_src", "edge_gate.w_static", "edge_gate.b")}
         checked["h_own"] = Tensor(h_own, requires_grad=True)
         checked["h_src"] = Tensor(h_src, requires_grad=True)
 

@@ -200,7 +200,7 @@ class TestCheckpointRoundtrip:
         assert [p.name for p in tmp_path.iterdir()] == ["ck"]
 
     def test_unknown_parameter_refused(self, tmp_path, tiny_cfg, tiny_state, tiny_params):
-        params = {**tiny_params, "extra.w": tiny_params["input_proj.b"]}
+        params = {**tiny_params, "extra.w": tiny_params["out_gate.b"]}
         save_checkpoint(tmp_path / "ck", params, model_buffers(tiny_state), tiny_cfg, 42,
                         ids(tiny_state))
         with pytest.raises(ValueError, match="unknown parameter 'extra.w'"):
