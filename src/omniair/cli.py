@@ -164,6 +164,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_predict_unseen(args) -> int:
+    if args.base_out and Path(args.out).resolve() == Path(args.base_out).resolve():
+        raise ValueError(f"--out {args.out} and --base-out {args.base_out} name the same file")
     params, state, _ = _state_from_checkpoint(args)
     frame = load_series(args.series, state.stations)
     new_stations = load_stations(args.new_stations)
@@ -197,6 +199,8 @@ def cmd_export_embeddings(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # an unusable path fails now, not after the sweep
     report = bench.run_scaling(
         tuple(args.n),
         k=args.k,
@@ -204,8 +208,6 @@ def cmd_bench(args) -> int:
         repeats=args.repeats,
         seed=args.seed,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     bench.write_bench_csv(report, out / "bench.csv")
     bench.write_loglog(report, out / "loglog.txt")
     for r in report.rows:

@@ -57,13 +57,13 @@ def rebuild_state(
     )
     contexts = Contexts(buffers["context_vectors"], buffers["context_centroids"])
     state = _derive_state(cfg, stations, np.stack([s.point for s in stations]), stats, contexts,
-                          nbr=buffers["neighbors"].astype(np.intp))
+                          nbr=buffers["neighbors"])
     changed = np.flatnonzero(state.grades != buffers["grades"])
     if changed.size:
         i = changed[0]
         raise ValueError(
             f"station {stations[i].id!r}: the station file gives grade {state.grades[i]}, "
-            f"the checkpoint was trained with grade {int(buffers['grades'][i])}"
+            f"the checkpoint was trained with grade {buffers['grades'][i]}"
         )
     return state
 

@@ -196,6 +196,6 @@ def model_buffers(state: ModelState) -> dict[str, np.ndarray]:
         "geo_std": state.stats.geo_std,
         "context_vectors": state.contexts.vectors,
         "context_centroids": state.contexts.centroids,
-        "grades": state.grades.astype(np.float64),
-        "neighbors": state.graph.nbr.astype(np.float64),
+        "grades": state.grades.astype(np.int64),
+        "neighbors": state.graph.nbr.astype(np.int64),
     }

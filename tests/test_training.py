@@ -17,7 +17,7 @@ from omniair.inference import (
     rebuild_state,
     window_end_index,
 )
-from omniair.model import init_params
+from omniair.model import build_state, init_params
 from omniair.oracle import RDScenario, simulate_rd
 from omniair.training import EarlyStopper, model_buffers, train_model
 
@@ -130,14 +130,45 @@ class TestCheckpointRoundtrip:
         for name, arr in buffers.items():
             assert np.array_equal(bufs[name], arr)
 
+    @pytest.mark.parametrize("overrides", [
+        {}, {"diffusion_steps": 0}, {"k_sem": 0}, {"coeff_mode": "positive"},
+    ], ids=["default", "no-diffusion", "no-semantic", "positive"])
+    def test_every_tensor_reloads_bit_for_bit(self, tmp_path, tiny_dataset, overrides):
+        stations, frame = tiny_dataset
+        cfg = small_config(**overrides)
+        state = build_state(cfg, stations, chrono_split(frame)[0])
+        params = init_params(cfg, np.random.default_rng(5))
+        buffers = model_buffers(state)
+        save_checkpoint(tmp_path / "ck", params, buffers, cfg, 5, ids(state))
+        got_params, got_buffers, _, _ = load_checkpoint(tmp_path / "ck")
+        saved = {**{k: p.data for k, p in params.items()}, **buffers}
+        got = {**{k: p.data for k, p in got_params.items()}, **got_buffers}
+        assert list(got) == list(saved)
+        for name, arr in saved.items():
+            dtype = np.int64 if name in ("grades", "neighbors") else np.float64
+            assert got[name].dtype == arr.dtype == dtype, name
+            assert got[name].shape == arr.shape and got[name].tobytes() == arr.tobytes(), name
+
     def test_manifest_entries_complete(self, tmp_path, tiny_cfg, tiny_state, tiny_params):
-        save_checkpoint(tmp_path / "ck", tiny_params, model_buffers(tiny_state), tiny_cfg, 1,
-                        ids(tiny_state))
+        # each listing is the tensor names in record order; each record
+        # carries its own shape and dtype
+        buffers = model_buffers(tiny_state)
+        save_checkpoint(tmp_path / "ck", tiny_params, buffers, tiny_cfg, 1, ids(tiny_state))
         manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
         assert manifest["station_ids"] == list(ids(tiny_state))
-        for entry in manifest["params"] + manifest["buffers"]:
-            assert set(entry) == {"name", "shape", "dtype", "offset"}
-            assert entry["dtype"] == "f64"
+        assert manifest["params"] == list(tiny_params)
+        assert manifest["buffers"] == list(buffers)
+        with open(tmp_path / "ck" / "params.bin", "rb") as fh:
+            for name in manifest["params"] + manifest["buffers"]:
+                record = np.lib.format.read_array(fh, allow_pickle=False)
+                want = tiny_params[name].data if name in tiny_params else buffers[name]
+                assert record.dtype == want.dtype and record.shape == want.shape
+            assert fh.read() == b""
+
+    def test_readme_names_the_current_format(self):
+        # every deletion in the loader bumps FORMAT; the README must follow
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        assert f"`{checkpoint.FORMAT}`" in readme
 
     def test_failed_overwrite_keeps_earlier_checkpoint(
         self, tmp_path, monkeypatch, tiny_cfg, tiny_state, tiny_params
