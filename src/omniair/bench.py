@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import no_grad, zero_grads
+from .autodiff import Tensor, no_grad, zero_grads
 from .config import RunConfig
 from .data import CHANNELS, N_GRADES
 from .encoder import semantic_feature_matrix
@@ -99,6 +99,27 @@ def bench_config(k: int, t_in: int) -> RunConfig:
     )
 
 
+def scaling_case(
+    cfg: RunConfig, n: int, seed: int
+) -> tuple[float, ModelState, dict[str, Tensor], np.ndarray, np.ndarray]:
+    """One generated network of ``n`` stations: the ms its graph build took,
+    its state, fresh parameters, and one random (1, t_in) input window with
+    its (1, tau) target."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
+    points = np.stack([rng.uniform(30.0, 40.0, n), rng.uniform(100.0, 110.0, n)], axis=1)
+    grades = rng.integers(0, N_GRADES, size=n)
+    id_features = rng.normal(size=(n, identity_input_dim(cfg) - cfg.grade_embed))
+    sem_vectors = semantic_feature_matrix(id_features, grades)
+    t0 = time.perf_counter()
+    graph = build_hybrid_graph(points, sem_vectors, cfg.k_geo, cfg.k_sem, cfg.kappa_km)
+    build_ms = (time.perf_counter() - t0) * 1e3
+    state = ModelState(cfg, [], None, None, graph, id_features, grades, sem_vectors)
+    params = init_params(cfg, rng)
+    x = rng.normal(size=(1, cfg.t_in, n, len(CHANNELS)))
+    target = rng.normal(size=(1, cfg.tau, n, len(CHANNELS)))
+    return build_ms, state, params, x, target
+
+
 def run_scaling(
     n_list: tuple[int, ...],
     k: int = 15,
@@ -121,19 +142,8 @@ def run_scaling(
     setups = []
     build_ms = {}
     for n in n_list:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
-        points = np.stack([rng.uniform(30.0, 40.0, n), rng.uniform(100.0, 110.0, n)], axis=1)
-        grades = rng.integers(0, N_GRADES, size=n)
-        id_features = rng.normal(size=(n, identity_input_dim(cfg) - cfg.grade_embed))
-        sem_vectors = semantic_feature_matrix(id_features, grades)
-        t0 = time.perf_counter()
-        graph = build_hybrid_graph(points, sem_vectors, cfg.k_geo, cfg.k_sem, cfg.kappa_km)
-        build_ms[n] = (time.perf_counter() - t0) * 1e3
-        state = ModelState(cfg, [], None, None, graph, id_features, grades, sem_vectors)
-        params = init_params(cfg, rng)
-        x = rng.normal(size=(1, t_in, n, len(CHANNELS)))
-        target = rng.normal(size=(1, cfg.tau, n, len(CHANNELS)))
-        setups.append((n, state, params, x, target))
+        build_ms[n], *setup = scaling_case(cfg, n, seed)
+        setups.append((n, *setup))
 
     def timed_forward(state, params, x, _target) -> float:
         with no_grad():

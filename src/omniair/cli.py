@@ -98,31 +98,33 @@ def _state_from_checkpoint(args):
     return params, state, cfg
 
 
-def cmd_features(args) -> int:
+def _state_from_data(args):
+    """The model state training would build from ``--stations`` and
+    ``--series``: statistics and graph from the chronological train split."""
     cfg = _load_config(args)
     stations = load_stations(args.stations)
     frame = load_series(args.series, stations)
     train, _, _ = chrono_split(frame, min_len=cfg.t_in + cfg.tau)
-    state = build_state(cfg, stations, train)
+    return build_state(cfg, stations, train)
+
+
+def cmd_features(args) -> int:
+    state = _state_from_data(args)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["station_id", "mu_nbr", "sigma_nbr", "delta_c_km", "delta_self"]
             + [f"level_{i}" for i in range(N_GRADES)]
         )
-        for s, row in zip(stations, state.contexts.vectors):
+        for s, row in zip(state.stations, state.contexts.vectors):
             writer.writerow([s.id] + [repr(float(v)) for v in row])
-    print(f"wrote neighborhood features for {len(stations)} stations to {args.out}")
+    print(f"wrote neighborhood features for {state.n_stations} stations to {args.out}")
     return 0
 
 
 def cmd_build_graph(args) -> int:
-    cfg = _load_config(args)
-    stations = load_stations(args.stations)
-    frame = load_series(args.series, stations)
-    train, _, _ = chrono_split(frame, min_len=cfg.t_in + cfg.tau)
-    state = build_state(cfg, stations, train)
-    g = state.graph
+    state = _state_from_data(args)
+    cfg, stations, g = state.cfg, state.stations, state.graph
     points = np.stack([s.point for s in stations])
     km = haversine(points[:, None], points[g.nbr])
     with open(args.out, "w", newline="") as fh:

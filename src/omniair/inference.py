@@ -20,6 +20,7 @@ from .data import (
     NormStats,
     SeriesFrame,
     StationMeta,
+    _date_of,
     csv_fields,
     date_range,
     float_reprs,
@@ -77,14 +78,13 @@ def window_end_index(frame: SeriesFrame, window_end: str | int | None, t_in: int
         if idx < 0:
             idx += frame.n_steps
     else:
-        try:
-            ts = np.datetime64(str(window_end), "D")
-        except ValueError:
+        day = _date_of(str(window_end))  # the series file's own rule for a date
+        if day is None:
             raise ValueError(
                 f"--window-end {window_end!r}: expected an ISO date (YYYY-MM-DD) or a step "
                 "index (negative counts back from the last step)"
-            ) from None
-        hits = np.flatnonzero(frame.timestamps == ts)
+            )
+        hits = np.flatnonzero(frame.timestamps == np.datetime64(day, "D"))
         if len(hits) == 0:
             raise ValueError(f"window end {window_end!r} not in frame range")
         idx = int(hits[0])

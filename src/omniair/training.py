@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,38 +30,13 @@ _MAX_SKIPPED_IN_A_ROW = 8
 
 @dataclass
 class TrainLog:
+    """The one record of a run: each validated epoch, the best one (whose
+    parameters the run keeps) and why training stopped."""
+
     epochs: list[dict] = field(default_factory=list)
     best_epoch: int = -1
     best_val_mae: float = float("inf")
     stop_reason: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "best_epoch": self.best_epoch,
-            "best_val_mae": self.best_val_mae,
-            "stop_reason": self.stop_reason,
-        }
-
-
-class EarlyStopper:
-    """Stops after ``patience`` consecutive non-improving validation epochs."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = float("inf")
-        self.best_epoch = -1
-        self.stale = 0
-
-    def update(self, epoch: int, value: float) -> bool:
-        """Record one validation value; returns True when training must stop."""
-        if value < self.best:
-            self.best = value
-            self.best_epoch = epoch
-            self.stale = 0
-        else:
-            self.stale += 1
-        return self.stale >= self.patience
 
 
 def predict_batches(params: dict[str, Tensor], state: ModelState, frame: SeriesFrame):
@@ -119,11 +94,11 @@ def train_model(
     rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg, rng)
     opt = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    stopper = EarlyStopper(cfg.patience)
     tlog = TrainLog()
     best_snapshot = {k: p.data.copy() for k, p in params.items()}
     diverged = ""
     skipped_in_a_row = 0
+    stale = 0  # validated epochs in a row that did not improve on the best
 
     for epoch in range(cfg.max_epochs):
         epoch_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch]))
@@ -148,7 +123,7 @@ def train_model(
                 break
             losses.append(loss.item())
         if diverged:
-            if stopper.best_epoch < 0:
+            if tlog.best_epoch < 0:
                 raise ValueError(f"training diverged at epoch {epoch}, before any validated "
                                  f"epoch: {diverged}")
             log.error("training diverged at epoch %d: %s; keeping best checkpoint", epoch,
@@ -160,16 +135,17 @@ def train_model(
             {"epoch": epoch, "train_loss": float(np.mean(losses)), "val_mae": val_mae,
              "skipped_steps": skipped}
         )
-        if val_mae < stopper.best:
+        if val_mae < tlog.best_val_mae:
+            tlog.best_epoch, tlog.best_val_mae, stale = epoch, val_mae, 0
             best_snapshot = {k: p.data.copy() for k, p in params.items()}
-        if stopper.update(epoch, val_mae):
-            tlog.stop_reason = "patience"
-            break
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                tlog.stop_reason = "patience"
+                break
     else:
         tlog.stop_reason = "max_epochs"
 
-    tlog.best_epoch = stopper.best_epoch
-    tlog.best_val_mae = stopper.best
     for k, p in params.items():
         p.data = best_snapshot[k].copy()
 
@@ -181,7 +157,7 @@ def train_model(
         )
         cfg.save(out / "config.json")
         with open(out / "train_log.json", "w") as fh:
-            json.dump(tlog.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(tlog), fh, indent=2, sort_keys=True)
             fh.write("\n")
     return TrainResult(params, state, tlog, (train, val, test))
 

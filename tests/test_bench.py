@@ -1,15 +1,23 @@
 import ctypes
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from omniair import bench
-from omniair.autodiff import no_grad
-from omniair.bench import fit_loglog_slope, run_scaling, write_bench_csv, write_loglog
+from omniair.autodiff import no_grad, zero_grads
+from omniair.bench import (
+    bench_config,
+    fit_loglog_slope,
+    run_scaling,
+    scaling_case,
+    write_bench_csv,
+    write_loglog,
+)
 from omniair.cli import main
 from omniair.data import make_windows
-from omniair.model import forward
+from omniair.model import forward, masked_mae_loss
 from omniair.training import train_model
 
 from conftest import small_config
@@ -119,6 +127,47 @@ class TestRunScaling:
         a = run_scaling((64, 128, 256), k=5, t_in=2, repeats=5, seed=3)
         b = run_scaling((64, 128, 256), k=5, t_in=2, repeats=5, seed=3)
         assert [(r.n, r.k, r.edges) for r in a.rows] == [(r.n, r.k, r.edges) for r in b.rows]
+
+
+class TestTracedMemory:
+    """Memory of one taped step, counted exactly by ``tracemalloc``: unlike
+    peak RSS it does not move with heap placement or machine load.
+
+    The unit is bytes per (row x D), a row being one (b, t, n). Measured on
+    ``bench_config(15, 4)`` networks (B 1, t_in 4, D 32): a peak of 340.3 and
+    336.8 and a forward that holds 209.4 and 209.0 at N = 512 and 2048. A
+    change that lowers memory lowers the bounds with it. Below N = 512 the
+    fixed costs show: at N = 256 the peak is 359.7."""
+
+    PEAK_BOUND = 345.0
+    HELD_BOUND = 212.0
+
+    @staticmethod
+    def _traced_step(n: int) -> tuple[float, float]:
+        cfg = bench_config(15, 4)
+        _, state, params, x, target = scaling_case(cfg, n, seed=0)
+        mask = np.ones(target.shape, dtype=bool)
+        zero_grads(params)
+        masked_mae_loss(forward(params, state, x), target, mask).backward()  # warm-up
+        zero_grads(params)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = masked_mae_loss(forward(params, state, x), target, mask)
+            held = tracemalloc.get_traced_memory()[0] - base
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        unit = x.shape[0] * cfg.t_in * n * cfg.d_model
+        return peak / unit, held / unit
+
+    def test_step_memory_is_bounded_and_linear_in_n(self):
+        (peak_a, held_a), (peak_b, held_b) = self._traced_step(512), self._traced_step(2048)
+        assert max(peak_a, peak_b) <= self.PEAK_BOUND
+        assert max(held_a, held_b) <= self.HELD_BOUND
+        assert peak_a == pytest.approx(peak_b, rel=0.03)
+        assert held_a == pytest.approx(held_b, rel=0.03)
 
 
 def test_cli_bench_writes_csv_and_loglog(tmp_path, capsys):

@@ -577,9 +577,10 @@ class TestErrors:
         assert "config field seed=-1 must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("value", ["--5", "1e3"])
+    @pytest.mark.parametrize("value", ["--5", "1e3", "2020-03", "2020-03-01T12", "+60"])
     def test_malformed_window_end_exits_2(self, workspace, tmp_path, capsys, value):
-        # int() and numpy's date parser named neither the flag nor the forms
+        # int() and numpy's date parser named neither the flag nor the forms,
+        # and numpy read a month, a date-time or "+60" (the year 60) as a day
         ws, _ = workspace
         assert run(["predict", "--checkpoint", ws / "run" / "checkpoint",
                     "--stations", ws / "data" / "stations.csv",
@@ -1068,3 +1069,10 @@ class TestErrors:
         assert run(["grad-check", "--seed", 0]) == 0
         out = capsys.readouterr().out
         assert "max relative gradient error" in out
+
+    def test_grad_check_failure_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "toy_grad_check", lambda seed: 2e-4)
+        assert run(["grad-check"]) == 1
+        out = capsys.readouterr().out
+        assert "max relative gradient error: 2.000e-04" in out
+        assert "gradient check FAILED (threshold 1e-4)" in out

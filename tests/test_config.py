@@ -104,6 +104,17 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=re.escape(f"config field {message}")):
             RunConfig.from_dict(fields)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"fourier_dim": 30}, "fourier_dim must be a multiple of 4"),
+        ({"k_sem": -1}, "k_sem and diffusion_steps must be non-negative"),
+        ({"diffusion_steps": -1}, "k_sem and diffusion_steps must be non-negative"),
+        ({"restart": 1.0}, "restart must be in [0, 1)"),
+        ({"restart": -0.1}, "restart must be in [0, 1)"),
+    ])
+    def test_value_out_of_range_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig.from_dict(fields)
+
     def test_negative_seed_rejected_by_name(self):
         # numpy's own refusal, "expected non-negative integer", names no field
         with pytest.raises(ValueError, match="config field seed=-1 must be non-negative"):

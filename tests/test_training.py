@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from omniair import checkpoint
+from omniair import checkpoint, training
 from omniair.checkpoint import load_checkpoint, save_checkpoint
 from omniair.config import RunConfig
 from omniair.data import chrono_split
@@ -19,7 +19,7 @@ from omniair.inference import (
 )
 from omniair.model import build_state, init_params
 from omniair.oracle import RDScenario, simulate_rd
-from omniair.training import EarlyStopper, model_buffers, train_model
+from omniair.training import model_buffers, train_model
 
 from conftest import small_config
 
@@ -32,35 +32,61 @@ def ids(state):
     return tuple(s.id for s in state.stations)
 
 
+class TestEarlyStopping:
+    def test_scripted_validation_sequence(self, monkeypatch):
+        # each epoch's validation MAE is scripted; the parameters it was
+        # handed are kept so the restored ones can be checked against them
+        script = iter([3.0, 2.0, 2.0, 1.0, 1.5, 1.0, 0.5, 0.5])
+        seen = []
+
+        def scripted_mae(params, state, frame):
+            seen.append({k: p.data.copy() for k, p in params.items()})
+            return next(script)
+
+        monkeypatch.setattr(training, "validation_mae", scripted_mae)
+        stations, frame = quick_dataset(seed=29)
+        result = train_model(small_config(max_epochs=10, patience=2), stations, frame)
+        log = result.log
+        # the ties at epochs 2 and 5 count as stale: the tie at 5 is the
+        # second stale epoch after the best, so training stops there
+        assert [e["val_mae"] for e in log.epochs] == [3.0, 2.0, 2.0, 1.0, 1.5, 1.0]
+        assert (log.stop_reason, log.best_epoch, log.best_val_mae) == ("patience", 3, 1.0)
+        assert len(seen) == 6
+        for k, p in result.params.items():
+            assert np.array_equal(p.data, seen[3][k])
+        assert any(not np.array_equal(seen[3][k], seen[5][k]) for k in seen[3])  # it trained on
+
+
+def scripted_log(monkeypatch, maes, **overrides):
+    """Train with each epoch's validation MAE taken from `maes` in turn."""
+    script = iter(maes)
+    monkeypatch.setattr(training, "validation_mae", lambda params, state, frame: next(script))
+    stations, frame = quick_dataset(seed=29)
+    return train_model(small_config(**overrides), stations, frame).log
+
+
 class TestEarlyStopper:
-    def test_stops_after_exactly_patience_stale_epochs(self):
-        stopper = EarlyStopper(patience=20)
-        assert not stopper.update(0, 1.0)
-        stopped_at = None
-        for epoch in range(1, 40):
-            if stopper.update(epoch, 2.0):  # injected non-improving stream
-                stopped_at = epoch
-                break
-        assert stopped_at == 20
-        assert stopper.best_epoch == 0
+    def test_stops_after_exactly_patience_stale_epochs(self, monkeypatch):
+        log = scripted_log(monkeypatch, [1.0] + [2.0] * 39, max_epochs=40, patience=20)
+        assert log.stop_reason == "patience"
+        assert log.epochs[-1]["epoch"] == 20  # the 20th non-improving epoch
+        assert (log.best_epoch, log.best_val_mae) == (0, 1.0)
 
-    def test_improvement_resets(self):
-        stopper = EarlyStopper(patience=2)
-        assert not stopper.update(0, 5.0)
-        assert not stopper.update(1, 6.0)
-        assert not stopper.update(2, 4.0)  # improvement
-        assert not stopper.update(3, 6.0)
-        assert stopper.update(4, 6.0)
-        assert stopper.best_epoch == 2
+    def test_improvement_resets(self, monkeypatch):
+        log = scripted_log(monkeypatch, [5.0, 6.0, 4.0, 6.0, 6.0, 6.0], max_epochs=6,
+                           patience=2)
+        # without the reset at epoch 2, epochs 1 and 3 would already stop it at 3
+        assert log.stop_reason == "patience"
+        assert log.epochs[-1]["epoch"] == 4
+        assert (log.best_epoch, log.best_val_mae) == (2, 4.0)
 
-    def test_best_non_increasing(self):
-        stopper = EarlyStopper(patience=50)
-        rng = np.random.default_rng(0)
-        best_seen = np.inf
-        for epoch, v in enumerate(rng.uniform(0, 10, 30)):
-            stopper.update(epoch, float(v))
-            best_seen = min(best_seen, v)
-            assert stopper.best == best_seen
+    def test_best_non_increasing(self, monkeypatch):
+        maes = [float(v) for v in np.random.default_rng(0).uniform(0, 10, 12)]
+        log = scripted_log(monkeypatch, maes, max_epochs=12, patience=50)
+        assert log.stop_reason == "max_epochs"
+        assert [e["val_mae"] for e in log.epochs] == maes
+        assert log.best_val_mae == min(maes)
+        assert log.best_epoch == maes.index(min(maes))
 
 
 class TestTrainLoop:
@@ -78,7 +104,7 @@ class TestTrainLoop:
         cfg = small_config(max_epochs=3)
         a = train_model(cfg, stations, frame, out_dir=tmp_path / "a")
         b = train_model(cfg, stations, frame, out_dir=tmp_path / "b")
-        assert a.log.to_dict() == b.log.to_dict()
+        assert a.log == b.log
         bytes_a = (tmp_path / "a" / "checkpoint" / "params.bin").read_bytes()
         bytes_b = (tmp_path / "b" / "checkpoint" / "params.bin").read_bytes()
         assert bytes_a == bytes_b
@@ -243,6 +269,11 @@ class TestCheckpointRoundtrip:
         with pytest.raises(ValueError):
             load_checkpoint(tmp_path)
 
+    def test_manifest_must_be_an_object(self, tmp_path):
+        (tmp_path / "manifest.json").write_text("[1, 2]")
+        with pytest.raises(ValueError, match="manifest.json: not a JSON object but list"):
+            load_checkpoint(tmp_path)
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -278,10 +309,18 @@ class TestPrediction:
         assert window_end_index(frame, 20, 8) == 20
         date = str(frame.timestamps[30])
         assert window_end_index(frame, date, 8) == 30
+        assert str(frame.timestamps[60]) == "2020-03-01"
+        assert window_end_index(frame, "2020-03-01", 8) == 60
+        assert window_end_index(frame, "59", 8) == 59
+        assert window_end_index(frame, "-1", 8) == frame.n_steps - 1
         with pytest.raises(ValueError):
             window_end_index(frame, 3, 8)  # not enough history
         with pytest.raises(ValueError):
             window_end_index(frame, "1999-01-01", 8)
+        # a month, a date-time and a signed number are not dates of the series file
+        for text in ("2020-03", "2020-03-01T12", "+60"):
+            with pytest.raises(ValueError, match="expected an ISO date"):
+                window_end_index(frame, text, 8)
 
     def test_forecast_shape_and_rows(self, trained):
         stations, frame, result, out = trained
