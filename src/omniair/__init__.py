@@ -12,8 +12,12 @@ weights are recomputed from the input window on every forward pass:
 - :mod:`omniair.oracle` - synthetic simulator and dense reference path
 - :mod:`omniair.training` / :mod:`omniair.inference` - loops and prediction
 - :mod:`omniair.bench` - forward-pass scaling measurements
+
+Importing the package raises glibc's mmap and trim thresholds to 1 GiB for
+the whole process (:func:`omniair.bench.pin_allocator`).
 """
 
+from . import bench
 from .autodiff import Tensor, grad_check, no_grad
 from .config import RunConfig
 from .data import (
@@ -34,6 +38,8 @@ from .oracle import RDScenario, SourceSpec, dense_forward, simulate_rd
 from .training import train_model
 
 __version__ = "0.1.0"
+
+bench.pin_allocator()
 
 __all__ = [
     "Adam",

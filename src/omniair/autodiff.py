@@ -3,7 +3,10 @@
 The engine is deliberately small: a :class:`Tensor` wraps a numpy array and,
 while gradients are enabled, every primitive operation records the closure
 needed to push adjoints back to its inputs. Calling ``backward`` on a scalar
-replays those closures in reverse topological order. The operator set is
+replays those closures in reverse topological order and frees each node as
+it passes it, so after ``backward`` the tape holds nothing but the leaves'
+gradients, and a graph runs backward once: build it again for another
+sweep. The operator set is
 exactly what the forecasting model needs: dense linear algebra, pointwise
 nonlinearities, row ``gather``, and four hand-written model ops with
 closed-form backwards, each one node: ``diffuse`` (the whole multi-step
@@ -95,7 +98,15 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
     def backward(self) -> None:
-        """Reverse sweep seeding d(self)/d(self) = 1; self must be scalar."""
+        """Reverse sweep seeding d(self)/d(self) = 1; self must be scalar.
+
+        The sweep frees the graph as it goes: once a node's closure has run,
+        or been skipped because no gradient reached it, the node drops its
+        closure, its parents and its gradient, so each saved array dies as
+        soon as nothing later in the sweep needs it. Leaves keep their
+        gradients. A graph runs backward once: a graph that reaches a swept
+        node raises ``RuntimeError`` before anything is computed.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         order: list[Tensor] = []
@@ -108,15 +119,21 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _swept:
+                raise RuntimeError(_SWEPT_MESSAGE)
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward is None:  # a leaf keeps its gradient
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward, node._parents, node.grad = _swept, (), None
 
     # -- operator sugar ------------------------------------------------------
     def __add__(self, other):
@@ -159,6 +176,14 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return sum_(self, axis=axis, keepdims=keepdims)
+
+
+_SWEPT_MESSAGE = "backward() already ran through this graph; build it again"
+
+
+def _swept(g: Array) -> None:
+    """The ``_backward`` of a node that a reverse sweep has passed."""
+    raise RuntimeError(_SWEPT_MESSAGE)
 
 
 def as_tensor(x) -> Tensor:

@@ -3,12 +3,15 @@ station count.
 
 For each N the network is generated: stations uniform in a 10°×10° box,
 random identity features and grades, and their semantic vectors. Three
-times are reported per N:
+times and one memory count are reported per N:
 
 - ``build_ms``: one ``build_hybrid_graph`` call, the graph the model runs
   on. Its semantic k-NN is O(N²), so this time grows faster than N.
 - ``forward_ms``: the median no-grad ``forward``.
 - ``step_ms``: the median ``masked_mae_loss(forward(...)).backward()``.
+- ``traced_peak_b``: the peak bytes one such step allocates, counted by
+  ``tracemalloc`` after the timed rounds, per (row x D), a row being one
+  (b, t, n). Unlike peak RSS it does not move with heap placement.
 
 The runtime phase touches only per-node and per-edge arrays, so the
 log-log slope of forward time against N should sit near 1.
@@ -19,6 +22,7 @@ from __future__ import annotations
 import csv
 import resource
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +45,10 @@ def pin_allocator() -> None:
     and zeroes it again; at large N that artifact, not compute, bends the
     measured scaling. Raising both thresholds to 1 GiB removes it.
 
-    This changes the whole process, so it is called where a process starts
-    (``cli.main``, ``run_scaling``), never by a library function. It does
-    nothing where glibc is absent.
+    This changes the whole process, so it is called in one place: importing
+    ``omniair`` calls it once, and no library function calls it again. The
+    trade is that the process keeps up to 1 GiB of freed heap instead of
+    returning it to the system. It does nothing where glibc is absent.
     """
     import ctypes
 
@@ -66,6 +71,7 @@ class BenchRow:
     forward_ms: float  # median over repeats
     step_ms: float  # median forward+loss+backward over repeats
     rss_mb: float
+    traced_peak_b: float  # traced peak of one step, bytes per (row x D)
 
 
 @dataclass
@@ -120,6 +126,24 @@ def scaling_case(
     return build_ms, state, params, x, target
 
 
+def traced_step(state: ModelState, params: dict[str, Tensor], x, target) -> tuple[int, int, int]:
+    """Bytes one taped step allocates, counted by ``tracemalloc``: held once
+    the loss is built, the peak, and held after ``backward()`` while the loss
+    is still alive. Parameter gradients are cleared before tracing starts."""
+    mask = np.ones(target.shape, dtype=bool)
+    zero_grads(params)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = masked_mae_loss(forward(params, state, x), target, mask)
+        held = tracemalloc.get_traced_memory()[0] - base
+        loss.backward()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held, peak - base, after - base
+
+
 def run_scaling(
     n_list: tuple[int, ...],
     k: int = 15,
@@ -128,7 +152,8 @@ def run_scaling(
     seed: int = 0,
 ) -> BenchReport:
     """Time the graph build, the forward and the forward+backward across
-    station counts, and fit the slope of the forward."""
+    station counts, fit the slope of the forward, then trace the memory of
+    one more step per N."""
     if len(n_list) < 3:
         raise ValueError("need at least 3 station counts for a slope")
     if list(n_list) != sorted(set(n_list)):
@@ -137,7 +162,6 @@ def run_scaling(
         raise ValueError("need at least 5 repeats")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    pin_allocator()
     cfg = bench_config(k, t_in)
     setups = []
     build_ms = {}
@@ -174,22 +198,23 @@ def run_scaling(
     forward_ms = medians(timed_forward)
     step_ms = medians(timed_step)
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    rows = [
-        BenchRow(n, k, state.graph.n_edges, build_ms[n], forward_ms[n], step_ms[n], rss_mb)
-        for n, state, *_ in setups
-    ]
+    rows = []
+    for n, state, params, x, target in setups:
+        peak = traced_step(state, params, x, target)[1] / (x.shape[0] * t_in * n * cfg.d_model)
+        rows.append(BenchRow(n, k, state.graph.n_edges, build_ms[n], forward_ms[n], step_ms[n],
+                             rss_mb, peak))
     slope = fit_loglog_slope([r.n for r in rows], [r.forward_ms for r in rows])
     return BenchReport(rows, slope, repeats)
 
 
 def write_bench_csv(report: BenchReport, path) -> None:
-    columns = ["n", "k", "edges", "build_ms", "forward_ms", "step_ms", "rss_mb"]
+    columns = ["n", "k", "edges", "build_ms", "forward_ms", "step_ms", "rss_mb", "traced_peak_b"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for r in report.rows:
             writer.writerow([r.n, r.k, r.edges, repr(r.build_ms), repr(r.forward_ms),
-                             repr(r.step_ms), repr(r.rss_mb)])
+                             repr(r.step_ms), repr(r.rss_mb), repr(r.traced_peak_b)])
         writer.writerow(["slope", repr(report.slope)] + [""] * (len(columns) - 2))
 
 

@@ -214,7 +214,8 @@ def cmd_bench(args) -> int:
     bench.write_loglog(report, out / "loglog.txt")
     for r in report.rows:
         print(f"N={r.n:6d} edges={r.edges:8d} build={r.build_ms:9.2f}ms "
-              f"forward={r.forward_ms:9.2f}ms step={r.step_ms:9.2f}ms")
+              f"forward={r.forward_ms:9.2f}ms step={r.step_ms:9.2f}ms "
+              f"traced peak={r.traced_peak_b:6.1f}B/(row*D)")
     print(f"log-log slope: {report.slope:.4f}")
     return 0
 
@@ -326,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    bench.pin_allocator()
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:

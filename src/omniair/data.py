@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import re
 from dataclasses import dataclass
 from datetime import date
 from itertools import compress, islice
@@ -220,10 +221,19 @@ def write_stations(stations: list[StationMeta], path) -> None:
             )
 
 
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def _date_of(text: str) -> date | None:
-    """The ISO date of a timestamp cell, or None when it is not one."""
+    """The date of a ``YYYY-MM-DD`` timestamp cell, or None when it is not
+    one. The form is checked before ``date.fromisoformat``, which from
+    Python 3.11 also reads ``20200105`` and week dates such as
+    ``2020-W10-1``."""
+    text = text.strip()
+    if not _ISO_DATE.fullmatch(text):
+        return None
     try:
-        return date.fromisoformat(text.strip())
+        return date.fromisoformat(text)
     except ValueError:
         return None
 

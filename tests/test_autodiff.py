@@ -285,6 +285,41 @@ class TestOpSemantics:
         z.sum().backward()
         assert x.grad[0] == 8.0  # only the direct factor, not through detach
 
+    def test_backward_runs_once_per_graph(self):
+        w = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]), requires_grad=True)
+        out = ad.tanh(ad.matmul(Tensor(np.ones((3, 2))), w))
+        loss = out.sum()
+        loss.backward()
+        first = w.grad.copy()
+        for again in (loss, out.sum()):
+            with pytest.raises(RuntimeError, match="backward\\(\\) already ran through this "
+                                                   "graph; build it again"):
+                again.backward()
+        np.testing.assert_array_equal(w.grad, first)
+
+    def test_swept_graph_raises_before_any_gradient(self):
+        x = Tensor([1.5], requires_grad=True)
+        y = Tensor([2.0], requires_grad=True)
+        kept = x * 3.0
+        kept.sum().backward()
+        with pytest.raises(RuntimeError, match="already ran"):
+            ((y * y).sum() + kept.sum()).backward()
+        assert x.grad[0] == 3.0 and y.grad is None
+
+    def test_sweep_frees_every_interior_node(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        y = x * 2.0
+        # an op whose backward sends nothing on, so no gradient reaches y
+        z = ad._node(y.data.copy(), (y,), lambda g: None)
+        h = ad.tanh(x) + z
+        loss = h.sum()
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, 1.0 - np.tanh(x.data) ** 2)
+        for node in (y, z, h, loss):
+            assert node._parents == () and node.grad is None
+            with pytest.raises(RuntimeError, match="already ran"):
+                node._backward(np.ones(node.shape))
+
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError):

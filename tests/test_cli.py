@@ -577,7 +577,8 @@ class TestErrors:
         assert "config field seed=-1 must be non-negative" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("value", ["--5", "1e3", "2020-03", "2020-03-01T12", "+60"])
+    @pytest.mark.parametrize("value", ["--5", "1e3", "2020-03", "2020-03-01T12", "+60",
+                                       "2020-W10-1"])
     def test_malformed_window_end_exits_2(self, workspace, tmp_path, capsys, value):
         # int() and numpy's date parser named neither the flag nor the forms,
         # and numpy read a month, a date-time or "+60" (the year 60) as a day
@@ -884,6 +885,20 @@ class TestErrors:
                     "--out", tmp_path / "fc.csv"])
         assert code == 2
         assert "row 6: 3 fields, the header has 8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stamp", ["20200105", "2020-W10-1"])
+    def test_date_not_in_yyyy_mm_dd_exits_2(self, workspace, tmp_path, capsys, stamp):
+        # date.fromisoformat reads both from Python 3.11 on, not on 3.10
+        ws, _ = workspace
+        series = tmp_path / "series.csv"
+        lines = (ws / "data" / "series.csv").read_text().splitlines()
+        lines[5] = ",".join([stamp] + lines[5].split(",")[1:])
+        series.write_text("\n".join(lines) + "\n")
+        code = run(["predict", "--checkpoint", ws / "run" / "checkpoint",
+                    "--stations", ws / "data" / "stations.csv", "--series", series,
+                    "--out", tmp_path / "fc.csv"])
+        assert code == 2
+        assert f"row 6: bad ISO date {stamp!r}" in capsys.readouterr().err
 
     def test_short_station_row_exits_2(self, workspace, tmp_path, capsys):
         ws, _ = workspace

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from datetime import date, timedelta
 from unittest import mock
 
@@ -170,6 +171,8 @@ def reference_load_series(path, stations):
 
     def date_of(text, row_no):
         try:
+            if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text.strip()):
+                raise ValueError
             return date.fromisoformat(text.strip())
         except ValueError:
             raise ValueError(f"row {row_no}: bad ISO date {text!r}") from None
@@ -236,6 +239,9 @@ class TestSeriesDefects:
     @pytest.mark.parametrize("text", [
         pytest.param(SERIES_HEADER + "\n".join(GOOD_ROWS + ["2020-01-03,zz,1,,,,,"]), id="unknown-id"),
         pytest.param(SERIES_HEADER + "\n".join(GOOD_ROWS + [" 2020-13-01 ,b,1,,,,,"]), id="bad-date"),
+        # date.fromisoformat reads both from Python 3.11 on; README promises YYYY-MM-DD
+        pytest.param(SERIES_HEADER + "\n".join(GOOD_ROWS + ["20200105,b,1,,,,,"]), id="basic-date"),
+        pytest.param(SERIES_HEADER + "\n".join(GOOD_ROWS + ["2020-W10-1,b,1,,,,,"]), id="week-date"),
         pytest.param(SERIES_HEADER + "\n".join(GOOD_ROWS + ["2020-01-03,b,,1x,,,,"]), id="unparsable"),
         pytest.param(SERIES_HEADER + "\n".join(GOOD_ROWS + ["2020-01-03,b,,,, nan ,,"]), id="nan"),
         pytest.param(SERIES_HEADER + "\n".join(GOOD_ROWS + ["2020-01-03,b,,,,,,-inf"]), id="inf"),

@@ -318,7 +318,7 @@ class TestPrediction:
         with pytest.raises(ValueError):
             window_end_index(frame, "1999-01-01", 8)
         # a month, a date-time and a signed number are not dates of the series file
-        for text in ("2020-03", "2020-03-01T12", "+60"):
+        for text in ("2020-03", "2020-03-01T12", "+60", "2020-W10-1"):
             with pytest.raises(ValueError, match="expected an ISO date"):
                 window_end_index(frame, text, 8)
 
