@@ -23,8 +23,10 @@ for m, dev in check_kernel(bandwidth=1.0, m_list=(64, 256, 1024, 4096), seed=0):
 
 print("\n== Stability bound of the identity MLP ==")
 rng = np.random.default_rng(1)
+w1 = rng.normal(size=(64, 64)) * 0.2  # [features || grade embedding] rows
 params = {
-    "id_mlp.w1": rng.normal(size=(64, 64)) * 0.2,
+    "id_mlp.w1_feat": w1[:56],
+    "id_mlp.w1_grade": w1[56:],
     "id_mlp.b1": rng.normal(size=64) * 0.1,
     "id_mlp.w2": rng.normal(size=(64, 32)) * 0.2,
     "id_mlp.b2": rng.normal(size=32) * 0.1,

@@ -6,10 +6,12 @@ needed to push adjoints back to its inputs. Calling ``backward`` on a scalar
 replays those closures in reverse topological order and frees each node as
 it passes it, so after ``backward`` the tape holds nothing but the leaves'
 gradients, and a graph runs backward once: build it again for another
-sweep. The operator set is
-exactly what the forecasting model needs: dense linear algebra, pointwise
-nonlinearities, row ``gather``, and four hand-written model ops with
-closed-form backwards, each one node: ``diffuse`` (the whole multi-step
+sweep. The operator set is exactly what the forecasting model calls, and
+every op heads a node of its training tape: ``add``, ``sub``, ``mul``,
+``div`` and ``matmul``; ``reshape``, ``transpose`` and ``sum_``; ``abs_``,
+``sigmoid``, ``tanh``, ``relu`` and ``leaky_relu``; row ``gather``; and
+four hand-written model ops with closed-form backwards, each one node:
+``diffuse`` (the whole multi-step
 restart diffusion over a fixed-degree (N, K) neighbour table),
 ``step_attention`` (per-head signed or softmax attention over the diffusion
 states), ``gate`` (a logistic gate over ``[z || e]``, one weight block
@@ -72,10 +74,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -92,10 +90,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def detach(self) -> "Tensor":
-        """Tensor sharing this value but cut out of the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     def backward(self) -> None:
         """Reverse sweep seeding d(self)/d(self) = 1; self must be scalar.
@@ -139,14 +133,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -156,12 +144,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         raise TypeError("use gather for differentiable indexing")
@@ -296,21 +278,6 @@ def matmul(a, b) -> Tensor:
 
 
 # -- structure ----------------------------------------------------------------
-
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    bounds = np.cumsum(sizes)[:-1]
-
-    def backward(g: Array) -> None:
-        pieces = np.split(g, bounds, axis=axis)
-        for t, piece in zip(tensors, pieces):
-            if t.requires_grad:
-                t._accumulate(piece)
-
-    return _node(data, tuple(tensors), backward)
-
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     a = as_tensor(a)

@@ -24,7 +24,7 @@ from .data import CHANNELS, MIN_STD
 from .encoder import CONTEXT_DIM
 from .model import N_GEO_FEATURES, init_params
 
-FORMAT = "omniair-checkpoint-v4"
+FORMAT = "omniair-checkpoint-v5"
 
 
 def save_checkpoint(

@@ -188,17 +188,21 @@ def encode_identity(
 ) -> Tensor:
     """Identity embeddings (N, D_id) from constant features + grade lookup.
 
-    Two-layer tanh MLP over [features || grade_embedding[grade]]. The grade
-    table is indexed by grade (6 rows), never by station, so unseen stations
-    encode with the same parameters as training stations.
+    Two-layer tanh MLP over [features || grade_embedding[grade]], with the
+    first layer's weight stored as its two row blocks ``id_mlp.w1_feat`` and
+    ``id_mlp.w1_grade``: ``tanh(features w1_feat + (table w1_grade +
+    b1)[grade])``. The grade table is projected once, 6 rows, and indexed
+    by grade, never by station, so unseen stations encode with the same
+    parameters as training stations.
     """
-    table = params["grade_embed.table"]
-    expected = params["id_mlp.w1"].shape[0] - table.shape[1]
-    if features.shape[1] != expected:
+    w1_feat = params["id_mlp.w1_feat"]
+    if features.shape[1] != w1_feat.shape[0]:
         raise ValueError(
-            f"identity features have dim {features.shape[1]}, expected {expected}"
+            f"identity features have dim {features.shape[1]}, expected {w1_feat.shape[0]}"
         )
-    psi = ad.gather(table, np.asarray(grades, dtype=np.intp), axis=0)
-    x = ad.concat([Tensor(features), psi], axis=1)
-    h = ad.tanh(ad.matmul(x, params["id_mlp.w1"]) + params["id_mlp.b1"])
+    # the bias rides on the 6 grade rows, so no (N, id_hidden) sum is added for it
+    grade_rows = ad.matmul(params["grade_embed.table"], params["id_mlp.w1_grade"])
+    grade_rows = grade_rows + params["id_mlp.b1"]
+    psi = ad.gather(grade_rows, np.asarray(grades, dtype=np.intp), axis=0)
+    h = ad.tanh(ad.matmul(Tensor(features), w1_feat) + psi)
     return ad.matmul(h, params["id_mlp.w2"]) + params["id_mlp.b2"]

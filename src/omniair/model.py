@@ -51,11 +51,13 @@ def init_params(cfg: RunConfig, rng: np.random.Generator) -> dict[str, Tensor]:
     l1 = cfg.diffusion_steps + 1
     # a block takes the fans of its joined matrix and is drawn in its row order
     pair, gate_in = (2 * d, cfg.attn_dim), (2 * d + 1, 1)
+    id_in = (identity_input_dim(cfg), cfg.id_hidden)
     params: dict[str, Tensor] = {}
     params["input_proj.w"] = Tensor(np.vstack([glorot(n_channels, d).data, np.zeros((1, d))]),
                                     requires_grad=True)  # [W_in; b_in]
     params["grade_embed.table"] = glorot(N_GRADES, cfg.grade_embed)
-    params["id_mlp.w1"] = glorot(identity_input_dim(cfg), cfg.id_hidden)
+    params["id_mlp.w1_feat"] = glorot(id_in[0] - cfg.grade_embed, cfg.id_hidden, fans=id_in)
+    params["id_mlp.w1_grade"] = glorot(cfg.grade_embed, cfg.id_hidden, fans=id_in)
     params["id_mlp.b1"] = zeros(cfg.id_hidden)
     params["id_mlp.w2"] = glorot(cfg.id_hidden, d)
     params["id_mlp.b2"] = zeros(d)

@@ -199,12 +199,12 @@ def dense_forward(
     b, t_in, _, n_ch = x.shape
     d = cfg.d_model
 
+    # the stored blocks, joined back into the paper's concatenated products
     table = params["grade_embed.table"][state.grades]
     feats = np.concatenate([state.id_features, table], axis=1)
-    hid = np.tanh(feats @ params["id_mlp.w1"] + params["id_mlp.b1"])
+    w_id = np.concatenate([params["id_mlp.w1_feat"], params["id_mlp.w1_grade"]])
+    hid = np.tanh(feats @ w_id + params["id_mlp.b1"])
     e_id = hid @ params["id_mlp.w2"] + params["id_mlp.b2"]
-
-    # the stored blocks, joined back into the paper's concatenated products
     w_in, b_in = params["input_proj.w"][:-1], params["input_proj.w"][-1]
     w_attn = np.concatenate([params["attn.we_own"], params["attn.we_src"]])
     w_edge = np.concatenate([params["edge_gate.w_own"][:, 0], params["edge_gate.w_src"][:, 0],
@@ -384,7 +384,8 @@ def check_lipschitz(
     The encoder MLP is 1-Lipschitz-activation affine, so the ratio can never
     exceed the product of layer spectral norms.
     """
-    w1, b1 = params["id_mlp.w1"], params["id_mlp.b1"]
+    w1 = np.concatenate([params["id_mlp.w1_feat"], params["id_mlp.w1_grade"]])
+    b1 = params["id_mlp.b1"]
     w2, b2 = params["id_mlp.w2"], params["id_mlp.b2"]
     bound = power_iteration(w1, seed=seed) * power_iteration(w2, seed=seed + 1)
     rng = np.random.default_rng(seed)

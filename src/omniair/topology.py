@@ -193,16 +193,15 @@ def fuse_gate(
     ``edge_gate.w_static`` (1,). Like ``dynamic_attention`` it projects each
     node once, to one scalar, and gathers only the target's scalar per
     edge. ``w_static`` is the (N, K) kernel weight of the ``nbr`` table.
-    Returns (g, w_dyn) with w_dyn = g * w_static + (1 - g) * alpha, each
-    (B, N, K).
+    Returns (g, w_dyn) with w_dyn = g * w_static + (1 - g) * alpha, one
+    ``blend`` node, each (B, N, K).
     """
     own = ad.matmul(h_own, params["edge_gate.w_own"])
     src = ad.matmul(h_src, params["edge_gate.w_src"])
     static = Tensor(w_static)
     edge = static * params["edge_gate.w_static"] + params["edge_gate.b"]
     g = ad.sigmoid(ad.gather(src.reshape(src.shape[:-1]), nbr, axis=1) + own + edge)
-    w_dyn = g * static + (1.0 - g) * alpha
-    return g, w_dyn
+    return g, ad.blend(g, static, alpha)
 
 
 def predict_beta(h_nodes: Tensor, params: dict[str, Tensor], k: int) -> Tensor:

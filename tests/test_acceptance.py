@@ -102,8 +102,10 @@ def test_criterion_04_lipschitz_bound():
     violations = 0
     for seed in range(4):
         rng = np.random.default_rng(seed)
+        w1 = rng.normal(size=(64, 64)) * rng.uniform(0.1, 1.0)
         params = {
-            "id_mlp.w1": rng.normal(size=(64, 64)) * rng.uniform(0.1, 1.0),
+            "id_mlp.w1_feat": w1[:56],
+            "id_mlp.w1_grade": w1[56:],
             "id_mlp.b1": rng.normal(size=64),
             "id_mlp.w2": rng.normal(size=(64, 32)) * rng.uniform(0.1, 1.0),
             "id_mlp.b2": rng.normal(size=32),

@@ -45,12 +45,6 @@ class TestOpGradients:
     def test_matmul_batched(self):
         check_op(lambda a, b: ad.matmul(a, b), [(2, 3, 4), (4, 5)])
 
-    def test_concat_slice(self):
-        check_op(
-            lambda a, b: ad.gather(ad.concat([a, b], axis=1), np.arange(1, 4), axis=1),
-            [(2, 3), (2, 2)],
-        )
-
     def test_reshape_transpose(self):
         check_op(lambda a: a.transpose((1, 0, 2)).reshape((4, 6)), [(2, 2, 6)])
 
@@ -277,13 +271,6 @@ class TestOpSemantics:
         out = ad.gather(x, np.array([1, 1, 1]), axis=0)
         out.sum().backward()
         np.testing.assert_array_equal(x.grad[:, 0], [0.0, 3.0, 0.0])
-
-    def test_detach_blocks_gradient(self):
-        x = Tensor([4.0], requires_grad=True)
-        y = x * 2.0
-        z = y.detach() * x
-        z.sum().backward()
-        assert x.grad[0] == 8.0  # only the direct factor, not through detach
 
     def test_backward_runs_once_per_graph(self):
         w = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]), requires_grad=True)

@@ -616,11 +616,11 @@ class TestErrors:
         ws, _ = workspace
 
         def edit(manifest, ck):
-            manifest["format"] = "omniair-checkpoint-v3"
+            manifest["format"] = "omniair-checkpoint-v4"
 
         ck = self._edited_checkpoint(ws, tmp_path, edit, rehash=False)
         assert self._predict(ws, ck, tmp_path / "fc.csv") == 2
-        assert ("manifest.json: format 'omniair-checkpoint-v3' is not 'omniair-checkpoint-v4'; "
+        assert ("manifest.json: format 'omniair-checkpoint-v4' is not 'omniair-checkpoint-v5'; "
                 "checkpoints of earlier versions no longer load: train the model again"
                 ) in capsys.readouterr().err
         assert not (tmp_path / "fc.csv").exists()

@@ -461,10 +461,12 @@ class TestAnchorContext:
 class TestEncodeIdentity:
     def _params(self, feat_dim, hidden=12, out=6, grade_dim=4, rng=None):
         rng = rng or np.random.default_rng(0)
-        total = feat_dim + grade_dim
+        table = rng.normal(size=(6, grade_dim))
+        w1 = rng.normal(size=(feat_dim + grade_dim, hidden)) * 0.3
         return {
-            "grade_embed.table": Tensor(rng.normal(size=(6, grade_dim)), requires_grad=True),
-            "id_mlp.w1": Tensor(rng.normal(size=(total, hidden)) * 0.3, requires_grad=True),
+            "grade_embed.table": Tensor(table, requires_grad=True),
+            "id_mlp.w1_feat": Tensor(w1[:feat_dim], requires_grad=True),
+            "id_mlp.w1_grade": Tensor(w1[feat_dim:], requires_grad=True),
             "id_mlp.b1": Tensor(np.zeros(hidden), requires_grad=True),
             "id_mlp.w2": Tensor(rng.normal(size=(hidden, out)) * 0.3, requires_grad=True),
             "id_mlp.b2": Tensor(np.zeros(out), requires_grad=True),
@@ -472,7 +474,7 @@ class TestEncodeIdentity:
 
     def test_zero_params_zero_embedding(self):
         params = self._params(10)
-        for name in ("id_mlp.w1", "id_mlp.b1", "id_mlp.w2", "id_mlp.b2"):
+        for name in ("id_mlp.w1_feat", "id_mlp.w1_grade", "id_mlp.b1", "id_mlp.w2", "id_mlp.b2"):
             params[name] = Tensor(np.zeros_like(params[name].data), requires_grad=True)
         feats = np.random.default_rng(1).normal(size=(5, 10))
         out = encode_identity(feats, np.array([0, 1, 2, 3, 4]), params)
@@ -494,8 +496,10 @@ class TestEncodeIdentity:
     def test_lipschitz_bound_random_pairs(self):
         # spectral-norm product bound over 1000 pairs, 1e-6 slack
         rng = np.random.default_rng(5)
+        w1 = rng.normal(size=(20, 16))
         params = {
-            "id_mlp.w1": rng.normal(size=(20, 16)),
+            "id_mlp.w1_feat": w1[:16],
+            "id_mlp.w1_grade": w1[16:],
             "id_mlp.b1": rng.normal(size=16),
             "id_mlp.w2": rng.normal(size=(16, 8)),
             "id_mlp.b2": rng.normal(size=8),
@@ -525,7 +529,8 @@ class TestEncodeIdentity:
 
     def test_zero_weights_zero_ratio(self):
         params = {
-            "id_mlp.w1": np.zeros((5, 4)),
+            "id_mlp.w1_feat": np.zeros((3, 4)),
+            "id_mlp.w1_grade": np.zeros((2, 4)),
             "id_mlp.b1": np.zeros(4),
             "id_mlp.w2": np.zeros((4, 3)),
             "id_mlp.b2": np.zeros(3),

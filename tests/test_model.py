@@ -52,7 +52,7 @@ class TestParameterInventory:
         expected = {
             "input_proj.w",
             "grade_embed.table",
-            "id_mlp.w1", "id_mlp.b1", "id_mlp.w2", "id_mlp.b2",
+            "id_mlp.w1_feat", "id_mlp.w1_grade", "id_mlp.b1", "id_mlp.w2", "id_mlp.b2",
             "attn.we_own", "attn.we_src", "attn.a",
             "edge_gate.w_own", "edge_gate.w_src", "edge_gate.w_static", "edge_gate.b",
             "beta_mlp.w1", "beta_mlp.b1", "beta_mlp.w2", "beta_mlp.b2",

@@ -1,3 +1,5 @@
+import collections
+import inspect
 import math
 
 import numpy as np
@@ -250,13 +252,10 @@ class TestSignedAggregate:
         rng = np.random.default_rng(12)
         h = rng.normal(size=(1, 2, 3, 4))
         params = agg_params(4, 2, 3, rng=rng)
-        params["h"] = Tensor(h, requires_grad=True)
+        params["stack"] = Tensor(np.stack([h, h * 0.5 + 0.1, h * h]), requires_grad=True)
 
         def f():
-            hh = params["h"]
-            states = [hh, hh * 0.5 + 0.1, hh * hh]
-            stack = ad.concat([s.reshape((1,) + s.shape) for s in states], axis=0)
-            out = signed_aggregate(stack, params, heads=2, mode="positive")
+            out = signed_aggregate(params["stack"], params, heads=2, mode="positive")
             return (out * Tensor(np.linspace(-1.0, 1.0, 4))).sum()
 
         assert grad_check(f, params, samples_per_param=None) < 1e-6
@@ -421,10 +420,11 @@ class TestTapeStructure:
 class TestModelTape:
     """The forward+loss tape of the whole model at the criterion-9 config:
     each weight is stored as the block its one product multiplies, so no
-    parameter is reshaped, transposed or joined on the tape."""
+    parameter is reshaped, transposed or joined on the tape, and every op
+    and operator overload of the engine has a caller on it."""
 
-    @pytest.fixture(scope="class")
-    def tape(self):
+    @staticmethod
+    def _loss():
         cfg = small_config(d_model=32, t_in=16, tau=7, k_geo=6, k_sem=3, batch=16,
                            attn_dim=16, head_hidden=64)
         stations, frame = simulate_rd(RDScenario(n=14, steps=60, seed=4))
@@ -434,19 +434,44 @@ class TestModelTape:
         batch = next(make_windows(train, cfg.t_in, cfg.tau, state.stats, cfg.batch))
         pred = forward(params, state, batch.inputs)
         loss = masked_mae_loss(pred, state.stats.normalize(batch.targets), batch.target_valid)
+        return loss, params
+
+    @pytest.fixture(scope="class")
+    def tape(self):
+        loss, params = self._loss()
         ops = [n for n in tape_nodes(loss, ()) if n._backward is not None]
         return ops, params
 
     def test_op_count(self, tape):
         ops, _ = tape
-        assert len(ops) == 66, sorted(n._backward.__qualname__ for n in ops)
+        assert len(ops) == 64, sorted(n._backward.__qualname__ for n in ops)
+
+    def test_every_engine_op_has_a_caller(self, tape, monkeypatch):
+        ops, _ = tape
+        helpers = {"grad_enabled", "as_tensor", "zero_grads", "grad_check"}
+        engine = {name for name, f in inspect.getmembers(ad, inspect.isfunction)
+                  if f.__module__ == ad.__name__ and not name.startswith("_")} - helpers
+        heads = {n._backward.__qualname__.split(".")[0] for n in ops}
+        assert engine <= heads, f"ops with no node on the tape: {sorted(engine - heads)}"
+        numeric = {f"__{r}{op}__" for r in ("", "r")
+                   for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow", "matmul")}
+        calls = collections.Counter()
+        for name in numeric & set(vars(Tensor)):
+            def counted(*args, _name=name, _f=vars(Tensor)[name]):
+                calls[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(Tensor, name, counted)
+        self._loss()
+        unused = sorted(numeric & set(vars(Tensor)) - set(calls))
+        assert not unused, f"operator overloads the forward never calls: {unused}"
 
     def test_no_parameter_is_reshaped_transposed_or_joined(self, tape):
         ops, params = tape
         names = {id(p): name for name, p in params.items()}
         for node in ops:
             op = node._backward.__qualname__.split(".")[0]
-            if op in ("reshape", "transpose", "concat"):
+            if op in ("reshape", "transpose"):
                 held = [names[id(p)] for p in node._parents if id(p) in names]
                 assert not held, f"{op} of {held}"
 
