@@ -10,13 +10,12 @@ sweep. The operator set is exactly what the forecasting model calls, and
 every op heads a node of its training tape: ``add``, ``sub``, ``mul``,
 ``div`` and ``matmul``; ``reshape``, ``transpose`` and ``sum_``; ``abs_``,
 ``sigmoid``, ``tanh``, ``relu`` and ``leaky_relu``; row ``gather``; and
-four hand-written model ops with closed-form backwards, each one node:
-``diffuse`` (the whole multi-step
-restart diffusion over a fixed-degree (N, K) neighbour table),
-``step_attention`` (per-head signed or softmax attention over the diffusion
-states), ``gate`` (a logistic gate over ``[z || e]``, one weight block
-each) and ``blend`` (``g * a + (1 - g) * b``). There are no views and no
-dtype zoo. Repeated targets add up through ``np.bincount``, never through
+three hand-written model ops with closed-form backwards, each one node:
+``diffuse`` (the whole multi-step restart diffusion over a fixed-degree
+(N, K) neighbour table), ``step_attention`` (the model's row-local tail:
+per block of rows, an optional lift of the states to D, per-head signed or
+softmax attention over them, and an optional identity gate and blend) and
+``blend`` (``g * a + (1 - g) * b``). There are no views and no dtype zoo. Repeated targets add up through ``np.bincount``, never through
 ``np.add.at``.
 
 All data is float64 and all reductions run in a fixed order, so repeated
@@ -541,7 +540,25 @@ def diffuse(
     return _node(out, (h0, w) if src is None else (h0, w, src), backward)
 
 
-# -- step attention and the identity gate ----------------------------------------
+# -- the row-local tail: lift, step attention and the identity gate -------------
+
+# Rows per block of ``step_attention``: a block's lifted states and its
+# attention and gate temporaries take a few hundred KiB, so they stay in cache.
+# A constant, so the blocks, and the order in which their parameter partials
+# add up, follow from the shapes alone, never from the machine.
+_BLOCK_ROWS = 1024
+
+
+def _row_blocks(n_slabs: int, n: int) -> list[tuple[slice, slice]]:
+    """The (slab, station) slices of the row blocks of an (S, N) row grid:
+    runs of whole slabs while N fits the budget, else runs of stations
+    inside one slab, so a block's stations are always one slice."""
+    if n <= _BLOCK_ROWS:
+        per = _BLOCK_ROWS // n
+        return [(slice(i, i + per), slice(None)) for i in range(0, n_slabs, per)]
+    return [(slice(i, i + 1), slice(j, j + _BLOCK_ROWS))
+            for i in range(n_slabs) for j in range(0, n, _BLOCK_ROWS)]
+
 
 def _per_head(x: Array, w: Array) -> Array:
     """``x[p, h] @ w[h]`` for (P, H, a) rows and (H, a, b) maps, as a
@@ -557,96 +574,192 @@ def _per_head_outer(x: Array, y: Array) -> Array:
     return np.matmul(x.transpose(1, 2, 0), y.transpose(1, 0, 2))
 
 
-def step_attention(stack: Tensor, wq: Tensor, wk: Tensor, bias: Tensor, signed: bool) -> Tensor:
-    """Combine the L states of an (L, ..., D) stack with per-row, per-head
-    step coefficients: ``z = sum_l c_l s_l``, shape (..., D).
-
-    D splits into H heads of dh = D / H columns, and ``wq``, ``wk`` are
-    (H, dh, dh). Per head, the pooled query is ``q = mean_l(s_l) wq`` and
-    step l scores ``(s_l wk) . q / sqrt(dh)``, computed as ``s_l . r`` with
-    ``r = q wk^T / sqrt(dh)``, so no key is formed. ``signed`` coefficients
-    are ``tanh(score_l) * bias_l``; otherwise they are a softmax over steps
-    and ``bias`` gets no gradient. The backward is closed-form.
-    """
-    s, wq, wk, bias = as_tensor(stack), as_tensor(wq), as_tensor(wk), as_tensor(bias)
-    n_steps = s.shape[0]
-    heads, dh = wq.shape[0], wq.shape[1]
-    scale = 1.0 / math.sqrt(dh)
-    x = s.data.reshape(n_steps, -1, heads, dh)
+def _query(x: Array, wq: Array, k: Array) -> tuple[Array, Array, Array]:
+    """The pooled mean, query and score vector ``r`` of (L, P, H, dh) states."""
     mean = x.mean(axis=0)
-    k = wk.data * scale
-    q = _per_head(mean, wq.data)
-    r = _per_head(q, k.transpose(0, 2, 1))
-    score = np.einsum("lphj,phj->lph", x, r)
+    q = _per_head(mean, wq)
+    return mean, q, _per_head(q, k.transpose(0, 2, 1))
+
+
+def _attend(x: Array, wq: Array, k: Array, bias: Array, signed: bool) -> tuple[Array, Array]:
+    """Step attention of one block of (L, P, H, dh) states: the combined
+    (P, H, dh) state and the (L, P, H) memo the backward keeps, tanh of the
+    scores when ``signed`` and the softmax coefficients otherwise."""
+    score = np.einsum("lphj,phj->lph", x, _query(x, wq, k)[2])
     if signed:
-        t = np.tanh(score)
-        c = t * bias.data[:, None, None]
+        memo = np.tanh(score)
+        c = memo * bias[:, None, None]
     else:
         ex = np.exp(score - score.max(axis=0))
-        c = ex / ex.sum(axis=0)
-    z = np.einsum("lph,lphj->phj", c, x)
+        c = memo = ex / ex.sum(axis=0)
+    return np.einsum("lph,lphj->phj", c, x), memo
+
+
+def _attend_backward(x: Array, wq: Array, k: Array, bias: Array, signed: bool, memo: Array,
+                     dz: Array) -> tuple[Array, Array, Array, Array]:
+    """Adjoint of :func:`_attend` for the (P, H, dh) gradient ``dz``: the
+    (L, P, H, dh) state gradient and the block's partials of ``wq``, of
+    ``k`` (unscaled) and of ``bias``. The mean, query and ``r`` are
+    recomputed from ``x``."""
+    mean, q, r = _query(x, wq, k)
+    dc = np.einsum("lphj,phj->lph", x, dz)
+    if signed:
+        c = memo * bias[:, None, None]
+        dbias = np.einsum("lph,lph->l", dc, memo)
+        dscore = memo * memo
+        np.subtract(1.0, dscore, out=dscore)
+        dscore *= bias[:, None, None]
+        dscore *= dc
+    else:
+        c, dbias = memo, np.zeros(len(x))
+        dscore = c * (dc - (c * dc).sum(axis=0))
+    dr = np.einsum("lph,lphj->phj", dscore, x)
+    dq = _per_head(dr, k)
+    dmean = _per_head(dq, wq.transpose(0, 2, 1))
+    dmean /= len(x)
+    ds, tmp = np.empty(x.shape), np.empty(dz.shape)
+    for l in range(len(x)):  # step by step, through one reused (P, H, dh) buffer
+        np.multiply(c[l, ..., None], dz, out=ds[l])
+        ds[l] += np.multiply(dscore[l, ..., None], r, out=tmp)
+        ds[l] += dmean
+    return ds, _per_head_outer(mean, dq), _per_head_outer(dr, q), dbias
+
+
+def step_attention(
+    stack: Tensor,
+    wq: Tensor,
+    wk: Tensor,
+    bias: Tensor,
+    signed: bool,
+    lift: Tensor | None = None,
+    gate: tuple[Tensor, Tensor, Tensor, Tensor] | None = None,
+    parts: dict | None = None,
+) -> Tensor:
+    """Combine the L states of an (L, ..., N, F) stack with per-row, per-head
+    step coefficients: ``z = sum_l c_l x_l``, shape (..., N, D), as one node.
+
+    ``x_l`` is the state itself, or ``s_l lift`` for an (F, D) ``lift``. D
+    splits into H heads of dh = D / H columns, and ``wq``, ``wk`` are
+    (H, dh, dh). Per head, the pooled query is ``q = mean_l(x_l) wq`` and
+    step l scores ``(x_l wk) . q / sqrt(dh)``, computed as ``x_l . r`` with
+    ``r = q wk^T / sqrt(dh)``, so no key is formed. ``signed`` coefficients
+    are ``tanh(score_l) * bias_l``; otherwise they are a softmax over steps
+    and ``bias`` gets no gradient.
+
+    ``gate = (e, w_z, w_e, b)`` blends z with an (N, D) identity ``e`` that
+    broadcasts over the leading axes: the output is ``e + g * (z - e)`` with
+    ``g = sigmoid(z w_z + (e w_e + b))``, ``e`` projected once per station.
+
+    The node runs per block of at most ``_BLOCK_ROWS`` rows (a row is one
+    (..., n) position), forward and backward, so no whole-batch lifted
+    stack or attention temporary is formed. It keeps z, the gate and the
+    (L, ..., N, H) memo of the coefficients; the backward lifts each block
+    again and adds the parameter partials in block order. A ``parts`` dict
+    receives the whole ``stack`` of lifted states, ``z``, ``gate`` and the
+    step ``coeffs``, as arrays, with no tape.
+    """
+    s, wq, wk, bias = as_tensor(stack), as_tensor(wq), as_tensor(wk), as_tensor(bias)
+    w = None if lift is None else as_tensor(lift)
+    e, w_z, w_e, b = (None,) * 4 if gate is None else (as_tensor(t) for t in gate)
+    n_states, n, width = s.shape[0], s.shape[-2], s.shape[-1]
+    heads, dh = wq.shape[0], wq.shape[1]
+    d = heads * dh
+    scale = 1.0 / math.sqrt(dh)
+    k = wk.data * scale
+    u = s.data.reshape(n_states, -1, n, width)
+    n_slabs = u.shape[1]
+    blocks = _row_blocks(n_slabs, n)
+
+    def lifted(rows: slice, cols: slice) -> tuple[Array, Array]:
+        ub = u[:, rows, cols].reshape(n_states, -1, width)
+        return ub, (ub if w is None else ub @ w.data).reshape(n_states, -1, heads, dh)
+
+    z = np.empty((n_slabs, n, d))
+    memo = np.empty((n_states, n_slabs, n, heads))
+    out, y = z, None
+    if gate is not None:
+        eb = e.data @ w_e.data + b.data
+        out, y = np.empty_like(z), np.empty_like(z)
+    lifted_stack = None if parts is None else np.empty((n_states, n_slabs, n, d))
+    for rows, cols in blocks:
+        x = lifted(rows, cols)[1]
+        zb, mb = _attend(x, wq.data, k, bias.data, signed)
+        zb = zb.reshape(z[rows, cols].shape)
+        z[rows, cols] = zb
+        memo[:, rows, cols] = mb.reshape(memo[:, rows, cols].shape)
+        if lifted_stack is not None:
+            lifted_stack[:, rows, cols] = x.reshape(lifted_stack[:, rows, cols].shape)
+        if gate is not None:
+            pre = zb @ w_z.data
+            pre += eb[cols]
+            y[rows, cols] = yb = _logistic(pre)
+            eblk = e.data[cols]
+            ob = zb - eblk
+            ob *= yb
+            ob += eblk
+            out[rows, cols] = ob
+    lead = s.shape[1:-1]
+    if parts is not None:
+        coeffs = memo * bias.data[:, None, None, None] if signed else memo
+        parts.update(stack=lifted_stack.reshape((n_states,) + lead + (d,)),
+                     z=z.reshape(lead + (d,)), coeffs=coeffs.reshape((n_states,) + lead + (heads,)))
+        if gate is not None:
+            parts["gate"] = y.reshape(lead + (d,))
 
     def backward(g: Array) -> None:
-        g = g.reshape(z.shape)
-        dc = np.einsum("lphj,phj->lph", x, g)
-        if signed:
-            if bias.requires_grad:
-                bias._accumulate(np.einsum("lph,lph->l", dc, t))
-            dscore = t * t
-            np.subtract(1.0, dscore, out=dscore)
-            dscore *= bias.data[:, None, None]
-            dscore *= dc
-        else:
-            dscore = c * (dc - (c * dc).sum(axis=0))
-        dr = np.einsum("lph,lphj->phj", dscore, x)
-        if wk.requires_grad:
-            wk._accumulate(_per_head_outer(dr, q) * scale)
-        dq = _per_head(dr, k)
-        if wq.requires_grad:
-            wq._accumulate(_per_head_outer(mean, dq))
+        g = g.reshape(n_slabs, n, d)
+        ds_all = np.empty(u.shape)
+        dwq, dk, dbias = np.zeros(wq.shape), np.zeros(wk.shape), np.zeros(bias.shape)
+        dw = None if w is None else np.zeros(w.shape)
+        if gate is not None:
+            dw_z, de_blend, da_sum = np.zeros(w_z.shape), np.zeros((n, d)), np.zeros((n, d))
+        for rows, cols in blocks:
+            ub, x = lifted(rows, cols)
+            dzb = g[rows, cols]
+            if gate is not None:
+                zb, yb, eblk = z[rows, cols], y[rows, cols], e.data[cols]
+                ga = dzb * yb
+                de_blend[cols] += (dzb - ga).sum(axis=0)
+                da = 1.0 - yb
+                da *= yb
+                da *= dzb * (zb - eblk)
+                da_sum[cols] += da.sum(axis=0)
+                dw_z += zb.reshape(-1, d).T @ da.reshape(-1, d)
+                dzb = ga + da @ w_z.data.T
+            mb = memo[:, rows, cols].reshape(n_states, -1, heads)
+            ds, dwq_b, dk_b, dbias_b = _attend_backward(x, wq.data, k, bias.data, signed, mb,
+                                                        dzb.reshape(-1, heads, dh))
+            dwq += dwq_b
+            dk += dk_b
+            dbias += dbias_b
+            ds = ds.reshape(n_states, -1, d)
+            if w is not None:
+                dw += ub.reshape(-1, width).T @ ds.reshape(-1, d)
+                ds = ds @ w.data.T
+            ds_all[:, rows, cols] = ds.reshape(ds_all[:, rows, cols].shape)
         if s.requires_grad:
-            # step by step, into the output and one reused (P, H, dh) buffer
-            dmean = _per_head(dq, wq.data.transpose(0, 2, 1))
-            dmean /= n_steps
-            ds, tmp = np.empty(x.shape), np.empty(g.shape)
-            for l in range(n_steps):
-                np.einsum("ph,phj->phj", c[l], g, out=ds[l])
-                ds[l] += np.einsum("ph,phj->phj", dscore[l], r, out=tmp)
-                ds[l] += dmean
-            s._accumulate(ds.reshape(s.shape))
+            s._accumulate(ds_all.reshape(s.shape))
+        if wq.requires_grad:
+            wq._accumulate(dwq)
+        if wk.requires_grad:
+            wk._accumulate(dk * scale)
+        if signed and bias.requires_grad:
+            bias._accumulate(dbias)
+        if w is not None and w.requires_grad:
+            w._accumulate(dw)
+        if gate is not None:
+            if e.requires_grad:
+                e._accumulate(de_blend + da_sum @ w_e.data.T)
+            if w_z.requires_grad:
+                w_z._accumulate(dw_z)
+            if w_e.requires_grad:
+                w_e._accumulate(e.data.T @ da_sum)
+            if b.requires_grad:
+                b._accumulate(da_sum.sum(axis=0))
 
-    return _node(z.reshape(s.shape[1:]), (s, wq, wk, bias), backward)
-
-
-def gate(z: Tensor, e: Tensor, w_z: Tensor, w_e: Tensor, b: Tensor) -> Tensor:
-    """``sigmoid([z || e] [w_z; w_e] + b)`` for (..., N, D) rows ``z`` and an
-    (N, D) ``e`` that broadcasts over the leading axes, computed as
-    ``z w_z + (e w_e + b)`` so ``e`` is projected once per row of ``e``.
-    The logistic is :func:`sigmoid`'s, bit for bit; the backward is
-    closed-form."""
-    z, e, w_z, w_e, b = (as_tensor(t) for t in (z, e, w_z, w_e, b))
-    pre = z.data @ w_z.data
-    pre += e.data @ w_e.data + b.data
-    y = _logistic(pre)
-
-    def backward(g: Array) -> None:
-        da = 1.0 - y
-        da *= y
-        da *= g
-        de = da.sum(axis=tuple(range(da.ndim - 2)))
-        if z.requires_grad:
-            z._accumulate(da @ w_z.data.T)
-        if e.requires_grad:
-            e._accumulate(de @ w_e.data.T)
-        if w_z.requires_grad:
-            d = z.shape[-1]
-            w_z._accumulate(z.data.reshape(-1, d).T @ da.reshape(-1, w_z.shape[1]))
-        if w_e.requires_grad:
-            w_e._accumulate(e.data.T @ de)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(de, b.shape))
-
-    return _node(y, (z, e, w_z, w_e, b), backward)
+    parents = (s, wq, wk, bias) + (() if w is None else (w,)) + (() if gate is None else
+                                                                  (e, w_z, w_e, b))
+    return _node(out.reshape(lead + (d,)), parents, backward)
 
 
 def blend(g: Tensor, a: Tensor, b: Tensor) -> Tensor:

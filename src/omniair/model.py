@@ -23,7 +23,7 @@ from .encoder import (
     semantic_feature_matrix,
 )
 from .geo import knn_geo
-from .propagation import diffuse, forecast_head, fuse_and_gate, signed_aggregate
+from .propagation import aggregate_and_fuse, diffuse, forecast_head
 from .topology import (HybridGraph, attach_new_nodes, build_hybrid_graph, edge_weights,
                        table_graph)
 
@@ -176,7 +176,9 @@ def forward(
     run's collect dict, whose ``h_edge`` gives the edge targets and whose
     ``channel_stack`` gives the diffusion messages, read-only. Nothing
     existing is recomputed, which is what makes the existing stations'
-    forecasts identical with or without new nodes.
+    forecasts identical with or without new nodes. The collect dict also
+    holds the tail's ``stack``, ``z``, ``gate`` and step ``coeffs`` (see
+    ``aggregate_and_fuse``), as tensors off the tape.
     """
     cfg, graph = state.cfg, state.graph
     if graph.cross and base is None:
@@ -192,14 +194,13 @@ def forward(
     h_src, u_src = (None, None) if base is None else (base["h_edge"], base["channel_stack"])
     edges = edge_weights(h_edge, graph, params, eta=cfg.eta, h_src=h_src)
     u_stack = diffuse(u0, edges["w_tilde"], graph, cfg.diffusion_steps, cfg.restart, u_src)
-    stack = ad.matmul(u_stack, w)
-    z = signed_aggregate(stack, params, cfg.heads, cfg.coeff_mode)
-    gate, zhat = fuse_and_gate(z, e_id, params)
+    parts = {} if collect else None
+    zhat = aggregate_and_fuse(u_stack, e_id, params, cfg.heads, cfg.coeff_mode, parts)
     forecast = forecast_head(zhat, params, cfg.tau, len(CHANNELS))
     if not collect:
         return forecast
     return forecast, {"e_id": e_id, "h_edge": h_edge, "edges": edges, "channel_stack": u_stack,
-                      "stack": stack, "z": z, "gate": gate, "zhat": zhat}
+                      **{name: Tensor(a) for name, a in parts.items()}, "zhat": zhat}
 
 
 def build_extension(state: ModelState, new_stations: list[StationMeta]) -> ModelState:

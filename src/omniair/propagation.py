@@ -9,10 +9,13 @@ is the feature stack. On graphs with at most ``ad._DENSE_ROWS`` source
 stations the op runs on the per-batch (N, N_src) operator built from the
 (N, K) neighbour table; on larger graphs it gathers from the table one
 column at a time, and nothing N x N is formed.
-Aggregation over the lifted (L, B, T, N, D) state stack is one hand-written
-tape node for all heads (``ad.step_attention``, per-head maps applied to
-(rows, heads, dh) views); the identity gate and the blend are one node each
-(``ad.gate``, ``ad.blend``), and the gate projects ``e_id`` once per node.
+The tail that follows is row-local and runs as one hand-written tape node,
+``ad.step_attention`` with its lift and gate (``aggregate_and_fuse``): per
+block of at most ``ad._BLOCK_ROWS`` rows it lifts the channel states to D,
+attends over the steps (all heads at once, on (rows, heads, dh) views),
+gates with the identity and blends, so neither the lifted (L+1, B, T, N, D)
+stack nor any whole-batch attention or gate temporary is formed.
+``signed_aggregate`` runs the same node on a stack that is already D wide.
 Signed aggregation is the only way diffusion states are combined; its
 ``positive`` mode (a softmax over steps) is the smoothing-only control.
 """
@@ -48,6 +51,24 @@ def diffuse(
     return ad.diffuse(h0, w_tilde, graph.nbr, steps, restart, h_src_stack)
 
 
+def _attention_params(
+    params: dict[str, Tensor], heads: int, mode: str, n_steps: int, d: int
+) -> tuple[Tensor, Tensor, Tensor]:
+    """``agg.wq``, ``agg.wk`` and ``agg.step_bias``, checked against the
+    mode, the head count, the state count and the width D."""
+    if mode not in ("signed", "positive"):
+        raise ValueError(f"unknown aggregation mode {mode!r}")
+    if d % heads != 0:
+        raise ValueError(f"head count {heads} must divide feature dim {d}")
+    dh = d // heads
+    wq, wk, bias = params["agg.wq"], params["agg.wk"], params["agg.step_bias"]
+    if wq.shape != (heads, dh, dh) or wk.shape != (heads, dh, dh):
+        raise ValueError(f"agg.wq/agg.wk must be ({heads}, {dh}, {dh}) for {heads} heads")
+    if bias.shape != (n_steps,):
+        raise ValueError(f"agg.step_bias must be ({n_steps},) for {n_steps} states")
+    return wq, wk, bias
+
+
 def signed_aggregate(
     stack: Tensor,
     params: dict[str, Tensor],
@@ -66,7 +87,7 @@ def signed_aggregate(
     bypasses attention entirely and applies the given per-step constants.
 
     The attention over all heads and states is one ``ad.step_attention``
-    node; scores and coefficients are (L, B*T*N, H).
+    node, the same row-blocked kernel the model's tail runs.
     """
     n_steps, d = stack.shape[0], stack.shape[-1]
     if forced_coeffs is not None:
@@ -74,33 +95,40 @@ def signed_aggregate(
             raise ValueError("forced_coeffs must provide one value per state")
         coeffs = np.asarray(forced_coeffs, dtype=np.float64)
         return (stack * coeffs.reshape((n_steps,) + (1,) * (stack.ndim - 1))).sum(axis=0)
-    if mode not in ("signed", "positive"):
-        raise ValueError(f"unknown aggregation mode {mode!r}")
-    if d % heads != 0:
-        raise ValueError(f"head count {heads} must divide feature dim {d}")
-    dh = d // heads
-    wq, wk, bias = params["agg.wq"], params["agg.wk"], params["agg.step_bias"]
-    if wq.shape != (heads, dh, dh) or wk.shape != (heads, dh, dh):
-        raise ValueError(f"agg.wq/agg.wk must be ({heads}, {dh}, {dh}) for {heads} heads")
-    if bias.shape != (n_steps,):
-        raise ValueError(f"agg.step_bias must be ({n_steps},) for {n_steps} states")
+    wq, wk, bias = _attention_params(params, heads, mode, n_steps, d)
     return ad.step_attention(stack, wq, wk, bias, signed=mode == "signed")
 
 
-def fuse_and_gate(z: Tensor, e_id: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-    """Blend the dynamic state with the static identity via a learned gate.
+def aggregate_and_fuse(
+    u_stack: Tensor,
+    e_id: Tensor,
+    params: dict[str, Tensor],
+    heads: int,
+    mode: str = "signed",
+    parts: dict | None = None,
+) -> Tensor:
+    """The fused state ``zhat`` (B, T, N, D) of an (L+1, B, T, N, C+1)
+    channel stack: each state lifted by ``input_proj.w = [W_in; b_in]``,
+    the states combined as :func:`signed_aggregate` combines them, and the
+    result z blended with the (N, D) identity ``e_id`` through the learned
+    gate ``g = sigmoid([z || e_id] W + b)``: ``zhat = g * z + (1 - g) *
+    e_id``. W is stored as its two (D, D) blocks ``out_gate.w_z`` and
+    ``out_gate.w_id``; the identity block is applied once per node.
 
-    ``e_id`` is (N, D) and broadcasts over batch and time. Returns (gate,
-    fused) where gate = sigmoid([z || e_id] W + b) and fused = g * z +
-    (1 - g) * e_id, one tape node each. W is stored as its two (D, D)
-    blocks ``out_gate.w_z`` and ``out_gate.w_id``; the identity block is
-    applied once per node.
+    All of it is one ``ad.step_attention`` node that runs per block of
+    rows, so the lifted (L+1, B, T, N, D) stack is never formed. Only when
+    a ``parts`` dict is given does the node also form that ``stack`` and
+    put it there, with ``z``, the ``gate`` and the step ``coeffs``
+    (L+1, B, T, N, H), as arrays off the tape.
     """
-    n, d = z.shape[2:]
+    w = params["input_proj.w"]
+    n, d = u_stack.shape[-2], w.shape[1]
     if e_id.shape != (n, d):
-        raise ValueError(f"identity shape {e_id.shape} incompatible with state {z.shape}")
-    g = ad.gate(z, e_id, params["out_gate.w_z"], params["out_gate.w_id"], params["out_gate.b"])
-    return g, ad.blend(g, z, e_id)
+        raise ValueError(f"identity shape {e_id.shape} incompatible with {n} stations of width {d}")
+    wq, wk, bias = _attention_params(params, heads, mode, u_stack.shape[0], d)
+    gate = (e_id, params["out_gate.w_z"], params["out_gate.w_id"], params["out_gate.b"])
+    return ad.step_attention(u_stack, wq, wk, bias, signed=mode == "signed", lift=w, gate=gate,
+                             parts=parts)
 
 
 def forecast_head(

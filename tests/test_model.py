@@ -47,6 +47,52 @@ class TestForwardBasics:
         assert loss.item() == 0.0
 
 
+class TestCollect:
+    """``collect=True`` adds the tail's parts, computed by the forward's own
+    row-blocked kernel and kept off the tape."""
+
+    @pytest.fixture(scope="class", params=["signed", "positive"])
+    def run(self, request, tiny_dataset):
+        cfg = small_config(coeff_mode=request.param)
+        stations, frame = tiny_dataset
+        train = chrono_split(frame)[0]
+        state = build_state(cfg, stations, train)
+        params = init_params(cfg, np.random.default_rng(3))
+        params["agg.step_bias"].data[:] = [0.8, -0.5, 1.3][: cfg.diffusion_steps + 1]
+        x = next(make_windows(train, cfg.t_in, cfg.tau, state.stats, 4)).inputs
+        out, extras = forward(params, state, x, collect=True)
+        return cfg, state, params, x, out, extras
+
+    def test_shapes_and_the_plain_forward(self, run):
+        cfg, state, params, x, out, extras = run
+        b, n, d = x.shape[0], state.n_stations, cfg.d_model
+        l1 = cfg.diffusion_steps + 1
+        assert extras["stack"].shape == (l1, b, cfg.t_in, n, d)
+        assert extras["z"].shape == extras["gate"].shape == (b, cfg.t_in, n, d)
+        assert extras["coeffs"].shape == (l1, b, cfg.t_in, n, cfg.heads)
+        for name in ("stack", "z", "gate", "coeffs"):
+            assert extras[name]._parents == () and not extras[name].requires_grad
+        assert np.array_equal(out.data, forward(params, state, x).data)
+        lifted = extras["channel_stack"].data @ params["input_proj.w"].data
+        np.testing.assert_array_equal(extras["stack"].data, lifted)
+
+    def test_coefficients_follow_the_mode(self, run):
+        cfg, _, params, _, _, extras = run
+        c = extras["coeffs"].data
+        if cfg.coeff_mode == "signed":
+            bound = np.abs(params["agg.step_bias"].data).reshape(-1, 1, 1, 1, 1)
+            assert np.all(np.abs(c) <= bound) and np.any(c < 0)
+        else:
+            assert np.all(c > 0)
+            np.testing.assert_allclose(c.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+
+    def test_gate_and_blend_rebuild_zhat(self, run):
+        _, _, _, _, _, extras = run
+        gate, z, e = extras["gate"].data, extras["z"].data, extras["e_id"].data
+        assert np.all((gate > 0) & (gate < 1))
+        np.testing.assert_allclose(e + gate * (z - e), extras["zhat"].data, rtol=0, atol=1e-12)
+
+
 class TestParameterInventory:
     def test_every_learnable_symbol_present_once(self, tiny_cfg, tiny_params):
         expected = {

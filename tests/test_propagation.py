@@ -13,9 +13,9 @@ from omniair.data import chrono_split, make_windows
 from omniair.model import build_state, forward, init_params, masked_mae_loss
 from omniair.oracle import RDScenario, simulate_rd
 from omniair.propagation import (
+    aggregate_and_fuse,
     diffuse,
     forecast_head,
-    fuse_and_gate,
     signed_aggregate,
 )
 from omniair.topology import HybridGraph
@@ -306,64 +306,157 @@ class TestSignedAggregate:
 
 
 def gate_params(w, bias, requires_grad=True):
-    """``fuse_and_gate``'s parameters from the joined (2D, D) weight of
-    ``[z || e_id]`` and the (D,) bias."""
+    """The gate's parameters from the joined (2D, D) weight of ``[z || e_id]``
+    and the (D,) bias."""
     d = w.shape[1]
     return {name: Tensor(value, requires_grad=requires_grad)
             for name, value in (("out_gate.w_z", w[:d]), ("out_gate.w_id", w[d:]),
                                 ("out_gate.b", bias))}
 
 
+def tail_params(rng, d, heads, n_states, w_gate, gate_bias, lift=None):
+    """Every parameter ``aggregate_and_fuse`` reads; by default the lift is
+    the D x D identity, so a D-wide stack is its own lifted stack and z is
+    ``signed_aggregate``'s output."""
+    params = agg_params(d, heads, n_states, rng=rng, bias=rng.normal(size=n_states))
+    params.update(gate_params(w_gate, gate_bias))
+    params["input_proj.w"] = Tensor(np.eye(d) if lift is None else lift, requires_grad=True)
+    return params
+
+
 class TestFusionAndGate:
+    """The identity gate and the blend inside ``aggregate_and_fuse``."""
+
     def test_gate_limits(self):
         rng = np.random.default_rng(9)
-        z = Tensor(rng.normal(size=(2, 3, 4, 6)))
+        stack = Tensor(rng.normal(size=(3, 2, 3, 4, 6)))
         e = Tensor(rng.normal(size=(4, 6)))
-        params = gate_params(np.zeros((12, 6)), np.full(6, 80.0))
-        _, fused = fuse_and_gate(z, e, params)
+        params = tail_params(rng, 6, 2, 3, np.zeros((12, 6)), np.full(6, 80.0))
+        z = signed_aggregate(stack, params, heads=2)
+        fused = aggregate_and_fuse(stack, e, params, heads=2)
         np.testing.assert_allclose(fused.data, z.data, atol=1e-12)
         params["out_gate.b"] = Tensor(np.full(6, -80.0), requires_grad=True)
-        _, fused = fuse_and_gate(z, e, params)
+        fused = aggregate_and_fuse(stack, e, params, heads=2)
         np.testing.assert_allclose(fused.data, np.broadcast_to(e.data, z.shape), atol=1e-12)
 
     def test_identity_fixed_point(self):
+        # every state is the identity, so the convex combination z is too
         rng = np.random.default_rng(10)
         e = rng.normal(size=(4, 6))
-        z = Tensor(np.broadcast_to(e, (2, 3, 4, 6)).copy())
-        params = gate_params(rng.normal(size=(12, 6)), rng.normal(size=6))
-        _, fused = fuse_and_gate(z, Tensor(e), params)
-        np.testing.assert_allclose(fused.data, z.data, atol=1e-12)
+        stack = Tensor(np.broadcast_to(e, (3, 2, 3, 4, 6)).copy())
+        params = tail_params(rng, 6, 2, 3, rng.normal(size=(12, 6)), rng.normal(size=6))
+        fused = aggregate_and_fuse(stack, Tensor(e), params, heads=2, mode="positive")
+        np.testing.assert_allclose(fused.data, stack.data[0], atol=1e-12)
 
     def test_matches_concatenated_gate(self):
         rng = np.random.default_rng(13)
-        z, e = rng.normal(size=(2, 3, 4, 6)), rng.normal(size=(4, 6))
+        stack, e = rng.normal(size=(3, 2, 3, 4, 7)), rng.normal(size=(4, 6))
         w, bias = rng.normal(size=(12, 6)), rng.normal(size=6)
-        params = gate_params(w, bias, requires_grad=False)
-        gate, fused = fuse_and_gate(Tensor(z), Tensor(e), params)
-        e_b = np.broadcast_to(e, z.shape)
-        want = 1.0 / (1.0 + np.exp(-(np.concatenate([z, e_b], axis=-1) @ w + bias)))
-        np.testing.assert_allclose(gate.data, want, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(fused.data, want * z + (1.0 - want) * e_b, rtol=0, atol=1e-12)
+        params = tail_params(rng, 6, 2, 3, w, bias, lift=rng.normal(size=(7, 6)))
+        lifted = stack @ params["input_proj.w"].data
+        for mode in ("signed", "positive"):
+            parts = {}
+            fused = aggregate_and_fuse(Tensor(stack), Tensor(e), params, heads=2, mode=mode,
+                                       parts=parts)
+            np.testing.assert_array_equal(parts["stack"], lifted)
+            z = signed_aggregate(Tensor(lifted), params, heads=2, mode=mode).data
+            np.testing.assert_array_equal(parts["z"], z)
+            e_b = np.broadcast_to(e, z.shape)
+            want = 1.0 / (1.0 + np.exp(-(np.concatenate([z, e_b], axis=-1) @ w + bias)))
+            np.testing.assert_allclose(parts["gate"], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(fused.data, want * z + (1.0 - want) * e_b, rtol=0,
+                                       atol=1e-12)
 
     def test_gradcheck(self):
+        # every coordinate of the channel stack, the lift, the attention, the
+        # identity and the gate, in both modes
         rng = np.random.default_rng(14)
-        params = {
-            **gate_params(rng.normal(size=(8, 4)), rng.normal(size=4)),
-            "z": Tensor(rng.normal(size=(2, 2, 3, 4)), requires_grad=True),
-            "e_id": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
-        }
+        params = tail_params(rng, 4, 2, 3, rng.normal(size=(8, 4)), rng.normal(size=4),
+                             lift=rng.normal(size=(3, 4)))
+        params["stack"] = Tensor(rng.normal(size=(3, 2, 2, 3, 3)), requires_grad=True)
+        params["e_id"] = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         cot = Tensor(rng.normal(size=(2, 2, 3, 4)))
+        for mode in ("signed", "positive"):
+            def f():
+                fused = aggregate_and_fuse(params["stack"], params["e_id"], params, heads=2,
+                                           mode=mode)
+                return (fused * cot).sum()
 
-        def f():
-            gate, fused = fuse_and_gate(params["z"], params["e_id"], params)
-            return (fused * cot).sum() + gate.sum()
-
-        assert grad_check(f, params, samples_per_param=None) < 1e-6
+            assert grad_check(f, params, samples_per_param=None) < 1e-6, mode
 
     def test_dimension_mismatch(self):
-        params = gate_params(np.zeros((12, 6)), np.zeros(6), requires_grad=False)
-        with pytest.raises(ValueError):
-            fuse_and_gate(Tensor(np.zeros((1, 1, 4, 6))), Tensor(np.zeros((4, 5))), params)
+        rng = np.random.default_rng(15)
+        params = tail_params(rng, 6, 2, 1, np.zeros((12, 6)), np.zeros(6))
+        with pytest.raises(ValueError, match="identity shape"):
+            aggregate_and_fuse(Tensor(np.zeros((1, 1, 1, 4, 6))), Tensor(np.zeros((4, 5))),
+                               params, heads=2)
+
+
+class TestRowBlocks:
+    """``ad.step_attention`` runs per block of rows: whole (b, t) slabs while
+    N fits ``ad._BLOCK_ROWS``, runs of stations inside one slab beyond it.
+    A small budget puts every case on a shape small enough to check every
+    coordinate."""
+
+    @pytest.mark.parametrize("n_slabs, n", [(10, 2), (3, 7), (4, 3), (1, 1)])
+    def test_blocks_cover_every_row_once(self, monkeypatch, n_slabs, n):
+        monkeypatch.setattr(ad, "_BLOCK_ROWS", 3)
+        hits = np.zeros((n_slabs, n), dtype=int)
+        for rows, cols in ad._row_blocks(n_slabs, n):
+            assert 0 < hits[rows, cols].size <= 3
+            assert cols == slice(None) if n <= 3 else rows.stop - rows.start == 1
+            hits[rows, cols] += 1
+        assert (hits == 1).all()
+
+    # (B, T, N) and the block count at a budget of 6 rows: ten slabs of 2
+    # stations run as three blocks of 3 slabs and a remainder of 1; 13
+    # stations split each of two slabs into runs of 6, 6 and 1. The
+    # identity's gradient adds up across the blocks.
+    SHAPES = {"multi-slab": ((2, 5, 2), 4), "split-slab": ((1, 2, 13), 6)}
+
+    def _case(self, shape, mode):
+        rng = np.random.default_rng(21)
+        b, t, n = shape
+        params = tail_params(rng, 4, 2, 3, rng.normal(size=(8, 4)), rng.normal(size=4),
+                             lift=rng.normal(size=(3, 4)))
+        params["stack"] = Tensor(rng.normal(size=(3, b, t, n, 3)), requires_grad=True)
+        params["e_id"] = Tensor(rng.normal(size=(n, 4)), requires_grad=True)
+        cot = Tensor(rng.normal(size=(b, t, n, 4)))
+
+        def f():
+            fused = aggregate_and_fuse(params["stack"], params["e_id"], params, heads=2,
+                                       mode=mode)
+            return (fused * cot).sum()
+
+        return params, f
+
+    @pytest.mark.parametrize("mode", ["signed", "positive"])
+    @pytest.mark.parametrize("case", SHAPES)
+    def test_gradcheck_across_blocks(self, monkeypatch, case, mode):
+        (b, t, n), n_blocks = self.SHAPES[case]
+        params, f = self._case((b, t, n), mode)
+        monkeypatch.setattr(ad, "_BLOCK_ROWS", 6)
+        assert len(ad._row_blocks(b * t, n)) == n_blocks
+        assert grad_check(f, params, samples_per_param=None) < 1e-6
+
+    @pytest.mark.parametrize("mode", ["signed", "positive"])
+    @pytest.mark.parametrize("case", SHAPES)
+    def test_blocking_changes_no_value(self, monkeypatch, case, mode):
+        # the forward is bitwise the one-block forward; gradients differ
+        # only by the order in which block partials add up
+        params, f = self._case(self.SHAPES[case][0], mode)
+        runs = []
+        for budget in (6, 10_000):
+            monkeypatch.setattr(ad, "_BLOCK_ROWS", budget)
+            ad.zero_grads(params)
+            loss = f()
+            loss.backward()
+            runs.append((loss.data, {k: p.grad for k, p in params.items() if p.grad is not None}))
+        (loss_a, grads_a), (loss_b, grads_b) = runs
+        assert np.array_equal(loss_a, loss_b)
+        assert grads_a.keys() == grads_b.keys()
+        for name in grads_a:
+            np.testing.assert_allclose(grads_a[name], grads_b[name], rtol=1e-13, atol=1e-15)
 
 
 def tape_nodes(out, leaves):
@@ -380,12 +473,13 @@ def tape_nodes(out, leaves):
 
 
 class TestTapeStructure:
-    """Aggregation is one node and the gate and blend one node each, so a
-    refactor cannot silently bring back a chain of composite nodes."""
+    """Aggregation is one node, and so are the lift, aggregation, gate and
+    blend of the model's tail, so a refactor cannot silently bring back a
+    chain of composite nodes."""
 
     def _inputs(self, rng):
-        params = agg_params(8, 2, 3, rng=rng, bias=[1.0, 0.5, -0.5])
-        params.update(gate_params(rng.normal(size=(16, 8)), rng.normal(size=8)))
+        params = tail_params(rng, 8, 2, 3, rng.normal(size=(16, 8)), rng.normal(size=8),
+                             lift=rng.normal(size=(5, 8)))
         stack = Tensor(rng.normal(size=(3, 2, 2, 5, 8)), requires_grad=True)
         e_id = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
         return params, stack, e_id
@@ -398,22 +492,23 @@ class TestTapeStructure:
         assert len(z._parents) == len(want)
         assert all(p is w for p, w in zip(z._parents, want))
 
-    def test_fuse_and_gate_at_most_two_nodes(self):
+    def test_aggregate_and_fuse_is_one_node(self):
         params, _, e_id = self._inputs(np.random.default_rng(18))
-        z = Tensor(np.random.default_rng(19).normal(size=(2, 2, 5, 8)), requires_grad=True)
-        gate, fused = fuse_and_gate(z, e_id, params)
-        leaves = (z, e_id, params["out_gate.w_z"], params["out_gate.w_id"], params["out_gate.b"])
-        nodes = tape_nodes(fused, leaves)
-        assert len(nodes) <= 2
-        assert any(n is gate for n in nodes)
-        assert tape_nodes(gate, leaves) == [gate]
+        u = Tensor(np.random.default_rng(19).normal(size=(3, 2, 2, 5, 5)), requires_grad=True)
+        fused = aggregate_and_fuse(u, e_id, params, heads=2)
+        want = (u, params["agg.wq"], params["agg.wk"], params["agg.step_bias"],
+                params["input_proj.w"], e_id, params["out_gate.w_z"], params["out_gate.w_id"],
+                params["out_gate.b"])
+        assert len(fused._parents) == len(want)
+        assert all(p is w for p, w in zip(fused._parents, want))
 
     def test_no_grad_records_nothing(self):
         params, stack, e_id = self._inputs(np.random.default_rng(20))
+        u = Tensor(np.random.default_rng(21).normal(size=(3, 2, 2, 5, 5)), requires_grad=True)
         with ad.no_grad():
             z = signed_aggregate(stack, params, heads=2)
-            gate, fused = fuse_and_gate(z, e_id, params)
-        for out in (z, gate, fused):
+            fused = aggregate_and_fuse(u, e_id, params, heads=2)
+        for out in (z, fused):
             assert out._parents == () and out._backward is None and not out.requires_grad
 
 
@@ -444,7 +539,7 @@ class TestModelTape:
 
     def test_op_count(self, tape):
         ops, _ = tape
-        assert len(ops) == 64, sorted(n._backward.__qualname__ for n in ops)
+        assert len(ops) == 61, sorted(n._backward.__qualname__ for n in ops)
 
     def test_every_engine_op_has_a_caller(self, tape, monkeypatch):
         ops, _ = tape
