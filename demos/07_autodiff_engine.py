@@ -31,7 +31,7 @@ data = np.random.default_rng(1).normal(size=(8, 6))
 
 
 def program():
-    h = ad.leaky_relu(ad.matmul(Tensor(data), params["w"]) + params["b"], 0.1)
+    h = ad.leaky_relu(ad.matmul(Tensor(data), params["w"]) + params["b"])
     return (ad.tanh(h) * ad.sigmoid(h)).sum()
 
 

@@ -12,11 +12,11 @@ every op heads a node of its training tape: ``add``, ``sub``, ``mul``,
 ``sigmoid``, ``tanh``, ``relu`` and ``leaky_relu``; row ``gather``; and
 three hand-written model ops with closed-form backwards, each one node:
 ``diffuse`` (the whole multi-step restart diffusion over a fixed-degree
-(N, K) neighbour table), ``step_attention`` (the model's row-local tail:
-per block of rows, an optional lift of the states to D, per-head signed or
-softmax attention over them, and an optional identity gate and blend) and
-``blend`` (``g * a + (1 - g) * b``). There are no views and no dtype zoo. Repeated targets add up through ``np.bincount``, never through
-``np.add.at``.
+(N, K) neighbour table), ``step_attention`` (per-head step attention per
+block of rows; its one optional part, ``fuse``, adds the lift to D before
+and the identity gate and blend after, making it the model's row-local
+tail) and ``blend`` (``g * a + (1 - g) * b``). No views, no dtype zoo.
+Repeated targets add up through ``np.bincount``, never ``np.add.at``.
 
 All data is float64 and all reductions run in a fixed order, so repeated
 forward+backward passes over identical inputs are bit-identical.
@@ -372,13 +372,16 @@ def relu(a) -> Tensor:
     return _node(np.maximum(a.data, 0.0), (a,), backward)
 
 
-def leaky_relu(a, slope: float = 0.1) -> Tensor:
+LEAKY_SLOPE = 0.1  # slope of leaky_relu below zero
+
+
+def leaky_relu(a) -> Tensor:
     a = as_tensor(a)
-    data = np.where(a.data > 0, a.data, slope * a.data)
+    data = np.where(a.data > 0, a.data, LEAKY_SLOPE * a.data)
 
     def backward(g: Array) -> None:
         if a.requires_grad:
-            a._accumulate(g * np.where(a.data > 0, 1.0, slope))
+            a._accumulate(g * np.where(a.data > 0, 1.0, LEAKY_SLOPE))
 
     return _node(data, (a,), backward)
 
@@ -631,36 +634,36 @@ def step_attention(
     wk: Tensor,
     bias: Tensor,
     signed: bool,
-    lift: Tensor | None = None,
-    gate: tuple[Tensor, Tensor, Tensor, Tensor] | None = None,
+    fuse: tuple[Tensor, Tensor, Tensor, Tensor, Tensor] | None = None,
     parts: dict | None = None,
 ) -> Tensor:
     """Combine the L states of an (L, ..., N, F) stack with per-row, per-head
     step coefficients: ``z = sum_l c_l x_l``, shape (..., N, D), as one node.
 
-    ``x_l`` is the state itself, or ``s_l lift`` for an (F, D) ``lift``. D
-    splits into H heads of dh = D / H columns, and ``wq``, ``wk`` are
+    Without ``fuse`` the states are D wide and ``x_l`` is the state itself.
+    D splits into H heads of dh = D / H columns, and ``wq``, ``wk`` are
     (H, dh, dh). Per head, the pooled query is ``q = mean_l(x_l) wq`` and
     step l scores ``(x_l wk) . q / sqrt(dh)``, computed as ``x_l . r`` with
     ``r = q wk^T / sqrt(dh)``, so no key is formed. ``signed`` coefficients
     are ``tanh(score_l) * bias_l``; otherwise they are a softmax over steps
     and ``bias`` gets no gradient.
 
-    ``gate = (e, w_z, w_e, b)`` blends z with an (N, D) identity ``e`` that
-    broadcasts over the leading axes: the output is ``e + g * (z - e)`` with
-    ``g = sigmoid(z w_z + (e w_e + b))``, ``e`` projected once per station.
+    ``fuse = (lift, e, w_z, w_e, b)`` makes the node the model's tail:
+    ``x_l = s_l lift`` for an (F, D) ``lift``, and the output is ``e + g *
+    (z - e)`` with ``g = sigmoid(z w_z + (e w_e + b))`` for an (N, D)
+    identity ``e`` that broadcasts over the leading axes, projected once.
 
     The node runs per block of at most ``_BLOCK_ROWS`` rows (a row is one
     (..., n) position), forward and backward, so no whole-batch lifted
     stack or attention temporary is formed. It keeps z, the gate and the
     (L, ..., N, H) memo of the coefficients; the backward lifts each block
     again and adds the parameter partials in block order. A ``parts`` dict
-    receives the whole ``stack`` of lifted states, ``z``, ``gate`` and the
-    step ``coeffs``, as arrays, with no tape.
+    receives what the node holds anyway, as arrays with no tape: ``z``, the
+    step ``coeffs`` and, with ``fuse``, the ``gate``.
     """
     s, wq, wk, bias = as_tensor(stack), as_tensor(wq), as_tensor(wk), as_tensor(bias)
-    w = None if lift is None else as_tensor(lift)
-    e, w_z, w_e, b = (None,) * 4 if gate is None else (as_tensor(t) for t in gate)
+    fused = () if fuse is None else tuple(as_tensor(t) for t in fuse)
+    w, e, w_z, w_e, b = fused or (None,) * 5
     n_states, n, width = s.shape[0], s.shape[-2], s.shape[-1]
     heads, dh = wq.shape[0], wq.shape[1]
     d = heads * dh
@@ -677,19 +680,16 @@ def step_attention(
     z = np.empty((n_slabs, n, d))
     memo = np.empty((n_states, n_slabs, n, heads))
     out, y = z, None
-    if gate is not None:
+    if fused:
         eb = e.data @ w_e.data + b.data
         out, y = np.empty_like(z), np.empty_like(z)
-    lifted_stack = None if parts is None else np.empty((n_states, n_slabs, n, d))
     for rows, cols in blocks:
         x = lifted(rows, cols)[1]
         zb, mb = _attend(x, wq.data, k, bias.data, signed)
         zb = zb.reshape(z[rows, cols].shape)
         z[rows, cols] = zb
         memo[:, rows, cols] = mb.reshape(memo[:, rows, cols].shape)
-        if lifted_stack is not None:
-            lifted_stack[:, rows, cols] = x.reshape(lifted_stack[:, rows, cols].shape)
-        if gate is not None:
+        if fused:
             pre = zb @ w_z.data
             pre += eb[cols]
             y[rows, cols] = yb = _logistic(pre)
@@ -701,22 +701,21 @@ def step_attention(
     lead = s.shape[1:-1]
     if parts is not None:
         coeffs = memo * bias.data[:, None, None, None] if signed else memo
-        parts.update(stack=lifted_stack.reshape((n_states,) + lead + (d,)),
-                     z=z.reshape(lead + (d,)), coeffs=coeffs.reshape((n_states,) + lead + (heads,)))
-        if gate is not None:
+        parts.update(z=z.reshape(lead + (d,)), coeffs=coeffs.reshape((n_states,) + lead + (heads,)))
+        if fused:
             parts["gate"] = y.reshape(lead + (d,))
 
     def backward(g: Array) -> None:
         g = g.reshape(n_slabs, n, d)
         ds_all = np.empty(u.shape)
         dwq, dk, dbias = np.zeros(wq.shape), np.zeros(wk.shape), np.zeros(bias.shape)
-        dw = None if w is None else np.zeros(w.shape)
-        if gate is not None:
-            dw_z, de_blend, da_sum = np.zeros(w_z.shape), np.zeros((n, d)), np.zeros((n, d))
+        if fused:
+            dw, dw_z = np.zeros(w.shape), np.zeros(w_z.shape)
+            de_blend, da_sum = np.zeros((n, d)), np.zeros((n, d))
         for rows, cols in blocks:
             ub, x = lifted(rows, cols)
             dzb = g[rows, cols]
-            if gate is not None:
+            if fused:
                 zb, yb, eblk = z[rows, cols], y[rows, cols], e.data[cols]
                 ga = dzb * yb
                 de_blend[cols] += (dzb - ga).sum(axis=0)
@@ -733,7 +732,7 @@ def step_attention(
             dk += dk_b
             dbias += dbias_b
             ds = ds.reshape(n_states, -1, d)
-            if w is not None:
+            if fused:
                 dw += ub.reshape(-1, width).T @ ds.reshape(-1, d)
                 ds = ds @ w.data.T
             ds_all[:, rows, cols] = ds.reshape(ds_all[:, rows, cols].shape)
@@ -745,9 +744,9 @@ def step_attention(
             wk._accumulate(dk * scale)
         if signed and bias.requires_grad:
             bias._accumulate(dbias)
-        if w is not None and w.requires_grad:
-            w._accumulate(dw)
-        if gate is not None:
+        if fused:
+            if w.requires_grad:
+                w._accumulate(dw)
             if e.requires_grad:
                 e._accumulate(de_blend + da_sum @ w_e.data.T)
             if w_z.requires_grad:
@@ -757,9 +756,7 @@ def step_attention(
             if b.requires_grad:
                 b._accumulate(da_sum.sum(axis=0))
 
-    parents = (s, wq, wk, bias) + (() if w is None else (w,)) + (() if gate is None else
-                                                                  (e, w_z, w_e, b))
-    return _node(out.reshape(lead + (d,)), parents, backward)
+    return _node(out.reshape(lead + (d,)), (s, wq, wk, bias) + fused, backward)
 
 
 def blend(g: Tensor, a: Tensor, b: Tensor) -> Tensor:

@@ -129,7 +129,8 @@ def _base_window(state: ModelState, frame: SeriesFrame, window_end) -> tuple[int
 def _future_timestamps(frame: SeriesFrame, end_idx: int, tau: int) -> np.ndarray:
     """The ``tau`` timestamps after ``end_idx``, at the frame's step (one day
     for a single-step frame)."""
-    step = frame.timestamps[1] - frame.timestamps[0] if frame.n_steps > 1 else np.timedelta64(1, "D")
+    step = (frame.timestamps[1] - frame.timestamps[0] if frame.n_steps > 1
+            else np.timedelta64(1, "D"))
     return frame.timestamps[end_idx] + step * np.arange(1, tau + 1)
 
 

@@ -177,8 +177,9 @@ def forward(
     ``channel_stack`` gives the diffusion messages, read-only. Nothing
     existing is recomputed, which is what makes the existing stations'
     forecasts identical with or without new nodes. The collect dict also
-    holds the tail's ``stack``, ``z``, ``gate`` and step ``coeffs`` (see
-    ``aggregate_and_fuse``), as tensors off the tape.
+    holds the tail's ``z``, ``gate`` and step ``coeffs`` (see
+    ``aggregate_and_fuse``), as tensors off the tape; the lifted stack is
+    ``channel_stack @ input_proj.w``.
     """
     cfg, graph = state.cfg, state.graph
     if graph.cross and base is None:

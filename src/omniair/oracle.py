@@ -30,6 +30,8 @@ SIM_LAT_RANGE = (30.0, 40.0)
 SIM_LON_RANGE = (100.0, 110.0)
 SIM_KAPPA_KM = 100.0
 SIM_START = np.datetime64("2020-01-01", "D")
+POWER_ITERATIONS = 100  # rounds of power_iteration
+LIPSCHITZ_SCALE = 3.0  # standard deviation of check_lipschitz's random inputs
 
 
 @dataclass(frozen=True)
@@ -358,12 +360,12 @@ def check_kernel(
     return out
 
 
-def power_iteration(w: np.ndarray, iters: int = 100, seed: int = 0) -> float:
+def power_iteration(w: np.ndarray, seed: int = 0) -> float:
     """Largest singular value estimate of a 2-d matrix."""
     rng = np.random.default_rng(seed)
     v = rng.normal(size=w.shape[1])
     v /= np.linalg.norm(v)
-    for _ in range(iters):
+    for _ in range(POWER_ITERATIONS):
         u = w @ v
         v = w.T @ u
         norm = np.linalg.norm(v)
@@ -377,7 +379,6 @@ def check_lipschitz(
     params: dict[str, np.ndarray],
     n_pairs: int = 1000,
     seed: int = 0,
-    scale: float = 3.0,
 ) -> tuple[float, float]:
     """Max embedding-distance ratio over random pairs vs the spectral bound.
 
@@ -389,8 +390,8 @@ def check_lipschitz(
     w2, b2 = params["id_mlp.w2"], params["id_mlp.b2"]
     bound = power_iteration(w1, seed=seed) * power_iteration(w2, seed=seed + 1)
     rng = np.random.default_rng(seed)
-    x = rng.normal(0.0, scale, size=(n_pairs, w1.shape[0]))
-    y = rng.normal(0.0, scale, size=(n_pairs, w1.shape[0]))
+    x = rng.normal(0.0, LIPSCHITZ_SCALE, size=(n_pairs, w1.shape[0]))
+    y = rng.normal(0.0, LIPSCHITZ_SCALE, size=(n_pairs, w1.shape[0]))
     fx = np.tanh(x @ w1 + b1) @ w2 + b2
     fy = np.tanh(y @ w1 + b1) @ w2 + b2
     num = np.linalg.norm(fx - fy, axis=1)

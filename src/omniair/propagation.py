@@ -10,12 +10,13 @@ stations the op runs on the per-batch (N, N_src) operator built from the
 (N, K) neighbour table; on larger graphs it gathers from the table one
 column at a time, and nothing N x N is formed.
 The tail that follows is row-local and runs as one hand-written tape node,
-``ad.step_attention`` with its lift and gate (``aggregate_and_fuse``): per
+``ad.step_attention`` with its ``fuse`` part (``aggregate_and_fuse``): per
 block of at most ``ad._BLOCK_ROWS`` rows it lifts the channel states to D,
 attends over the steps (all heads at once, on (rows, heads, dh) views),
 gates with the identity and blends, so neither the lifted (L+1, B, T, N, D)
 stack nor any whole-batch attention or gate temporary is formed.
-``signed_aggregate`` runs the same node on a stack that is already D wide.
+``signed_aggregate`` runs the same node, without ``fuse``, on a stack that
+is already D wide.
 Signed aggregation is the only way diffusion states are combined; its
 ``positive`` mode (a softmax over steps) is the smoothing-only control.
 """
@@ -116,19 +117,17 @@ def aggregate_and_fuse(
     ``out_gate.w_id``; the identity block is applied once per node.
 
     All of it is one ``ad.step_attention`` node that runs per block of
-    rows, so the lifted (L+1, B, T, N, D) stack is never formed. Only when
-    a ``parts`` dict is given does the node also form that ``stack`` and
-    put it there, with ``z``, the ``gate`` and the step ``coeffs``
-    (L+1, B, T, N, H), as arrays off the tape.
+    rows, so the lifted (L+1, B, T, N, D) stack is never formed. A
+    ``parts`` dict receives ``z``, the ``gate`` and the step ``coeffs``
+    (L+1, B, T, N, H), arrays the node holds anyway, off the tape.
     """
     w = params["input_proj.w"]
     n, d = u_stack.shape[-2], w.shape[1]
     if e_id.shape != (n, d):
         raise ValueError(f"identity shape {e_id.shape} incompatible with {n} stations of width {d}")
     wq, wk, bias = _attention_params(params, heads, mode, u_stack.shape[0], d)
-    gate = (e_id, params["out_gate.w_z"], params["out_gate.w_id"], params["out_gate.b"])
-    return ad.step_attention(u_stack, wq, wk, bias, signed=mode == "signed", lift=w, gate=gate,
-                             parts=parts)
+    fuse = (w, e_id, params["out_gate.w_z"], params["out_gate.w_id"], params["out_gate.b"])
+    return ad.step_attention(u_stack, wq, wk, bias, signed=mode == "signed", fuse=fuse, parts=parts)
 
 
 def forecast_head(

@@ -174,7 +174,7 @@ def dynamic_attention(
     own = ad.matmul(h_own, params["attn.we_own"])
     src = ad.matmul(h_src, params["attn.we_src"])
     pre = ad.gather(src, nbr, axis=1) + own.reshape(own.shape[:-1] + (1, own.shape[-1]))
-    score = ad.matmul(ad.leaky_relu(pre, slope=0.1), params["attn.a"])
+    score = ad.matmul(ad.leaky_relu(pre), params["attn.a"])
     return ad.tanh(score.reshape(score.shape[:-1]))
 
 

@@ -56,7 +56,7 @@ class TestOpGradients:
         check_op(lambda a: ad.sigmoid(a) * ad.tanh(a), [(4, 4)])
 
     def test_relu_leaky(self):
-        check_op(lambda a: ad.relu(a) + ad.leaky_relu(a, 0.1), [(5, 5)], seed=3)
+        check_op(lambda a: ad.relu(a) + ad.leaky_relu(a), [(5, 5)], seed=3)
 
     def test_abs(self):
         check_op(lambda a: ad.abs_(a), [(4, 4)], seed=5)

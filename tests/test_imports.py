@@ -29,6 +29,14 @@ def test_package_imports_only_stdlib_and_numpy():
 
 
 PACKAGE = Path(omniair.__file__).parent
+MAX_LINE = 100  # characters; tests and demos hold longer CSV fixture lines
+
+
+def test_package_lines_fit_the_width():
+    long = [f"{path.name}:{i}" for path in sorted(PACKAGE.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), start=1)
+            if len(line) > MAX_LINE]
+    assert not long, f"lines over {MAX_LINE} characters: {long}"
 
 
 @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")

@@ -1,10 +1,12 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from omniair import autodiff as ad
 from omniair.autodiff import Tensor, grad_check
+from omniair.bench import bench_config, scaling_case
 from omniair.data import CHANNELS, NormStats, StationMeta, chrono_split, make_windows
 from omniair.encoder import Contexts
 from omniair.geo import knn_geo
@@ -67,14 +69,36 @@ class TestCollect:
         cfg, state, params, x, out, extras = run
         b, n, d = x.shape[0], state.n_stations, cfg.d_model
         l1 = cfg.diffusion_steps + 1
-        assert extras["stack"].shape == (l1, b, cfg.t_in, n, d)
         assert extras["z"].shape == extras["gate"].shape == (b, cfg.t_in, n, d)
         assert extras["coeffs"].shape == (l1, b, cfg.t_in, n, cfg.heads)
-        for name in ("stack", "z", "gate", "coeffs"):
+        for name in ("z", "gate", "coeffs"):
             assert extras[name]._parents == () and not extras[name].requires_grad
         assert np.array_equal(out.data, forward(params, state, x).data)
-        lifted = extras["channel_stack"].data @ params["input_proj.w"].data
-        np.testing.assert_array_equal(extras["stack"].data, lifted)
+
+    def test_keys_are_exactly_the_parts_in_use(self, run):
+        # the lifted stack is not among them: it is channel_stack @ input_proj.w
+        extras = run[-1]
+        assert set(extras) == {"e_id", "h_edge", "edges", "channel_stack", "z", "gate", "coeffs",
+                               "zhat"}
+
+    def test_collecting_forms_no_lifted_stack(self):
+        # without a tape, the collected parts are arrays the tail holds anyway,
+        # so the traced peak grows by far less than one (L+1, B, T, N, D) stack
+        cfg = bench_config(15, 16)
+        _, state, params, x, _ = scaling_case(cfg, 512, 0)
+        peaks = []
+        with ad.no_grad():
+            forward(params, state, x)  # warm-up
+            for collect in (False, True):
+                tracemalloc.start()
+                try:
+                    forward(params, state, x, collect=collect)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        rows = x.shape[0] * cfg.t_in * state.n_stations
+        stack_bytes = 8 * (cfg.diffusion_steps + 1) * rows * cfg.d_model
+        assert peaks[1] - peaks[0] < stack_bytes / 2
 
     def test_coefficients_follow_the_mode(self, run):
         cfg, _, params, _, _, extras = run
@@ -286,7 +310,6 @@ class TestExtension:
         assert sources is None and sources_new is extras["channel_stack"]
         assert h0.shape[-1] == h0_new.shape[-1] == sources_new.shape[-1] == width
         assert not h0.requires_grad and not h0_new.requires_grad
-        assert extras["stack"].shape[-1] == cfg.d_model
 
     def test_id_collision_rejected(self):
         cfg, state, params, batch, held = self._setup()
